@@ -79,18 +79,18 @@ def _report(out_dir: Path, command: str, config: dict, body: dict):
     _atomic_write(out_dir / "resolved.cfg", "\n".join(cfg_lines) + "\n")
 
 
-def _config_defaults(path: str | None) -> dict:
-    if not path:
-        return {}
-    return profiles.parse_config_text(Path(path).read_text(encoding="utf-8"))
-
-
-def _max_threads() -> int:
-    raw = os.environ.get("BIHARM_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+def parse_config_text(text: str) -> dict:
+    """Read the key=value lines that _report writes to resolved.cfg."""
+    out = {}
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ParameterError(f"config line without '=': {raw!r}")
+        key, value = line.split("=", 1)
+        out[key.strip()] = value.strip()
+    return out
 
 
 def _profile_args(p: _Parser, need_n: bool = True):
@@ -102,19 +102,42 @@ def _profile_args(p: _Parser, need_n: bool = True):
                    choices=[profiles.TWO_REGIME, profiles.PURE_POWER])
 
 
-def build_parser() -> _Parser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", default=None, help="key=value config file with flag defaults")
-    common.add_argument("--out-dir", default="out", help="output directory (default ./out)")
-    common.add_argument("--seed", type=int, default=0, help="seed for stochastic commands")
+def _global_flags(top: bool) -> argparse.ArgumentParser:
+    """--config, --out-dir and --seed, accepted before or after the subcommand.
 
-    parser = _Parser(prog="biharm", parents=[common],
+    Only the top-level copies carry defaults: the subcommand's copies default
+    to SUPPRESS, so they cannot overwrite a value given before the subcommand.
+    """
+    def default(value):
+        return value if top else argparse.SUPPRESS
+
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument("--config", default=default(None),
+                       help="key=value config file with flag defaults")
+    flags.add_argument("--out-dir", default=default("out"), help="output directory (default ./out)")
+    flags.add_argument("--seed", type=int, default=default(0), help="seed for stochastic commands")
+    return flags
+
+
+def _radii_text(text: str) -> str:
+    """argparse type of --r-values: checks the list, keeps the text as given."""
+    try:
+        if _parse_radii(text):
+            return text
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
+
+
+def build_parser() -> _Parser:
+    parser = _Parser(prog="biharm", parents=[_global_flags(top=True)],
                      description="numerical toolkit for the biharmonic critical-exponent classification")
     sub = parser.add_subparsers(dest="command", required=True)
     parser._subparser_map = {}
+    sub_flags = _global_flags(top=False)
 
     def add_parser(name, **kw):
-        p = sub.add_parser(name, parents=[common], **kw)
+        p = sub.add_parser(name, parents=[sub_flags], **kw)
         p.error = parser.error
         parser._subparser_map[name] = p
         return p
@@ -146,7 +169,7 @@ def build_parser() -> _Parser:
 
     p = add_parser("eigen", help="surrogate eigenvalue scan on annuli")
     _profile_args(p, need_n=False)
-    p.add_argument("--r-values", default="1e2,1e3,1e4",
+    p.add_argument("--r-values", type=_radii_text, default="1e2,1e3,1e4",
                    help="comma-separated outer radii (annulus is (R/ratio, R))")
     p.add_argument("--ratio", type=float, default=4.0)
     p.add_argument("--mesh", type=int, default=256)
@@ -158,7 +181,7 @@ def build_parser() -> _Parser:
     p.add_argument("--tau", type=float, default=0.5)
     p.add_argument("--big-n", type=float, default=4.0)
     p.add_argument("--r-inner", type=float, default=2.0)
-    p.add_argument("--r-values", default=None,
+    p.add_argument("--r-values", type=_radii_text, default=None,
                    help="comma-separated scan radii (default 2**10 .. 2**20)")
     p.add_argument("--mesh", type=int, default=256)
 
@@ -275,8 +298,7 @@ def _cmd_witness(args, out: Path):
     if args.r_values:
         kwargs["r_list"] = _parse_radii(args.r_values)
     cfg_obj = liouville.WitnessConfig(**kwargs)
-    report = liouville.verdict(prof, src, args.p, cfg_obj, args.mesh,
-                               threads=_max_threads())
+    report = liouville.verdict(prof, src, args.p, cfg_obj, args.mesh)
     _write_csv(out / "witness.csv", "R,lhs,rhs",
                [(r, l, h) for r, l, h, _ in report.rows])
     cfg = _resolved_config(args, ["alpha", "gamma", "n", "mode", "m", "p",
@@ -345,17 +367,27 @@ def _preload_config(parser: _Parser, argv):
     command = next((tok for tok in argv if tok in _COMMANDS), None)
     if command is None:
         return
-    cfg = _config_defaults(path)
+    try:
+        cfg = parse_config_text(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
+        parser.error(f"cannot read config file {path!r}: {exc}")
     sub = parser._subparser_map[command]
     typed = {}
     for action in sub._actions:
         if action.dest in cfg:
             raw = cfg[action.dest]
-            typed[action.dest] = action.type(raw) if action.type else raw
+            try:
+                typed[action.dest] = action.type(raw) if action.type else raw
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                parser.error(f"config value {action.dest}={raw!r}: {exc}")
             action.required = False
     unknown = set(cfg) - set(typed) - {"command"}
     if unknown:
         raise ParameterError(f"config keys not accepted by {command!r}: {sorted(unknown)}")
+    # flags the top level also accepts take their config default there, so
+    # an explicit value on either side of the subcommand still wins
+    top = {action.dest for action in parser._actions}
+    parser.set_defaults(**{k: typed.pop(k) for k in set(typed) & top})
     sub.set_defaults(**typed)
 
 

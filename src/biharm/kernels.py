@@ -26,7 +26,7 @@ import numpy as np
 from .errors import DivergentIntegralError, ParameterError
 from .profiles import ManifoldProfile, SourceProfile, profile_piecewise
 from .quad import Factor, PowerIntegrand, QuadratureResult, integrate
-from .radial import PiecewisePower, RadialFunction, pp_product
+from .radial import PiecewisePower, RadialFunction, power_integral, pp_product
 
 _INF = float("inf")
 
@@ -121,20 +121,12 @@ def compose_green(prof: ManifoldProfile, rho: float,
     return integrate(integrand, 0.0, _INF, rel_tol=rel_tol)
 
 
-@dataclass(frozen=True)
-class AnnulusBound:
-    """Normalized lower bound for the composed kernel on an annulus shell."""
-
-    value: float
-    exponent: float
-
-
-def annulus_lower_bound(prof: ManifoldProfile, radius: float) -> AnnulusBound:
+def annulus_lower_bound(prof: ManifoldProfile, radius: float) -> float:
     """radius**(-(2*gamma-alpha)) with all comparability constants set to 1."""
     if not radius >= 1.0:
         raise ParameterError(f"annulus bound is defined for radius >= 1, got {radius}")
     exponent = float(prof.alpha) - 2.0 * float(prof.gamma)
-    return AnnulusBound(radius ** exponent, exponent)
+    return radius ** exponent
 
 
 # -- max-kernel potentials (surrogate / euclidean) ---------------------------
@@ -150,41 +142,10 @@ def _max_kernel_data(spec: KernelSpec):
     return kernel_exp, measure
 
 
-def _piece_integrals(bounds, coefs, exps, extra_exp):
-    """Exact integrals of each finite piece with an extra power folded in."""
-    vals = np.zeros(len(coefs))
-    for j in range(len(coefs)):
-        a, b = bounds[j], bounds[j + 1]
-        if math.isinf(b) or coefs[j] == 0.0:
-            continue
-        e = exps[j] + extra_exp
-        if a == 0.0:
-            vals[j] = coefs[j] * b ** (e + 1.0) / (e + 1.0) if e > -1.0 else _INF
-        elif e == -1.0:
-            vals[j] = coefs[j] * math.log(b / a)
-        else:
-            vals[j] = coefs[j] * (b ** (e + 1.0) - a ** (e + 1.0)) / (e + 1.0)
-    return vals
-
-
-def _partial_from_left(bounds, coefs, exps, extra_exp, idx, rho):
-    lo = np.asarray(bounds, dtype=float)[idx]
-    c = np.asarray(coefs)[idx]
-    e = np.asarray(exps)[idx] + extra_exp
-    out = np.zeros_like(rho)
-    nz = c != 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        reg = nz & (e != -1.0)
-        out[reg] = c[reg] * (rho[reg] ** (e[reg] + 1.0) - lo[reg] ** (e[reg] + 1.0)) / (e[reg] + 1.0)
-        logc = nz & (e == -1.0)
-        out[logc] = c[logc] * np.log(rho[logc] / lo[logc])
-    return out
-
-
 def _max_kernel_values(spec: KernelSpec, weighted: PiecewisePower, rho: np.ndarray) -> np.ndarray:
     """potential(rho) = rho**kexp * int_0^rho w + int_rho^inf r**kexp w."""
     kexp, _ = _max_kernel_data(spec)
-    b, c, e = weighted.bounds, weighted.coefs, weighted.exps
+    b, c, e = (np.asarray(x) for x in (weighted.bounds, weighted.coefs, weighted.exps))
 
     if c[0] != 0.0 and e[0] <= -1.0:
         raise DivergentIntegralError(
@@ -195,23 +156,17 @@ def _max_kernel_values(spec: KernelSpec, weighted: PiecewisePower, rho: np.ndarr
             f"potential tail diverges: integrand exponent {e[-1] + kexp} >= -1",
             location="tail", exponent=e[-1] + kexp)
 
-    inner_full = _piece_integrals(b, c, e, 0.0)
-    prefix = np.concatenate([[0.0], np.cumsum(inner_full)])
-
-    # per-piece integrals with the kernel folded in; the final (infinite)
-    # piece gets its closed-form tail
-    outer_full = _piece_integrals(b, c, e, kexp)
-    if math.isinf(b[-1]) and c[-1] != 0.0:
-        et = e[-1] + kexp
-        outer_full[-1] = (-c[-1] * b[-2] ** (et + 1.0) / (et + 1.0)
-                          if b[-2] > 0.0 else _INF)
+    # whole pieces: inner integrals summed from the origin, kernel-weighted
+    # outer integrals summed from infinity
+    prefix = np.concatenate([[0.0], np.cumsum(power_integral(c, e, b[:-1], b[1:]))])
+    outer_full = power_integral(c, e + kexp, b[:-1], b[1:])
     suffix = np.concatenate([np.cumsum(outer_full[::-1])[::-1], [0.0]])
 
+    # the piece containing each rho, split at rho
     rho = np.asarray(rho, dtype=float)
     idx = np.clip(np.searchsorted(b, rho, side="right") - 1, 0, len(c) - 1)
-    inner = prefix[idx] + _partial_from_left(b, c, e, 0.0, idx, rho)
-    outer = suffix[idx + 1] + (
-        _piece_integrals_at(b, c, e, kexp, idx, rho))
+    inner = prefix[idx] + power_integral(c[idx], e[idx], b[idx], rho)
+    outer = suffix[idx + 1] + power_integral(c[idx], e[idx] + kexp, rho, b[idx + 1])
     pos = rho > 0
     first = np.zeros_like(rho)
     first[pos] = rho[pos] ** kexp * inner[pos]
@@ -224,24 +179,6 @@ def _max_kernel_values(spec: KernelSpec, weighted: PiecewisePower, rho: np.ndarr
                 location="origin", exponent=e[0] + kexp)
         values[zero_mask] = suffix[0]
     return values
-
-
-def _piece_integrals_at(bounds, coefs, exps, extra_exp, idx, rho):
-    """int_rho^(piece end) of the piece containing each rho, kernel folded."""
-    hi = np.asarray(bounds, dtype=float)[idx + 1]
-    c = np.asarray(coefs)[idx]
-    e = np.asarray(exps)[idx] + extra_exp
-    out = np.zeros_like(rho)
-    nz = (c != 0.0) & (rho > 0)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        fin = nz & np.isfinite(hi)
-        reg = fin & (e != -1.0)
-        out[reg] = c[reg] * (hi[reg] ** (e[reg] + 1.0) - rho[reg] ** (e[reg] + 1.0)) / (e[reg] + 1.0)
-        logc = fin & (e == -1.0)
-        out[logc] = c[logc] * np.log(hi[logc] / rho[logc])
-        inf_piece = nz & ~np.isfinite(hi)
-        out[inf_piece] = -c[inf_piece] * rho[inf_piece] ** (e[inf_piece] + 1.0) / (e[inf_piece] + 1.0)
-    return out
 
 
 def _split_values(spec: KernelSpec, src_pp: PiecewisePower, rho: np.ndarray,

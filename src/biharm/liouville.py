@@ -21,6 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ParameterError
+from .kernels import annulus_lower_bound
 from .profiles import ManifoldProfile, SourceProfile, as_fraction
 from .spectral import SurrogateOperator, lambda1_annulus
 
@@ -64,8 +65,9 @@ class WitnessConfig:
         if not self.r_inner >= 1.0:
             raise ParameterError(f"r_inner must be >= 1, got {self.r_inner}")
         rl = tuple(float(r) for r in self.r_list)
-        if len(rl) < 2 or any(b <= a for a, b in zip(rl, rl[1:])):
-            raise ParameterError("r_list must be increasing with at least 2 entries")
+        # the growth test compares the last three ratios
+        if len(rl) < 3 or any(b <= a for a, b in zip(rl, rl[1:])):
+            raise ParameterError("r_list must be increasing with at least 3 entries")
         if rl[0] * self.tau <= self.r_inner:
             raise ParameterError(
                 f"every scan radius must exceed r_inner/tau = {self.r_inner / self.tau}")
@@ -113,7 +115,7 @@ def rhs_lower(prof: ManifoldProfile, src: SourceProfile, p: float,
     if not p > 1:
         raise ParameterError(f"p must exceed 1, got {p}")
     s = annulus_shell_sum(prof, src, p, cfg, R)
-    return _inf_weight_power(src, p, cfg, R) * R ** (prof.alpha - 2.0 * prof.gamma) * s
+    return _inf_weight_power(src, p, cfg, R) * annulus_lower_bound(prof, R) * s
 
 
 def lhs_upper(prof: ManifoldProfile, p: float, cfg: WitnessConfig, R: float,
@@ -200,8 +202,7 @@ class WitnessReport:
 
 
 def verdict(prof: ManifoldProfile, src: SourceProfile, p: float,
-            cfg: WitnessConfig | None = None, mesh: int = 256,
-            threads: int = 1) -> WitnessReport:
+            cfg: WitnessConfig | None = None, mesh: int = 256) -> WitnessReport:
     """Scan the configured radii and decide the comparison.
 
     CONTRADICTION when the ratio rhs/lhs grows without bound along the scan:
@@ -210,22 +211,13 @@ def verdict(prof: ManifoldProfile, src: SourceProfile, p: float,
     clean logarithmic residual (slope > 0, correlation >= 0.999).
     NO_CONTRADICTION when the gap is clearly negative; INCONCLUSIVE when the
     scan cannot separate the two.
-
-    Scan radii are independent; with threads > 1 the eigenvalue solves run
-    concurrently, and the report is assembled in radius order either way.
     """
     cfg = cfg or WitnessConfig()
     src.validate(prof)
     if not p > 1:
         raise ParameterError(f"p must exceed 1, got {p}")
     rs = np.array(cfg.r_list)
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            lhs = np.array(list(pool.map(
-                lambda R: lhs_upper(prof, p, cfg, R, mesh), rs)))
-    else:
-        lhs = np.array([lhs_upper(prof, p, cfg, R, mesh) for R in rs])
+    lhs = np.array([lhs_upper(prof, p, cfg, R, mesh) for R in rs])
     rhs = np.array([rhs_lower(prof, src, p, cfg, R) for R in rs])
     ratio = rhs / lhs
     e_lam = float(np.polyfit(np.log(rs), np.log(lhs), 1)[0])

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 
 from .errors import ParameterError
 from .radial import PiecewisePower
@@ -60,7 +59,6 @@ class ManifoldProfile:
     gamma: float
     dim_n: int = 6
     mode: str = TWO_REGIME
-    r0: float = 1.0
 
     def __post_init__(self):
         if not self.alpha > 0:
@@ -71,8 +69,6 @@ class ManifoldProfile:
             raise ParameterError(f"dim_n must be an integer >= 3, got {self.dim_n}")
         if self.mode not in (TWO_REGIME, PURE_POWER):
             raise ParameterError(f"mode must be {TWO_REGIME!r} or {PURE_POWER!r}, got {self.mode!r}")
-        if self.r0 != 1.0:
-            raise ParameterError("the crossover radius is normalized to 1")
 
     @property
     def green_composition_finite(self) -> bool:
@@ -363,50 +359,3 @@ def plan_exponents(prof: ManifoldProfile, src: SourceProfile, p,
         if not check.holds:
             raise ParameterError("inadmissible plan: " + check.describe())
     return plan
-
-
-# -- flat key=value config ---------------------------------------------------
-
-CONFIG_KEYS = ("alpha", "gamma", "n", "mode", "s", "m", "p")
-
-
-def profile_config(prof: ManifoldProfile, src: SourceProfile, p) -> dict:
-    return {
-        "alpha": repr(float(prof.alpha)),
-        "gamma": repr(float(prof.gamma)),
-        "n": str(prof.dim_n),
-        "mode": prof.mode,
-        "s": repr(float(src.s)),
-        "m": repr(float(src.m)),
-        "p": repr(float(p)),
-    }
-
-
-def save_config(path, prof: ManifoldProfile, src: SourceProfile, p):
-    lines = [f"{k}={v}" for k, v in profile_config(prof, src, p).items()]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def parse_config_text(text: str) -> dict:
-    out = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ParameterError(f"config line without '=': {raw!r}")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
-    return out
-
-
-def load_config(path):
-    """Read a flat key=value file back into (profile, source, p)."""
-    cfg = parse_config_text(Path(path).read_text(encoding="utf-8"))
-    missing = [k for k in CONFIG_KEYS if k not in cfg]
-    if missing:
-        raise ParameterError(f"config file missing keys: {missing}")
-    prof = ManifoldProfile(alpha=float(cfg["alpha"]), gamma=float(cfg["gamma"]),
-                           dim_n=int(cfg["n"]), mode=cfg["mode"])
-    src = SourceProfile(s=float(cfg["s"]), m=float(cfg["m"]))
-    return prof, src, float(cfg["p"])

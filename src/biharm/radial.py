@@ -5,6 +5,7 @@ law.  ``PiecewisePower`` is that representation; ``RadialFunction`` is a
 sampled radial function on a (usually log-spaced) grid whose log-log linear
 interpolant is itself piecewise power, so grid functions convert losslessly
 into the same representation, with power-law tails beyond the grid.
+``power_integral`` integrates such pieces exactly.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergentIntegralError, ParameterError
+from .errors import ParameterError
 
 _INF = float("inf")
 
@@ -67,9 +68,6 @@ class PiecewisePower:
         out[nz] = c[nz] * a[nz] ** e[nz]
         return out if out.ndim else float(out)
 
-    def scaled(self, factor: float) -> "PiecewisePower":
-        return PiecewisePower(self.bounds, tuple(factor * c for c in self.coefs), self.exps)
-
     def powered(self, power: float) -> "PiecewisePower":
         """self**power; requires positive coefficients (zero pieces stay zero)."""
         coefs = []
@@ -117,49 +115,21 @@ def pp_product(*pps: PiecewisePower) -> PiecewisePower:
     return PiecewisePower(tuple(bounds), tuple(coefs), tuple(exps))
 
 
-def _segment_integral(coef, exp, lo, hi):
-    """Exact integral of coef * r**exp over [lo, hi], finite endpoints, lo >= 0."""
-    if coef == 0.0:
-        return 0.0
-    if exp == -1.0:
-        if lo <= 0.0:
-            raise DivergentIntegralError("logarithmic divergence at the origin",
-                                         location="origin", exponent=-1.0)
-        return coef * math.log(hi / lo)
-    e1 = exp + 1.0
-    lo_part = 0.0 if lo == 0.0 else lo ** e1
-    if lo == 0.0 and e1 < 0:
-        raise DivergentIntegralError(
-            f"integrand exponent {exp} at the origin (needs > -1)",
-            location="origin", exponent=exp)
-    return coef * (hi ** e1 - lo_part) / e1
+def power_integral(coef, exp, lo, hi):
+    """Exact int_lo^hi coef * r**exp dr, elementwise over broadcast arrays.
 
-
-def pp_integral(pp: PiecewisePower, lo: float = 0.0, hi: float = _INF,
-                extra_exp: float = 0.0, extra_coef: float = 1.0) -> float:
-    """Exact integral of extra_coef * r**extra_exp * pp(r) over [lo, hi].
-
-    Raises DivergentIntegralError when an origin or tail piece diverges.
+    lo = 0 and hi = inf are allowed.  Zero coefficients and empty intervals
+    (lo >= hi) give 0; an integral that diverges at the origin or in the
+    tail gives inf (signed like coef).
     """
-    total = 0.0
-    for j in range(pp.npieces):
-        a = max(pp.bounds[j], lo)
-        b = min(pp.bounds[j + 1], hi)
-        if a >= b:
-            continue
-        coef = extra_coef * pp.coefs[j]
-        exp = pp.exps[j] + extra_exp
-        if coef == 0.0:
-            continue
-        if math.isinf(b):
-            if exp + 1.0 >= 0.0:
-                raise DivergentIntegralError(
-                    f"tail integrand exponent {exp} (needs < -1)",
-                    location="tail", exponent=exp)
-            total += -coef * a ** (exp + 1.0) / (exp + 1.0)
-        else:
-            total += _segment_integral(coef, exp, a, b)
-    return total
+    c, e, a, b = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (coef, exp, lo, hi)))
+    e1 = e + 1.0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        vals = np.where(e == -1.0, c * np.log(b / a), c * (b ** e1 - a ** e1) / e1)
+    diverges = ((a == 0.0) & (e1 <= 0.0)) | (np.isinf(b) & (e1 >= 0.0))
+    vals = np.where(diverges, np.copysign(_INF, c), vals)
+    out = np.where((c != 0.0) & (a < b), vals, 0.0)
+    return out if out.ndim else float(out)
 
 
 def fit_loglog_slope(x, y):
@@ -262,9 +232,6 @@ class RadialFunction:
             coefs.append(0.0)
             exps.append(0.0)
         return PiecewisePower(tuple(bounds), tuple(coefs), tuple(exps))
-
-    def map_values(self, fn) -> "RadialFunction":
-        return RadialFunction.from_values(self.grid, fn(self.values))
 
     def to_csv(self, path):
         """Write columns rho,value (header mandatory, 12+ significant digits)."""

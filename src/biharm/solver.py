@@ -94,9 +94,6 @@ class BoundednessCheck:
     variation1: float
     variation2: float
 
-    def __iter__(self):
-        return iter((self.sup_ratio1, self.sup_ratio2))
-
 
 def verify_prop1(plan: ExponentPlan, spec: KernelSpec, src: SourceProfile,
                  grid=None) -> BoundednessCheck:
@@ -128,9 +125,6 @@ class ContractionCheck:
     sup_ratio: float
     global_sup: float
     variation: float
-
-    def __iter__(self):
-        return iter((self.sup_ratio, self.global_sup))
 
 
 def verify_prop2(plan: ExponentPlan, spec: KernelSpec, src: SourceProfile,
@@ -174,9 +168,6 @@ class ConstantsEstimate:
     C: float
     C_prime: float
     note: str = CONSTANTS_NOTE
-
-    def __iter__(self):
-        return iter((self.C, self.C_prime))
 
 
 def _double_potential(spec: KernelSpec, src: SourceProfile, grid: np.ndarray,

@@ -106,14 +106,56 @@ def test_byte_identical_reruns(tmp_path):
         assert filecmp.cmp(out1 / name, out2 / name, shallow=False), name
 
 
-def test_thread_cap_env_is_deterministic(tmp_path, monkeypatch):
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    monkeypatch.setenv("BIHARM_THREADS", "3")
-    assert run(WITNESS_ARGS + ["--out-dir", str(out1)]) == 0
-    monkeypatch.setenv("BIHARM_THREADS", "1")
-    assert run(WITNESS_ARGS + ["--out-dir", str(out2)]) == 0
-    assert filecmp.cmp(out1 / "report.json", out2 / "report.json", shallow=False)
-    assert filecmp.cmp(out1 / "witness.csv", out2 / "witness.csv", shallow=False)
+def test_witness_two_radii_exits_two(tmp_path, capsys):
+    code = run(["witness", "--alpha", "6", "--gamma", "4", "--m", "0", "--p", "2",
+                "--r-values", "1024,4096", "--out-dir", str(tmp_path / "o")])
+    assert code == 2
+    assert "at least 3" in capsys.readouterr().err
+
+
+def test_global_flags_before_or_after_subcommand(tmp_path):
+    oracle = ["oracle", "--n", "6", "--x", "10", "--samples", "20000"]
+    before, after = tmp_path / "before", tmp_path / "after"
+    assert run(["--seed", "7", "--out-dir", str(before)] + oracle) == 0
+    assert run(oracle + ["--seed", "7", "--out-dir", str(after)]) == 0
+    assert _load(before)["config"]["seed"] == "7"
+    for name in ("report.json", "resolved.cfg"):
+        assert filecmp.cmp(before / name, after / name, shallow=False), name
+    # a config file supplies the seed only where no flag gives it
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text("seed=3\n")
+    out = tmp_path / "cfg"
+    assert run(["--seed", "7", "--config", str(cfg), "--out-dir", str(out)] + oracle) == 0
+    assert filecmp.cmp(before / "report.json", out / "report.json", shallow=False)
+    assert run(["--config", str(cfg), "--out-dir", str(out)] + oracle) == 0
+    assert _load(out)["config"]["seed"] == "3"
+
+
+def _assert_one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert sum(line.startswith("error:") for line in err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("text", [None, "alpha=six\n", "r_values=1,x\n"])
+def test_unreadable_config_exits_one(tmp_path, capsys, text):
+    path = tmp_path / "case.cfg"
+    if text is not None:
+        path.write_text(text)
+    code = run(["eigen", "--config", str(path), "--gamma", "4", "--alpha", "6",
+                "--out-dir", str(tmp_path / "o")])
+    assert code == 1
+    _assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["eigen", "--alpha", "6", "--gamma", "4", "--r-values", "1e2,abc"],
+    ["witness", "--alpha", "6", "--gamma", "4", "--m", "0", "--p", "2", "--r-values", "x"],
+])
+def test_non_numeric_radii_exit_one(tmp_path, capsys, argv):
+    assert run(argv + ["--out-dir", str(tmp_path / "o")]) == 1
+    _assert_one_error_line(capsys)
+    assert not (tmp_path / "o").exists()
 
 
 def test_reports_embed_config_and_disclaimers(tmp_path):

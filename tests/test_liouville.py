@@ -26,6 +26,8 @@ def test_config_validation():
         WitnessConfig(r_inner=0.5)
     with pytest.raises(ParameterError):
         WitnessConfig(r_list=(16.0, 8.0))
+    with pytest.raises(ParameterError, match="at least 3"):
+        WitnessConfig(r_list=(1024.0, 4096.0))   # the growth test reads three ratios
     with pytest.raises(ParameterError):
         WitnessConfig(r_list=(2.0, 4.0))   # violates R > r_inner/tau
 
@@ -127,13 +129,6 @@ def test_verdict_at_exact_threshold_randomized():
         assert rep.verdict == "CONTRADICTION"
         assert rep.log_flag and rep.log_correlation >= 0.999
         checked += 1
-
-
-def test_verdict_threaded_matches_sequential():
-    seq = verdict(PROF, SRC, 2.0, CFG, mesh=96)
-    par = verdict(PROF, SRC, 2.0, CFG, mesh=96, threads=4)
-    assert seq.rows == par.rows
-    assert seq.verdict == par.verdict
 
 
 def test_rhs_monotone_in_m():

@@ -9,8 +9,7 @@ import pytest
 from biharm.errors import ParameterError
 from biharm.profiles import (ExponentPlan, ManifoldProfile, SourceProfile,
                              classify, critical_exponent, eval_profile,
-                             exponent_window_checks, load_config, plan_exponents,
-                             save_config, PURE_POWER)
+                             exponent_window_checks, plan_exponents, PURE_POWER)
 
 PROF = ManifoldProfile(6.0, 4.0, 6)
 SRC = SourceProfile(0.0, 0.0)
@@ -174,11 +173,3 @@ def test_exponent_plan_field_validation():
         ExponentPlan(2.0, 1.0, 1.0)
     plan = ExponentPlan(2.0, 0.5, 1.0).with_l(0.25)
     assert plan.l == 0.25
-
-
-def test_config_round_trip(tmp_path):
-    path = tmp_path / "case.cfg"
-    save_config(path, PROF, SRC, 4.0)
-    prof, src, p = load_config(path)
-    assert (prof.alpha, prof.gamma, prof.dim_n, prof.mode) == (6.0, 4.0, 6, "two-regime")
-    assert (src.s, src.m, p) == (0.0, 0.0, 4.0)

@@ -34,8 +34,7 @@ def solved(constants):
 
 def test_bounded_potential_checks_surrogate():
     check = verify_prop1(PLAN, SPEC, SRC, GRID)
-    sup1, sup2 = check
-    assert 0 < sup1 < math.inf and 0 < sup2 < math.inf
+    assert 0 < check.sup_ratio1 < math.inf and 0 < check.sup_ratio2 < math.inf
     assert check.variation1 < 0.20 and check.variation2 < 0.20
 
 
@@ -112,7 +111,7 @@ def test_profile_modes_give_comparable_constants():
 
 
 def test_apply_T_from_zero(constants):
-    l = pick_l(PLAN, *constants)
+    l = pick_l(PLAN, constants.C, constants.C_prime)
     plan = PLAN.with_l(l)
     out = apply_T(plan, SPEC, SRC, RadialFunction.zero(GRID))
     fa = _envelope(PROF, GRID, float(plan.a))
@@ -122,7 +121,7 @@ def test_apply_T_from_zero(constants):
 
 def test_apply_T_monotone(constants):
     rng = np.random.default_rng(2)
-    l = pick_l(PLAN, *constants)
+    l = pick_l(PLAN, constants.C, constants.C_prime)
     plan = PLAN.with_l(l)
     fa = _envelope(PROF, GRID, float(plan.a))
     u1 = l * fa * rng.uniform(0.0, 0.6, GRID.size)
@@ -133,7 +132,7 @@ def test_apply_T_monotone(constants):
 
 
 def test_apply_T_membership_enforced(constants):
-    l = pick_l(PLAN, *constants)
+    l = pick_l(PLAN, constants.C, constants.C_prime)
     plan = PLAN.with_l(l)
     fa = _envelope(PROF, GRID, float(plan.a))
     with pytest.raises(ParameterError, match="invariant set"):
@@ -144,7 +143,7 @@ def test_apply_T_membership_enforced(constants):
 
 def test_invariant_set_preserved_no_tolerance(constants):
     rng = np.random.default_rng(8)
-    l = pick_l(PLAN, *constants)
+    l = pick_l(PLAN, constants.C, constants.C_prime)
     plan = PLAN.with_l(l)
     fa = _envelope(PROF, GRID, float(plan.a))
     for _ in range(100):
@@ -155,7 +154,7 @@ def test_invariant_set_preserved_no_tolerance(constants):
 
 
 def test_measured_lipschitz_band(constants):
-    l = pick_l(PLAN, *constants)
+    l = pick_l(PLAN, constants.C, constants.C_prime)
     plan = PLAN.with_l(l)
     predictor = constants.C_prime * 4.0 * l ** 3
     measured = measure_lipschitz(plan, SPEC, SRC, GRID, pairs=30, seed=1)
@@ -184,7 +183,7 @@ def test_fixed_point_reapplication(solved):
 
 
 def test_iterates_increase_monotonically(constants):
-    l = pick_l(PLAN, *constants)
+    l = pick_l(PLAN, constants.C, constants.C_prime)
     plan = PLAN.with_l(l)
     u = RadialFunction.zero(GRID)
     prev = u.values
@@ -228,8 +227,8 @@ def test_manufactured_pair_residuals():
 def test_split_mode_prop_checks_small_grid():
     spec = KernelSpec(MODE_SPLIT, PROF)
     grid = log_grid(1e-2, 1e4, 128)
-    sup1, sup2 = verify_prop1(PLAN, spec, SRC, grid)
-    assert 0 < sup1 < math.inf and 0 < sup2 < math.inf
+    check = verify_prop1(PLAN, spec, SRC, grid)
+    assert 0 < check.sup_ratio1 < math.inf and 0 < check.sup_ratio2 < math.inf
 
 
 def test_weighted_source_ratio_flattens_far_out():
