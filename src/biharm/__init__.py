@@ -8,7 +8,7 @@ from .profiles import (ClassificationReport, ExponentPlan, ManifoldProfile,
                        SourceProfile, classify, critical_exponent, eval_profile,
                        plan_exponents)
 from .radial import PiecewisePower, RadialFunction, log_grid
-from .quad import Factor, PowerIntegrand, QuadratureResult, analytic_tail, integrate
+from .quad import Factor, PowerIntegrand, QuadratureResult, integrate
 from .kernels import (BallSource, KernelSpec, ProfilePowerSource, annulus_lower_bound,
                       compose_green, mc_oracle, potential, potential_values)
 from .spectral import (EigenResult, SurrogateOperator, check_inf_bound,

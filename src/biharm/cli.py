@@ -94,8 +94,8 @@ def parse_config_text(text: str) -> dict:
 
 
 def _profile_args(p: _Parser, need_n: bool = True):
-    p.add_argument("--alpha", type=float, required=True, help="volume-growth exponent")
-    p.add_argument("--gamma", type=float, required=True, help="Green-decay exponent")
+    p.add_argument("--alpha", type=_finite_float, required=True, help="volume-growth exponent")
+    p.add_argument("--gamma", type=_finite_float, required=True, help="Green-decay exponent")
     if need_n:
         p.add_argument("--n", type=int, default=6, help="small-scale dimension (default 6)")
     p.add_argument("--mode", default=profiles.TWO_REGIME,
@@ -119,14 +119,29 @@ def _global_flags(top: bool) -> argparse.ArgumentParser:
     return flags
 
 
+def _finite_float(text: str) -> float:
+    """argparse type of the float flags: a finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _parse_radii(text: str):
+    return tuple(_finite_float(tok) for tok in text.split(",") if tok.strip())
+
+
 def _radii_text(text: str) -> str:
     """argparse type of --r-values: checks the list, keeps the text as given."""
     try:
         if _parse_radii(text):
             return text
-    except ValueError:
+    except argparse.ArgumentTypeError:
         pass
-    raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
+    raise argparse.ArgumentTypeError(f"expected comma-separated finite numbers, got {text!r}")
 
 
 def build_parser() -> _Parser:
@@ -144,77 +159,72 @@ def build_parser() -> _Parser:
 
     p = add_parser("classify", help="place p against both critical thresholds")
     _profile_args(p)
-    p.add_argument("--m", type=float, required=True, help="lower-bound weight exponent")
-    p.add_argument("--s", type=float, default=None,
+    p.add_argument("--m", type=_finite_float, required=True, help="lower-bound weight exponent")
+    p.add_argument("--s", type=_finite_float, default=None,
                    help="weight-profile exponent; defaults to min(m, 0)")
-    p.add_argument("--p", type=float, required=True)
+    p.add_argument("--p", type=_finite_float, required=True)
 
     p = add_parser("kernel-table", help="tabulate the composed Green kernel")
     _profile_args(p)
-    p.add_argument("--rho-min", type=float, default=1.0)
-    p.add_argument("--rho-max", type=float, default=1e4)
+    p.add_argument("--rho-min", type=_finite_float, default=1.0)
+    p.add_argument("--rho-max", type=_finite_float, default=1e4)
     p.add_argument("--points", type=int, default=41)
 
     p = add_parser("verify-bounds", help="bounded-potential checks and constants")
     _profile_args(p)
-    p.add_argument("--s", type=float, default=0.0)
-    p.add_argument("--m", type=float, default=0.0)
-    p.add_argument("--p", type=float, required=True)
-    p.add_argument("--a", type=float, default=None)
-    p.add_argument("--b", type=float, default=None)
+    p.add_argument("--s", type=_finite_float, default=0.0)
+    p.add_argument("--m", type=_finite_float, default=0.0)
+    p.add_argument("--p", type=_finite_float, required=True)
+    p.add_argument("--a", type=_finite_float, default=None)
+    p.add_argument("--b", type=_finite_float, default=None)
     p.add_argument("--kernel-mode", default=kernels.MODE_SPLIT, choices=kernels.KERNEL_MODES)
-    p.add_argument("--grid-lo", type=float, default=1e-2)
-    p.add_argument("--grid-hi", type=float, default=1e4)
+    p.add_argument("--grid-lo", type=_finite_float, default=1e-2)
+    p.add_argument("--grid-hi", type=_finite_float, default=1e4)
     p.add_argument("--grid-points", type=int, default=384)
 
     p = add_parser("eigen", help="surrogate eigenvalue scan on annuli")
     _profile_args(p, need_n=False)
     p.add_argument("--r-values", type=_radii_text, default="1e2,1e3,1e4",
                    help="comma-separated outer radii (annulus is (R/ratio, R))")
-    p.add_argument("--ratio", type=float, default=4.0)
+    p.add_argument("--ratio", type=_finite_float, default=4.0)
     p.add_argument("--mesh", type=int, default=256)
 
     p = add_parser("witness", help="non-existence witness scan")
     _profile_args(p)
-    p.add_argument("--m", type=float, default=0.0)
-    p.add_argument("--p", type=float, required=True)
-    p.add_argument("--tau", type=float, default=0.5)
-    p.add_argument("--big-n", type=float, default=4.0)
-    p.add_argument("--r-inner", type=float, default=2.0)
+    p.add_argument("--m", type=_finite_float, default=0.0)
+    p.add_argument("--p", type=_finite_float, required=True)
+    p.add_argument("--tau", type=_finite_float, default=0.5)
+    p.add_argument("--big-n", type=_finite_float, default=4.0)
+    p.add_argument("--r-inner", type=_finite_float, default=2.0)
     p.add_argument("--r-values", type=_radii_text, default=None,
                    help="comma-separated scan radii (default 2**10 .. 2**20)")
     p.add_argument("--mesh", type=int, default=256)
 
     p = add_parser("solve", help="fixed-point solve of the double-potential map")
     _profile_args(p)
-    p.add_argument("--s", type=float, default=0.0)
-    p.add_argument("--p", type=float, required=True)
-    p.add_argument("--a", type=float, default=None)
-    p.add_argument("--b", type=float, default=None)
+    p.add_argument("--s", type=_finite_float, default=0.0)
+    p.add_argument("--p", type=_finite_float, required=True)
+    p.add_argument("--a", type=_finite_float, default=None)
+    p.add_argument("--b", type=_finite_float, default=None)
     p.add_argument("--nodes", type=int, default=1024)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=_finite_float, default=1e-10)
     p.add_argument("--maxit", type=int, default=80)
     p.add_argument("--kernel-mode", default=kernels.MODE_SURROGATE, choices=kernels.KERNEL_MODES)
 
     p = add_parser("oracle", help="Monte Carlo check of the euclidean kernel")
     p.add_argument("--n", type=int, default=6)
-    p.add_argument("--x", type=float, required=True, help="evaluation radius")
-    p.add_argument("--ball-radius", type=float, default=1.0)
-    p.add_argument("--height", type=float, default=1.0)
+    p.add_argument("--x", type=_finite_float, required=True, help="evaluation radius")
+    p.add_argument("--ball-radius", type=_finite_float, default=1.0)
+    p.add_argument("--height", type=_finite_float, default=1.0)
     p.add_argument("--samples", type=int, default=400000)
     return parser
 
 
-def _resolved_config(args, keys) -> dict:
-    cfg = {"seed": str(args.seed), "command": args.command}
-    for k in keys:
-        cfg[k] = repr(getattr(args, k)) if isinstance(getattr(args, k), float) \
-            else str(getattr(args, k))
-    return cfg
-
-
-def _parse_radii(text: str):
-    return tuple(float(tok) for tok in text.split(",") if tok.strip())
+def _resolved_config(args) -> dict:
+    """Every flag that was set (or defaulted), as text that --config reads back."""
+    return {k: repr(v) if isinstance(v, float) else str(v)
+            for k, v in vars(args).items()
+            if k not in ("config", "out_dir") and v is not None}
 
 
 def _cmd_classify(args, out: Path):
@@ -222,7 +232,7 @@ def _cmd_classify(args, out: Path):
     s = args.s if args.s is not None else min(args.m, 0.0)
     src = profiles.SourceProfile(s=s, m=args.m)
     report = profiles.classify(prof, src, args.p)
-    cfg = _resolved_config(args, ["alpha", "gamma", "n", "mode", "m", "p"])
+    cfg = _resolved_config(args)
     cfg["s"] = repr(float(s))
     _report(out, "classify", cfg, {"classification": report.as_dict(),
                                    "p_star": float(report.p_star_nonexistence)})
@@ -244,8 +254,7 @@ def _cmd_kernel_table(args, out: Path):
         vals = np.array([res.value for res in results])
         body["loglog_slope"] = fit_loglog_slope(rhos, vals)
         body["expected_slope"] = -(2.0 * args.gamma - args.alpha)
-    cfg = _resolved_config(args, ["alpha", "gamma", "n", "mode", "rho_min", "rho_max", "points"])
-    _report(out, "kernel-table", cfg, body)
+    _report(out, "kernel-table", _resolved_config(args), body)
     return 0
 
 
@@ -260,9 +269,7 @@ def _cmd_verify_bounds(args, out: Path):
     consts = solver.estimate_constants(plan, spec, src, grid)
     l = solver.pick_l(plan, consts.C, consts.C_prime)
     window = [c.describe() for c in profiles.exponent_window_checks(prof, src, plan)]
-    cfg = _resolved_config(args, ["alpha", "gamma", "n", "mode", "s", "m", "p",
-                                  "kernel_mode", "grid_lo", "grid_hi", "grid_points"])
-    _report(out, "verify-bounds", cfg, {
+    _report(out, "verify-bounds", _resolved_config(args), {
         "plan": plan.as_dict(),
         "window_conditions": window,
         "sup_ratio_weighted_source": check1.sup_ratio1,
@@ -276,14 +283,15 @@ def _cmd_verify_bounds(args, out: Path):
 
 
 def _cmd_eigen(args, out: Path):
+    if not args.ratio > 1.0:
+        raise ParameterError(f"--ratio must exceed 1, got {args.ratio}")
     op = spectral.SurrogateOperator(args.alpha, args.gamma)
     radii = _parse_radii(args.r_values)
     results = [spectral.lambda1_annulus(op, R / args.ratio, R, args.mesh) for R in radii]
     rows = [(R, res.value) for R, res in zip(radii, results)]
     _write_csv(out / "eigen.csv", "R,lambda1", rows)
     slope = fit_loglog_slope(np.array(radii), np.array([res.value for res in results]))
-    cfg = _resolved_config(args, ["alpha", "gamma", "mode", "r_values", "ratio", "mesh"])
-    _report(out, "eigen", cfg, {
+    _report(out, "eigen", _resolved_config(args), {
         "slope": slope,
         "expected_slope": -(args.alpha - args.gamma),
         "error_estimates": [res.error_estimate for res in results],
@@ -301,8 +309,7 @@ def _cmd_witness(args, out: Path):
     report = liouville.verdict(prof, src, args.p, cfg_obj, args.mesh)
     _write_csv(out / "witness.csv", "R,lhs,rhs",
                [(r, l, h) for r, l, h, _ in report.rows])
-    cfg = _resolved_config(args, ["alpha", "gamma", "n", "mode", "m", "p",
-                                  "tau", "big_n", "r_inner", "mesh"])
+    cfg = _resolved_config(args)
     cfg["r_values"] = ",".join(repr(r) for r in cfg_obj.r_list)
     _report(out, "witness", cfg, {"witness": report.as_dict(), "verdict": report.verdict})
     return 0
@@ -320,9 +327,7 @@ def _cmd_solve(args, out: Path):
         report = solver.SolveReport(**{**report.__dict__, "residuals": res})
     _write_csv(out / "solution.csv", "rho,u,h",
                zip(report.u.grid, report.u.values, report.h.values))
-    cfg = _resolved_config(args, ["alpha", "gamma", "n", "mode", "s", "p",
-                                  "nodes", "tol", "maxit", "kernel_mode"])
-    _report(out, "solve", cfg, {"solve": report.as_dict(),
+    _report(out, "solve", _resolved_config(args), {"solve": report.as_dict(),
                                 "membership_margin": report.membership_margin})
     return 0
 
@@ -333,8 +338,7 @@ def _cmd_oracle(args, out: Path):
     prof = profiles.ManifoldProfile(float(args.n), float(args.n) - 2.0, args.n)
     spec = kernels.KernelSpec(kernels.MODE_EUCLIDEAN, prof)
     exact = float(kernels.potential_values(spec, src, [args.x])[0])
-    cfg = _resolved_config(args, ["n", "x", "ball_radius", "height", "samples"])
-    _report(out, "oracle", cfg, {
+    _report(out, "oracle", _resolved_config(args), {
         "estimate": est, "stderr": stderr, "exact": exact,
         "abs_difference": abs(est - exact),
         "within_3_stderr": bool(abs(est - exact) <= 3.0 * stderr + 1e-12),

@@ -29,6 +29,7 @@ from .quad import Factor, PowerIntegrand, QuadratureResult, integrate
 from .radial import PiecewisePower, RadialFunction, power_integral, pp_product
 
 _INF = float("inf")
+_SPLIT_REL_TOL = 1e-10
 
 MODE_SPLIT = "split-comparison"
 MODE_SURROGATE = "surrogate-exact"
@@ -55,19 +56,15 @@ class KernelSpec:
 
 @dataclass(frozen=True)
 class ProfilePowerSource:
-    """Product of profile powers, e.g. psi * f**(a*p), with optional support cutoff."""
+    """Product of profile powers, e.g. psi * f**(a*p)."""
 
     factors: tuple
     coef: float = 1.0
-    support: tuple = (0.0, _INF)
 
     def to_piecewise(self, prof: ManifoldProfile, src: SourceProfile | None) -> PiecewisePower:
         pp = PiecewisePower.single(self.coef, 0.0)
         for kind, power in self.factors:
             pp = pp_product(pp, profile_piecewise(kind, prof, src, power))
-        lo, hi = self.support
-        if lo > 0.0 or hi != _INF:
-            pp = pp.restricted(lo, hi)
         return pp
 
 
@@ -103,8 +100,7 @@ def source_piecewise(source, prof: ManifoldProfile, src: SourceProfile | None) -
     raise ParameterError(f"unsupported source type {type(source).__name__}")
 
 
-def compose_green(prof: ManifoldProfile, rho: float,
-                  rel_tol: float = 1e-12) -> QuadratureResult:
+def compose_green(prof: ManifoldProfile, rho: float) -> QuadratureResult:
     """The 1-D reduction of the composed Green kernel at separation rho:
 
         int_0^inf g(rho + r) g(r) v(r) dr/r.
@@ -116,9 +112,7 @@ def compose_green(prof: ManifoldProfile, rho: float,
         raise ParameterError(f"separation rho must be positive, got {rho}")
     g = profile_piecewise("g", prof)
     v = profile_piecewise("v", prof)
-    integrand = PowerIntegrand((Factor(g, float(rho)), Factor(g, 0.0), Factor(v, 0.0)),
-                               log_measure=True)
-    return integrate(integrand, 0.0, _INF, rel_tol=rel_tol)
+    return integrate(PowerIntegrand((Factor(g, float(rho)), Factor(g, 0.0), Factor(v, 0.0))))
 
 
 def annulus_lower_bound(prof: ManifoldProfile, radius: float) -> float:
@@ -181,16 +175,15 @@ def _max_kernel_values(spec: KernelSpec, weighted: PiecewisePower, rho: np.ndarr
     return values
 
 
-def _split_values(spec: KernelSpec, src_pp: PiecewisePower, rho: np.ndarray,
-                  rel_tol: float) -> np.ndarray:
+def _split_values(spec: KernelSpec, src_pp: PiecewisePower, rho: np.ndarray) -> np.ndarray:
     g = profile_piecewise("g", spec.prof)
     v = profile_piecewise("v", spec.prof)
     values = np.empty(rho.size)
     for i, r0 in enumerate(rho):
         t1 = integrate(PowerIntegrand((Factor(g, float(r0)), Factor(src_pp, 0.0), Factor(v, 0.0))),
-                       rel_tol=rel_tol)
+                       rel_tol=_SPLIT_REL_TOL)
         t2 = integrate(PowerIntegrand((Factor(g, 0.0), Factor(src_pp, float(r0)), Factor(v, 0.0))),
-                       rel_tol=rel_tol)
+                       rel_tol=_SPLIT_REL_TOL)
         if t1.diverged or t2.diverged:
             bad = t1 if t1.diverged else t2
             raise DivergentIntegralError(
@@ -201,28 +194,28 @@ def _split_values(spec: KernelSpec, src_pp: PiecewisePower, rho: np.ndarray,
 
 
 def potential_values(spec: KernelSpec, source, rho,
-                     source_profile: SourceProfile | None = None,
-                     rel_tol: float = 1e-10) -> np.ndarray:
-    """Kernel-integral values at the given radii (allows rho = 0 in the
-    max-kernel modes)."""
+                     source_profile: SourceProfile | None = None) -> np.ndarray:
+    """Kernel-integral values at the given radii (rho > 0 in split-comparison
+    mode, rho >= 0 in the max-kernel modes)."""
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
+    if spec.mode == MODE_SPLIT and np.any(rho <= 0):
+        raise ParameterError("split-comparison potentials need rho > 0")
+    if np.any(rho < 0):
+        raise ParameterError("max-kernel potentials need rho >= 0")
     src_pp = source_piecewise(source, spec.prof, source_profile)
     if all(c == 0.0 for c in src_pp.coefs):
         return np.zeros(rho.size)
     if any(c < 0.0 for c in src_pp.coefs):
         raise ParameterError("potential sources must be nonnegative")
     if spec.mode == MODE_SPLIT:
-        if np.any(rho <= 0):
-            raise ParameterError("split-comparison potentials need rho > 0")
-        return _split_values(spec, src_pp, rho, rel_tol)
+        return _split_values(spec, src_pp, rho)
     _, measure = _max_kernel_data(spec)
     weighted = pp_product(src_pp, measure)
     return _max_kernel_values(spec, weighted, rho)
 
 
 def potential(spec: KernelSpec, source, grid=None,
-              source_profile: SourceProfile | None = None,
-              rel_tol: float = 1e-10) -> RadialFunction:
+              source_profile: SourceProfile | None = None) -> RadialFunction:
     """Apply the kernel integral operator to a nonnegative radial source.
 
     Positivity is preserved and the operator is monotone in the source.
@@ -235,7 +228,7 @@ def potential(spec: KernelSpec, source, grid=None,
         else:
             raise ParameterError("potential needs a target grid for closed-form sources")
     grid = np.asarray(grid, dtype=float)
-    values = potential_values(spec, source, grid, source_profile, rel_tol)
+    values = potential_values(spec, source, grid, source_profile)
     if np.all(values == 0.0):
         return RadialFunction.zero(grid)
     return RadialFunction.from_values(grid, values)
@@ -259,6 +252,8 @@ def mc_oracle(n: int, x_radius: float, src, samples: int, seed: int,
         raise ParameterError(f"oracle is for n >= 5 (kernel exponent 2-n), got n={n}")
     if samples < 2:
         raise ParameterError("need at least 2 samples")
+    if not x_radius >= 0:
+        raise ParameterError(f"evaluation radius must be >= 0, got {x_radius}")
     support = float(src.support_radius)
     if support <= 0.0:
         return 0.0, 0.0

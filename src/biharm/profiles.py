@@ -10,6 +10,7 @@ arithmetic so that inclusive/strict boundaries are decided exactly.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,6 +25,8 @@ REGIME_EXISTENCE = "EXISTENCE"
 REGIME_BOUNDARY = "BOUNDARY"
 
 PROFILE_KINDS = ("v", "g", "psi", "f")
+
+_FLOAT_MAX = Fraction(sys.float_info.max)
 
 
 def as_fraction(x) -> Fraction:
@@ -41,6 +44,14 @@ def as_fraction(x) -> Fraction:
     if isinstance(x, str):
         return Fraction(x)
     raise ParameterError(f"cannot interpret {x!r} as a rational number")
+
+
+def _float(q: Fraction) -> float:
+    """float(q) for messages: +-inf where q lies beyond the float range."""
+    try:
+        return float(q)
+    except OverflowError:
+        return float("inf") if q > 0 else float("-inf")
 
 
 @dataclass(frozen=True)
@@ -69,11 +80,6 @@ class ManifoldProfile:
             raise ParameterError(f"dim_n must be an integer >= 3, got {self.dim_n}")
         if self.mode not in (TWO_REGIME, PURE_POWER):
             raise ParameterError(f"mode must be {TWO_REGIME!r} or {PURE_POWER!r}, got {self.mode!r}")
-
-    @property
-    def green_composition_finite(self) -> bool:
-        """True iff the composed Green kernel is finite (gamma > alpha/2)."""
-        return as_fraction(self.gamma) > as_fraction(self.alpha) / 2
 
     @property
     def existence_window(self) -> bool:
@@ -108,9 +114,9 @@ class SourceProfile:
     def validate(self, prof: ManifoldProfile):
         lo = 2 * (as_fraction(prof.gamma) - as_fraction(prof.alpha))
         if not as_fraction(self.s) > lo:
-            raise ParameterError(f"s must exceed 2*(gamma-alpha) = {float(lo)}, got {self.s}")
+            raise ParameterError(f"s must exceed 2*(gamma-alpha) = {_float(lo)}, got {self.s}")
         if not as_fraction(self.m) > lo:
-            raise ParameterError(f"m must exceed 2*(gamma-alpha) = {float(lo)}, got {self.m}")
+            raise ParameterError(f"m must exceed 2*(gamma-alpha) = {_float(lo)}, got {self.m}")
         return self
 
 
@@ -159,6 +165,8 @@ def critical_exponent(alpha, gamma, weight_exponent) -> Fraction:
 
     Defined only when 2*gamma > alpha and the weight exponent exceeds
     2*(gamma - alpha), where the threshold is > 1 or the range collapses.
+    A threshold beyond the float range is rejected, since reports carry it
+    as a float too.
     """
     a, g, w = as_fraction(alpha), as_fraction(gamma), as_fraction(weight_exponent)
     denom = 2 * g - a
@@ -168,9 +176,13 @@ def critical_exponent(alpha, gamma, weight_exponent) -> Fraction:
         raise ParameterError("threshold requires 2*gamma > alpha")
     if not w >= 2 * (g - a):
         raise ParameterError(
-            f"weight exponent must be at least 2*(gamma-alpha) = {float(2 * (g - a))}, got {weight_exponent}"
+            f"weight exponent must be at least 2*(gamma-alpha) = {_float(2 * (g - a))}, got {weight_exponent}"
         )
-    return (a + w) / denom
+    star = (a + w) / denom
+    if star > _FLOAT_MAX:
+        raise ParameterError("threshold (alpha + weight exponent)/(2*gamma - alpha) "
+                             "exceeds the float range")
+    return star
 
 
 @dataclass(frozen=True)
@@ -289,7 +301,7 @@ class WindowCheck:
         op = ">" if self.strict else ">="
         state = "holds" if self.holds else "FAILS"
         return (f"condition {self.index} ({self.name}): {self.formula}: "
-                f"{float(self.lhs):g} {op} {float(self.rhs):g} {state}")
+                f"{_float(self.lhs):g} {op} {_float(self.rhs):g} {state}")
 
 
 def exponent_window_checks(prof: ManifoldProfile, src: SourceProfile, plan: ExponentPlan):
@@ -333,7 +345,7 @@ def plan_exponents(prof: ManifoldProfile, src: SourceProfile, p,
     p_min = (al + s) / d
     if not pq > p_min:
         raise ParameterError(
-            f"p must exceed the existence threshold (alpha+s)/(2*gamma-alpha) = {float(p_min)}; got {p}"
+            f"p must exceed the existence threshold (alpha+s)/(2*gamma-alpha) = {_float(p_min)}; got {p}"
         )
     a_lo = (al + s) / (d * pq)
     if a is None:
@@ -342,7 +354,7 @@ def plan_exponents(prof: ManifoldProfile, src: SourceProfile, p,
         aq = as_fraction(a)
         if not a_lo < aq < 1:
             raise ParameterError(
-                f"a = {a} outside its admissible window ({float(a_lo)}, 1)"
+                f"a = {a} outside its admissible window ({_float(a_lo)}, 1)"
             )
     b_hi = g / d
     b_lo = aq + (al - g) / d
@@ -351,9 +363,9 @@ def plan_exponents(prof: ManifoldProfile, src: SourceProfile, p,
     else:
         bq = as_fraction(b)
         if not bq <= b_hi:
-            raise ParameterError(f"b = {b} exceeds the inclusive upper bound gamma/(2*gamma-alpha) = {float(b_hi)}")
+            raise ParameterError(f"b = {b} exceeds the inclusive upper bound gamma/(2*gamma-alpha) = {_float(b_hi)}")
         if not bq > b_lo:
-            raise ParameterError(f"b = {b} not above its lower bound a + (alpha-gamma)/(2*gamma-alpha) = {float(b_lo)}")
+            raise ParameterError(f"b = {b} not above its lower bound a + (alpha-gamma)/(2*gamma-alpha) = {_float(b_lo)}")
     plan = ExponentPlan(pq, aq, bq)
     for check in exponent_window_checks(prof, src, plan):
         if not check.holds:

@@ -1,8 +1,8 @@
-"""Deterministic quadrature for products of (possibly shifted) piecewise powers.
+"""Deterministic quadrature for products of shifted piecewise powers.
 
 Every integral in the toolkit has the form
 
-    int_lo^hi  prod_j  f_j(shift_j + r)  [dr or dr/r]
+    int_0^inf  prod_j  f_j(shift_j + r)  dr/r
 
 where each f_j is an exact piecewise power law.  Between breakpoints the
 integrand is smooth and is handled by fixed-order Gauss panels, log-spaced
@@ -16,7 +16,6 @@ it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +26,7 @@ from .radial import PiecewisePower
 _INF = float("inf")
 _GAUSS_ORDER = 16
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(_GAUSS_ORDER)
+_MAX_NODES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -43,10 +43,9 @@ class Factor:
 
 @dataclass(frozen=True)
 class PowerIntegrand:
-    """Product of shifted piecewise-power factors, optionally against dr/r."""
+    """Product of shifted piecewise-power factors against dr/r."""
 
     factors: tuple[Factor, ...]
-    log_measure: bool = True
 
     def __post_init__(self):
         if not self.factors:
@@ -58,9 +57,7 @@ class PowerIntegrand:
         out = np.ones_like(r)
         for f in self.factors:
             out = out * f.pp.eval(f.shift + r)
-        if self.log_measure:
-            out = out / r
-        return out
+        return out / r
 
     def breakpoints(self, lo: float, hi: float):
         """Radii where any factor switches piece, restricted to (lo, hi)."""
@@ -89,15 +86,6 @@ class QuadratureResult:
     diverged: bool = False
 
 
-def analytic_tail(q: float, T: float) -> QuadratureResult:
-    """Closed form of int_T^inf r**(-q-1) dr: T**(-q)/q for q > 0, else divergent."""
-    if not T > 0:
-        raise ParameterError(f"tail start must be positive, got {T}")
-    if q <= 0:
-        return QuadratureResult(_INF, _INF, -q, diverged=True)
-    return QuadratureResult(T ** (-q) / q, 0.0, -q, diverged=False)
-
-
 def _binom_coeffs(sigma: float, k_max: int) -> np.ndarray:
     """Coefficients of (1+x)**sigma up to x**k_max."""
     c = np.empty(k_max + 1)
@@ -121,32 +109,14 @@ def _shifted_series(shifted, k_max: int) -> np.ndarray:
     return d
 
 
-def _series_sum(d: np.ndarray, term_fn, x_ratio: float):
-    """Sum d_k * term_fn(k) with a geometric remainder estimate.
-
-    ``x_ratio`` bounds the geometric decay of successive terms (<= 1/2 by
-    construction of the series regions).
-    """
-    total = 0.0
-    last = 0.0
-    for k in range(d.size):
-        t = d[k] * term_fn(k)
-        total += t
-        last = abs(t)
-        if k > 8 and last <= 1e-17 * max(abs(total), 1e-300):
-            break
-    remainder = last * x_ratio / (1.0 - x_ratio) if x_ratio < 1.0 else last
-    return total, remainder
-
-
 def _series_terms(integrand: PowerIntegrand, at_origin: bool):
-    """(pure r-exponent, coefficient, shifted-factor list).
+    """(pure r-exponent, coefficient, shifted-factor list), dr/r included.
 
     At the origin the relevant pieces are those active as r -> 0+; at the
     tail those active as r -> inf.  Shifted factors are returned as
     (sigma, shift) pairs for the binomial product series.
     """
-    q = -1.0 if integrand.log_measure else 0.0
+    q = -1.0
     coef = 1.0
     shifted = []
     for f in integrand.factors:
@@ -167,56 +137,45 @@ def _series_terms(integrand: PowerIntegrand, at_origin: bool):
     return q, coef, shifted
 
 
-def _origin_piece(integrand: PowerIntegrand, eps: float):
-    """Closed-form integral over (0, eps); assumes eps below every breakpoint
-    and at most half of every positive shift.
+def _series_piece(terms, edge: float, at_origin: bool):
+    """Closed-form integral over (0, edge) or (edge, inf) of a convergent end.
 
-    With u = r/eps each shifted factor is (1 + (eps/shift) u)**sigma, and
-        int_0^eps r**q u**k dr = eps**(q+1) / (q+k+1).
+    ``terms`` is that end's ``_series_terms``.  The origin piece needs edge
+    below every breakpoint and at most half of every positive shift; with
+    u = r/edge each shifted factor is (1 + (edge/shift) u)**sigma and
+        int_0^edge r**q u**k dr = edge**(q+1) / (q+k+1).
+    The tail piece needs edge beyond every breakpoint and at least twice
+    every shift; with u = edge/r each shifted factor is
+    (1 + (shift/edge) u)**sigma and
+        int_edge^inf r**q u**k dr = edge**(q+1) / (k-q-1).
+    Returns (value, absolute error estimate).
     """
-    q, coef, shifted = _series_terms(integrand, at_origin=True)
+    q, coef, shifted = terms
     if coef == 0.0:
-        return 0.0, 0.0, q, False
-    if q <= -1.0:
-        return _INF, _INF, q, True
-    ratios = [(sigma, eps / sh) for sigma, sh in shifted]
+        return 0.0, 0.0
+    ratios = [(sigma, edge / sh if at_origin else sh / edge) for sigma, sh in shifted]
+    # successive terms decay at least like x_max <= 1/2
     x_max = max((x for _, x in ratios), default=0.0)
     k_max = 80
     while True:
         d = _shifted_series(ratios, k_max)
-        value, rem = _series_sum(d, lambda k: 1.0 / (q + k + 1), x_max)
-        tail_term = abs(d[-1]) / (q + k_max + 1)
-        if ratios and tail_term > 1e-15 * max(abs(value), 1e-300) and k_max < 1280:
-            k_max *= 2
-            continue
-        scale = coef * eps ** (q + 1.0)
-        return scale * value, abs(scale) * (rem + tail_term), q, False
-
-
-def _tail_piece(integrand: PowerIntegrand, start: float):
-    """Closed-form integral over (start, inf); assumes start beyond every
-    breakpoint and at least twice every shift.
-
-    With u = start/r each shifted factor is (1 + (shift/start) u)**sigma, and
-        int_start^inf r**q u**k dr = start**(q+1) / (k-q-1).
-    """
-    q, coef, shifted = _series_terms(integrand, at_origin=False)
-    if coef == 0.0:
-        return 0.0, 0.0, q, False
-    if q + 1.0 >= 0.0:
-        return _INF, _INF, q, True
-    ratios = [(sigma, sh / start) for sigma, sh in shifted]
-    x_max = max((x for _, x in ratios), default=0.0)
-    k_max = 80
-    while True:
-        d = _shifted_series(ratios, k_max)
-        value, rem = _series_sum(d, lambda k: 1.0 / (k - q - 1), x_max)
-        tail_term = abs(d[-1]) / (k_max - q - 1)
-        if ratios and tail_term > 1e-15 * max(abs(value), 1e-300) and k_max < 1280:
-            k_max *= 2
-            continue
-        scale = coef * start ** (q + 1.0)
-        return scale * value, abs(scale) * (rem + tail_term), q, False
+        k = np.arange(k_max + 1)
+        denom = q + k + 1 if at_origin else k - q - 1
+        total = 0.0
+        last = 0.0
+        for j in range(d.size):
+            t = d[j] * (1.0 / denom[j])
+            total += t
+            last = abs(t)
+            if j > 8 and last <= 1e-17 * max(abs(total), 1e-300):
+                break
+        tail_term = abs(d[-1]) / denom[-1]
+        if not (ratios and tail_term > 1e-15 * max(abs(total), 1e-300) and k_max < 1280):
+            break
+        k_max *= 2
+    remainder = last * x_max / (1.0 - x_max)
+    scale = coef * edge ** (q + 1.0)
+    return scale * total, abs(scale) * (remainder + tail_term)
 
 
 def _gauss_zone(integrand: PowerIntegrand, seams, level: int):
@@ -241,71 +200,48 @@ def _gauss_zone(integrand: PowerIntegrand, seams, level: int):
     return total, tt.size
 
 
-def integrate(integrand: PowerIntegrand, lo: float = 0.0, hi: float = _INF,
-              rel_tol: float = 1e-12, max_nodes: int = 1 << 20) -> QuadratureResult:
-    """Integrate a shifted power product over (lo, hi), hi possibly infinite.
+def integrate(integrand: PowerIntegrand, rel_tol: float = 1e-12) -> QuadratureResult:
+    """Integrate a shifted power product against dr/r over (0, inf).
 
     The result value is within ``abs_error_estimate`` of the true integral;
     a divergent origin or tail sets the ``diverged`` flag instead of raising.
     """
-    if lo < 0 or hi <= lo:
-        raise ParameterError(f"need 0 <= lo < hi, got ({lo}, {hi})")
-
-    q_tail, coef_tail, _ = _series_terms(integrand, at_origin=False)
+    tail = _series_terms(integrand, at_origin=False)
+    origin = _series_terms(integrand, at_origin=True)
+    (q_tail, coef_tail, _), (q_origin, coef_origin, _) = tail, origin
     tail_exponent = q_tail + 1.0
+    if (coef_tail != 0.0 and tail_exponent >= 0.0) or (coef_origin != 0.0 and q_origin <= -1.0):
+        return QuadratureResult(_INF, _INF, tail_exponent, diverged=True)
 
-    value = 0.0
-    abs_err = 0.0
+    # tail beyond every breakpoint and twice every shift; origin below every
+    # breakpoint, the next piece of every shifted factor and half its shift
+    bps = integrand.breakpoints(0.0, _INF)
+    t_start = max([1.0] + [2.0 * f.shift for f in integrand.factors] + bps)
+    caps = [1.0] + bps
+    for f in integrand.factors:
+        if f.shift > 0:
+            caps.append(0.5 * f.shift)
+            nxt = f.pp.bounds[f.pp.piece_at(f.shift) + 1]
+            if f.shift < nxt < _INF:
+                caps.append(nxt - f.shift)
+    eps = 0.5 * min(caps)
 
-    # -- infinite tail: closed form beyond a start that clears every
-    #    breakpoint and doubles every shift
-    bps_all = integrand.breakpoints(0.0, _INF)
-    if math.isinf(hi):
-        if coef_tail != 0.0 and tail_exponent >= 0.0:
-            return QuadratureResult(_INF, _INF, tail_exponent, diverged=True)
-        t_start = max([1.0, lo] + [2.0 * f.shift for f in integrand.factors] + bps_all)
-        tv, te, _, _ = _tail_piece(integrand, t_start)
-        value += tv
-        abs_err += te
-        zone_hi = t_start
-    else:
-        zone_hi = hi
+    value, abs_err = _series_piece(tail, t_start, at_origin=False)
+    ov, oe = _series_piece(origin, eps, at_origin=True)
+    value += ov
+    abs_err += oe
 
-    # -- origin: closed form below every breakpoint and half of every shift
-    if lo == 0.0:
-        q0, coef0, _ = _series_terms(integrand, at_origin=True)
-        if coef0 != 0.0 and q0 <= -1.0:
-            return QuadratureResult(_INF, _INF, tail_exponent, diverged=True)
-        caps = [1.0, zone_hi] + [b for b in bps_all if b > 0]
-        caps += [0.5 * f.shift for f in integrand.factors if f.shift > 0]
-        for f in integrand.factors:
-            if f.shift > 0:
-                j = f.pp.piece_at(f.shift)
-                nxt = f.pp.bounds[j + 1]
-                if not math.isinf(nxt):
-                    caps.append(nxt - f.shift)
-        eps = 0.5 * min(c for c in caps if c > 0)
-        eps = min(eps, zone_hi)
-        ov, oe, _, _ = _origin_piece(integrand, eps)
-        value += ov
-        abs_err += oe
-        zone_lo = eps
-    else:
-        zone_lo = lo
-
-    # -- numeric middle zone
-    if zone_hi > zone_lo * (1.0 + 1e-15):
-        seams = [zone_lo] + integrand.breakpoints(zone_lo, zone_hi) + [zone_hi]
-        prev = None
-        level = 0
-        while True:
-            cur, nodes = _gauss_zone(integrand, seams, level)
-            if prev is not None:
-                change = abs(cur - prev)
-                if change <= rel_tol * max(abs(cur), 1e-300) or nodes * 2 > max_nodes:
-                    value += cur
-                    abs_err += change
-                    break
-            prev = cur
-            level += 1
+    # numeric middle zone: Gauss panels refined until the value settles
+    seams = [eps] + integrand.breakpoints(eps, t_start) + [t_start]
+    cur, _ = _gauss_zone(integrand, seams, 0)
+    level = 0
+    while True:
+        level += 1
+        prev = cur
+        cur, nodes = _gauss_zone(integrand, seams, level)
+        change = abs(cur - prev)
+        if change <= rel_tol * max(abs(cur), 1e-300) or nodes * 2 > _MAX_NODES:
+            break
+    value += cur
+    abs_err += change
     return QuadratureResult(value, abs_err, tail_exponent, diverged=False)

@@ -80,22 +80,6 @@ class PiecewisePower:
                 coefs.append(c ** power)
         return PiecewisePower(self.bounds, tuple(coefs), tuple(e * power for e in self.exps))
 
-    def restricted(self, lo: float, hi: float) -> "PiecewisePower":
-        """Zero the function outside [lo, hi]."""
-        cut = sorted(set(self.bounds) | {float(lo), float(hi)} - {_INF})
-        if cut[-1] != _INF and hi == _INF:
-            cut.append(_INF)
-        elif self.bounds[-1] == _INF and cut[-1] != _INF:
-            cut.append(_INF)
-        coefs, exps = [], []
-        for j in range(len(cut) - 1):
-            mid = cut[j] + 1.0 if math.isinf(cut[j + 1]) else 0.5 * (cut[j] + cut[j + 1])
-            k = self.piece_at(mid)
-            inside = lo <= cut[j] and cut[j + 1] <= hi
-            coefs.append(self.coefs[k] if inside else 0.0)
-            exps.append(self.exps[k] if inside else 0.0)
-        return PiecewisePower(tuple(cut), tuple(coefs), tuple(exps))
-
 
 def pp_product(*pps: PiecewisePower) -> PiecewisePower:
     """Pointwise product of piecewise powers: merged bounds, summed exponents."""
@@ -192,10 +176,6 @@ class RadialFunction:
     def is_zero(self) -> bool:
         return bool(np.all(self.values == 0.0))
 
-    @property
-    def positive(self) -> bool:
-        return bool(np.all(self.values > 0.0))
-
     def __call__(self, r):
         """Evaluate at r (scalar or array) with power-law extrapolation."""
         return self.as_piecewise().eval(r)
@@ -232,24 +212,6 @@ class RadialFunction:
             coefs.append(0.0)
             exps.append(0.0)
         return PiecewisePower(tuple(bounds), tuple(coefs), tuple(exps))
-
-    def to_csv(self, path):
-        """Write columns rho,value (header mandatory, 12+ significant digits)."""
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("rho,value\n")
-            for r, v in zip(self.grid, self.values):
-                fh.write(f"{r:.12e},{v:.12e}\n")
-
-    @staticmethod
-    def read_csv(path) -> "RadialFunction":
-        with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().strip()
-            if header != "rho,value":
-                raise ParameterError(f"expected header 'rho,value', got {header!r}")
-            rows = [line.strip().split(",") for line in fh if line.strip()]
-        g = np.array([float(r[0]) for r in rows])
-        v = np.array([float(r[1]) for r in rows])
-        return RadialFunction.from_values(g, v)
 
 
 def log_grid(lo: float, hi: float, n: int) -> np.ndarray:

@@ -38,12 +38,15 @@ def default_grid(nodes: int = 1024) -> np.ndarray:
     """Log-spaced solver grid on [1e-3, 1e6].
 
     The node count is snapped down (by at most 2) so that the profile
-    crossover radius 1 lands exactly on a grid node; differencing across it
-    is then clean second order.
+    crossover radius 1 falls on a grid node, and that node is set to exactly
+    1.0 (geomspace can miss it by an ulp); differencing across it is then
+    clean second order.
     """
     n = int(nodes)
     n -= (n - 1) % 3
-    return log_grid(1e-3, 1e6, n)
+    grid = log_grid(1e-3, 1e6, n)
+    grid[(n - 1) // 3] = 1.0
+    return grid
 
 
 def _require_window(prof: ManifoldProfile, src: SourceProfile, plan: ExponentPlan):

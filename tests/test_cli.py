@@ -4,6 +4,7 @@ import filecmp
 import json
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from biharm.cli import run
 
@@ -182,3 +183,61 @@ def test_config_file_round_trip(tmp_path):
     assert run(["classify", "--config", str(out1 / "resolved.cfg"), "--p", "4",
                 "--out-dir", str(out3)]) == 0
     assert _load(out3)["classification"]["regime"] == "EXISTENCE"
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--alpha", "6", "--gamma", "4", "--s", "0", "--p", "4", "--nodes", "64"],
+    ["verify-bounds", "--alpha", "6", "--gamma", "4", "--p", "4",
+     "--kernel-mode", "surrogate-exact", "--grid-points", "48"],
+])
+def test_config_rerun_keeps_a_and_b(tmp_path, argv):
+    first, rerun = tmp_path / "first", tmp_path / "rerun"
+    assert run(argv + ["--a", "0.9", "--b", "1.95", "--out-dir", str(first)]) == 0
+    report = _load(first)
+    assert (report["config"]["a"], report["config"]["b"]) == ("0.9", "1.95")
+    plan = report.get("plan") or report["solve"]["plan"]
+    assert (plan["a"], plan["b"]) == (0.9, 1.95)
+    assert run([argv[0], "--config", str(first / "resolved.cfg"), "--out-dir", str(rerun)]) == 0
+    for name in ("report.json", "resolved.cfg"):
+        assert filecmp.cmp(first / name, rerun / name, shallow=False), name
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--alpha", "inf", "--gamma", "4", "--m", "0", "--p", "2"],
+    ["classify", "--alpha", "6", "--gamma", "4", "--m", "0", "--p", "nan"],
+    ["witness", "--alpha", "6", "--gamma", "4", "--m", "0", "--p", "2", "--big-n", "inf"],
+    ["eigen", "--alpha", "6", "--gamma", "4", "--r-values", "1e2,inf,1e4"],
+    ["oracle", "--x", "nan"],
+])
+def test_non_finite_flags_exit_one(tmp_path, capsys, argv):
+    assert run(argv + ["--out-dir", str(tmp_path / "o")]) == 1
+    _assert_one_error_line(capsys)
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--x", "-1", "--samples", "1000"],
+    ["eigen", "--alpha", "6", "--gamma", "4", "--ratio", "0"],
+    ["eigen", "--alpha", "6", "--gamma", "4", "--ratio", "1"],
+])
+def test_negative_radius_or_small_ratio_exits_two(tmp_path, capsys, argv):
+    assert run(argv + ["--out-dir", str(tmp_path / "o")]) == 2
+    _assert_one_error_line(capsys)
+
+
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(alpha=_FLOATS, gamma=_FLOATS, m=_FLOATS, p=_FLOATS, s=st.one_of(st.none(), _FLOATS))
+# thresholds and messages beyond the float range once raised OverflowError
+@example(alpha=1.0, gamma=1.7e308, m=0.0, p=2.0, s=None)
+@example(alpha=1e-300, gamma=6e-301, m=1.7e308, p=2.0, s=None)
+def test_classify_never_raises(tmp_path, capsys, alpha, gamma, m, p, s):
+    argv = ["classify", "--alpha", repr(alpha), "--gamma", repr(gamma), "--m", repr(m),
+            "--p", repr(p), "--out-dir", str(tmp_path / "o")]
+    if s is not None:
+        argv += ["--s", repr(s)]
+    assert run(argv) in (0, 1, 2)
+    assert "Traceback" not in capsys.readouterr().err

@@ -161,18 +161,6 @@ def test_split_and_surrogate_modes_agree_within_constants():
     assert ratio.max() / ratio.min() < 50.0
 
 
-def test_radial_function_csv_round_trip(tmp_path):
-    grid = log_grid(1e-2, 1e2, 33)
-    rf = RadialFunction.from_values(grid, 2.0 * grid ** -1.5)
-    path = tmp_path / "radial.csv"
-    rf.to_csv(path)
-    header = path.read_text().splitlines()[0]
-    assert header == "rho,value"
-    back = RadialFunction.read_csv(path)
-    assert np.allclose(back.grid, rf.grid, rtol=1e-11)
-    assert np.allclose(back.values, rf.values, rtol=1e-11)
-
-
 def test_radial_function_power_interp_exact():
     grid = log_grid(1e-1, 1e2, 20)
     rf = RadialFunction.from_values(grid, 3.0 * grid ** -2.0)
@@ -201,6 +189,17 @@ def test_mc_oracle_reproducible():
 def test_mc_oracle_rejects_low_dimension():
     with pytest.raises(ParameterError):
         mc_oracle(4, 1.0, BallSource(1.0), 1000, seed=0)
+
+
+def test_negative_radius_rejected():
+    with pytest.raises(ParameterError):
+        mc_oracle(6, -1.0, BallSource(1.0), 1000, seed=0)
+    for mode in (MODE_SURROGATE, MODE_EUCLIDEAN):
+        spec = KernelSpec(mode, PROF)
+        with pytest.raises(ParameterError):
+            potential_values(spec, BallSource(1.0), [1.0, -1.0])
+        # the origin itself stays allowed
+        assert potential_values(spec, BallSource(1.0), [0.0])[0] > 0.0
 
 
 def test_sphere_area_values():

@@ -1,31 +1,40 @@
-"""Quadrature engine: exactness, closed-form tails, additivity, divergence flags."""
-
-import math
+"""Quadrature engine over (0, inf) against dr/r: exactness, closed-form tails,
+additivity, divergence flags.  Finite ranges are windowed factors: a piece
+that is nonzero only on [lo, hi)."""
 
 import numpy as np
 import pytest
 from scipy.integrate import quad as scipy_quad
 
 from biharm.profiles import ManifoldProfile, profile_piecewise
-from biharm.quad import Factor, PowerIntegrand, analytic_tail, integrate
+from biharm.quad import Factor, PowerIntegrand, integrate
 from biharm.radial import PiecewisePower
 
 INF = float("inf")
 
 
-def power_integrand(exp, measure=False):
-    return PowerIntegrand((Factor(PiecewisePower.single(1.0, exp), 0.0),),
-                          log_measure=measure)
+def window(lo, hi, exp=0.0):
+    """r**exp on [lo, hi), zero elsewhere."""
+    if lo == 0.0:
+        return PiecewisePower((0.0, hi, INF), (1.0, 0.0), (exp, 0.0))
+    if hi == INF:
+        return PiecewisePower((0.0, lo, INF), (0.0, 1.0), (0.0, exp))
+    return PiecewisePower((0.0, lo, hi, INF), (0.0, 1.0, 0.0), (0.0, exp, 0.0))
+
+
+def power_on(lo, hi, exp):
+    """int_lo^hi r**exp dr as an integrand against dr/r."""
+    return PowerIntegrand((Factor(window(lo, hi, exp + 1.0), 0.0),))
 
 
 def test_unit_interval_linear():
-    res = integrate(power_integrand(1.0), 0.0, 1.0)
+    res = integrate(power_on(0.0, 1.0, 1.0))
     assert res.value == pytest.approx(0.5, abs=1e-14)
     assert not res.diverged
 
 
 def test_closed_form_tail():
-    res = integrate(power_integrand(-3.0), 1.0, INF)
+    res = integrate(power_on(1.0, INF, -3.0))
     assert res.value == pytest.approx(0.5, rel=1e-13)
 
 
@@ -36,7 +45,7 @@ def test_exactness_on_pure_powers_randomized():
         a = rng.uniform(1e-3, 10.0)
         b = a * rng.uniform(1.5, 200.0)
         expected = (b ** (k + 1) - a ** (k + 1)) / (k + 1)
-        res = integrate(power_integrand(k), a, b)
+        res = integrate(power_on(a, b, k))
         assert res.value == pytest.approx(expected, rel=1e-12)
 
 
@@ -45,20 +54,19 @@ def test_additivity_randomized():
     prof = ManifoldProfile(6.0, 4.0, 6)
     g = profile_piecewise("g", prof)
     v = profile_piecewise("v", prof)
-    integrand = PowerIntegrand((Factor(g, 0.7), Factor(g, 0.0), Factor(v, 0.0)))
+    factors = (Factor(g, 0.7), Factor(g, 0.0), Factor(v, 0.0))
+    whole = integrate(PowerIntegrand(factors))
     for _ in range(20):
         mid = 10.0 ** rng.uniform(-2, 3)
-        whole = integrate(integrand, 0.0, INF)
-        left = integrate(integrand, 0.0, mid)
-        right = integrate(integrand, mid, INF)
+        left = integrate(PowerIntegrand(factors + (Factor(window(0.0, mid)),)))
+        right = integrate(PowerIntegrand(factors + (Factor(window(mid, INF)),)))
         tol = whole.abs_error_estimate + left.abs_error_estimate + right.abs_error_estimate
         assert abs(whole.value - (left.value + right.value)) <= tol + 1e-13 * whole.value
 
 
 def test_monotone_in_domain():
-    integrand = power_integrand(-2.0)
-    smaller = integrate(integrand, 1.0, 10.0).value
-    bigger = integrate(integrand, 0.5, 20.0).value
+    smaller = integrate(power_on(1.0, 10.0, -2.0)).value
+    bigger = integrate(power_on(0.5, 20.0, -2.0)).value
     assert bigger >= smaller
 
 
@@ -69,7 +77,7 @@ def test_shifted_factor_against_scipy():
     v = profile_piecewise("v", prof)
     for rho in (0.3, 1.0, 7.5, 120.0):
         integrand = PowerIntegrand((Factor(g, rho), Factor(g, 0.0), Factor(v, 0.0)))
-        res = integrate(integrand, 0.0, INF)
+        res = integrate(integrand)
 
         def explicit(r):
             gs = (rho + r) ** (2 - 6) if rho + r <= 1 else (rho + r) ** -4.0
@@ -87,31 +95,22 @@ def test_shifted_factor_against_scipy():
 
 
 def test_tail_divergence_flagged_not_raised():
-    res = integrate(power_integrand(-1.0), 1.0, INF)
+    res = integrate(power_on(1.0, INF, -1.0))
     assert res.diverged and res.value == INF
     assert res.tail_exponent == 0.0  # logarithmic boundary case
 
 
 def test_origin_divergence_flagged():
-    res = integrate(power_integrand(-1.0), 0.0, 1.0)
+    res = integrate(power_on(0.0, 1.0, -1.0))
     assert res.diverged
 
 
 def test_zero_coefficient_piece_suppresses_divergence():
     # a source vanishing near the origin cannot diverge there
     pp = PiecewisePower((0.0, 1.0, INF), (0.0, 1.0), (0.0, -3.0))
-    res = integrate(PowerIntegrand((Factor(pp, 0.0),), log_measure=True), 0.0, INF)
+    res = integrate(PowerIntegrand((Factor(pp, 0.0),)))
     assert not res.diverged
     assert res.value == pytest.approx(1.0 / 3.0, rel=1e-12)
-
-
-def test_analytic_tail_values():
-    assert analytic_tail(2.0, 1.0).value == pytest.approx(0.5, abs=1e-15)
-    assert analytic_tail(0.0, 1.0).diverged          # logarithmic
-    assert analytic_tail(-1.0, 2.0).diverged
-    # the composed-kernel finiteness boundary: gamma = alpha/2 makes q = 0
-    alpha, gamma = 6.0, 3.0
-    assert analytic_tail(2 * gamma - alpha, 1.0).diverged
 
 
 def test_breakpoints_from_shifts():

@@ -1,12 +1,14 @@
-"""Exact power integrals against 30-digit mpmath quadrature, and their edge cases."""
+"""Exact power integrals against 30-digit mpmath quadrature, and their edge
+cases; piecewise-power products against pointwise products."""
 
 import math
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from biharm.radial import power_integral
+from biharm.radial import PiecewisePower, power_integral, pp_product
 
 # (coef, exp, lo, hi): finite pieces, origin pieces (lo = 0) and tail pieces (hi = inf)
 CASES = [
@@ -78,3 +80,27 @@ def test_additive_across_a_split_point(exp):
         tail = power_integral(1.3, exp, mid, math.inf)
         assert power_integral(1.3, exp, lo, mid) + tail == pytest.approx(
             power_integral(1.3, exp, lo, math.inf), rel=1e-14)
+
+
+@st.composite
+def piecewise_powers(draw):
+    """Up to five pieces with breakpoints in [1e-2, 1e2], zero pieces included;
+    the last bound is inf or finite (the last piece then extends past it)."""
+    inner = draw(st.lists(st.floats(1e-2, 1e2), min_size=0, max_size=4, unique=True))
+    bounds = [0.0] + sorted(inner) + ([math.inf] if draw(st.booleans()) else [])
+    if len(bounds) < 2:
+        bounds.append(math.inf)
+    k = len(bounds) - 1
+    coefs = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.1, 10.0)), min_size=k, max_size=k))
+    exps = draw(st.lists(st.floats(-4.0, 4.0), min_size=k, max_size=k))
+    return PiecewisePower(tuple(bounds), tuple(coefs), tuple(exps))
+
+
+@settings(max_examples=200, deadline=None)
+@given(piecewise_powers(), piecewise_powers(),
+       st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=20))
+def test_pp_product_is_the_pointwise_product(a, b, radii):
+    r = np.array(radii)
+    expected = a.eval(r) * b.eval(r)
+    got = pp_product(a, b).eval(r)
+    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)

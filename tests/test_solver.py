@@ -9,7 +9,7 @@ from biharm.errors import DivergentIntegralError, NonConvergenceError, Parameter
 from biharm.kernels import (KernelSpec, MODE_EUCLIDEAN, MODE_SPLIT, MODE_SURROGATE,
                             ProfilePowerSource, potential)
 from biharm.profiles import ExponentPlan, ManifoldProfile, SourceProfile, plan_exponents
-from biharm.radial import RadialFunction, log_grid
+from biharm.radial import PiecewisePower, RadialFunction, log_grid, pp_product
 from biharm.solver import (apply_T, default_grid, estimate_constants,
                            measure_lipschitz, pick_l, residual_check,
                            solve_fixed_point, surrogate_fd_apply, verify_prop1,
@@ -20,6 +20,7 @@ SRC = SourceProfile(0.0, 0.0)
 PLAN = plan_exponents(PROF, SRC, 4)          # a = 7/8, b = 2
 SPEC = KernelSpec(MODE_SURROGATE, PROF)
 GRID = default_grid(512)
+OUTSIDE_UNIT_BALL = PiecewisePower((0.0, 1.0, math.inf), (0.0, 1.0), (0.0, 0.0))
 
 
 @pytest.fixture(scope="module")
@@ -102,7 +103,8 @@ def test_profile_modes_give_comparable_constants():
     for mode in ("two-regime", "pure-power"):
         prof = ManifoldProfile(6.0, 4.0, 6, mode=mode)
         spec = KernelSpec(MODE_SURROGATE, prof)
-        source = ProfilePowerSource((("psi", 1.0), ("f", 3.5)), support=(1.0, math.inf))
+        source = pp_product(ProfilePowerSource((("psi", 1.0), ("f", 3.5))).to_piecewise(prof, SRC),
+                            OUTSIDE_UNIT_BALL)
         inner = potential(spec, source, GRID, SRC)
         outer = potential(spec, inner)
         fa = _envelope(prof, GRID, 0.875)
@@ -196,6 +198,23 @@ def test_iterates_increase_monotonically(constants):
 def test_solve_nonconvergence_raises():
     with pytest.raises(NonConvergenceError):
         solve_fixed_point(PLAN, SPEC, SRC, GRID, tol=1e-10, maxit=1)
+
+
+@pytest.mark.parametrize("nodes", [256, 512, 1024, 2048, 4096])
+def test_crossover_is_one_node_with_one_kink_stencil(nodes):
+    grid = default_grid(nodes)
+    i = (grid.size - 1) // 3
+    assert grid[i] == 1.0
+    # the operator is linear: node j uses the centered stencil iff its value
+    # depends on both neighbours; a one-sided kink stencil drops one of them
+    cols = {}
+    for k in range(i - 9, i + 10):
+        unit = np.zeros(grid.size)
+        unit[k] = 1.0
+        cols[k] = surrogate_fd_apply(PROF, grid, unit)
+    window = range(i - 8, i + 9)
+    one_sided = [j for j in window if cols[j - 1][j - 1] == 0.0 or cols[j + 1][j - 1] == 0.0]
+    assert one_sided == [i]
 
 
 def test_residual_check_requires_surrogate(solved):
