@@ -30,6 +30,8 @@ from .radial import PiecewisePower, RadialFunction, power_integral, pp_product
 
 _INF = float("inf")
 _SPLIT_REL_TOL = 1e-10
+_ORACLE_MAX_DIM = 340            # math.gamma(n/2 + 1) overflows beyond
+_ORACLE_BATCH_VALUES = 1 << 22   # normal variates drawn per oracle batch
 
 MODE_SPLIT = "split-comparison"
 MODE_SURROGATE = "surrogate-exact"
@@ -139,7 +141,7 @@ def _max_kernel_data(spec: KernelSpec):
 def _max_kernel_values(spec: KernelSpec, weighted: PiecewisePower, rho: np.ndarray) -> np.ndarray:
     """potential(rho) = rho**kexp * int_0^rho w + int_rho^inf r**kexp w."""
     kexp, _ = _max_kernel_data(spec)
-    b, c, e = (np.asarray(x) for x in (weighted.bounds, weighted.coefs, weighted.exps))
+    b, c, e = weighted.bounds, weighted.coefs, weighted.exps
 
     if c[0] != 0.0 and e[0] <= -1.0:
         raise DivergentIntegralError(
@@ -158,7 +160,7 @@ def _max_kernel_values(spec: KernelSpec, weighted: PiecewisePower, rho: np.ndarr
 
     # the piece containing each rho, split at rho
     rho = np.asarray(rho, dtype=float)
-    idx = np.clip(np.searchsorted(b, rho, side="right") - 1, 0, len(c) - 1)
+    idx = weighted.piece_index(rho)
     inner = prefix[idx] + power_integral(c[idx], e[idx], b[idx], rho)
     outer = suffix[idx + 1] + power_integral(c[idx], e[idx] + kexp, rho, b[idx + 1])
     pos = rho > 0
@@ -203,9 +205,9 @@ def potential_values(spec: KernelSpec, source, rho,
     if np.any(rho < 0):
         raise ParameterError("max-kernel potentials need rho >= 0")
     src_pp = source_piecewise(source, spec.prof, source_profile)
-    if all(c == 0.0 for c in src_pp.coefs):
+    if np.all(src_pp.coefs == 0.0):
         return np.zeros(rho.size)
-    if any(c < 0.0 for c in src_pp.coefs):
+    if np.any(src_pp.coefs < 0.0):
         raise ParameterError("potential sources must be nonnegative")
     if spec.mode == MODE_SPLIT:
         return _split_values(spec, src_pp, rho)
@@ -247,9 +249,14 @@ def mc_oracle(n: int, x_radius: float, src, samples: int, seed: int,
     kernel singularity.  When the point is far outside (|x| >= 2 * support)
     the kernel is bounded, and points y are sampled uniformly in the support
     ball.  Returns (estimate, standard error).
+
+    A batch draws at most ``_ORACLE_BATCH_VALUES`` normal variates, so above
+    n = 8 the default batch shrinks.  Inputs whose constants or sums leave
+    the float range raise ParameterError.
     """
-    if n < 5:
-        raise ParameterError(f"oracle is for n >= 5 (kernel exponent 2-n), got n={n}")
+    if not 5 <= n <= _ORACLE_MAX_DIM:
+        raise ParameterError(f"oracle is for 5 <= n <= {_ORACLE_MAX_DIM} "
+                             f"(kernel exponent 2-n), got n={n}")
     if samples < 2:
         raise ParameterError("need at least 2 samples")
     if not x_radius >= 0:
@@ -257,8 +264,19 @@ def mc_oracle(n: int, x_radius: float, src, samples: int, seed: int,
     support = float(src.support_radius)
     if support <= 0.0:
         return 0.0, 0.0
-    rng = np.random.default_rng(seed)
     far_field = x_radius >= 2.0 * support
+    t_max = x_radius + support
+    try:
+        x_sq = x_radius ** 2
+        if far_field:   # the support ball's volume
+            scale = math.pi ** (n / 2.0) * support ** n / math.gamma(n / 2.0 + 1.0)
+        else:
+            scale = sphere_area(n) * t_max ** 2 / 2.0
+    except OverflowError:
+        raise ParameterError(f"oracle inputs out of range: n={n}, |x|={x_radius!r}, "
+                             f"support radius {support!r}") from None
+    batch = min(batch, max(1, _ORACLE_BATCH_VALUES // n))
+    rng = np.random.default_rng(seed)
 
     total = 0.0
     total_sq = 0.0
@@ -269,18 +287,20 @@ def mc_oracle(n: int, x_radius: float, src, samples: int, seed: int,
         omega1 = z[:, 0] / np.linalg.norm(z, axis=1)
         if far_field:
             # y uniform in the support ball; kernel bounded away from x
-            ball_vol = math.pi ** (n / 2.0) * support ** n / math.gamma(n / 2.0 + 1.0)
             y_radius = support * rng.random(m) ** (1.0 / n)
-            dist = np.sqrt(x_radius ** 2 - 2.0 * x_radius * y_radius * omega1 + y_radius ** 2)
-            f = ball_vol * dist ** (2.0 - n) * np.asarray(src(y_radius), dtype=float)
+            dist = np.sqrt(x_sq - 2.0 * x_radius * y_radius * omega1 + y_radius ** 2)
+            f = scale * dist ** (2.0 - n) * np.asarray(src(y_radius), dtype=float)
         else:
-            t_max = x_radius + support
             t = t_max * np.sqrt(rng.random(m))
-            y_radius = np.sqrt(x_radius ** 2 + 2.0 * x_radius * t * omega1 + t ** 2)
-            f = (sphere_area(n) * t_max ** 2 / 2.0) * np.asarray(src(y_radius), dtype=float)
-        total += float(np.sum(f))
-        total_sq += float(np.sum(f * f))
+            y_radius = np.sqrt(x_sq + 2.0 * x_radius * t * omega1 + t ** 2)
+            f = scale * np.asarray(src(y_radius), dtype=float)
+        with np.errstate(over="ignore"):   # checked after the loop
+            total += float(np.sum(f))
+            total_sq += float(np.sum(f * f))
         remaining -= m
+    if not math.isfinite(total_sq):
+        raise ParameterError(f"oracle sums overflow at n={n}, |x|={x_radius!r}, "
+                             f"support radius {support!r}")
     mean = total / samples
     var = max(total_sq / samples - mean ** 2, 0.0) * samples / (samples - 1)
     stderr = math.sqrt(var / samples)

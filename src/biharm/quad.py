@@ -16,6 +16,7 @@ it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,16 +60,10 @@ class PowerIntegrand:
             out = out * f.pp.eval(f.shift + r)
         return out / r
 
-    def breakpoints(self, lo: float, hi: float):
-        """Radii where any factor switches piece, restricted to (lo, hi)."""
-        pts = set()
-        for f in self.factors:
-            for b in f.pp.bounds:
-                if 0.0 < b < _INF:
-                    r = b - f.shift
-                    if lo < r < hi:
-                        pts.add(r)
-        return sorted(pts)
+    def breakpoints(self, lo: float, hi: float) -> np.ndarray:
+        """Sorted radii where any factor switches piece, restricted to (lo, hi)."""
+        pts = np.concatenate([f.pp.bounds[1:] - f.shift for f in self.factors])
+        return np.unique(pts[(lo < pts) & (pts < hi)])   # drops the inf bounds too
 
 
 @dataclass(frozen=True)
@@ -120,20 +115,16 @@ def _series_terms(integrand: PowerIntegrand, at_origin: bool):
     coef = 1.0
     shifted = []
     for f in integrand.factors:
-        pp = f.pp
-        if at_origin:
-            if f.shift == 0.0:
-                q += pp.exps[0]
-                coef *= pp.coefs[0]
-            else:
-                j = pp.piece_at(f.shift)
-                coef *= pp.coefs[j] * f.shift ** pp.exps[j]
-                shifted.append((pp.exps[j], f.shift))
+        j = f.pp.piece_at(f.shift) if at_origin else -1
+        c, e = float(f.pp.coefs[j]), float(f.pp.exps[j])
+        if at_origin and f.shift > 0.0:
+            coef *= c * f.shift ** e
+            shifted.append((e, f.shift))
         else:
-            q += pp.exps[-1]
-            coef *= pp.coefs[-1]
+            q += e
+            coef *= c
             if f.shift > 0.0:
-                shifted.append((pp.exps[-1], f.shift))
+                shifted.append((e, f.shift))
     return q, coef, shifted
 
 
@@ -205,6 +196,8 @@ def integrate(integrand: PowerIntegrand, rel_tol: float = 1e-12) -> QuadratureRe
 
     The result value is within ``abs_error_estimate`` of the true integral;
     a divergent origin or tail sets the ``diverged`` flag instead of raising.
+    Shifts so large that a seam or the value leaves the float range raise
+    ParameterError.
     """
     tail = _series_terms(integrand, at_origin=False)
     origin = _series_terms(integrand, at_origin=True)
@@ -216,12 +209,16 @@ def integrate(integrand: PowerIntegrand, rel_tol: float = 1e-12) -> QuadratureRe
     # tail beyond every breakpoint and twice every shift; origin below every
     # breakpoint, the next piece of every shifted factor and half its shift
     bps = integrand.breakpoints(0.0, _INF)
-    t_start = max([1.0] + [2.0 * f.shift for f in integrand.factors] + bps)
-    caps = [1.0] + bps
+    shifts = [f.shift for f in integrand.factors]
+    t_start = max([1.0] + [2.0 * sh for sh in shifts] + bps[-1:].tolist())
+    if t_start == _INF:
+        raise ParameterError(f"radius {max(shifts)!r} is out of range: the tail seam "
+                             "at twice the radius overflows")
+    caps = [1.0] + bps[:1].tolist()
     for f in integrand.factors:
         if f.shift > 0:
             caps.append(0.5 * f.shift)
-            nxt = f.pp.bounds[f.pp.piece_at(f.shift) + 1]
+            nxt = float(f.pp.bounds[f.pp.piece_at(f.shift) + 1])
             if f.shift < nxt < _INF:
                 caps.append(nxt - f.shift)
     eps = 0.5 * min(caps)
@@ -232,16 +229,20 @@ def integrate(integrand: PowerIntegrand, rel_tol: float = 1e-12) -> QuadratureRe
     abs_err += oe
 
     # numeric middle zone: Gauss panels refined until the value settles
-    seams = [eps] + integrand.breakpoints(eps, t_start) + [t_start]
-    cur, _ = _gauss_zone(integrand, seams, 0)
-    level = 0
-    while True:
-        level += 1
-        prev = cur
-        cur, nodes = _gauss_zone(integrand, seams, level)
-        change = abs(cur - prev)
-        if change <= rel_tol * max(abs(cur), 1e-300) or nodes * 2 > _MAX_NODES:
-            break
+    seams = np.concatenate(([eps], bps[(eps < bps) & (bps < t_start)], [t_start]))
+    with np.errstate(over="ignore", invalid="ignore"):   # the value is checked below
+        cur, _ = _gauss_zone(integrand, seams, 0)
+        level = 0
+        while True:
+            level += 1
+            prev = cur
+            cur, nodes = _gauss_zone(integrand, seams, level)
+            change = abs(cur - prev)
+            if change <= rel_tol * max(abs(cur), 1e-300) or nodes * 2 > _MAX_NODES:
+                break
     value += cur
     abs_err += change
+    if not math.isfinite(value):
+        raise ParameterError(f"integral at radius {max(shifts)!r} is {value}: the integrand "
+                             "leaves the float range")
     return QuadratureResult(value, abs_err, tail_exponent, diverged=False)

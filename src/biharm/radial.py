@@ -11,6 +11,7 @@ into the same representation, with power-law tails beyond the grid.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,29 +21,38 @@ from .errors import ParameterError
 _INF = float("inf")
 
 
-@dataclass(frozen=True)
+def _frozen(values) -> np.ndarray:
+    """A read-only float64 copy of values."""
+    arr = np.array(values, dtype=float)
+    arr.flags.writeable = False
+    return arr
+
+
+@dataclass(frozen=True, eq=False)
 class PiecewisePower:
     """c_j * r**e_j on [bounds[j], bounds[j+1]), j = 0..K-1.
 
     ``bounds`` has K+1 entries, starts at 0 and may end at inf.  Pieces with
-    zero coefficient represent regions where the function vanishes.
+    zero coefficient represent regions where the function vanishes.  The
+    three fields are stored as read-only float64 arrays.
     """
 
-    bounds: tuple
-    coefs: tuple
-    exps: tuple
+    bounds: np.ndarray
+    coefs: np.ndarray
+    exps: np.ndarray
 
     def __post_init__(self):
-        b = tuple(float(x) for x in self.bounds)
-        if len(b) < 2 or b[0] != 0.0:
+        b = _frozen(self.bounds)
+        if b.ndim != 1 or b.size < 2 or b[0] != 0.0:
             raise ParameterError("bounds must start at 0")
-        if any(b[i] >= b[i + 1] for i in range(len(b) - 1)):
+        if (b[:-1] >= b[1:]).any():
             raise ParameterError("bounds must be strictly increasing")
-        if len(self.coefs) != len(b) - 1 or len(self.exps) != len(b) - 1:
+        c, e = _frozen(self.coefs), _frozen(self.exps)
+        if c.shape != (b.size - 1,) or e.shape != c.shape:
             raise ParameterError("need one (coef, exp) per piece")
         object.__setattr__(self, "bounds", b)
-        object.__setattr__(self, "coefs", tuple(float(c) for c in self.coefs))
-        object.__setattr__(self, "exps", tuple(float(e) for e in self.exps))
+        object.__setattr__(self, "coefs", c)
+        object.__setattr__(self, "exps", e)
 
     @staticmethod
     def single(coef: float, exp: float) -> "PiecewisePower":
@@ -50,19 +60,23 @@ class PiecewisePower:
 
     @property
     def npieces(self) -> int:
-        return len(self.coefs)
+        return self.coefs.size
+
+    def piece_index(self, arg):
+        """Index of the piece containing each arg (right-continuous at breakpoints)."""
+        idx = np.searchsorted(self.bounds, arg, side="right") - 1
+        return np.minimum(np.maximum(idx, 0), self.npieces - 1)
 
     def piece_at(self, arg: float) -> int:
         """Index of the piece containing arg (right-continuous at breakpoints)."""
-        idx = int(np.searchsorted(self.bounds, arg, side="right")) - 1
-        return min(max(idx, 0), self.npieces - 1)
+        return int(self.piece_index(arg))
 
     def eval(self, arg):
         """Vectorized evaluation; arg may be scalar or array, entries > 0."""
         a = np.asarray(arg, dtype=float)
-        idx = np.clip(np.searchsorted(self.bounds, a, side="right") - 1, 0, self.npieces - 1)
-        c = np.asarray(self.coefs)[idx]
-        e = np.asarray(self.exps)[idx]
+        idx = self.piece_index(a)
+        c = self.coefs[idx]
+        e = self.exps[idx]
         out = np.zeros_like(a)
         nz = c != 0.0
         out[nz] = c[nz] * a[nz] ** e[nz]
@@ -70,33 +84,32 @@ class PiecewisePower:
 
     def powered(self, power: float) -> "PiecewisePower":
         """self**power; requires positive coefficients (zero pieces stay zero)."""
-        coefs = []
-        for c in self.coefs:
-            if c == 0.0:
-                coefs.append(0.0)
-            elif c < 0:
-                raise ParameterError("cannot raise a negative-coefficient piece to a power")
-            else:
-                coefs.append(c ** power)
-        return PiecewisePower(self.bounds, tuple(coefs), tuple(e * power for e in self.exps))
+        if (self.coefs < 0).any():
+            raise ParameterError("cannot raise a negative-coefficient piece to a power")
+        coefs = [0.0 if c == 0.0 else c ** power for c in self.coefs.tolist()]
+        return PiecewisePower(self.bounds, coefs, self.exps * power)
 
 
 def pp_product(*pps: PiecewisePower) -> PiecewisePower:
-    """Pointwise product of piecewise powers: merged bounds, summed exponents."""
-    bounds = sorted(set().union(*(pp.bounds for pp in pps)))
+    """Pointwise product of piecewise powers: merged bounds, summed exponents.
+
+    Each merged piece takes its factors' pieces at an interior point: the
+    midpoint, or lo + 1 for the infinite last piece.
+    """
+    bounds = np.unique(np.concatenate([pp.bounds for pp in pps]))
     if bounds[-1] != _INF:
-        bounds.append(_INF)
-    coefs, exps = [], []
-    for j in range(len(bounds) - 1):
-        mid = bounds[j] + 1.0 if math.isinf(bounds[j + 1]) else 0.5 * (bounds[j] + bounds[j + 1])
-        c, e = 1.0, 0.0
-        for pp in pps:
-            k = pp.piece_at(mid)
-            c *= pp.coefs[k]
-            e += pp.exps[k]
-        coefs.append(c)
-        exps.append(e if c != 0.0 else 0.0)
-    return PiecewisePower(tuple(bounds), tuple(coefs), tuple(exps))
+        bounds = np.append(bounds, _INF)
+    lo, hi = bounds[:-1], bounds[1:]
+    mid = 0.5 * (lo + hi)
+    mid[-1] = lo[-1] + 1.0
+    c = np.ones(mid.size)
+    e = np.zeros(mid.size)
+    for pp in pps:
+        k = pp.piece_index(mid)
+        c *= pp.coefs[k]
+        e += pp.exps[k]
+    e[c == 0.0] = 0.0
+    return PiecewisePower(bounds, c, e)
 
 
 def power_integral(coef, exp, lo, hi):
@@ -181,37 +194,36 @@ class RadialFunction:
         return self.as_piecewise().eval(r)
 
     def as_piecewise(self) -> PiecewisePower:
-        """Exact piecewise-power view of the log-log interpolant plus tails."""
+        """Exact piecewise-power view of the log-log interpolant plus tails.
+
+        Segment logs and powers are taken one scalar at a time, as libm
+        ``log`` and numpy's scalar ``pow``: numpy's SIMD array versions may
+        differ in the last bit.
+        """
         g, v = self.grid, self.values
-        bounds = [0.0] + list(g) + [_INF]
-        coefs, exps = [], []
+        coefs = np.zeros(g.size + 1)
+        exps = np.zeros(g.size + 1)
         # left tail piece on (0, g[0])
         tl = self.tail_left if self.tail_left is not None else 0.0
         if v[0] > 0:
-            coefs.append(v[0] / g[0] ** tl)
-            exps.append(tl)
-        else:
-            coefs.append(0.0)
-            exps.append(0.0)
-        for i in range(g.size - 1):
-            if v[i] > 0 and v[i + 1] > 0:
-                sigma = math.log(v[i + 1] / v[i]) / math.log(g[i + 1] / g[i])
-                coefs.append(v[i] / g[i] ** sigma)
-                exps.append(sigma)
-            elif v[i] > 0 and v[i + 1] == 0.0:
-                coefs.append(v[i])          # hold level, drop at the node
-                exps.append(0.0)
-            else:
-                coefs.append(0.0)
-                exps.append(0.0)
+            coefs[0] = v[0] / g[0] ** tl
+            exps[0] = tl
+        # interior segments: power laws between positive values; a positive
+        # value followed by 0 holds its level and drops at the node
+        pos = v > 0
+        hold = pos[:-1] & (v[1:] == 0.0)
+        coefs[1:-1][hold] = v[:-1][hold]
+        i = np.flatnonzero(pos[:-1] & pos[1:])
+        log_v = np.fromiter(map(math.log, (v[i + 1] / v[i]).tolist()), float, i.size)
+        log_g = np.fromiter(map(math.log, (g[i + 1] / g[i]).tolist()), float, i.size)
+        sigma = log_v / log_g
+        coefs[i + 1] = v[i] / np.fromiter(map(operator.pow, g[i], sigma.tolist()), float, i.size)
+        exps[i + 1] = sigma
         tr = self.tail_right if self.tail_right is not None else 0.0
         if v[-1] > 0:
-            coefs.append(v[-1] / g[-1] ** tr)
-            exps.append(tr)
-        else:
-            coefs.append(0.0)
-            exps.append(0.0)
-        return PiecewisePower(tuple(bounds), tuple(coefs), tuple(exps))
+            coefs[-1] = v[-1] / g[-1] ** tr
+            exps[-1] = tr
+        return PiecewisePower(np.concatenate(([0.0], g, [_INF])), coefs, exps)
 
 
 def log_grid(lo: float, hi: float, n: int) -> np.ndarray:

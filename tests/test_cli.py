@@ -2,6 +2,7 @@
 
 import filecmp
 import json
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -223,6 +224,21 @@ def test_non_finite_flags_exit_one(tmp_path, capsys, argv):
 def test_negative_radius_or_small_ratio_exits_two(tmp_path, capsys, argv):
     assert run(argv + ["--out-dir", str(tmp_path / "o")]) == 2
     _assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--x", "1e308"],
+    ["oracle", "--x", "1", "--ball-radius", "1e308"],
+    ["oracle", "--x", "1", "--n", "100000"],
+    ["kernel-table", "--alpha", "6", "--gamma", "4", "--rho-max", "1e308", "--points", "5"],
+])
+def test_out_of_range_inputs_exit_two(tmp_path, capsys, argv):
+    # these raised OverflowError / MemoryError, or wrote nan rows with exit 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv + ["--out-dir", str(tmp_path / "o")]) == 2
+    _assert_one_error_line(capsys)
+    assert not (tmp_path / "o" / "report.json").exists()
 
 
 _FLOATS = st.floats(allow_nan=True, allow_infinity=True)
