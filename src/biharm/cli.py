@@ -242,17 +242,14 @@ def _cmd_classify(args, out: Path):
 def _cmd_kernel_table(args, out: Path):
     prof = profiles.ManifoldProfile(args.alpha, args.gamma, args.n, args.mode)
     rhos = log_grid(args.rho_min, args.rho_max, args.points)
-    results = [kernels.compose_green(prof, r) for r in rhos]
-    diverged = any(res.diverged for res in results)
-    rows = [(r, res.value if not res.diverged else math.inf)
-            for r, res in zip(rhos, results)]
-    _write_csv(out / "kernel_table.csv", "rho,gtilde", rows)
+    res = kernels.compose_green(prof, rhos)   # diverged rows have value inf
+    diverged = bool(res.diverged.any())
+    _write_csv(out / "kernel_table.csv", "rho,gtilde", zip(rhos, res.value))
     body = {"diverged": diverged,
             "finiteness_condition": "gamma > alpha/2",
-            "tail_exponent": results[0].tail_exponent}
+            "tail_exponent": float(res.tail_exponent[0])}
     if not diverged:
-        vals = np.array([res.value for res in results])
-        body["loglog_slope"] = fit_loglog_slope(rhos, vals)
+        body["loglog_slope"] = fit_loglog_slope(rhos, res.value)
         body["expected_slope"] = -(2.0 * args.gamma - args.alpha)
     _report(out, "kernel-table", _resolved_config(args), body)
     return 0

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DivergentIntegralError, ParameterError
 from .profiles import ManifoldProfile, SourceProfile, profile_piecewise
-from .quad import Factor, PowerIntegrand, QuadratureResult, integrate
+from .quad import PowerIntegrand, QuadratureResult, integrate
 from .radial import PiecewisePower, RadialFunction, power_integral, pp_product
 
 _INF = float("inf")
@@ -102,19 +102,18 @@ def source_piecewise(source, prof: ManifoldProfile, src: SourceProfile | None) -
     raise ParameterError(f"unsupported source type {type(source).__name__}")
 
 
-def compose_green(prof: ManifoldProfile, rho: float) -> QuadratureResult:
-    """The 1-D reduction of the composed Green kernel at separation rho:
+def compose_green(prof: ManifoldProfile, rho) -> QuadratureResult:
+    """The 1-D reduction of the composed Green kernel at each separation rho > 0:
 
         int_0^inf g(rho + r) g(r) v(r) dr/r.
 
+    rho may be a scalar or an array; the result's fields follow its shape.
     Finite exactly when gamma > alpha/2; otherwise the result carries the
     diverged flag (the tail exponent being alpha - 2*gamma).
     """
-    if not rho > 0:
-        raise ParameterError(f"separation rho must be positive, got {rho}")
     g = profile_piecewise("g", prof)
     v = profile_piecewise("v", prof)
-    return integrate(PowerIntegrand((Factor(g, float(rho)), Factor(g, 0.0), Factor(v, 0.0))))
+    return integrate(PowerIntegrand(pp_product(g, v), g, rho))
 
 
 def annulus_lower_bound(prof: ManifoldProfile, radius: float) -> float:
@@ -180,19 +179,15 @@ def _max_kernel_values(spec: KernelSpec, weighted: PiecewisePower, rho: np.ndarr
 def _split_values(spec: KernelSpec, src_pp: PiecewisePower, rho: np.ndarray) -> np.ndarray:
     g = profile_piecewise("g", spec.prof)
     v = profile_piecewise("v", spec.prof)
-    values = np.empty(rho.size)
-    for i, r0 in enumerate(rho):
-        t1 = integrate(PowerIntegrand((Factor(g, float(r0)), Factor(src_pp, 0.0), Factor(v, 0.0))),
-                       rel_tol=_SPLIT_REL_TOL)
-        t2 = integrate(PowerIntegrand((Factor(g, 0.0), Factor(src_pp, float(r0)), Factor(v, 0.0))),
-                       rel_tol=_SPLIT_REL_TOL)
-        if t1.diverged or t2.diverged:
-            bad = t1 if t1.diverged else t2
-            raise DivergentIntegralError(
-                f"split potential diverges: tail exponent {bad.tail_exponent} >= 0",
-                location="tail", exponent=bad.tail_exponent)
-        values[i] = t1.value + t2.value
-    return values
+    t1 = integrate(PowerIntegrand(pp_product(src_pp, v), g, rho), rel_tol=_SPLIT_REL_TOL)
+    t2 = integrate(PowerIntegrand(pp_product(g, v), src_pp, rho), rel_tol=_SPLIT_REL_TOL)
+    bad = np.flatnonzero(t1.diverged | t2.diverged)
+    if bad.size:
+        exponent = float((t1 if t1.diverged[bad[0]] else t2).tail_exponent[bad[0]])
+        raise DivergentIntegralError(
+            f"split potential diverges: tail exponent {exponent} >= 0",
+            location="tail", exponent=exponent)
+    return t1.value + t2.value
 
 
 def potential_values(spec: KernelSpec, source, rho,

@@ -67,10 +67,6 @@ class PiecewisePower:
         idx = np.searchsorted(self.bounds, arg, side="right") - 1
         return np.minimum(np.maximum(idx, 0), self.npieces - 1)
 
-    def piece_at(self, arg: float) -> int:
-        """Index of the piece containing arg (right-continuous at breakpoints)."""
-        return int(self.piece_index(arg))
-
     def eval(self, arg):
         """Vectorized evaluation; arg may be scalar or array, entries > 0."""
         a = np.asarray(arg, dtype=float)

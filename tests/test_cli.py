@@ -241,6 +241,36 @@ def test_out_of_range_inputs_exit_two(tmp_path, capsys, argv):
     assert not (tmp_path / "o" / "report.json").exists()
 
 
+def test_kernel_table_at_huge_radii(tmp_path):
+    # g(rho+r) g(r) went subnormal before v(r) scaled it back: rows at
+    # rho = 1e40 and 1e45 came out 1.6684e-81 and 4.3210e-92
+    out = tmp_path / "o"
+    assert run(["kernel-table", "--alpha", "6", "--gamma", "4", "--rho-min", "1e30",
+                "--rho-max", "1e50", "--points", "5", "--out-dir", str(out)]) == 0
+    rows = [[float(x) for x in line.split(",")]
+            for line in (out / "kernel_table.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 5
+    for rho, val in rows:
+        assert val == pytest.approx(rho ** (6 - 2 * 4) / 6.0, rel=1e-10)
+    assert _load(out)["loglog_slope"] == pytest.approx(-2.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("rho_min, rho_max, radius", [
+    ("1e150", "1e160", "1e+155"),   # the integral, rho**-2 / 6, is subnormal there
+    ("5e-324", "1", "5e-324"),      # half the radius underflows (was an OverflowError)
+])
+def test_kernel_table_out_of_range_exits_two_naming_the_radius(tmp_path, capsys, rho_min,
+                                                               rho_max, radius):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["kernel-table", "--alpha", "6", "--gamma", "4", "--rho-min", rho_min,
+                    "--rho-max", rho_max, "--points", "3",
+                    "--out-dir", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"radius {radius} " in err and "Traceback" not in err
+    assert not (tmp_path / "o" / "kernel_table.csv").exists()
+
+
 _FLOATS = st.floats(allow_nan=True, allow_infinity=True)
 
 

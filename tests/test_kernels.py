@@ -1,20 +1,33 @@
-"""Composed Green kernel, potential operators in three modes, MC oracle."""
+"""Composed Green kernel, potential operators in three modes, MC oracle;
+batched quadrature against the scalar values it replaced and 30-digit
+mpmath references; positivity and monotonicity of split potentials."""
 
+import bisect
+import json
 import math
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from biharm.errors import DivergentIntegralError, ParameterError
 from biharm.kernels import (BallSource, KernelSpec, MODE_EUCLIDEAN, MODE_SPLIT,
                             MODE_SURROGATE, ProfilePowerSource, annulus_lower_bound,
                             compose_green, mc_oracle, potential, potential_values,
                             sphere_area)
-from biharm.profiles import ManifoldProfile, SourceProfile
-from biharm.radial import PiecewisePower, RadialFunction, fit_loglog_slope, log_grid
+from biharm.profiles import ManifoldProfile, SourceProfile, profile_piecewise
+from biharm.quad import PowerIntegrand, integrate
+from biharm.radial import (PiecewisePower, RadialFunction, fit_loglog_slope, log_grid,
+                           pp_product)
+
+# the log-space evaluator must neither overflow nor underflow silently
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 PROF = ManifoldProfile(6.0, 4.0, 6)
 SRC = SourceProfile(0.0, 0.0)
+INF = float("inf")
 
 
 def test_compose_green_unit_separation():
@@ -205,3 +218,123 @@ def test_negative_radius_rejected():
 def test_sphere_area_values():
     assert sphere_area(6) == pytest.approx(math.pi ** 3, rel=1e-14)
     assert sphere_area(3) == pytest.approx(4.0 * math.pi, rel=1e-14)
+
+
+# -- batched quadrature against the scalar per-rho values it replaced --------
+
+REFERENCE = json.loads(Path(__file__).with_name("quad_reference.json").read_text())
+
+
+def reference_sources():
+    """The split-potential sources of quad_reference.json, by name."""
+    g48 = log_grid(1e-2, 1e3, 48)
+    g96 = log_grid(1e-3, 1e4, 96)
+    vals = (1.0 + g96) ** -3.5 * (1.0 + 0.3 * np.sin(3.0 * np.log(g96)))
+    vals[40:47] = 0.0
+    return {"grid48": RadialFunction.from_values(g48, np.exp(-np.log(g48) ** 2 / 2.0)),
+            "grid96_zeros": RadialFunction(g96, vals, 0.0, -3.5),
+            "psi_f": ProfilePowerSource((("psi", 1.0), ("f", 3.5))),
+            "ball": BallSource(1.5, 2.0)}
+
+
+@pytest.mark.parametrize("key", sorted(REFERENCE["compose_green"]))
+def test_compose_green_matches_scalar_reference(key):
+    alpha, gamma, n, mode = key.split(",")
+    prof = ManifoldProfile(float(alpha), float(gamma), int(n), mode)
+    res = compose_green(prof, np.array(REFERENCE["rho"]))
+    np.testing.assert_allclose(res.value, REFERENCE["compose_green"][key], rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE["split"]))
+def test_split_potential_matches_scalar_reference(name):
+    vals = potential_values(KernelSpec(MODE_SPLIT, PROF), reference_sources()[name],
+                            REFERENCE["rho"], SRC)
+    np.testing.assert_allclose(vals, REFERENCE["split"][name], rtol=1e-13, atol=0)
+
+
+def test_kernel_table_rows_equal_single_calls():
+    rhos = log_grid(1e-2, 1e4, 31)
+    batched = compose_green(PROF, rhos)
+    assert batched.value.tolist() == [compose_green(PROF, r).value for r in rhos]
+
+
+# -- 30-digit mpmath references ----------------------------------------------
+
+def _mp_piecewise(pp):
+    b, c, e = pp.bounds.tolist(), pp.coefs.tolist(), pp.exps.tolist()
+
+    def f(x):
+        j = min(max(bisect.bisect_right(b, x) - 1, 0), len(c) - 1)
+        return c[j] * x ** mpmath.mpf(e[j])
+
+    return f
+
+
+def _mp_integral(u, f, rho):
+    """int u(r) f(rho + r) dr/r at 30 digits, in t = ln r, cut at every breakpoint."""
+    with mpmath.workdps(30):
+        rho = mpmath.mpf(rho)
+        mu, mf = _mp_piecewise(u), _mp_piecewise(f)
+        cuts = {float(b) for b in u.bounds[1:-1]} | {float(b - rho) for b in f.bounds[1:-1]
+                                                       if b > rho}
+        ts = [-mpmath.inf] + sorted(mpmath.log(c) for c in cuts) + [mpmath.inf]
+        return float(mpmath.quad(lambda t: mu(mpmath.exp(t)) * mf(rho + mpmath.exp(t)), ts))
+
+
+# (alpha, gamma, n) in the existence window; (6, 3.05) has gamma just above
+# alpha/2, so the composed kernel's tail decays like r**-1.1
+MP_POINTS = [(6.0, 4.0, 6), (7.0, 4.5, 5), (5.0, 3.0, 3), (8.0, 5.0, 7), (6.0, 3.05, 6)]
+
+
+@pytest.mark.parametrize("alpha, gamma, n", MP_POINTS)
+@pytest.mark.parametrize("rho", [1e-2, 0.5, 1.0, 2.0, 1e3])
+def test_green_and_split_terms_against_mpmath(alpha, gamma, n, rho):
+    prof = ManifoldProfile(alpha, gamma, n)
+    g = profile_piecewise("g", prof)
+    v = profile_piecewise("v", prof)
+    src = PiecewisePower((0.0, 1.0, INF), (1.0, 1.0), (0.0, gamma - alpha - 1.5))
+    green = compose_green(prof, rho).value
+    assert green == pytest.approx(_mp_integral(pp_product(g, v), g, rho), rel=1e-10)
+    # the two terms of a split potential, built as kernels builds them
+    first = integrate(PowerIntegrand(pp_product(src, v), g, rho), rel_tol=1e-10).value
+    second = integrate(PowerIntegrand(pp_product(g, v), src, rho), rel_tol=1e-10).value
+    assert first == pytest.approx(_mp_integral(pp_product(src, v), g, rho), rel=1e-10)
+    assert second == pytest.approx(_mp_integral(pp_product(g, v), src, rho), rel=1e-10)
+    split = potential_values(KernelSpec(MODE_SPLIT, prof), src, [rho])[0]
+    assert split == pytest.approx(first + second, rel=1e-15)
+
+
+# -- positivity and monotonicity of split potentials ------------------------
+
+@st.composite
+def ordered_grid_sources(draw):
+    """(profile, s1, s2) with 0 <= s1 <= s2 pointwise: grid sources on one
+    grid, s1 nonzero and possibly vanishing on some segments, s2 = s1 times
+    a factor >= 1 at each node (so zeros, hold pieces and tails line up).
+
+    Log values are a random walk with steps of at most 1: a steeper segment
+    can leave the float range in ``as_piecewise``'s coefficient c = v/g**sigma.
+    """
+    gamma = draw(st.floats(1.0, 6.0))
+    prof = ManifoldProfile(gamma * draw(st.floats(1.02, 1.98)), gamma, draw(st.integers(3, 8)))
+    n = draw(st.integers(16, 128))
+    grid = log_grid(10.0 ** draw(st.floats(-3, 0)), 10.0 ** draw(st.floats(1, 4)), n)
+    logs = np.cumsum(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
+    on = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    on[draw(st.integers(0, n - 1))] = True
+    bump = np.array(draw(st.lists(st.floats(0.0, 4.0), min_size=n, max_size=n)))
+    tail = prof.gamma - prof.alpha - draw(st.floats(0.2, 3.0))
+    v1 = np.where(on, np.exp(logs), 0.0)
+    return (prof, RadialFunction(grid, v1, 0.0, tail),
+            RadialFunction(grid, v1 * (1.0 + bump), 0.0, tail))
+
+
+@settings(max_examples=40, deadline=None)
+@given(ordered_grid_sources(), st.lists(st.floats(1e-3, 1e5), min_size=1, max_size=8))
+def test_split_potentials_positive_and_monotone(sources, rho):
+    prof, s1, s2 = sources
+    spec = KernelSpec(MODE_SPLIT, prof)
+    lo = potential_values(spec, s1, rho)
+    hi = potential_values(spec, s2, rho)
+    assert np.all(lo > 0.0)
+    assert np.all(lo <= hi * (1.0 + 1e-12))

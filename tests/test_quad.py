@@ -1,16 +1,24 @@
-"""Quadrature engine over (0, inf) against dr/r: exactness, closed-form tails,
-additivity, divergence flags.  Finite ranges are windowed factors: a piece
-that is nonzero only on [lo, hi)."""
+"""Quadrature engine over (0, inf) against dr/r, batched over shifts:
+exactness, closed-form tails, additivity, divergence flags, and batched
+calls against one-shift-at-a-time calls.  Finite ranges are windowed
+factors: a piece that is nonzero only on [lo, hi); an unshifted integrand
+is u(r) * ONE(rho + r)."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad as scipy_quad
 
+from biharm.errors import ParameterError
 from biharm.profiles import ManifoldProfile, profile_piecewise
-from biharm.quad import Factor, PowerIntegrand, integrate
-from biharm.radial import PiecewisePower
+from biharm.quad import PowerIntegrand, _seams, _segments, integrate
+from biharm.radial import PiecewisePower, RadialFunction, log_grid, pp_product
+
+# the log-space evaluator must neither overflow nor underflow silently
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 INF = float("inf")
+ONE = PiecewisePower.single(1.0, 0.0)
 
 
 def window(lo, hi, exp=0.0):
@@ -24,7 +32,14 @@ def window(lo, hi, exp=0.0):
 
 def power_on(lo, hi, exp):
     """int_lo^hi r**exp dr as an integrand against dr/r."""
-    return PowerIntegrand((Factor(window(lo, hi, exp + 1.0), 0.0),))
+    return PowerIntegrand(window(lo, hi, exp + 1.0), ONE, 1.0)
+
+
+def green_integrand(prof, rho, *extra):
+    """g(rho + r) g(r) v(r) (times the extra unshifted factors) against dr/r."""
+    g = profile_piecewise("g", prof)
+    v = profile_piecewise("v", prof)
+    return PowerIntegrand(pp_product(g, v, *extra), g, rho)
 
 
 def test_unit_interval_linear():
@@ -52,14 +67,11 @@ def test_exactness_on_pure_powers_randomized():
 def test_additivity_randomized():
     rng = np.random.default_rng(5)
     prof = ManifoldProfile(6.0, 4.0, 6)
-    g = profile_piecewise("g", prof)
-    v = profile_piecewise("v", prof)
-    factors = (Factor(g, 0.7), Factor(g, 0.0), Factor(v, 0.0))
-    whole = integrate(PowerIntegrand(factors))
+    whole = integrate(green_integrand(prof, 0.7))
     for _ in range(20):
         mid = 10.0 ** rng.uniform(-2, 3)
-        left = integrate(PowerIntegrand(factors + (Factor(window(0.0, mid)),)))
-        right = integrate(PowerIntegrand(factors + (Factor(window(mid, INF)),)))
+        left = integrate(green_integrand(prof, 0.7, window(0.0, mid)))
+        right = integrate(green_integrand(prof, 0.7, window(mid, INF)))
         tol = whole.abs_error_estimate + left.abs_error_estimate + right.abs_error_estimate
         assert abs(whole.value - (left.value + right.value)) <= tol + 1e-13 * whole.value
 
@@ -73,11 +85,8 @@ def test_monotone_in_domain():
 def test_shifted_factor_against_scipy():
     # independent oracle: adaptive quadrature of the same explicit integrand
     prof = ManifoldProfile(6.0, 4.0, 6)
-    g = profile_piecewise("g", prof)
-    v = profile_piecewise("v", prof)
     for rho in (0.3, 1.0, 7.5, 120.0):
-        integrand = PowerIntegrand((Factor(g, rho), Factor(g, 0.0), Factor(v, 0.0)))
-        res = integrate(integrand)
+        res = integrate(green_integrand(prof, rho))
 
         def explicit(r):
             gs = (rho + r) ** (2 - 6) if rho + r <= 1 else (rho + r) ** -4.0
@@ -108,15 +117,95 @@ def test_origin_divergence_flagged():
 def test_zero_coefficient_piece_suppresses_divergence():
     # a source vanishing near the origin cannot diverge there
     pp = PiecewisePower((0.0, 1.0, INF), (0.0, 1.0), (0.0, -3.0))
-    res = integrate(PowerIntegrand((Factor(pp, 0.0),)))
+    res = integrate(PowerIntegrand(pp, ONE, 1.0))
     assert not res.diverged
     assert res.value == pytest.approx(1.0 / 3.0, rel=1e-12)
 
 
 def test_breakpoints_from_shifts():
-    # gamma != n - 2 so the Green profile genuinely switches branch at 1
+    # gamma != n - 2 so the Green profile genuinely switches branch at 1;
+    # for g(0.25 + r) g(r) the Gauss zone runs from eps = 1/16 (half of half
+    # the shift) to the tail seam 1, cut where the shifted factor switches
     prof = ManifoldProfile(6.0, 5.0, 6)
     g = profile_piecewise("g", prof)
-    integrand = PowerIntegrand((Factor(g, 0.25), Factor(g, 0.0)))
-    bps = integrand.breakpoints(0.0, INF)
-    assert bps == pytest.approx([0.75, 1.0])
+    integrand = PowerIntegrand(g, g, 0.25)
+    rho = np.array([0.25])
+    eps, t_start = _seams(integrand, rho)
+    start, width = _segments(integrand, rho, eps, t_start)[2:4]
+    cuts = np.exp(np.append(start, start[-1] + width[-1]))
+    assert cuts == pytest.approx([0.0625, 0.75, 1.0])
+
+
+def test_scalar_shift_gives_scalars_and_arrays_keep_shape():
+    prof = ManifoldProfile(6.0, 4.0, 6)
+    one = integrate(green_integrand(prof, 1.0))
+    assert np.ndim(one.value) == 0 and np.ndim(one.diverged) == 0
+    many = integrate(green_integrand(prof, np.full((2, 3), 1.0)))
+    assert many.value.shape == many.diverged.shape == many.tail_exponent.shape == (2, 3)
+    assert np.all(many.value == one.value)
+
+
+def test_bad_shifts_and_negative_factors_rejected():
+    prof = ManifoldProfile(6.0, 4.0, 6)
+    for rho in (0.0, -1.0, np.nan, [1.0, 0.0]):
+        with pytest.raises(ParameterError):
+            green_integrand(prof, rho)
+    with pytest.raises(ParameterError):
+        PowerIntegrand(PiecewisePower.single(-1.0, 0.0), ONE, 1.0)
+
+
+def test_eval_is_the_integrand():
+    prof = ManifoldProfile(6.0, 4.0, 6)
+    rho = np.array([0.3, 2.0, 50.0])
+    r = np.array([0.1, 1.5, 20.0])
+    # (6, 4, 6): g = r**-4 and v = r**6 on both branches
+    expected = (rho + r) ** -4.0 * r ** -4.0 * r ** 6 / r
+    assert green_integrand(prof, rho).eval(r) == pytest.approx(expected, rel=1e-14)
+
+
+# -- batched calls against one shift at a time ------------------------------
+
+@st.composite
+def admissible_profiles(draw):
+    """(alpha, gamma, n) with gamma < alpha < 2 gamma (the existence window)."""
+    gamma = draw(st.floats(1.0, 6.0))
+    alpha = gamma * draw(st.floats(1.02, 1.98))
+    return ManifoldProfile(alpha, gamma, draw(st.integers(3, 8)))
+
+
+@st.composite
+def split_sources(draw, prof):
+    """Nonnegative sources whose split potentials converge: a grid source
+    (16-128 nodes, possibly with zeros) or a closed-form piecewise power."""
+    tail = prof.gamma - prof.alpha - draw(st.floats(0.2, 3.0))
+    if draw(st.booleans()):
+        n = draw(st.integers(16, 128))
+        grid = log_grid(10.0 ** draw(st.floats(-3, 0)), 10.0 ** draw(st.floats(1, 4)), n)
+        # a random walk in log values: a steeper segment can leave the float
+        # range in as_piecewise's coefficient c = v/g**sigma
+        logs = np.cumsum(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
+        on = np.array(draw(st.lists(st.floats(0, 1), min_size=n, max_size=n))) > 0.1
+        on[0] = on[-1] = True
+        values = np.where(on, np.exp(logs), 0.0)
+        return RadialFunction(grid, values, 0.0, tail).as_piecewise()
+    bounds = sorted(set(draw(st.lists(st.floats(1e-2, 1e3), min_size=1, max_size=4))))
+    exps = draw(st.lists(st.floats(-1.0, 3.0), min_size=len(bounds), max_size=len(bounds)))
+    coefs = draw(st.lists(st.floats(0.1, 10.0), min_size=len(bounds) + 1,
+                          max_size=len(bounds) + 1))
+    return PiecewisePower([0.0, *bounds, INF], coefs, [*exps, tail])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_batched_equals_one_shift_at_a_time(data):
+    prof = data.draw(admissible_profiles())
+    src = data.draw(split_sources(prof))
+    rho = np.array(sorted(data.draw(st.lists(st.floats(1e-3, 1e5), min_size=1, max_size=12))))
+    g = profile_piecewise("g", prof)
+    v = profile_piecewise("v", prof)
+    for u, f in ((pp_product(src, v), g), (pp_product(g, v), src), (pp_product(g, v), g)):
+        batched = integrate(PowerIntegrand(u, f, rho), rel_tol=1e-10)
+        single = [integrate(PowerIntegrand(u, f, r), rel_tol=1e-10) for r in rho]
+        assert batched.value.tolist() == [s.value for s in single]
+        assert batched.abs_error_estimate.tolist() == [s.abs_error_estimate for s in single]
+        assert batched.diverged.tolist() == [s.diverged for s in single]
