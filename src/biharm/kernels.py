@@ -31,7 +31,6 @@ from .radial import PiecewisePower, RadialFunction, power_integral, pp_product
 _INF = float("inf")
 _SPLIT_REL_TOL = 1e-10
 _ORACLE_MAX_DIM = 340            # math.gamma(n/2 + 1) overflows beyond
-_ORACLE_BATCH_VALUES = 1 << 22   # normal variates drawn per oracle batch
 
 MODE_SPLIT = "split-comparison"
 MODE_SURROGATE = "surrogate-exact"
@@ -61,13 +60,10 @@ class ProfilePowerSource:
     """Product of profile powers, e.g. psi * f**(a*p)."""
 
     factors: tuple
-    coef: float = 1.0
 
     def to_piecewise(self, prof: ManifoldProfile, src: SourceProfile | None) -> PiecewisePower:
-        pp = PiecewisePower.single(self.coef, 0.0)
-        for kind, power in self.factors:
-            pp = pp_product(pp, profile_piecewise(kind, prof, src, power))
-        return pp
+        return pp_product(PiecewisePower.single(1.0, 0.0),
+                          *(profile_piecewise(kind, prof, src, power) for kind, power in self.factors))
 
 
 @dataclass(frozen=True)
@@ -140,40 +136,36 @@ def _max_kernel_data(spec: KernelSpec):
 def _max_kernel_values(spec: KernelSpec, weighted: PiecewisePower, rho: np.ndarray) -> np.ndarray:
     """potential(rho) = rho**kexp * int_0^rho w + int_rho^inf r**kexp w."""
     kexp, _ = _max_kernel_data(spec)
-    b, c, e = weighted.bounds, weighted.coefs, weighted.exps
+    b, lc, e = weighted.bounds, weighted.log_coefs, weighted.exps
 
-    if c[0] != 0.0 and e[0] <= -1.0:
+    if lc[0] > -_INF and e[0] <= -1.0:
         raise DivergentIntegralError(
             f"potential source diverges at the origin: integrand exponent {e[0]} <= -1",
             location="origin", exponent=e[0])
-    if c[-1] != 0.0 and e[-1] + kexp >= -1.0:
+    if lc[-1] > -_INF and e[-1] + kexp >= -1.0:
         raise DivergentIntegralError(
             f"potential tail diverges: integrand exponent {e[-1] + kexp} >= -1",
             location="tail", exponent=e[-1] + kexp)
 
     # whole pieces: inner integrals summed from the origin, kernel-weighted
     # outer integrals summed from infinity
-    prefix = np.concatenate([[0.0], np.cumsum(power_integral(c, e, b[:-1], b[1:]))])
-    outer_full = power_integral(c, e + kexp, b[:-1], b[1:])
+    prefix = np.concatenate([[0.0], np.cumsum(power_integral(lc, e, b[:-1], b[1:]))])
+    outer_full = power_integral(lc, e + kexp, b[:-1], b[1:])
     suffix = np.concatenate([np.cumsum(outer_full[::-1])[::-1], [0.0]])
 
     # the piece containing each rho, split at rho
     rho = np.asarray(rho, dtype=float)
     idx = weighted.piece_index(rho)
-    inner = prefix[idx] + power_integral(c[idx], e[idx], b[idx], rho)
-    outer = suffix[idx + 1] + power_integral(c[idx], e[idx] + kexp, rho, b[idx + 1])
+    inner = prefix[idx] + power_integral(lc[idx], e[idx], b[idx], rho)
+    outer = suffix[idx + 1] + power_integral(lc[idx], e[idx] + kexp, rho, b[idx + 1])
     pos = rho > 0
     first = np.zeros_like(rho)
     first[pos] = rho[pos] ** kexp * inner[pos]
-    values = first + outer
-    zero_mask = rho == 0.0
-    if np.any(zero_mask):
-        if c[0] != 0.0 and e[0] + kexp <= -1.0:
-            raise DivergentIntegralError(
-                f"potential at rho=0 diverges: origin exponent {e[0] + kexp} <= -1",
-                location="origin", exponent=e[0] + kexp)
-        values[zero_mask] = suffix[0]
-    return values
+    if np.any(rho == 0.0) and lc[0] > -_INF and e[0] + kexp <= -1.0:
+        raise DivergentIntegralError(
+            f"potential at rho=0 diverges: origin exponent {e[0] + kexp} <= -1",
+            location="origin", exponent=e[0] + kexp)
+    return first + outer   # at rho = 0, outer is the whole suffix sum
 
 
 def _split_values(spec: KernelSpec, src_pp: PiecewisePower, rho: np.ndarray) -> np.ndarray:
@@ -200,10 +192,8 @@ def potential_values(spec: KernelSpec, source, rho,
     if np.any(rho < 0):
         raise ParameterError("max-kernel potentials need rho >= 0")
     src_pp = source_piecewise(source, spec.prof, source_profile)
-    if np.all(src_pp.coefs == 0.0):
+    if np.all(src_pp.log_coefs == -_INF):
         return np.zeros(rho.size)
-    if np.any(src_pp.coefs < 0.0):
-        raise ParameterError("potential sources must be nonnegative")
     if spec.mode == MODE_SPLIT:
         return _split_values(spec, src_pp, rho)
     _, measure = _max_kernel_data(spec)
@@ -233,8 +223,7 @@ def potential(spec: KernelSpec, source, grid=None,
 
 # -- Monte Carlo oracle for the euclidean-exact mode -------------------------
 
-def mc_oracle(n: int, x_radius: float, src, samples: int, seed: int,
-              batch: int = 1 << 19):
+def mc_oracle(n: int, x_radius: float, src, samples: int, seed: int):
     """Unbiased Monte Carlo estimate of int_{R^n} |x-y|**(2-n) src(|y|) dy.
 
     Two importance-sampling regimes, both unbiased and reproducible for a
@@ -245,9 +234,9 @@ def mc_oracle(n: int, x_radius: float, src, samples: int, seed: int,
     the kernel is bounded, and points y are sampled uniformly in the support
     ball.  Returns (estimate, standard error).
 
-    A batch draws at most ``_ORACLE_BATCH_VALUES`` normal variates, so above
-    n = 8 the default batch shrinks.  Inputs whose constants or sums leave
-    the float range raise ParameterError.
+    A batch holds 2**19 samples, fewer above n = 8 so that it draws at most
+    2**22 normal variates.  Inputs whose constants or sums leave the float
+    range raise ParameterError.
     """
     if not 5 <= n <= _ORACLE_MAX_DIM:
         raise ParameterError(f"oracle is for 5 <= n <= {_ORACLE_MAX_DIM} "
@@ -270,7 +259,7 @@ def mc_oracle(n: int, x_radius: float, src, samples: int, seed: int,
     except OverflowError:
         raise ParameterError(f"oracle inputs out of range: n={n}, |x|={x_radius!r}, "
                              f"support radius {support!r}") from None
-    batch = min(batch, max(1, _ORACLE_BATCH_VALUES // n))
+    batch = min(1 << 19, (1 << 22) // n)
     rng = np.random.default_rng(seed)
 
     total = 0.0

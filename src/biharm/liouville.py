@@ -71,6 +71,8 @@ class WitnessConfig:
         if rl[0] * self.tau <= self.r_inner:
             raise ParameterError(
                 f"every scan radius must exceed r_inner/tau = {self.r_inner / self.tau}")
+        if not math.isfinite(self.big_n * self.big_n * rl[-1]):
+            raise ParameterError(f"big_n**2 * R leaves the float range at radius R = {rl[-1]!r}")
         object.__setattr__(self, "r_list", rl)
 
     def shell_count(self, R: float) -> int:

@@ -41,7 +41,7 @@ _BLOCK_SEAMS = 4096    # seams per block of shifts; bounds every per-segment and
 class PowerIntegrand:
     """u(r) * f(rho + r) against dr/r, one integral per shift rho > 0.
 
-    ``rho`` may be a scalar or an array; u and f must be nonnegative.
+    ``rho`` may be a scalar or an array.
     """
 
     u: PiecewisePower
@@ -53,8 +53,6 @@ class PowerIntegrand:
         bad = rho[~(rho > 0.0)]
         if bad.size:
             raise ParameterError(f"shift rho must be positive, got {float(bad.flat[0])!r}")
-        if (self.u.coefs < 0.0).any() or (self.f.coefs < 0.0).any():
-            raise ParameterError("integrand factors must be nonnegative")
         object.__setattr__(self, "rho", rho)
 
     def eval(self, r):
@@ -142,7 +140,7 @@ def _segments(integrand: PowerIntegrand, rho, eps, t_start):
     r_mid = np.exp(start + 0.5 * width)
     iu = u.piece_index(r_mid)
     jf = f.piece_index(rho[row] + r_mid)
-    log_c = np.log(u.coefs[iu]) + np.log(f.coefs[jf])
+    log_c = u.log_coefs[iu] + f.log_coefs[jf]
     keep = log_c > -_INF
     panels = np.maximum(1, np.ceil(width / 2.0).astype(np.int64))
     return tuple(a[keep] for a in (row, panels, start, width, log_c, u.exps[iu], f.exps[jf],
@@ -237,8 +235,8 @@ def integrate(integrand: PowerIntegrand, rel_tol: float = 1e-12) -> QuadratureRe
     shape = integrand.rho.shape
     rho = integrand.rho.ravel()
     tail_exponent = float(u.exps[-1] + f.exps[-1])
-    tail_live = u.coefs[-1] != 0.0 and f.coefs[-1] != 0.0
-    origin_live = (u.coefs[0] != 0.0) & (f.coefs[f.piece_index(rho)] != 0.0)
+    tail_live = u.log_coefs[-1] > -_INF and f.log_coefs[-1] > -_INF
+    origin_live = (u.log_coefs[0] > -_INF) & (f.log_coefs[f.piece_index(rho)] > -_INF)
     diverged = (tail_live and tail_exponent >= 0.0) | (origin_live & (u.exps[0] <= 0.0))
 
     value = np.full(rho.size, _INF)
@@ -246,11 +244,11 @@ def integrate(integrand: PowerIntegrand, rel_tol: float = 1e-12) -> QuadratureRe
     live = np.flatnonzero(~diverged)
     shift = rho[live]
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-        # log 0 = -inf marks a zero coefficient; seams and values are checked below
+        # seams and values are checked below
         eps, t_start = _seams(integrand, shift)
         j = f.piece_index(shift)
-        tail_coef = np.full(shift.size, np.log(u.coefs[-1]) + np.log(f.coefs[-1]))
-        origin_coef = np.log(u.coefs[0]) + np.log(f.coefs[j]) + f.exps[j] * np.log(shift)
+        tail_coef = np.full(shift.size, u.log_coefs[-1] + f.log_coefs[-1])
+        origin_coef = u.log_coefs[0] + f.log_coefs[j] + f.exps[j] * np.log(shift)
         val, err = _series_piece(tail_coef, np.full(shift.size, f.exps[-1]), shift / t_start,
                                  tail_exponent - 1.0, np.log(t_start), at_origin=False)
         ov, oe = _series_piece(origin_coef, f.exps[j], eps / shift, u.exps[0] - 1.0, np.log(eps),

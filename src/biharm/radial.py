@@ -10,8 +10,6 @@ into the same representation, with power-law tails beyond the grid.
 
 from __future__ import annotations
 
-import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,31 +26,42 @@ def _frozen(values) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class PiecewisePower:
     """c_j * r**e_j on [bounds[j], bounds[j+1]), j = 0..K-1.
 
-    ``bounds`` has K+1 entries, starts at 0 and may end at inf.  Pieces with
-    zero coefficient represent regions where the function vanishes.  The
-    three fields are stored as read-only float64 arrays.
+    ``bounds`` has K+1 entries, starts at 0 and may end at inf.  Each c_j is
+    stored as its natural log, ``log_coefs[j]``, with -inf for a piece where
+    the function vanishes: pieces are nonnegative by construction, and no
+    coefficient of a steep piece under- or overflows.  The three fields are
+    read-only float64 arrays.
     """
 
     bounds: np.ndarray
-    coefs: np.ndarray
+    log_coefs: np.ndarray
     exps: np.ndarray
 
-    def __post_init__(self):
-        b = _frozen(self.bounds)
+    def __init__(self, bounds, coefs, exps):
+        c = np.asarray(coefs, dtype=float)
+        if not (c >= 0.0).all():
+            raise ParameterError("piecewise-power coefficients must be nonnegative")
+        with np.errstate(divide="ignore"):   # log 0 = -inf: a vanishing piece
+            self.__dict__.update(PiecewisePower._from_logs(bounds, np.log(c), exps).__dict__)
+
+    @staticmethod
+    def _from_logs(bounds, log_coefs, exps) -> "PiecewisePower":
+        """Pieces from log coefficients: the path every constructor takes."""
+        b = _frozen(bounds)
         if b.ndim != 1 or b.size < 2 or b[0] != 0.0:
             raise ParameterError("bounds must start at 0")
         if (b[:-1] >= b[1:]).any():
             raise ParameterError("bounds must be strictly increasing")
-        c, e = _frozen(self.coefs), _frozen(self.exps)
-        if c.shape != (b.size - 1,) or e.shape != c.shape:
+        lc, e = _frozen(log_coefs), _frozen(exps)
+        if lc.shape != (b.size - 1,) or e.shape != lc.shape:
             raise ParameterError("need one (coef, exp) per piece")
-        object.__setattr__(self, "bounds", b)
-        object.__setattr__(self, "coefs", c)
-        object.__setattr__(self, "exps", e)
+        pp = object.__new__(PiecewisePower)
+        pp.__dict__.update(bounds=b, log_coefs=lc, exps=e)
+        return pp
 
     @staticmethod
     def single(coef: float, exp: float) -> "PiecewisePower":
@@ -60,7 +69,7 @@ class PiecewisePower:
 
     @property
     def npieces(self) -> int:
-        return self.coefs.size
+        return self.exps.size
 
     def piece_index(self, arg):
         """Index of the piece containing each arg (right-continuous at breakpoints)."""
@@ -71,23 +80,19 @@ class PiecewisePower:
         """Vectorized evaluation; arg may be scalar or array, entries > 0."""
         a = np.asarray(arg, dtype=float)
         idx = self.piece_index(a)
-        c = self.coefs[idx]
-        e = self.exps[idx]
-        out = np.zeros_like(a)
-        nz = c != 0.0
-        out[nz] = c[nz] * a[nz] ** e[nz]
+        out = np.exp(self.log_coefs[idx] + self.exps[idx] * np.log(a))
         return out if out.ndim else float(out)
 
     def powered(self, power: float) -> "PiecewisePower":
-        """self**power; requires positive coefficients (zero pieces stay zero)."""
-        if (self.coefs < 0).any():
-            raise ParameterError("cannot raise a negative-coefficient piece to a power")
-        coefs = [0.0 if c == 0.0 else c ** power for c in self.coefs.tolist()]
-        return PiecewisePower(self.bounds, coefs, self.exps * power)
+        """self**power for power > 0 (vanishing pieces stay vanishing)."""
+        if not power > 0.0:
+            raise ParameterError(f"power must be positive, got {power}")
+        return PiecewisePower._from_logs(self.bounds, self.log_coefs * power, self.exps * power)
 
 
 def pp_product(*pps: PiecewisePower) -> PiecewisePower:
-    """Pointwise product of piecewise powers: merged bounds, summed exponents.
+    """Pointwise product of piecewise powers: merged bounds, summed log
+    coefficients and exponents.
 
     Each merged piece takes its factors' pieces at an interior point: the
     midpoint, or lo + 1 for the infinite last piece.
@@ -98,30 +103,35 @@ def pp_product(*pps: PiecewisePower) -> PiecewisePower:
     lo, hi = bounds[:-1], bounds[1:]
     mid = 0.5 * (lo + hi)
     mid[-1] = lo[-1] + 1.0
-    c = np.ones(mid.size)
+    lc = np.zeros(mid.size)
     e = np.zeros(mid.size)
     for pp in pps:
         k = pp.piece_index(mid)
-        c *= pp.coefs[k]
+        lc += pp.log_coefs[k]
         e += pp.exps[k]
-    e[c == 0.0] = 0.0
-    return PiecewisePower(bounds, c, e)
+    e[lc == -_INF] = 0.0
+    return PiecewisePower._from_logs(bounds, lc, e)
 
 
-def power_integral(coef, exp, lo, hi):
-    """Exact int_lo^hi coef * r**exp dr, elementwise over broadcast arrays.
+def power_integral(log_coef, exp, lo, hi):
+    """Exact int_lo^hi exp(log_coef) * r**exp dr, elementwise over broadcast arrays.
 
-    lo = 0 and hi = inf are allowed.  Zero coefficients and empty intervals
-    (lo >= hi) give 0; an integral that diverges at the origin or in the
-    tail gives inf (signed like coef).
+    lo = 0 and hi = inf are allowed.  A vanishing piece (log_coef = -inf)
+    and an empty interval (lo >= hi) give 0; a divergent one gives inf.
+    With q = exp + 1 and w = ln(hi/lo) the value is exp(log_coef + q ln end)
+    * -expm1(-|q| w) / |q|, anchored at the end where r**q is larger (the
+    finite nonzero end of a convergent piece), so narrow pieces keep their
+    precision and no power of an end over- or underflows on its own.
     """
-    c, e, a, b = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (coef, exp, lo, hi)))
-    e1 = e + 1.0
+    lc, e, a, b = np.broadcast_arrays(*(np.asarray(x, float) for x in (log_coef, exp, lo, hi)))
+    q = e + 1.0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        vals = np.where(e == -1.0, c * np.log(b / a), c * (b ** e1 - a ** e1) / e1)
-    diverges = ((a == 0.0) & (e1 <= 0.0)) | (np.isinf(b) & (e1 >= 0.0))
-    vals = np.where(diverges, np.copysign(_INF, c), vals)
-    out = np.where((c != 0.0) & (a < b), vals, 0.0)
+        w = np.log1p((b - a) / a)   # inf at lo = 0 or hi = inf
+        vals = np.exp(lc + q * np.log(np.where(q > 0.0, b, a))) \
+            * np.where(q == 0.0, w, -np.expm1(-np.abs(q) * w) / np.abs(q))
+    diverges = ((a == 0.0) & (q <= 0.0)) | (np.isinf(b) & (q >= 0.0))
+    vals = np.where(diverges, _INF, vals)
+    out = np.where((lc > -_INF) & (a < b), vals, 0.0)
     return out if out.ndim else float(out)
 
 
@@ -192,34 +202,24 @@ class RadialFunction:
     def as_piecewise(self) -> PiecewisePower:
         """Exact piecewise-power view of the log-log interpolant plus tails.
 
-        Segment logs and powers are taken one scalar at a time, as libm
-        ``log`` and numpy's scalar ``pow``: numpy's SIMD array versions may
-        differ in the last bit.
+        Each piece's log coefficient is L = ln v - e ln g at its left node
+        (the first piece's at the first node): a positive value followed by
+        one <= 0 holds its level, and a piece from a value <= 0 vanishes.
         """
         g, v = self.grid, self.values
-        coefs = np.zeros(g.size + 1)
-        exps = np.zeros(g.size + 1)
-        # left tail piece on (0, g[0])
-        tl = self.tail_left if self.tail_left is not None else 0.0
-        if v[0] > 0:
-            coefs[0] = v[0] / g[0] ** tl
-            exps[0] = tl
-        # interior segments: power laws between positive values; a positive
-        # value followed by 0 holds its level and drops at the node
         pos = v > 0
-        hold = pos[:-1] & (v[1:] == 0.0)
-        coefs[1:-1][hold] = v[:-1][hold]
+        with np.errstate(divide="ignore"):   # log 0 = -inf
+            log_v = np.log(np.where(pos, v, 0.0))
+        exps = np.zeros(g.size + 1)
+        exps[0] = self.tail_left if self.tail_left is not None else 0.0
+        exps[-1] = self.tail_right if self.tail_right is not None else 0.0
+        # interior segments: power laws between positive values
         i = np.flatnonzero(pos[:-1] & pos[1:])
-        log_v = np.fromiter(map(math.log, (v[i + 1] / v[i]).tolist()), float, i.size)
-        log_g = np.fromiter(map(math.log, (g[i + 1] / g[i]).tolist()), float, i.size)
-        sigma = log_v / log_g
-        coefs[i + 1] = v[i] / np.fromiter(map(operator.pow, g[i], sigma.tolist()), float, i.size)
-        exps[i + 1] = sigma
-        tr = self.tail_right if self.tail_right is not None else 0.0
-        if v[-1] > 0:
-            coefs[-1] = v[-1] / g[-1] ** tr
-            exps[-1] = tr
-        return PiecewisePower(np.concatenate(([0.0], g, [_INF])), coefs, exps)
+        exps[i + 1] = np.log(v[i + 1] / v[i]) / np.log(g[i + 1] / g[i])
+        node = np.concatenate(([0], np.arange(g.size)))
+        log_coefs = log_v[node] - exps * np.log(g)[node]
+        exps[log_coefs == -_INF] = 0.0
+        return PiecewisePower._from_logs(np.concatenate(([0.0], g, [_INF])), log_coefs, exps)
 
 
 def log_grid(lo: float, hi: float, n: int) -> np.ndarray:

@@ -58,8 +58,7 @@ def _require_window(prof: ManifoldProfile, src: SourceProfile, plan: ExponentPla
 
 
 def _envelope(prof: ManifoldProfile, grid: np.ndarray, power: float) -> np.ndarray:
-    return profile_piecewise("f", prof).powered(power).eval(grid) if power != 0 \
-        else np.ones_like(grid)
+    return profile_piecewise("f", prof).powered(power).eval(grid)
 
 
 def _psi_f_source(a_power: float) -> ProfilePowerSource:

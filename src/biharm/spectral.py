@@ -28,6 +28,8 @@ from .radial import RadialFunction
 # safety multiplier on the calibrated finite-difference error constant
 FD_SAFETY = 10.0
 
+_TINY = np.finfo(float).tiny
+
 
 @dataclass(frozen=True)
 class SurrogateOperator:
@@ -85,8 +87,8 @@ def _assemble(op: SurrogateOperator, r_in: float, r_out: float, n: int):
     h = (r_out - r_in) / (n + 1)
     half = r_in + h * (np.arange(n + 1) + 0.5)
     a_half = op.stiffness(half)
-    diag = (a_half[:-1] + a_half[1:]) / h ** 2
-    off = -a_half[1:-1] / h ** 2
+    diag = (a_half[:-1] + a_half[1:]) / (h * h)
+    off = -a_half[1:-1] / (h * h)
     nodes = r_in + h * np.arange(1, n + 1)
     w = op.weight(nodes)
     ab = np.zeros((2, n))
@@ -131,8 +133,13 @@ def lambda1_annulus(op: SurrogateOperator, r_in: float, r_out: float,
         raise ParameterError("the surrogate coefficients need r_in > 0")
     if mesh < 64:
         raise ParameterError(f"mesh must be at least 64 interior nodes, got {mesh}")
-    lam_coarse = _smallest_eigenvalue(*_assemble(op, r_in, r_out, int(mesh)))
-    lam_fine = _smallest_eigenvalue(*_assemble(op, r_in, r_out, 2 * int(mesh)))
+    with np.errstate(all="ignore"):   # the range is checked below
+        systems = [_assemble(op, r_in, r_out, m) for m in (int(mesh), 2 * int(mesh))]
+        coefs = [op.stiffness([r_in, r_out]), *(x for ab, w in systems for x in (ab[1], w))]
+    if not all(((x >= _TINY) & (x < np.inf)).all() for x in coefs):
+        raise ParameterError(f"annulus ({float(r_in)!r}, {float(r_out)!r}) is out of range: "
+                             "the operator's coefficients leave the normal float range")
+    lam_coarse, lam_fine = (_smallest_eigenvalue(*system) for system in systems)
     rich = lam_fine + (lam_fine - lam_coarse) / 3.0
     return EigenResult(lam_fine, 2 * int(mesh), rich, abs(lam_fine - lam_coarse) / 3.0)
 

@@ -241,6 +241,31 @@ def test_out_of_range_inputs_exit_two(tmp_path, capsys, argv):
     assert not (tmp_path / "o" / "report.json").exists()
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["eigen", "--alpha", "6", "--gamma", "4", "--r-values", "1e300"],
+     "annulus (2.5e+299, 1e+300) "),
+    (["eigen", "--alpha", "6", "--gamma", "4", "--r-values", "1e-300"],
+     "annulus (2.5e-301, 1e-300) "),
+    (["eigen", "--alpha", "3.5", "--gamma", "2", "--r-values", "1e-106,2e-106"],
+     "annulus (2.5e-107, 1e-106) "),   # r**(gamma+1) is subnormal
+    (["witness", "--alpha", "6", "--gamma", "4", "--p", "2", "--r-values", "1e300,1e301,1e302"],
+     "annulus (5e+299, 1.6e+301) "),
+    (["witness", "--alpha", "6", "--gamma", "4", "--p", "2", "--big-n", "1e200"],
+     "radius R = 1048576.0"),
+])
+def test_annuli_beyond_the_float_range_exit_two_naming_them(tmp_path, capsys, argv, named):
+    # these raised OverflowError (h**2, big_n**2 * R) or scipy's ValueError
+    # "array must not contain infs or NaNs", or exited 3 (no convergence)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv + ["--out-dir", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and named in errors[0]
+    assert not (tmp_path / "o" / "report.json").exists()
+
+
 def test_kernel_table_at_huge_radii(tmp_path):
     # g(rho+r) g(r) went subnormal before v(r) scaled it back: rows at
     # rho = 1e40 and 1e45 came out 1.6684e-81 and 4.3210e-92

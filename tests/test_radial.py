@@ -23,8 +23,10 @@ CASES = [
     (4.0, -0.9, 0.0, 1e-2),
     (1.0, -3.0, 2.0, math.inf),
     (0.2, -1.1, 1e3, math.inf),
-    (-1.5, -4.5, 0.25, math.inf),
+    (1.5, -4.5, 0.25, math.inf),
 ]
+# the same pieces as power_integral takes them, with log coefficients
+LOG_CASES = [(math.log(coef), exp, lo, hi) for coef, exp, lo, hi in CASES]
 
 
 def _reference(coef, exp, lo, hi):
@@ -39,27 +41,62 @@ def _reference(coef, exp, lo, hi):
 
 @pytest.mark.parametrize("coef, exp, lo, hi", CASES)
 def test_matches_mpmath(coef, exp, lo, hi):
-    got = power_integral(coef, exp, lo, hi)
+    got = power_integral(math.log(coef), exp, lo, hi)
     assert isinstance(got, float)
     assert got == pytest.approx(_reference(coef, exp, lo, hi), rel=1e-13)
 
 
+def _closed_form(coef, exp, lo, hi):
+    """coef * (hi**q - lo**q) / q with q = exp + 1 (coef * ln(hi/lo) at q = 0),
+    at 40 digits: quadrature over a narrow window can itself be off by 5e-12."""
+    with mpmath.workdps(40):
+        q = mpmath.mpf(exp) + 1
+        lo, hi = mpmath.mpf(lo), mpmath.mpf(hi)
+        return float(coef * (mpmath.log(hi / lo) if q == 0 else (hi ** q - lo ** q) / q))
+
+
+# narrow pieces lose digits to the difference of two nearly equal powers,
+# most of all with exp near -1; the expm1 form keeps them
+@pytest.mark.parametrize("coef, exp, lo, hi", [
+    (1.0, 9.0, 1.0, 1.001),
+    (2.0, -9.0, 3.0, 3.003),
+    (0.5, -1.0, 7.0, 7.007),
+    (1.3, -8.5, 1e-2, 1.001e-2),
+    (1.0, -0.999, 1.0, 1.001),
+    (3.0, -1.002, 50.0, 50.05),
+])
+def test_narrow_pieces_match_mpmath(coef, exp, lo, hi):
+    got = power_integral(math.log(coef), exp, lo, hi)
+    assert got == pytest.approx(_closed_form(coef, exp, lo, hi), rel=1e-12)
+
+
+def test_random_narrow_pieces_match_mpmath():
+    """hi/lo - 1 in [1e-3, 1e-1], lo in [1e-3, 1e3], exp = -1 +- 10**[-3, 0.9]."""
+    rng = np.random.default_rng(17)
+    lo = 10.0 ** rng.uniform(-3.0, 3.0, 200)
+    hi = lo * (1.0 + 10.0 ** rng.uniform(-3.0, -1.0, 200))
+    coef = rng.uniform(0.1, 10.0, 200)
+    exp = -1.0 + rng.choice([-1.0, 1.0], 200) * 10.0 ** rng.uniform(-3.0, 0.9, 200)
+    ref = [_closed_form(*case) for case in zip(coef, exp, lo, hi)]
+    np.testing.assert_allclose(power_integral(np.log(coef), exp, lo, hi), ref, rtol=1e-12, atol=0)
+
+
 def test_vectorized_matches_scalar_calls():
-    coef, exp, lo, hi = (np.array(col) for col in zip(*CASES))
-    got = power_integral(coef, exp, lo, hi)
+    log_coef, exp, lo, hi = (np.array(col) for col in zip(*LOG_CASES))
+    got = power_integral(log_coef, exp, lo, hi)
     assert got.shape == (len(CASES),)
-    assert list(got) == [power_integral(*case) for case in CASES]
+    assert list(got) == [power_integral(*case) for case in LOG_CASES]
 
 
 def test_log_case():
-    assert power_integral(3.0, -1.0, 2.0, 2.0 * math.e) == pytest.approx(3.0, rel=1e-15)
+    assert power_integral(math.log(3.0), -1.0, 2.0, 2.0 * math.e) == pytest.approx(3.0, rel=1e-15)
 
 
 def test_zero_coefficient_and_empty_interval_give_zero():
-    assert power_integral(0.0, -5.0, 0.0, math.inf) == 0.0
-    assert power_integral(1.0, 2.0, 3.0, 3.0) == 0.0
-    assert power_integral(1.0, 2.0, 4.0, 3.0) == 0.0
-    assert power_integral(1.0, -2.0, 0.0, 0.0) == 0.0
+    assert power_integral(-math.inf, -5.0, 0.0, math.inf) == 0.0
+    assert power_integral(0.0, 2.0, 3.0, 3.0) == 0.0
+    assert power_integral(0.0, 2.0, 4.0, 3.0) == 0.0
+    assert power_integral(0.0, -2.0, 0.0, 0.0) == 0.0
 
 
 @pytest.mark.parametrize("exp, lo, hi", [
@@ -70,8 +107,7 @@ def test_zero_coefficient_and_empty_interval_give_zero():
     (2.0, 0.0, math.inf),
 ])
 def test_divergent_pieces_are_infinite(exp, lo, hi):
-    assert power_integral(2.0, exp, lo, hi) == math.inf
-    assert power_integral(-2.0, exp, lo, hi) == -math.inf
+    assert power_integral(math.log(2.0), exp, lo, hi) == math.inf
 
 
 @pytest.mark.parametrize("exp", [-2.5, -1.0, -0.5, 0.0, 1.5])
@@ -113,58 +149,52 @@ def test_pp_product_is_the_pointwise_product(a, b, radii):
 # -- bit-identity with the scalar loops -------------------------------------
 
 def _loop_pp_product(*pps):
-    """The per-piece scalar product loop: (bounds, coefs, exps) lists."""
+    """The per-piece scalar product loop: (bounds, log_coefs, exps) lists."""
     bounds = sorted(set().union(*(pp.bounds.tolist() for pp in pps)))
     if bounds[-1] != math.inf:
         bounds.append(math.inf)
-    coefs, exps = [], []
+    log_coefs, exps = [], []
     for j in range(len(bounds) - 1):
         mid = bounds[j] + 1.0 if math.isinf(bounds[j + 1]) else 0.5 * (bounds[j] + bounds[j + 1])
-        c, e = 1.0, 0.0
+        lc, e = 0.0, 0.0
         for pp in pps:
             k = min(max(bisect.bisect_right(pp.bounds.tolist(), mid) - 1, 0), pp.npieces - 1)
-            c *= pp.coefs.tolist()[k]
+            lc += pp.log_coefs.tolist()[k]
             e += pp.exps.tolist()[k]
-        coefs.append(c)
-        exps.append(e if c != 0.0 else 0.0)
-    return bounds, coefs, exps
+        log_coefs.append(lc)
+        exps.append(e if lc != -math.inf else 0.0)
+    return bounds, log_coefs, exps
 
 
 def _loop_as_piecewise(rf):
-    """The per-segment scalar conversion loop: (bounds, coefs, exps) lists."""
+    """The per-segment scalar conversion loop: (bounds, log_coefs, exps) lists.
+
+    Each piece is a power law through its left node (the first piece through
+    the first node): a segment between positive values takes the log-log
+    slope, a positive value followed by 0 holds its level, and a piece
+    whose left node is 0 vanishes.  Logs are numpy's, one scalar at a time.
+    """
     g, v = rf.grid, rf.values
-    bounds = [0.0] + list(g) + [math.inf]
-    coefs, exps = [], []
-    tl = rf.tail_left if rf.tail_left is not None else 0.0
-    if v[0] > 0:
-        coefs.append(v[0] / g[0] ** tl)
-        exps.append(tl)
-    else:
-        coefs.append(0.0)
-        exps.append(0.0)
+    pieces = [(0, rf.tail_left if rf.tail_left is not None else 0.0)]
     for i in range(g.size - 1):
         if v[i] > 0 and v[i + 1] > 0:
-            sigma = math.log(v[i + 1] / v[i]) / math.log(g[i + 1] / g[i])
-            coefs.append(v[i] / g[i] ** sigma)
-            exps.append(sigma)
-        elif v[i] > 0 and v[i + 1] == 0.0:
-            coefs.append(v[i])
-            exps.append(0.0)
+            pieces.append((i, np.log(v[i + 1] / v[i]) / np.log(g[i + 1] / g[i])))
         else:
-            coefs.append(0.0)
+            pieces.append((i, 0.0))
+    pieces.append((g.size - 1, rf.tail_right if rf.tail_right is not None else 0.0))
+    log_coefs, exps = [], []
+    for node, e in pieces:
+        if v[node] > 0:
+            log_coefs.append(float(np.log(v[node]) - e * np.log(g[node])))
+            exps.append(float(e))
+        else:
+            log_coefs.append(-math.inf)
             exps.append(0.0)
-    tr = rf.tail_right if rf.tail_right is not None else 0.0
-    if v[-1] > 0:
-        coefs.append(v[-1] / g[-1] ** tr)
-        exps.append(tr)
-    else:
-        coefs.append(0.0)
-        exps.append(0.0)
-    return [float(x) for x in bounds], [float(x) for x in coefs], [float(x) for x in exps]
+    return [0.0, *g.tolist(), math.inf], log_coefs, exps
 
 
 def _fields(pp):
-    return pp.bounds.tolist(), pp.coefs.tolist(), pp.exps.tolist()
+    return pp.bounds.tolist(), pp.log_coefs.tolist(), pp.exps.tolist()
 
 
 # breakpoints drawn from a small shared pool, so factors share and repeat them
@@ -194,10 +224,14 @@ def test_pp_product_matches_the_scalar_loop_exactly(pps):
 
 def test_pp_product_single_piece_and_coincident_bounds():
     a = PiecewisePower.single(2.0, 1.5)
-    assert _fields(pp_product(a)) == ([0.0, math.inf], [2.0], [1.5])
+    assert _fields(pp_product(a)) == ([0.0, math.inf], a.log_coefs.tolist(), [1.5])
     b = PiecewisePower((0.0, 1.0, 3.0), (0.0, 4.0), (2.0, -1.0))   # finite last bound
-    assert _fields(pp_product(a, b, b)) == _loop_pp_product(a, b, b) == (
-        [0.0, 1.0, 3.0, math.inf], [0.0, 32.0, 32.0], [0.0, -0.5, -0.5])
+    fields = _fields(pp_product(a, b, b))
+    assert fields == _loop_pp_product(a, b, b)
+    bounds, log_coefs, exps = fields
+    assert bounds == [0.0, 1.0, 3.0, math.inf] and exps == [0.0, -0.5, -0.5]
+    assert log_coefs[0] == -math.inf
+    assert np.exp(log_coefs[1:]) == pytest.approx([32.0, 32.0], rel=1e-15)
 
 
 @st.composite
@@ -213,20 +247,38 @@ def radial_functions(draw):
     return RadialFunction(np.array(grid), np.array(values), draw(tails), draw(tails))
 
 
-# steep segments overflow g**sigma in both versions alike
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:divide by zero encountered:RuntimeWarning")
 @settings(max_examples=200, deadline=None)
 @given(radial_functions())
 def test_as_piecewise_matches_the_scalar_loop_exactly(rf):
     assert _fields(rf.as_piecewise()) == _loop_as_piecewise(rf)
 
 
+def _mp_loglog(grid, values, r):
+    """The log-log interpolant of the float nodes at r, at 40 digits."""
+    i = min(max(bisect.bisect_right(grid, r) - 1, 0), len(grid) - 2)
+    with mpmath.workdps(40):
+        g0, g1, v0, v1 = (mpmath.mpf(x) for x in (grid[i], grid[i + 1], values[i], values[i + 1]))
+        return v0 * (mpmath.mpf(r) / g0) ** (mpmath.log(v1 / v0) / mpmath.log(g1 / g0))
+
+
+def test_steep_segment_keeps_its_values():
+    # slope 55276: a linear coefficient v/g**sigma leaves the float range.
+    # The value is exp(L + e ln r) with L and e ln r both near 3.8e5, so it
+    # carries a few units of eps * |e ln r| ~ 8e-11 of rounding, wherever
+    # L is formed.
+    grid, values = (1000.0, 1000.5), (1e-6, 1e6)
+    rf = RadialFunction(np.array(grid), np.array(values))
+    r = np.linspace(1000.0, 1000.5, 101)   # includes 1000.25
+    ref = np.array([float(_mp_loglog(grid, values, x)) for x in r])
+    floor = np.finfo(float).eps * np.abs(rf.as_piecewise().exps[1] * np.log(r))
+    assert np.all(np.abs(rf(r) / ref - 1.0) <= 3.0 * floor)
+
+
 def test_as_piecewise_hold_piece_and_zero_tails():
     rf = RadialFunction(np.array([1.0, 2.0, 4.0, 8.0]), np.array([1.0, 4.0, 0.0, 0.0]))
-    bounds, coefs, exps = _fields(rf.as_piecewise())
+    bounds, log_coefs, exps = _fields(rf.as_piecewise())
     assert bounds == [0.0, 1.0, 2.0, 4.0, 8.0, math.inf]
-    assert coefs == [1.0, 1.0, 4.0, 0.0, 0.0]
+    assert log_coefs == [0.0, 0.0, math.log(4.0), -math.inf, -math.inf]
     assert exps == [0.0, 2.0, 0.0, 0.0, 0.0]
 
 
@@ -239,6 +291,8 @@ def test_as_piecewise_hold_piece_and_zero_tails():
     ((0.0, 3.0, 2.0), (1.0, 1.0), (0.0, 0.0)),       # decreasing
     ((0.0, 1.0, math.inf), (1.0,), (0.0, 0.0)),      # one coef short
     ((0.0, 1.0, math.inf), (1.0, 1.0), (0.0,)),      # one exp short
+    ((0.0, 1.0, math.inf), (1.0, -2.0), (0.0, 0.0)),  # negative coefficient
+    ((0.0, math.inf), (math.nan,), (0.0,)),           # nan coefficient
 ])
 def test_invalid_pieces_rejected(bounds, coefs, exps):
     with pytest.raises(ParameterError):
@@ -249,12 +303,12 @@ def test_fields_are_read_only_copies():
     coefs = np.array([1.0, 2.0])
     pp = PiecewisePower([0.0, 1.0, math.inf], coefs, (0.0, 1))
     coefs[0] = 5.0
-    for field in (pp.bounds, pp.coefs, pp.exps):
+    for field in (pp.bounds, pp.log_coefs, pp.exps):
         assert isinstance(field, np.ndarray) and field.dtype == np.float64
         assert not field.flags.writeable
         with pytest.raises(ValueError):
             field[0] = 3.0
-    assert pp.coefs.tolist() == [1.0, 2.0]
+    assert pp.log_coefs.tolist() == np.log([1.0, 2.0]).tolist()
 
 
 def test_large_inputs_scale_near_linearly():
@@ -275,6 +329,6 @@ def test_large_inputs_scale_near_linearly():
     elapsed = time.perf_counter() - t0
     assert prod.npieces == n + 1 and conv.npieces == n + 1
     for pp in (prod, conv):
-        for field in (pp.bounds, pp.coefs, pp.exps):
+        for field in (pp.bounds, pp.log_coefs, pp.exps):
             assert isinstance(field, np.ndarray) and not field.flags.writeable
     assert elapsed < 5.0
