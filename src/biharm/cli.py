@@ -284,7 +284,11 @@ def _cmd_eigen(args, out: Path):
         raise ParameterError(f"--ratio must exceed 1, got {args.ratio}")
     op = spectral.SurrogateOperator(args.alpha, args.gamma)
     radii = _parse_radii(args.r_values)
+    # each annulus is checked first, so an out-of-range one is named
     results = [spectral.lambda1_annulus(op, R / args.ratio, R, args.mesh) for R in radii]
+    if len(set(radii)) < 2:
+        raise ParameterError("--r-values needs two distinct radii to fit a slope, "
+                             f"got {args.r_values}")
     rows = [(R, res.value) for R, res in zip(radii, results)]
     _write_csv(out / "eigen.csv", "R,lambda1", rows)
     slope = fit_loglog_slope(np.array(radii), np.array([res.value for res in results]))

@@ -145,9 +145,15 @@ def rational_exponent_gap(prof: ManifoldProfile, src: SourceProfile, p) -> Fract
 
 
 def _pearson(x, y) -> float:
-    x = np.asarray(x, float)
-    y = np.asarray(y, float)
-    xc, yc = x - x.mean(), y - y.mean()
+    """Pearson's r.  Each centred vector is first scaled by the power of two
+    of its largest entry: exact, so r does not change, and the dot products
+    cannot overflow."""
+    def centred(v):
+        c = np.asarray(v, float)
+        c = c - c.mean()
+        return np.ldexp(c, -np.frexp(np.max(np.abs(c)))[1])
+
+    xc, yc = centred(x), centred(y)
     denom = math.sqrt(float(xc @ xc) * float(yc @ yc))
     return float(xc @ yc) / denom if denom > 0 else 0.0
 

@@ -5,19 +5,40 @@ Every integral in the toolkit has the form
     int_0^inf  u(r) * f(rho + r)  dr/r
 
 for an array of shifts rho > 0, where u and f are exact piecewise power laws
-(u is usually a ``pp_product`` of unshifted profiles).  For each rho the
-half-line is cut at the breakpoints of u and of f(rho + .): between them the
-integrand is one power product and is handled by fixed-order Gauss panels,
-log-spaced and doubled until that rho's value stabilizes.  The origin piece
-and the infinite tail are never truncated numerically: they are summed in
-closed form via the binomial series of the shifted factor, which converges
-geometrically because the series region is kept below half of rho.
+(u is usually a ``pp_product`` of unshifted profiles).  With x = 1/4 each
+shift's half-line falls into three zones:
+
+low, r < x rho
+    piece by piece of f, f(rho + r) = c rho**e (1 + r/rho)**e is a binomial
+    series in r/rho, summed against the moments int u(r) r**(k-1) dr.
+high, r > rho/x
+    the shifted factor is a binomial series in the ratio of rho to the
+    integration variable: f(rho + r) = c r**e (1 + rho/r)**e against moments
+    of u, or, when f has more pieces than u, u(s - rho)/(s - rho) =
+    c s**e (1 - rho/s)**e against moments of f, with s = rho + r.  The zone
+    is cut at the breakpoints of the expanded factor.
+near, between them
+    cut at the breakpoints of u and of f(rho + .) inside, found per shift by
+    ``searchsorted``; each segment is one power product, handled by
+    fixed-order Gauss panels, log-spaced and doubled until that shift's
+    value stabilizes.
+
+So only the breakpoints in (rho/4, 4 rho) cost Gauss panels.  The moments
+over whole pieces come from cumulative ``power_integral`` tables built once
+per call (summed from the origin in the low zone, from infinity in the high
+zone); the partial pieces at a zone's ends, and the powers of rho, are
+formed per shift in the exponent.  A series is cut at k_max terms, doubled
+per piece until its last term is negligible; the rest is bounded by the last
+term over 1 - ratio and added to the error estimate.  Alternating series
+lose about ((1 + ratio)/(1 - ratio))**|e| to cancellation, so a steep piece
+expands only up to a ratio 2/|e|, and the near zone grows to cover the rest.
 
 Shifts are processed with array operations, in blocks of about
-``_BLOCK_SEAMS`` seams.  A node value is formed in the exponent,
-exp(log c + e_u t + e_f log(rho + e^t)) at r = e^t, so no partial product
-under- or overflows on its way to the value.  Divergence is reported per
-shift through a flag (not an exception) so finiteness checks can consume it.
+``_BLOCK_SEAMS`` seams and ``_BLOCK_PIECES`` series pieces.  A Gauss node
+value is formed in the exponent, exp(log c + e_u t + e_f log(rho + e^t)) at
+r = e^t, so no partial product under- or overflows on its way to the value.
+Divergence is reported per shift through a flag (not an exception) so
+finiteness checks can consume it.
 """
 
 from __future__ import annotations
@@ -27,14 +48,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .radial import PiecewisePower
+from .radial import PiecewisePower, power_integral
 
 _INF = float("inf")
 _TINY = np.finfo(float).tiny
-_GAUSS_ORDER = 16
+_GAUSS_ORDER = 8
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(_GAUSS_ORDER)
 _MAX_NODES = 1 << 20   # Gauss nodes per shift
-_BLOCK_SEAMS = 4096    # seams per block of shifts; bounds every per-segment and per-node array
+_BLOCK_SEAMS = 4096    # seams per block of shifts; bounds every per-node array
+_BLOCK_PIECES = 1024   # series pieces per block; bounds every per-term array
+_X = 0.25              # zone ratio: series in r/rho below _X rho, in rho/r beyond rho/_X
+_STEEP = 2.0           # a piece of exponent e expands up to the ratio min(_X, _STEEP/|e|)
+_K_FIRST, _K_CAP = 40, 640   # terms of a binomial series: first try, most
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,57 +108,224 @@ def _finite_bounds(pp: PiecewisePower) -> np.ndarray:
     return b[np.isfinite(b)]
 
 
-def _series_piece(log_coef, sigma, x, q, log_edge, at_origin: bool):
-    """Closed-form integral over (0, edge) or (edge, inf) of a convergent end,
-    one row per shift.
+def _piece_ends(pp: PiecewisePower) -> np.ndarray:
+    """Upper end of each piece; the last piece runs to infinity."""
+    return np.append(pp.bounds[1:pp.npieces], _INF)
 
-    The end's integrand is coef * r**q * (1 + x u)**sigma against dr with
-    u = r/edge at the origin (x = edge/rho) and u = edge/r in the tail
-    (x = rho/edge), so with binom(sigma, k) x**k as the k-th coefficient
-        int_0^edge r**q u**k dr = edge**(q+1) / (q+k+1),
-        int_edge^inf r**q u**k dr = edge**(q+1) / (k-q-1).
-    Coefficients come from a cumulative product along k; each row doubles
-    its k_max (80 up to 1280) while its last term is not negligible.  Terms
-    decay at least like x <= 1/2, so the rest of the series is bounded by
-    the last term over 1 - x.  The scale coef * edge**(q+1) is formed in the
-    exponent; rows with a zero coefficient give 0.  Returns (value,
-    absolute error estimate).
+
+def _ratio_caps(pp: PiecewisePower) -> np.ndarray:
+    """Largest series ratio of each piece: _X, or _STEEP/|e| for a steep live
+    piece, so that cancellation costs at most about exp(2 _STEEP)."""
+    return np.where(pp.log_coefs > -_INF, _STEEP / np.maximum(np.abs(pp.exps), _STEEP / _X), _X)
+
+
+def _ranges(start, count):
+    """Row ids and the indices start[i] .. start[i] + count[i] - 1, row by row."""
+    row = np.repeat(np.arange(count.size), count)
+    return row, np.arange(row.size) - np.repeat(np.cumsum(count) - count, count) + start[row]
+
+
+def _moment_table(w: PiecewisePower, p0: float, s: float, k, y_max: float, log_r: float):
+    """Cumulative whole-piece moments of w, one row per k.
+
+    E[k, i] = int w(y) y**p0 (y/R)**(s k) dy/y over the bounded piece i of w,
+    cut at y_max; R = exp(log_r) is the last finite bound for s = +1 and the
+    first for s = -1, so (y/R)**(s k) <= 1 on every piece and no entry
+    overflows.  C[k, i] sums E over the pieces 1 .. i-1 (s = +1, from the
+    origin) or i .. n-2 (s = -1, from infinity), so the whole pieces strictly
+    between ia and ib sum to s (C[ib] - C[ia + 1]).
     """
-    value, err = np.zeros(x.size), np.zeros(x.size)
-    todo = np.flatnonzero(log_coef > -_INF)
-    k_max = 80
-    while todo.size:
-        k = np.arange(1.0, k_max + 1.0)
-        steps = (sigma[todo, None] - k + 1.0) / k * x[todo, None]
-        d = np.cumprod(np.concatenate([np.ones((todo.size, 1)), steps], axis=1), axis=1)
-        terms = d / (np.concatenate([[0.0], k]) + (q + 1.0 if at_origin else -q - 1.0))
-        total = np.cumsum(terms, axis=1)[:, -1]   # row by row, whatever the row count
-        last = np.abs(terms[:, -1])
-        again = (last > 1e-15 * np.abs(total)) & (k_max < 1280)
-        done = todo[~again]
-        scale = np.exp(log_coef[done] + (q + 1.0) * log_edge[done])
-        value[done] = scale * total[~again]
-        err[done] = scale * last[~again] / (1.0 - x[done])
-        todo = todo[again]
-        k_max *= 2
-    return value, err
+    n = w.npieces
+    sk = s * k[:, None]
+    e = power_integral(w.log_coefs[1:n - 1] - sk * log_r, w.exps[1:n - 1] + p0 + sk - 1.0,
+                       w.bounds[1:n - 1], np.minimum(w.bounds[2:n], y_max))
+    if s > 0:
+        return np.concatenate([np.zeros((k.size, 2)), np.cumsum(e, axis=1)], axis=1)
+    return np.concatenate([np.zeros((k.size, 1)), np.cumsum(e[:, ::-1], axis=1)[:, ::-1],
+                           np.zeros((k.size, 1))], axis=1)
 
 
-def _segments(integrand: PowerIntegrand, rho, eps, t_start):
+def _series(w: PiecewisePower, specs, log_rho, a, b, log_c, beta, spec, ratio):
+    """Binomial series of zone pieces against moments of w, one entry per piece.
+
+    Piece i has the table spec (p0, s, sign, y_max) = specs[spec[i]] and is
+
+        int_a^b w(y) exp(log_c) y**p0 (1 + sign (y/rho)**s)**beta dy/y
+          = sum_k binom(beta, k) sign**k m_k,
+        m_k = int_a^b w(y) exp(log_c) y**p0 (y/rho)**(s k) dy/y,
+
+    with (y/rho)**s <= ratio < 1 on (a, b).  m_k is a partial piece of w at
+    each end plus the whole pieces between, read from ``_moment_table``.
+    Returns (value, absolute error estimate, w live somewhere on (a, b)).
+    """
+    n = w.npieces
+    lcw, ew = w.log_coefs, w.exps
+    p0, s, sign = (np.array([sp[c] for sp in specs])[spec] for c in range(3))
+    ia, ib = w.piece_index(a), w.piece_index(b)
+    a_end = np.minimum(b, _piece_ends(w)[ia])
+    b_start = np.maximum(a, w.bounds[ib])
+    live = np.concatenate([[0], np.cumsum(lcw > -_INF)])
+    nonzero = live[ib + 1] > live[ia]
+    tables = {}
+    value, err = np.zeros(a.size), np.zeros(a.size)
+
+    def partial(i, piece, lo, hi, k):
+        """m_k over [lo, hi) inside one piece of w, one row per entry.  An
+        interval from 0 or to infinity (the one-piece series) is
+        end**q_k / |q_k| in closed form, the others are power_integrals."""
+        out = np.zeros((i.size, k.size))
+        live = lcw[piece] > -_INF
+        one_sided = (lo == 0.0) | (hi == _INF)
+        for rows in (np.flatnonzero(live & one_sided), np.flatnonzero(live & ~one_sided)):
+            if not rows.size:
+                continue
+            j, pc = i[rows], piece[rows]
+            q0 = ew[pc] + p0[j]
+            q = q0[:, None] + s[j, None] * k
+            if one_sided[rows[0]]:
+                log_e = np.log(np.where(lo[rows] == 0.0, hi[rows], lo[rows]))
+                # the exponent is linear in k
+                out[rows] = np.exp((lcw[pc] + log_c[j] + q0 * log_e)[:, None]
+                                   + (s[j] * (log_e - log_rho[j]))[:, None] * k) / np.abs(q)
+            else:
+                out[rows] = power_integral((lcw[pc] + log_c[j])[:, None]
+                                           - (s[j] * log_rho[j])[:, None] * k, q - 1.0,
+                                           lo[rows, None], hi[rows, None])
+        return out
+
+    for first in range(0, a.size, _BLOCK_PIECES):
+        todo = np.arange(first, min(first + _BLOCK_PIECES, a.size))
+        k_max = _K_FIRST
+        while todo.size:
+            k = np.arange(k_max + 1.0)
+            lo, hi = ia[todo], ib[todo]
+            # the partial piece at a, and the one at b where it is another piece
+            two = np.flatnonzero(hi > lo)
+            parts = partial(np.concatenate([todo, todo[two]]), np.concatenate([lo, hi[two]]),
+                            np.concatenate([a[todo], b_start[todo[two]]]),
+                            np.concatenate([a_end[todo], b[todo[two]]]), k)
+            m = parts[:todo.size]
+            m[two] += parts[todo.size:]
+            whole_pieces = hi > lo + 1
+            for key in np.unique(spec[todo[whole_pieces]]) if whole_pieces.any() else ():
+                sp0, ss, _, y_max = specs[key]
+                if (key, k_max) not in tables:
+                    log_r = np.log(w.bounds[n - 1] if ss > 0 else w.bounds[1])
+                    tables[key, k_max] = log_r, _moment_table(w, sp0, ss, k, y_max, log_r)
+                log_r, c = tables[key, k_max]
+                mid = np.flatnonzero(whole_pieces & (spec[todo] == key))
+                i = todo[mid]
+                whole = ss * (c[:, ib[i]] - c[:, ia[i] + 1]).T
+                with np.errstate(divide="ignore"):   # a whole-piece sum of 0 adds 0
+                    m[mid] += np.exp(log_c[i, None] + ss * k * (log_r - log_rho[i, None])
+                                     + np.log(whole))
+            steps = (beta[todo, None] - k[1:] + 1.0) / k[1:] * sign[todo, None]
+            terms = np.cumprod(np.concatenate([np.ones((todo.size, 1)), steps], axis=1),
+                               axis=1) * m
+            total = np.add.reduce(terms, axis=1)   # each row on its own, whatever the row count
+            last = np.abs(terms[:, -1])
+            again = (last > 1e-15 * np.abs(total)) & (k_max < _K_CAP)
+            done = todo[~again]
+            value[done] = total[~again]
+            err[done] = last[~again] / (1.0 - ratio[done])
+            todo = todo[again]
+            k_max *= 2
+    return value, err, nonzero
+
+
+def _low_zone(f: PiecewisePower, rho):
+    """Low-zone pieces: f's pieces over (rho, rho (1 + _X)), each cut to
+    r < its ratio cap times rho.  Returns the zone end per shift and, per
+    live piece, (row, a, b, piece of f)."""
+    j0 = f.piece_index(rho)
+    count = f.piece_index(rho * (1.0 + _X)) - j0 + 1
+    row, j = _ranges(j0, count)
+    shift = rho[row]
+    a = np.maximum(f.bounds[j] - shift, 0.0)
+    b = _piece_ends(f)[j] - shift
+    cap = shift * _ratio_caps(f)[j]
+    # the zone ends where the first piece reaches its cap
+    end = np.minimum.reduceat(np.where(cap < b, np.maximum(a, cap), _INF),
+                              np.cumsum(count) - count)
+    b = np.minimum(b, end[row])
+    keep = (a < b) & (f.log_coefs[j] > -_INF)
+    return end, row[keep], a[keep], b[keep], j[keep]
+
+
+def _high_zone(phi: PiecewisePower, rho, offset):
+    """High-zone pieces of the expanded factor phi, whose piece j covers
+    r in [phi_j - offset, phi_{j+1} - offset): from rho/_X, or further out
+    where a steep piece needs it.  Returns the zone start per shift and,
+    per live piece, (row, a, b, piece of phi)."""
+    lo = phi.bounds[:phi.npieces] - offset[:, None]
+    hi = _piece_ends(phi) - offset[:, None]
+    reach = rho[:, None] / _ratio_caps(phi)
+    start = np.maximum(rho / _X, np.where(reach > lo, np.minimum(hi, reach), 0.0).max(axis=1))
+    a = np.maximum(lo, start[:, None])
+    row, j = np.nonzero((a < hi) & (phi.log_coefs > -_INF))
+    return start, row, a[row, j], hi[row, j], j
+
+
+def _series_zones(u: PiecewisePower, f: PiecewisePower, rho):
+    """Low- and high-zone sums per shift: (value, error estimate, nonzero,
+    low-zone end, high-zone start)."""
+    log_rho = np.log(rho)
+    low_end, row, a, b, j = _low_zone(f, rho)
+    # low zone: f(rho + r) in r/rho against moments of u
+    low = (row, a, b, f.log_coefs[j] + f.exps[j] * log_rho[row], f.exps[j],
+           np.zeros(row.size, int), b / rho[row])
+    specs = [(0.0, 1.0, 1.0, _INF)]
+    if f.npieces <= u.npieces:   # f(rho + r) in rho/r against moments of u
+        high_start, row, a, b, j = _high_zone(f, rho, rho)
+        phi, beta, sign, y_max, w = f, f.exps, 1.0, _piece_ends(f), u
+    else:                        # u(s - rho)/(s - rho) in rho/s against moments of f*s
+        high_start, row, a, b, j = _high_zone(u, rho, np.zeros(rho.size))
+        a, b = a + rho[row], b + rho[row]
+        phi, beta, sign, y_max = u, u.exps - 1.0, -1.0, _piece_ends(u) * (1.0 + _X)
+        w = PiecewisePower._from_logs(f.bounds, f.log_coefs, f.exps + 1.0)
+    specs += [(float(beta[jj]), -1.0, sign, float(y_max[jj])) for jj in range(phi.npieces)]
+    high = (row, a, b, phi.log_coefs[j], beta[j], 1 + j, rho[row] / a)
+    parts = [(u, low, high)] if w is u else [(u, low), (w, high)]
+    value, err, nonzero = np.zeros(rho.size), np.zeros(rho.size), np.zeros(rho.size, bool)
+    for moments, *pieces in parts:
+        row, *rest = (np.concatenate(x) for x in zip(*pieces))
+        v, e, nz = _series(moments, specs, log_rho[row], *rest)
+        value += np.bincount(row, weights=v, minlength=rho.size)
+        err += np.bincount(row, weights=e, minlength=rho.size)
+        nonzero[row[nz]] = True
+    return value, err, nonzero, low_end, high_start
+
+
+def _near_breakpoints(u: PiecewisePower, f: PiecewisePower, rho, lo, hi):
+    """Per shift, the first index and the count of the breakpoints of u, and
+    of f(rho + .), strictly inside (lo, hi)."""
+    ub, fb = _finite_bounds(u), _finite_bounds(f)
+    iu = np.searchsorted(ub, lo, side="right")
+    jf = np.searchsorted(fb, rho + lo, side="right")
+    return (iu, np.maximum(np.searchsorted(ub, hi, side="left") - iu, 0),
+            jf, np.maximum(np.searchsorted(fb, rho + hi, side="left") - jf, 0))
+
+
+def _near_segments(u: PiecewisePower, f: PiecewisePower, rho, lo, hi):
     """Gauss-zone segments of a block of shifts, in t = ln r.
 
-    Row i is cut at eps[i], t_start[i] and every breakpoint of u and of
-    f(rho[i] + .) between them; each segment lies inside one piece of u and
-    one of f, found once at its midpoint.  Segments where the integrand
-    vanishes are dropped.  Returns (row, level-0 panel count, start, width,
-    log c, e_u, e_f, rho), one entry per segment.
+    Row i covers [lo[i], hi[i]], cut at every breakpoint of u and of
+    f(rho[i] + .) inside; each segment lies inside one piece of u and one of
+    f, found once at its midpoint.  Segments where the integrand vanishes
+    are dropped.  Returns (row, level-0 panel count, start, width, log c,
+    e_u, e_f, rho), one entry per segment, in row order.
     """
-    u, f = integrand.u, integrand.f
     ub, fb = _finite_bounds(u), _finite_bounds(f)
-    seams = np.concatenate([eps[:, None], np.broadcast_to(ub, (rho.size, ub.size)),
-                            fb[None, :] - rho[:, None], t_start[:, None]], axis=1)
-    # seams outside [eps, t_start] collapse onto its ends: zero-width segments
-    t = np.log(np.sort(np.clip(seams, eps[:, None], t_start[:, None]), axis=1))
+    iu, nu, jf, nf = _near_breakpoints(u, f, rho, lo, hi)
+    # one row of seams per shift, padded with its upper end
+    seams = np.repeat(hi[:, None], 2 + (nu + nf).max(initial=0), axis=1)
+    seams[:, 0] = lo
+    ru, pu = _ranges(iu, nu)
+    seams[ru, 1 + pu - iu[ru]] = ub[pu]
+    rf, pf = _ranges(jf, nf)
+    seams[rf, 1 + nu[rf] + pf - jf[rf]] = fb[pf] - rho[rf]
+    # seams rounded outside [lo, hi] collapse onto its ends: zero-width segments
+    t = np.log(np.sort(np.clip(seams, lo[:, None], hi[:, None]), axis=1))
     width = np.diff(t, axis=1)
     row, col = np.nonzero(width > 0.0)
     start, width = t[row, col], width[row, col]
@@ -182,29 +374,10 @@ def _gauss_zone(segs, level: int, nrows: int):
     return np.bincount(row[seg], weights=arg[0] * half, minlength=nrows)
 
 
-def _seams(integrand: PowerIntegrand, rho):
-    """(eps, t_start) per shift: the tail series starts beyond every
-    breakpoint and twice the shift; the origin series stops below every
-    breakpoint, the next piece of f and half the shift.  t_start is inf
-    where twice the shift overflows, eps is 0 where half of it underflows."""
-    ub, fb = _finite_bounds(integrand.u), _finite_bounds(integrand.f)
-    t_start = np.maximum(1.0, 2.0 * rho)
-    eps_cap = np.minimum(1.0, 0.5 * rho)
-    if ub.size:
-        t_start = np.maximum(t_start, ub[-1])
-        eps_cap = np.minimum(eps_cap, ub[0])
-    if fb.size:
-        t_start = np.maximum(t_start, fb[-1] - rho)
-        nxt = np.searchsorted(fb, rho, side="right")
-        ahead = nxt < fb.size
-        eps_cap[ahead] = np.minimum(eps_cap[ahead], fb[nxt[ahead]] - rho[ahead])
-    return 0.5 * eps_cap, t_start
-
-
-def _gauss_block(integrand: PowerIntegrand, rho, eps, t_start, rel_tol: float):
+def _gauss_block(integrand: PowerIntegrand, rho, lo, hi, rel_tol: float):
     """Gauss-zone (value, last change, nonzero) of one block of shifts:
     panels refined until each row settles."""
-    segs = _segments(integrand, rho, eps, t_start)
+    segs = _near_segments(integrand.u, integrand.f, rho, lo, hi)
     seg_row = segs[0]
     base_nodes = _GAUSS_ORDER * np.bincount(seg_row, weights=segs[1], minlength=rho.size)
     cur = _gauss_zone(segs, 0, rho.size)
@@ -222,12 +395,20 @@ def _gauss_block(integrand: PowerIntegrand, rho, eps, t_start, rel_tol: float):
     return cur, change, base_nodes > 0
 
 
+def _seam_blocks(integrand: PowerIntegrand, rho, lo, hi):
+    """Row ranges holding about _BLOCK_SEAMS near-zone seams each."""
+    _, nu, _, nf = _near_breakpoints(integrand.u, integrand.f, rho, lo, hi)
+    block = np.cumsum(2 + nu + nf) // _BLOCK_SEAMS
+    cuts = np.flatnonzero(np.diff(block)) + 1
+    return zip(np.concatenate([[0], cuts]), np.concatenate([cuts, [rho.size]]))
+
+
 def integrate(integrand: PowerIntegrand, rel_tol: float = 1e-12) -> QuadratureResult:
     """Integrate u(r) f(rho + r) against dr/r over (0, inf) for every shift.
 
     Each value is within its ``abs_error_estimate`` of the true integral; a
     divergent origin or tail sets that shift's ``diverged`` flag instead of
-    raising.  A shift whose series seams or value leave the float range
+    raising.  A shift whose zone seams or value leave the float range
     (including a nonzero integral that comes out below the smallest normal
     float) raises ParameterError naming the first such radius.
     """
@@ -245,23 +426,12 @@ def integrate(integrand: PowerIntegrand, rel_tol: float = 1e-12) -> QuadratureRe
     shift = rho[live]
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
         # seams and values are checked below
-        eps, t_start = _seams(integrand, shift)
-        j = f.piece_index(shift)
-        tail_coef = np.full(shift.size, u.log_coefs[-1] + f.log_coefs[-1])
-        origin_coef = u.log_coefs[0] + f.log_coefs[j] + f.exps[j] * np.log(shift)
-        val, err = _series_piece(tail_coef, np.full(shift.size, f.exps[-1]), shift / t_start,
-                                 tail_exponent - 1.0, np.log(t_start), at_origin=False)
-        ov, oe = _series_piece(origin_coef, f.exps[j], eps / shift, u.exps[0] - 1.0, np.log(eps),
-                               at_origin=True)
-        val += ov
-        err += oe
-        nonzero = (tail_coef > -_INF) | (origin_coef > -_INF)
-        seams_ok = (eps > 0.0) & (t_start < _INF)
+        val, err, nonzero, low_end, high_start = _series_zones(u, f, shift)
+        seams_ok = (low_end > 0.0) & (high_start < _INF)
         rows = np.flatnonzero(seams_ok)
-        block = max(1, _BLOCK_SEAMS // (2 + _finite_bounds(u).size + _finite_bounds(f).size))
-        for lo in range(0, rows.size, block):
-            b = rows[lo:lo + block]
-            zv, zc, zn = _gauss_block(integrand, shift[b], eps[b], t_start[b], rel_tol)
+        for lo, hi in _seam_blocks(integrand, shift[rows], low_end[rows], high_start[rows]):
+            b = rows[lo:hi]
+            zv, zc, zn = _gauss_block(integrand, shift[b], low_end[b], high_start[b], rel_tol)
             val[b] += zv
             err[b] += zc
             nonzero[b] |= zn
@@ -269,8 +439,8 @@ def integrate(integrand: PowerIntegrand, rel_tol: float = 1e-12) -> QuadratureRe
     if bad.size:
         i = bad[0]
         if not seams_ok[i]:
-            raise ParameterError(f"radius {float(shift[i])!r} is out of range: the series seams "
-                                 "near half and twice the radius leave the float range")
+            raise ParameterError(f"radius {float(shift[i])!r} is out of range: the zone seams "
+                                 "near a quarter and four times the radius leave the float range")
         raise ParameterError(f"integral at radius {float(shift[i])!r} is {float(val[i])!r}: "
                              "it leaves the normal float range")
     value[live], abs_err[live] = val, err

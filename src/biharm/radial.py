@@ -123,15 +123,16 @@ def power_integral(log_coef, exp, lo, hi):
     finite nonzero end of a convergent piece), so narrow pieces keep their
     precision and no power of an end over- or underflows on its own.
     """
-    lc, e, a, b = np.broadcast_arrays(*(np.asarray(x, float) for x in (log_coef, exp, lo, hi)))
-    q = e + 1.0
+    lc, a, b = (np.asarray(x, float) for x in (log_coef, lo, hi))
+    q = np.asarray(exp, float) + 1.0
+    neg_aq = -np.abs(q)
+    # the logs of the ends are taken before they broadcast against the exponents
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         w = np.log1p((b - a) / a)   # inf at lo = 0 or hi = inf
-        vals = np.exp(lc + q * np.log(np.where(q > 0.0, b, a))) \
-            * np.where(q == 0.0, w, -np.expm1(-np.abs(q) * w) / np.abs(q))
+        vals = np.exp(lc + q * np.where(q > 0.0, np.log(b), np.log(a)))
+        vals *= np.where(q == 0.0, w, np.expm1(neg_aq * w) / neg_aq)
     diverges = ((a == 0.0) & (q <= 0.0)) | (np.isinf(b) & (q >= 0.0))
-    vals = np.where(diverges, _INF, vals)
-    out = np.where((lc > -_INF) & (a < b), vals, 0.0)
+    out = np.where((lc > -_INF) & (a < b), np.where(diverges, _INF, vals), 0.0)
     return out if out.ndim else float(out)
 
 

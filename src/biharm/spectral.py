@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from .errors import NonConvergenceError, ParameterError
 from .profiles import ManifoldProfile
@@ -29,6 +28,17 @@ from .radial import RadialFunction
 FD_SAFETY = 10.0
 
 _TINY = np.finfo(float).tiny
+
+
+def __getattr__(name):
+    """``cho_solve_banded``, scipy's banded solve, imported on first use: only
+    the eigen solves need scipy.  It stays a module attribute, so that a
+    profiler can wrap it."""
+    if name != "cho_solve_banded":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy.linalg import cho_solve_banded
+    globals()[name] = cho_solve_banded
+    return cho_solve_banded
 
 
 @dataclass(frozen=True)
@@ -99,6 +109,8 @@ def _assemble(op: SurrogateOperator, r_in: float, r_out: float, n: int):
 
 def _smallest_eigenvalue(ab, w, rel_tol=1e-12, maxit=500):
     """Inverse power iteration on the generalized tridiagonal problem."""
+    from scipy.linalg import cholesky_banded
+    solve = globals().get("cho_solve_banded") or __getattr__("cho_solve_banded")
     n = ab.shape[1]
     cb = cholesky_banded(ab)
     x = np.full(n, 1.0)
@@ -106,7 +118,7 @@ def _smallest_eigenvalue(ab, w, rel_tol=1e-12, maxit=500):
     lam_prev = None
     trace = []
     for _ in range(maxit):
-        y = cho_solve_banded((cb, False), w * x)
+        y = solve((cb, False), w * x)
         norm = math.sqrt(float(y @ (w * y)))
         y /= norm
         # Rayleigh quotient of y: A y = W x / norm

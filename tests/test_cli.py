@@ -2,11 +2,16 @@
 
 import filecmp
 import json
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+import biharm
 from biharm.cli import run
 
 WITNESS_ARGS = ["witness", "--alpha", "6", "--gamma", "4", "--m", "0", "--p", "2",
@@ -137,6 +142,44 @@ def _assert_one_error_line(capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert sum(line.startswith("error:") for line in err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("radii", ["100", "100,100"])
+def test_eigen_needs_two_distinct_radii(tmp_path, capsys, radii):
+    # a slope was fitted through one point, with numpy's RankWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["eigen", "--alpha", "6", "--gamma", "4", "--r-values", radii,
+                    "--out-dir", str(tmp_path / "o")]) == 2
+    _assert_one_error_line(capsys)
+    assert not (tmp_path / "o" / "report.json").exists()
+
+
+@pytest.mark.parametrize("extra", [["--r-values", "1e50,2e50,4e50"], ["--big-n", "1e20"]])
+def test_witness_correlation_of_huge_ratios(tmp_path, extra):
+    # ratios beyond ~1e154 overflowed the dot products: a RuntimeWarning and
+    # log_correlation 0.0
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["witness", "--alpha", "6", "--gamma", "4", "--p", "2", *extra,
+                    "--out-dir", str(out)]) == 0
+    witness = _load(out)["witness"]
+    radii = np.array([row["R"] for row in witness["rows"]])
+    ratios = np.array([row["ratio"] for row in witness["rows"]])
+    assert ratios.max() > 1e154
+    expected = np.corrcoef(np.log(radii), ratios / ratios.max())[0, 1]
+    assert witness["log_correlation"] == pytest.approx(expected, rel=1e-12)
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy.linalg is the eigen solves' import; every other command runs without it
+    src = str(Path(biharm.__file__).parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import biharm.cli; "
+            "print('scipy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("text", [None, "alpha=six\n", "r_values=1,x\n"])

@@ -273,7 +273,7 @@ def _mp_integral(u, f, rho):
         rho = mpmath.mpf(rho)
         mu, mf = _mp_piecewise(u), _mp_piecewise(f)
         cuts = {float(b) for b in u.bounds[1:-1]} | {float(b - rho) for b in f.bounds[1:-1]
-                                                       if b > rho}
+                                                       if b > rho} | {float(rho)}
         ts = [-mpmath.inf] + sorted(mpmath.log(c) for c in cuts) + [mpmath.inf]
         return float(mpmath.quad(lambda t: mu(mpmath.exp(t)) * mf(rho + mpmath.exp(t)), ts))
 
@@ -283,8 +283,11 @@ def _mp_integral(u, f, rho):
 MP_POINTS = [(6.0, 4.0, 6), (7.0, 4.5, 5), (5.0, 3.0, 3), (8.0, 5.0, 7), (6.0, 3.05, 6)]
 
 
+# besides a spread of radii, those where a zone edge (rho/4, 4 rho) meets a
+# breakpoint of g: r = 1 in u and r = 1 - rho in f(rho + r)
 @pytest.mark.parametrize("alpha, gamma, n", MP_POINTS)
-@pytest.mark.parametrize("rho", [1e-2, 0.5, 1.0, 2.0, 1e3])
+@pytest.mark.parametrize("rho", [1e-2, 0.5, 1.0, 2.0, 1e3,
+                                 0.2, 0.25, 0.79, 0.8, 1.01, 1.25, 3.99, 4.0, 4.01])
 def test_green_and_split_terms_against_mpmath(alpha, gamma, n, rho):
     prof = ManifoldProfile(alpha, gamma, n)
     g = profile_piecewise("g", prof)
@@ -299,6 +302,19 @@ def test_green_and_split_terms_against_mpmath(alpha, gamma, n, rho):
     assert second == pytest.approx(_mp_integral(pp_product(g, v), src, rho), rel=1e-10)
     split = potential_values(KernelSpec(MODE_SPLIT, prof), src, [rho])[0]
     assert split == pytest.approx(first + second, rel=1e-15)
+
+
+@pytest.mark.parametrize("rho", [1e20, 1e40])
+def test_split_terms_of_a_grid_source_at_huge_radii(rho):
+    # in the first term every grid node lies in the low zone, whose whole
+    # pieces come from the moment table; rho**(sigma - k) is formed in the
+    # exponent
+    src = reference_sources()["grid48"].as_piecewise()
+    g = profile_piecewise("g", PROF)
+    v = profile_piecewise("v", PROF)
+    for u, f in ((pp_product(src, v), g), (pp_product(g, v), src)):
+        got = integrate(PowerIntegrand(u, f, rho), rel_tol=1e-10).value
+        assert got == pytest.approx(_mp_integral(u, f, rho), rel=1e-10)
 
 
 def _mp_surrogate_potential(prof, grid, values, tails, rho):

@@ -11,8 +11,9 @@ from scipy.integrate import quad as scipy_quad
 
 from biharm.errors import ParameterError
 from biharm.profiles import ManifoldProfile, profile_piecewise
-from biharm.quad import PowerIntegrand, _seams, _segments, integrate
+from biharm.quad import PowerIntegrand, _near_segments, _series_zones, integrate
 from biharm.radial import PiecewisePower, RadialFunction, log_grid, pp_product
+from biharm.solver import default_grid
 
 INF = float("inf")
 ONE = PiecewisePower.single(1.0, 0.0)
@@ -121,16 +122,39 @@ def test_zero_coefficient_piece_suppresses_divergence():
 
 def test_breakpoints_from_shifts():
     # gamma != n - 2 so the Green profile genuinely switches branch at 1;
-    # for g(0.25 + r) g(r) the Gauss zone runs from eps = 1/16 (half of half
-    # the shift) to the tail seam 1, cut where the shifted factor switches
+    # for g(0.25 + r) g(r) v(r) the Gauss zone runs from a quarter of the
+    # shift, 1/16, to four times it, 1, cut where the shifted factor switches
     prof = ManifoldProfile(6.0, 5.0, 6)
     g = profile_piecewise("g", prof)
-    integrand = PowerIntegrand(g, g, 0.25)
+    u = pp_product(g, profile_piecewise("v", prof))
     rho = np.array([0.25])
-    eps, t_start = _seams(integrand, rho)
-    start, width = _segments(integrand, rho, eps, t_start)[2:4]
+    low_end, high_start = _series_zones(u, g, rho)[3:]
+    start, width = _near_segments(u, g, rho, low_end, high_start)[2:4]
     cuts = np.exp(np.append(start, start[-1] + width[-1]))
     assert cuts == pytest.approx([0.0625, 0.75, 1.0])
+
+
+@pytest.mark.parametrize("rho", [0.013, 0.3, 2.7, 55.0, 3.1e4])
+def test_gauss_zone_holds_only_the_near_breakpoints(rho):
+    # for a 1024-node grid source, either split term's Gauss zone is cut only
+    # at its seams rho/4 and 4 rho and at the breakpoints between them, so a
+    # shift costs panels for ~140 nodes, not for all 1024
+    prof = ManifoldProfile(7.0, 4.5, 5)   # g switches branch at 1
+    grid = default_grid(1024)
+    src = RadialFunction(grid, (1.0 + grid) ** -3.0, 0.0, -3.0).as_piecewise()
+    g = profile_piecewise("g", prof)
+    v = profile_piecewise("v", prof)
+    shift = np.array([rho])
+    nodes = np.append(grid, 1.0)
+    for u, f, breaks in ((pp_product(src, v), g, np.append(nodes, 1.0 - rho)),
+                         (pp_product(g, v), src, np.append(nodes - rho, 1.0))):
+        low_end, high_start = _series_zones(u, f, shift)[3:]
+        assert low_end == pytest.approx(rho / 4) and high_start == pytest.approx(4 * rho)
+        start, width = _near_segments(u, f, shift, low_end, high_start)[2:4]
+        cuts = np.exp(np.append(start, start[-1] + width[-1]))
+        inside = breaks[(breaks > rho / 4) & (breaks < 4 * rho)]
+        expected = np.unique(np.concatenate([[rho / 4, 4 * rho], inside]))
+        assert cuts == pytest.approx(expected, rel=1e-12)
 
 
 def test_scalar_shift_gives_scalars_and_arrays_keep_shape():
