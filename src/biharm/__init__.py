@@ -9,8 +9,8 @@ from .profiles import (ClassificationReport, ExponentPlan, ManifoldProfile,
                        plan_exponents)
 from .radial import PiecewisePower, RadialFunction, log_grid
 from .quad import PowerIntegrand, QuadratureResult, integrate
-from .kernels import (BallSource, KernelSpec, ProfilePowerSource, annulus_lower_bound,
-                      compose_green, mc_oracle, potential, potential_values)
+from .kernels import (BallSource, KernelSpec, annulus_lower_bound, compose_green,
+                      mc_oracle, potential, potential_values)
 from .spectral import (EigenResult, SurrogateOperator, check_inf_bound,
                        lambda1_annulus)
 from .liouville import WitnessConfig, WitnessReport, lhs_upper, rhs_lower, verdict

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BiharmError, DivergentIntegralError, NonConvergenceError, ParameterError
+from .errors import BiharmError, NonConvergenceError, ParameterError
 from . import kernels, liouville, profiles, solver, spectral
 from .radial import fit_loglog_slope, log_grid
 
@@ -400,19 +400,11 @@ def run(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = build_parser()
     try:
-        _preload_config(parser, argv)
+        _preload_config(parser, argv)   # usage errors exit through parser.error
         args = parser.parse_args(argv)
+        return _COMMANDS[args.command](args, Path(args.out_dir))
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
-    except (ParameterError, BiharmError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return VALIDATION_EXIT
-    out = Path(args.out_dir)
-    try:
-        return _COMMANDS[args.command](args, out)
-    except (ParameterError, DivergentIntegralError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return VALIDATION_EXIT
     except NonConvergenceError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return NONCONVERGENCE_EXIT

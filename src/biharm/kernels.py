@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergentIntegralError, ParameterError
-from .profiles import ManifoldProfile, SourceProfile, profile_piecewise
+from .profiles import ManifoldProfile, profile_piecewise
 from .quad import PowerIntegrand, QuadratureResult, integrate
 from .radial import PiecewisePower, RadialFunction, power_integral, pp_product
 
@@ -56,17 +56,6 @@ class KernelSpec:
 
 
 @dataclass(frozen=True)
-class ProfilePowerSource:
-    """Product of profile powers, e.g. psi * f**(a*p)."""
-
-    factors: tuple
-
-    def to_piecewise(self, prof: ManifoldProfile, src: SourceProfile | None) -> PiecewisePower:
-        return pp_product(PiecewisePower.single(1.0, 0.0),
-                          *(profile_piecewise(kind, prof, src, power) for kind, power in self.factors))
-
-
-@dataclass(frozen=True)
 class BallSource:
     """Indicator of the ball of given radius, scaled by height."""
 
@@ -82,20 +71,8 @@ class BallSource:
         out = np.where(r <= self.radius, self.height, 0.0)
         return out if out.ndim else float(out)
 
-    def to_piecewise(self) -> PiecewisePower:
+    def as_piecewise(self) -> PiecewisePower:
         return PiecewisePower((0.0, self.radius, _INF), (self.height, 0.0), (0.0, 0.0))
-
-
-def source_piecewise(source, prof: ManifoldProfile, src: SourceProfile | None) -> PiecewisePower:
-    if isinstance(source, PiecewisePower):
-        return source
-    if isinstance(source, RadialFunction):
-        return source.as_piecewise()
-    if isinstance(source, ProfilePowerSource):
-        return source.to_piecewise(prof, src)
-    if isinstance(source, BallSource):
-        return source.to_piecewise()
-    raise ParameterError(f"unsupported source type {type(source).__name__}")
 
 
 def compose_green(prof: ManifoldProfile, rho) -> QuadratureResult:
@@ -133,9 +110,8 @@ def _max_kernel_data(spec: KernelSpec):
     return kernel_exp, measure
 
 
-def _max_kernel_values(spec: KernelSpec, weighted: PiecewisePower, rho: np.ndarray) -> np.ndarray:
+def _max_kernel_values(kexp: float, weighted: PiecewisePower, rho: np.ndarray) -> np.ndarray:
     """potential(rho) = rho**kexp * int_0^rho w + int_rho^inf r**kexp w."""
-    kexp, _ = _max_kernel_data(spec)
     b, lc, e = weighted.bounds, weighted.log_coefs, weighted.exps
 
     if lc[0] > -_INF and e[0] <= -1.0:
@@ -154,18 +130,24 @@ def _max_kernel_values(spec: KernelSpec, weighted: PiecewisePower, rho: np.ndarr
     suffix = np.concatenate([np.cumsum(outer_full[::-1])[::-1], [0.0]])
 
     # the piece containing each rho, split at rho
-    rho = np.asarray(rho, dtype=float)
     idx = weighted.piece_index(rho)
     inner = prefix[idx] + power_integral(lc[idx], e[idx], b[idx], rho)
     outer = suffix[idx + 1] + power_integral(lc[idx], e[idx] + kexp, rho, b[idx + 1])
-    pos = rho > 0
+    # w vanishes on (0, start), and so does the first term
+    pos = rho > b[:-1][lc > -_INF].min(initial=_INF)
     first = np.zeros_like(rho)
-    first[pos] = rho[pos] ** kexp * inner[pos]
+    with np.errstate(over="ignore", invalid="ignore"):   # checked below
+        first[pos] = rho[pos] ** kexp * inner[pos]
+        values = first + outer   # at rho = 0, outer is the whole suffix sum
     if np.any(rho == 0.0) and lc[0] > -_INF and e[0] + kexp <= -1.0:
         raise DivergentIntegralError(
             f"potential at rho=0 diverges: origin exponent {e[0] + kexp} <= -1",
             location="origin", exponent=e[0] + kexp)
-    return first + outer   # at rho = 0, outer is the whole suffix sum
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ParameterError(f"potential at radius {float(rho[bad[0]])!r} is "
+                             f"{float(values[bad[0]])!r}: it leaves the float range")
+    return values
 
 
 def _split_values(spec: KernelSpec, src_pp: PiecewisePower, rho: np.ndarray) -> np.ndarray:
@@ -182,27 +164,23 @@ def _split_values(spec: KernelSpec, src_pp: PiecewisePower, rho: np.ndarray) -> 
     return t1.value + t2.value
 
 
-def potential_values(spec: KernelSpec, source, rho,
-                     source_profile: SourceProfile | None = None) -> np.ndarray:
+def potential_values(spec: KernelSpec, source, rho) -> np.ndarray:
     """Kernel-integral values at the given radii (rho > 0 in split-comparison
-    mode, rho >= 0 in the max-kernel modes)."""
+    mode, rho >= 0 in the max-kernel modes).  The source is a PiecewisePower
+    or has an as_piecewise() view (RadialFunction, BallSource)."""
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
     if spec.mode == MODE_SPLIT and np.any(rho <= 0):
         raise ParameterError("split-comparison potentials need rho > 0")
     if np.any(rho < 0):
         raise ParameterError("max-kernel potentials need rho >= 0")
-    src_pp = source_piecewise(source, spec.prof, source_profile)
-    if np.all(src_pp.log_coefs == -_INF):
-        return np.zeros(rho.size)
+    src_pp = source if isinstance(source, PiecewisePower) else source.as_piecewise()
     if spec.mode == MODE_SPLIT:
         return _split_values(spec, src_pp, rho)
-    _, measure = _max_kernel_data(spec)
-    weighted = pp_product(src_pp, measure)
-    return _max_kernel_values(spec, weighted, rho)
+    kexp, measure = _max_kernel_data(spec)
+    return _max_kernel_values(kexp, pp_product(src_pp, measure), rho)
 
 
-def potential(spec: KernelSpec, source, grid=None,
-              source_profile: SourceProfile | None = None) -> RadialFunction:
+def potential(spec: KernelSpec, source, grid=None) -> RadialFunction:
     """Apply the kernel integral operator to a nonnegative radial source.
 
     Positivity is preserved and the operator is monotone in the source.
@@ -214,11 +192,7 @@ def potential(spec: KernelSpec, source, grid=None,
             grid = source.grid
         else:
             raise ParameterError("potential needs a target grid for closed-form sources")
-    grid = np.asarray(grid, dtype=float)
-    values = potential_values(spec, source, grid, source_profile)
-    if np.all(values == 0.0):
-        return RadialFunction.zero(grid)
-    return RadialFunction.from_values(grid, values)
+    return RadialFunction.from_values(grid, potential_values(spec, source, grid))
 
 
 # -- Monte Carlo oracle for the euclidean-exact mode -------------------------
@@ -269,16 +243,16 @@ def mc_oracle(n: int, x_radius: float, src, samples: int, seed: int):
         m = min(batch, remaining)
         z = rng.standard_normal((m, n))
         omega1 = z[:, 0] / np.linalg.norm(z, axis=1)
-        if far_field:
-            # y uniform in the support ball; kernel bounded away from x
-            y_radius = support * rng.random(m) ** (1.0 / n)
-            dist = np.sqrt(x_sq - 2.0 * x_radius * y_radius * omega1 + y_radius ** 2)
-            f = scale * dist ** (2.0 - n) * np.asarray(src(y_radius), dtype=float)
-        else:
-            t = t_max * np.sqrt(rng.random(m))
-            y_radius = np.sqrt(x_sq + 2.0 * x_radius * t * omega1 + t ** 2)
-            f = scale * np.asarray(src(y_radius), dtype=float)
-        with np.errstate(over="ignore"):   # checked after the loop
+        with np.errstate(all="ignore"):   # checked after the loop
+            if far_field:
+                # y uniform in the support ball; kernel bounded away from x
+                y_radius = support * rng.random(m) ** (1.0 / n)
+                dist = np.sqrt(x_sq - 2.0 * x_radius * y_radius * omega1 + y_radius ** 2)
+                f = scale * dist ** (2.0 - n) * np.asarray(src(y_radius), dtype=float)
+            else:
+                t = t_max * np.sqrt(rng.random(m))
+                y_radius = np.sqrt(x_sq + 2.0 * x_radius * t * omega1 + t ** 2)
+                f = scale * np.asarray(src(y_radius), dtype=float)
             total += float(np.sum(f))
             total_sq += float(np.sum(f * f))
         remaining -= m

@@ -415,7 +415,8 @@ def integrate(integrand: PowerIntegrand, rel_tol: float = 1e-12) -> QuadratureRe
     u, f = integrand.u, integrand.f
     shape = integrand.rho.shape
     rho = integrand.rho.ravel()
-    tail_exponent = float(u.exps[-1] + f.exps[-1])
+    with np.errstate(over="ignore"):   # a sum beyond the float range is +-inf, flagged below
+        tail_exponent = float(u.exps[-1] + f.exps[-1])
     tail_live = u.log_coefs[-1] > -_INF and f.log_coefs[-1] > -_INF
     origin_live = (u.log_coefs[0] > -_INF) & (f.log_coefs[f.piece_index(rho)] > -_INF)
     diverged = (tail_live and tail_exponent >= 0.0) | (origin_live & (u.exps[0] <= 0.0))

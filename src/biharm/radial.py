@@ -83,12 +83,6 @@ class PiecewisePower:
         out = np.exp(self.log_coefs[idx] + self.exps[idx] * np.log(a))
         return out if out.ndim else float(out)
 
-    def powered(self, power: float) -> "PiecewisePower":
-        """self**power for power > 0 (vanishing pieces stay vanishing)."""
-        if not power > 0.0:
-            raise ParameterError(f"power must be positive, got {power}")
-        return PiecewisePower._from_logs(self.bounds, self.log_coefs * power, self.exps * power)
-
 
 def pp_product(*pps: PiecewisePower) -> PiecewisePower:
     """Pointwise product of piecewise powers: merged bounds, summed log
@@ -227,4 +221,5 @@ def log_grid(lo: float, hi: float, n: int) -> np.ndarray:
     """n log-spaced nodes on [lo, hi]."""
     if not (lo > 0 and hi > lo and n >= 2):
         raise ParameterError(f"need 0 < lo < hi and n >= 2, got ({lo}, {hi}, {n})")
-    return np.geomspace(lo, hi, int(n))
+    with np.errstate(over="ignore"):   # 10**log10(hi) may overflow; geomspace then sets hi
+        return np.geomspace(lo, hi, int(n))

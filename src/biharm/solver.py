@@ -23,10 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergentIntegralError, NonConvergenceError, ParameterError
-from .kernels import KernelSpec, MODE_SURROGATE, ProfilePowerSource, potential
+from .kernels import KernelSpec, MODE_SURROGATE, potential
 from .profiles import (ExponentPlan, ManifoldProfile, SourceProfile, as_fraction,
                        exponent_window_checks, profile_piecewise)
-from .radial import RadialFunction, log_grid
+from .radial import PiecewisePower, RadialFunction, log_grid, pp_product
 
 CONSTANTS_NOTE = ("constants are suprema over a finite grid and therefore lower bounds "
                   "of the true suprema")
@@ -58,11 +58,12 @@ def _require_window(prof: ManifoldProfile, src: SourceProfile, plan: ExponentPla
 
 
 def _envelope(prof: ManifoldProfile, grid: np.ndarray, power: float) -> np.ndarray:
-    return profile_piecewise("f", prof).powered(power).eval(grid)
+    return profile_piecewise("f", prof, power=power).eval(grid)
 
 
-def _psi_f_source(a_power: float) -> ProfilePowerSource:
-    return ProfilePowerSource((("psi", 1.0), ("f", a_power)))
+def _psi_f_source(prof: ManifoldProfile, src: SourceProfile, a_power: float) -> PiecewisePower:
+    return pp_product(profile_piecewise("psi", prof, src),
+                      profile_piecewise("f", prof, power=a_power))
 
 
 def _last_decade_variation(grid: np.ndarray, ratio: np.ndarray) -> float:
@@ -106,9 +107,9 @@ def verify_prop1(plan: ExponentPlan, spec: KernelSpec, src: SourceProfile,
     _require_window(prof, src, plan)
     a, b, p = float(plan.a), float(plan.b), float(plan.p)
 
-    p1 = potential(spec, _psi_f_source(a * p), grid, src)
+    p1 = potential(spec, _psi_f_source(prof, src, a * p), grid)
     ratio1 = p1.values / _envelope(prof, grid, b)
-    p2 = potential(spec, ProfilePowerSource((("f", b),)), grid, src)
+    p2 = potential(spec, profile_piecewise("f", prof, power=b), grid)
     ratio2 = p2.values / _envelope(prof, grid, a)
     var1 = _last_decade_variation(grid, ratio1)
     var2 = _last_decade_variation(grid, ratio2)
@@ -152,9 +153,9 @@ def verify_prop2(plan: ExponentPlan, spec: KernelSpec, src: SourceProfile,
     _require_window(prof, src, plan)
 
     a, b, p = float(plan.a), float(plan.b), float(plan.p)
-    p1 = potential(spec, _psi_f_source(a * (p - 1.0)), grid, src)
+    p1 = potential(spec, _psi_f_source(prof, src, a * (p - 1.0)), grid)
     ratio = p1.values / _envelope(prof, grid, b - a)
-    p2 = potential(spec, ProfilePowerSource((("f", b - a),)), grid, src)
+    p2 = potential(spec, profile_piecewise("f", prof, power=b - a), grid)
     var = _last_decade_variation(grid, ratio)
     if var >= LAST_DECADE_VARIATION_LIMIT:
         raise DivergentIntegralError(
@@ -176,7 +177,7 @@ def _double_potential(spec: KernelSpec, src: SourceProfile, grid: np.ndarray,
                       a_power: float) -> RadialFunction:
     """potential(potential(psi * f**a_power)) through the same sampled-grid
     pipeline the fixed-point map uses, so measured constants transfer."""
-    source_vals = _psi_f_source(a_power).to_piecewise(spec.prof, src).eval(grid)
+    source_vals = _psi_f_source(spec.prof, src, a_power).eval(grid)
     inner = potential(spec, RadialFunction.from_values(grid, source_vals))
     return potential(spec, inner)
 

@@ -120,6 +120,8 @@ def _smallest_eigenvalue(ab, w, rel_tol=1e-12, maxit=500):
     for _ in range(maxit):
         y = solve((cb, False), w * x)
         norm = math.sqrt(float(y @ (w * y)))
+        if not 0.0 < norm < math.inf:   # the iterate's scale left the float range
+            return math.nan
         y /= norm
         # Rayleigh quotient of y: A y = W x / norm
         lam = float(y @ (w * x)) / norm
@@ -148,10 +150,14 @@ def lambda1_annulus(op: SurrogateOperator, r_in: float, r_out: float,
     with np.errstate(all="ignore"):   # the range is checked below
         systems = [_assemble(op, r_in, r_out, m) for m in (int(mesh), 2 * int(mesh))]
         coefs = [op.stiffness([r_in, r_out]), *(x for ab, w in systems for x in (ab[1], w))]
+    out_of_range = f"annulus ({float(r_in)!r}, {float(r_out)!r}) is out of range: "
     if not all(((x >= _TINY) & (x < np.inf)).all() for x in coefs):
-        raise ParameterError(f"annulus ({float(r_in)!r}, {float(r_out)!r}) is out of range: "
-                             "the operator's coefficients leave the normal float range")
-    lam_coarse, lam_fine = (_smallest_eigenvalue(*system) for system in systems)
+        raise ParameterError(out_of_range + "the operator's coefficients leave the normal "
+                             "float range")
+    with np.errstate(over="ignore"):   # an iterate out of range gives nan
+        lam_coarse, lam_fine = (_smallest_eigenvalue(*system) for system in systems)
+    if not math.isfinite(lam_coarse + lam_fine):
+        raise ParameterError(out_of_range + "the inverse iteration leaves the float range")
     rich = lam_fine + (lam_fine - lam_coarse) / 3.0
     return EigenResult(lam_fine, 2 * int(mesh), rich, abs(lam_fine - lam_coarse) / 3.0)
 

@@ -229,6 +229,27 @@ def test_config_file_round_trip(tmp_path):
     assert _load(out3)["classification"]["regime"] == "EXISTENCE"
 
 
+def test_config_file_forms(tmp_path):
+    cfg = tmp_path / "case.cfg"
+    cfg.write_text("# classify at p = 2\n\nalpha = 6\ngamma=4\nm=0\np=2\n")
+    out = tmp_path / "o"
+    assert run(["classify", f"--config={cfg}", "--out-dir", str(out)]) == 0
+    assert _load(out)["p_star"] == 3.0
+
+
+@pytest.mark.parametrize("text, command, code", [
+    ("alpha 6\n", ["classify"], 2),                 # a line without '='
+    ("alpha=6\nfrobnicate=1\n", ["classify"], 2),   # a key classify does not take
+    ("alpha=6\n", [], 1),                            # no subcommand
+])
+def test_bad_config_exits_with_one_error(tmp_path, capsys, text, command, code):
+    cfg = tmp_path / "case.cfg"
+    cfg.write_text(text)
+    assert run(["--config", str(cfg), *command, "--out-dir", str(tmp_path / "o")]) == code
+    _assert_one_error_line(capsys)
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["solve", "--alpha", "6", "--gamma", "4", "--s", "0", "--p", "4", "--nodes", "64"],
     ["verify-bounds", "--alpha", "6", "--gamma", "4", "--p", "4",
@@ -274,9 +295,15 @@ def test_negative_radius_or_small_ratio_exits_two(tmp_path, capsys, argv):
     ["oracle", "--x", "1", "--ball-radius", "1e308"],
     ["oracle", "--x", "1", "--n", "100000"],
     ["kernel-table", "--alpha", "6", "--gamma", "4", "--rho-max", "1e308", "--points", "5"],
+    ["oracle", "--n", "107", "--x", "1e-10", "--ball-radius", "1e-10", "--samples", "437"],
+    ["verify-bounds", "--alpha", "6", "--gamma", "4", "--s", "0", "--p", "4",
+     "--kernel-mode", "euclidean-exact", "--n", "200"],
+    ["oracle", "--n", "257", "--x", "9964.347056263568", "--ball-radius", "10",
+     "--height", "10", "--samples", "257"],
 ])
 def test_out_of_range_inputs_exit_two(tmp_path, capsys, argv):
-    # these raised OverflowError / MemoryError, or wrote nan rows with exit 0
+    # these raised OverflowError / MemoryError, wrote nan rows or "exact": NaN
+    # with exit 0, or warned (a max-kernel potential, oracle sample values)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run(argv + ["--out-dir", str(tmp_path / "o")]) == 2
@@ -354,4 +381,55 @@ def test_classify_never_raises(tmp_path, capsys, alpha, gamma, m, p, s):
     if s is not None:
         argv += ["--s", repr(s)]
     assert run(argv) in (0, 1, 2)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _flags(command, **flags):
+    """argv of command with one --flag=value per strategy; --r-values stays text."""
+    def argv(values):
+        return [command] + [f"--{name.replace('_', '-')}={v if isinstance(v, str) else repr(v)}"
+                            for name, v in values.items()]
+    return st.fixed_dictionaries(flags).map(argv)
+
+
+_FUZZED_ARGV = st.one_of(
+    _flags("kernel-table", alpha=_FINITE, gamma=_FINITE, n=st.integers(-1, 12),
+           rho_min=_FINITE, rho_max=_FINITE, points=st.integers(-1, 48)),
+    _flags("eigen", alpha=_FINITE, gamma=_FINITE, ratio=_FINITE, mesh=st.integers(-1, 128),
+           r_values=st.lists(_FINITE, min_size=1, max_size=4).map(
+               lambda radii: ",".join(map(repr, radii)))),
+    _flags("oracle", n=st.integers(-1, 400), x=_FINITE, ball_radius=_FINITE, height=_FINITE,
+           samples=st.integers(-1, 2000)),
+)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_FUZZED_ARGV)
+# a potential that overflowed wrote "exact": NaN; sample values warned
+@example(argv=["oracle", "--n=107", "--x=1e-10", "--ball-radius=1e-10", "--samples=437"])
+@example(argv=["oracle", "--n=257", "--x=9964.347056263568", "--ball-radius=10",
+               "--height=10", "--samples=257"])
+# sample distances that underflow to 0 warned in the power
+@example(argv=["oracle", "--n=88", "--x=5.796036878823544e-225", "--ball-radius=1e-300",
+               "--height=-5.6258460215502344e+16", "--samples=82"])
+# geomspace overflowed on its way to the top radius
+@example(argv=["kernel-table", "--alpha=1.7976931348623157e+308",
+               "--gamma=1.7976931348623157e+308", "--n=6", "--rho-min=5.304231213797984e+16",
+               "--rho-max=1.7976931348623157e+308", "--points=6"])
+# the tail exponent alpha - 2*gamma overflowed
+@example(argv=["kernel-table", "--alpha=4.173259365042431e+16",
+               "--gamma=1.7976931348623157e+308", "--n=6", "--rho-min=1.405018800328081e-11",
+               "--rho-max=4.873137528862227e+16", "--points=11"])
+# the inverse-iteration norm underflowed to 0: ZeroDivisionError traceback
+@example(argv=["eigen", "--alpha=0.5", "--gamma=8.541153864461078e-150",
+               "--ratio=6.422725236823899e+98", "--mesh=81",
+               "--r-values=8.541153864461078e-150"])
+def test_fuzzed_commands_exit_cleanly(tmp_path, capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv + ["--out-dir", str(tmp_path / "o")]) in (0, 1, 2, 3)
     assert "Traceback" not in capsys.readouterr().err

@@ -13,10 +13,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from biharm.errors import DivergentIntegralError, ParameterError
-from biharm.kernels import (BallSource, KernelSpec, MODE_EUCLIDEAN, MODE_SPLIT,
-                            MODE_SURROGATE, ProfilePowerSource, annulus_lower_bound,
-                            compose_green, mc_oracle, potential, potential_values,
-                            sphere_area)
+from biharm.kernels import (BallSource, KERNEL_MODES, KernelSpec, MODE_EUCLIDEAN, MODE_SPLIT,
+                            MODE_SURROGATE, annulus_lower_bound, compose_green, mc_oracle,
+                            potential, potential_values, sphere_area)
 from biharm.profiles import ManifoldProfile, SourceProfile, profile_piecewise
 from biharm.quad import PowerIntegrand, integrate
 from biharm.radial import (PiecewisePower, RadialFunction, fit_loglog_slope, log_grid,
@@ -24,6 +23,7 @@ from biharm.radial import (PiecewisePower, RadialFunction, fit_loglog_slope, log
 
 PROF = ManifoldProfile(6.0, 4.0, 6)
 SRC = SourceProfile(0.0, 0.0)
+PSI_F = pp_product(profile_piecewise("psi", PROF, SRC), profile_piecewise("f", PROF, power=3.5))
 INF = float("inf")
 
 
@@ -53,8 +53,8 @@ def test_compose_green_small_separation_singularity():
 def test_split_mode_accepts_grid_sources():
     grid = log_grid(1e-1, 1e2, 48)
     src_rf = RadialFunction.from_values(grid, np.exp(-np.log(grid) ** 2 / 2.0))
-    split = potential(KernelSpec(MODE_SPLIT, PROF), src_rf, grid, SRC)
-    surro = potential(KernelSpec(MODE_SURROGATE, PROF), src_rf, grid, SRC)
+    split = potential(KernelSpec(MODE_SPLIT, PROF), src_rf, grid)
+    surro = potential(KernelSpec(MODE_SURROGATE, PROF), src_rf, grid)
     assert np.all(split.values > 0)
     ratio = split.values / surro.values
     assert 1e-3 < ratio.min() and ratio.max() < 1e3   # two-sided comparability
@@ -100,10 +100,12 @@ def test_euclidean_ball_anchors():
 
 
 def test_zero_source_gives_zero():
-    spec = KernelSpec(MODE_SURROGATE, PROF)
     grid = log_grid(1e-1, 1e2, 32)
-    out = potential(spec, RadialFunction.zero(grid))
-    assert out.is_zero
+    for mode in KERNEL_MODES:
+        assert potential(KernelSpec(mode, PROF), RadialFunction.zero(grid)).is_zero
+    # rho**(2-n) overflows at this radius, but the source vanishes below it
+    spec = KernelSpec(MODE_EUCLIDEAN, ManifoldProfile(107.0, 105.0, 107))
+    assert potential_values(spec, BallSource(1e-10, 0.0), [1e-10])[0] == 0.0
 
 
 def test_potential_monotone_in_source():
@@ -121,7 +123,7 @@ def test_potential_monotone_in_source():
 def test_potential_positivity():
     spec = KernelSpec(MODE_SPLIT, PROF)
     grid = log_grid(1e-1, 1e2, 24)
-    out = potential(spec, ProfilePowerSource((("psi", 1.0), ("f", 3.5))), grid, SRC)
+    out = potential(spec, PSI_F, grid)
     assert np.all(out.values > 0)
 
 
@@ -134,6 +136,16 @@ def test_potential_divergence_names_exponent():
     with pytest.raises(DivergentIntegralError) as err:
         potential(spec, PiecewisePower.single(1.0, -6.5), grid)  # origin too hot
     assert err.value.location == "origin"
+    with pytest.raises(DivergentIntegralError) as err:
+        potential_values(KernelSpec(MODE_SPLIT, PROF), PiecewisePower.single(1.0, -2.0),
+                         [0.5, 2.0])
+    assert (err.value.location, err.value.exponent) == ("tail", 0.0)
+    # r**-5.5 times the measure r**5 is integrable, the kernel at rho = 0 is not
+    source = PiecewisePower((0.0, 1.0, INF), (1.0, 0.0), (-5.5, 0.0))
+    for mode in (MODE_SURROGATE, MODE_EUCLIDEAN):
+        with pytest.raises(DivergentIntegralError) as err:
+            potential_values(KernelSpec(mode, PROF), source, [0.0])
+        assert (err.value.location, err.value.exponent) == ("origin", -4.5)
 
 
 def test_annulus_lower_bound():
@@ -164,9 +176,8 @@ def test_max_kernel_comparable_to_shifted_power():
 def test_split_and_surrogate_modes_agree_within_constants():
     # both represent the same potential up to two-sided constants
     grid = log_grid(1e-1, 1e3, 48)
-    src = ProfilePowerSource((("psi", 1.0), ("f", 3.5)))
-    split = potential(KernelSpec(MODE_SPLIT, PROF), src, grid, SRC)
-    surro = potential(KernelSpec(MODE_SURROGATE, PROF), src, grid, SRC)
+    split = potential(KernelSpec(MODE_SPLIT, PROF), PSI_F, grid)
+    surro = potential(KernelSpec(MODE_SURROGATE, PROF), PSI_F, grid)
     ratio = split.values / surro.values
     assert ratio.max() / ratio.min() < 50.0
 
@@ -230,7 +241,7 @@ def reference_sources():
     vals[40:47] = 0.0
     return {"grid48": RadialFunction.from_values(g48, np.exp(-np.log(g48) ** 2 / 2.0)),
             "grid96_zeros": RadialFunction(g96, vals, 0.0, -3.5),
-            "psi_f": ProfilePowerSource((("psi", 1.0), ("f", 3.5))),
+            "psi_f": PSI_F,
             "ball": BallSource(1.5, 2.0)}
 
 
@@ -245,7 +256,7 @@ def test_compose_green_matches_scalar_reference(key):
 @pytest.mark.parametrize("name", sorted(REFERENCE["split"]))
 def test_split_potential_matches_scalar_reference(name):
     vals = potential_values(KernelSpec(MODE_SPLIT, PROF), reference_sources()[name],
-                            REFERENCE["rho"], SRC)
+                            REFERENCE["rho"])
     np.testing.assert_allclose(vals, REFERENCE["split"][name], rtol=1e-13, atol=0)
 
 

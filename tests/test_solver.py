@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from biharm.errors import DivergentIntegralError, NonConvergenceError, ParameterError
-from biharm.kernels import (KernelSpec, MODE_EUCLIDEAN, MODE_SPLIT, MODE_SURROGATE,
-                            ProfilePowerSource, potential)
-from biharm.profiles import ExponentPlan, ManifoldProfile, SourceProfile, plan_exponents
+from biharm.kernels import KernelSpec, MODE_EUCLIDEAN, MODE_SPLIT, MODE_SURROGATE, potential
+from biharm.profiles import (ExponentPlan, ManifoldProfile, SourceProfile, plan_exponents,
+                             profile_piecewise)
 from biharm.radial import PiecewisePower, RadialFunction, log_grid, pp_product
 from biharm.solver import (apply_T, default_grid, estimate_constants,
                            measure_lipschitz, pick_l, residual_check,
@@ -103,9 +103,9 @@ def test_profile_modes_give_comparable_constants():
     for mode in ("two-regime", "pure-power"):
         prof = ManifoldProfile(6.0, 4.0, 6, mode=mode)
         spec = KernelSpec(MODE_SURROGATE, prof)
-        source = pp_product(ProfilePowerSource((("psi", 1.0), ("f", 3.5))).to_piecewise(prof, SRC),
-                            OUTSIDE_UNIT_BALL)
-        inner = potential(spec, source, GRID, SRC)
+        source = pp_product(profile_piecewise("psi", prof, SRC),
+                            profile_piecewise("f", prof, power=3.5), OUTSIDE_UNIT_BALL)
+        inner = potential(spec, source, GRID)
         outer = potential(spec, inner)
         fa = _envelope(prof, GRID, 0.875)
         sups[mode] = float(np.max(outer.values / fa))
@@ -232,7 +232,8 @@ def test_manufactured_pair_residuals():
     # oracle: u* = potential(potential(src)) satisfies L u* = potential(src)
     # and L potential(src) = src exactly in the continuum
     grid = default_grid(1024)
-    src_vals = ProfilePowerSource((("psi", 1.0), ("f", 3.5))).to_piecewise(PROF, SRC).eval(grid)
+    src_vals = pp_product(profile_piecewise("psi", PROF, SRC),
+                          profile_piecewise("f", PROF, power=3.5)).eval(grid)
     src_rf = RadialFunction.from_values(grid, src_vals)
     h_star = potential(SPEC, src_rf)
     u_star = potential(SPEC, h_star)
@@ -253,11 +254,12 @@ def test_split_mode_prop_checks_small_grid():
 def test_weighted_source_ratio_flattens_far_out():
     # with b at its inclusive endpoint the envelope bound is sharp, so the
     # ratio's log-log slope tends to zero
-    from biharm.profiles import profile_piecewise
     from biharm.radial import fit_loglog_slope
     spec = KernelSpec(MODE_SPLIT, PROF)
     grid = log_grid(1e-2, 1e4, 160)
-    p1 = potential(spec, ProfilePowerSource((("psi", 1.0), ("f", 3.5))), grid, SRC)
-    ratio = p1.values / profile_piecewise("f", PROF).powered(2.0).eval(grid)
+    source = pp_product(profile_piecewise("psi", PROF, SRC),
+                        profile_piecewise("f", PROF, power=3.5))
+    p1 = potential(spec, source, grid)
+    ratio = p1.values / profile_piecewise("f", PROF, power=2.0).eval(grid)
     mask = grid >= grid[-1] / 10.0
     assert abs(fit_loglog_slope(grid[mask], ratio[mask])) < 0.05
