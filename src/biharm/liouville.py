@@ -23,6 +23,7 @@ import numpy as np
 from .errors import ParameterError
 from .kernels import annulus_lower_bound
 from .profiles import ManifoldProfile, SourceProfile, as_fraction
+from .radial import fit_loglog_slope, require_normal
 from .spectral import SurrogateOperator, lambda1_annulus
 
 VERDICT_CONTRADICTION = "CONTRADICTION"
@@ -36,6 +37,8 @@ NORMALIZATION_NOTE = ("kernel lower bound normalized: the annulus Green bound en
 GAP_RESOLUTION = 0.1          # fitted exponent gaps inside +-this are 'equal'
 RATIO_GROWTH_FACTOR = 2.0     # monotone ratio growth over the last 3 points
 LOG_FIT_MIN_CORRELATION = 0.999
+
+_MAX_SHELLS = 1 << 20         # terms of one shell sum, each an array entry
 
 
 def _default_r_list():
@@ -79,6 +82,8 @@ class WitnessConfig:
         """Largest admissible shell index k for outer radius R (requires k >= 1)."""
         x = self.r_inner / (self.big_n ** 2 * R)
         k = int(math.floor(math.log(x) / math.log(self.tau))) - 1
+        if k > _MAX_SHELLS:
+            raise ParameterError(f"R = {R} needs {k} shells: tau = {self.tau!r} is too close to 1")
         # guard against floating error at exact powers
         while self.tau ** (k + 1) < x:
             k -= 1
@@ -127,7 +132,7 @@ def lhs_upper(prof: ManifoldProfile, p: float, cfg: WitnessConfig, R: float,
         raise ParameterError(f"p must exceed 1, got {p}")
     op = SurrogateOperator.from_profile(prof)
     lam = lambda1_annulus(op, cfg.tau * R, cfg.big_n ** 2 * R, mesh)
-    return lam.value ** (2.0 / (p - 1.0))
+    return float(np.float64(lam.value) ** (2.0 / (p - 1.0)))   # inf, not OverflowError
 
 
 def rational_exponent_gap(prof: ManifoldProfile, src: SourceProfile, p) -> Fraction:
@@ -225,11 +230,15 @@ def verdict(prof: ManifoldProfile, src: SourceProfile, p: float,
     if not p > 1:
         raise ParameterError(f"p must exceed 1, got {p}")
     rs = np.array(cfg.r_list)
-    lhs = np.array([lhs_upper(prof, p, cfg, R, mesh) for R in rs])
-    rhs = np.array([rhs_lower(prof, src, p, cfg, R) for R in rs])
-    ratio = rhs / lhs
-    e_lam = float(np.polyfit(np.log(rs), np.log(lhs), 1)[0])
-    e_rhs = float(np.polyfit(np.log(rs), np.log(rhs), 1)[0])
+    with np.errstate(all="ignore"):   # every side is checked below
+        lhs = np.array([lhs_upper(prof, p, cfg, R, mesh) for R in rs])
+        rhs = np.array([rhs_lower(prof, src, p, cfg, R) for R in rs])
+        ratio = rhs / lhs
+    # radius by radius: the first one with a side out of range is named
+    require_normal("a witness side (lhs, rhs or rhs/lhs)", np.repeat(rs, 3),
+                   np.column_stack([lhs, rhs, ratio]).ravel())
+    e_lam = fit_loglog_slope(rs, lhs)
+    e_rhs = fit_loglog_slope(rs, rhs)
     gap_fit = e_rhs - e_lam
 
     # logarithmic residual test: ratio against a + b*ln R

@@ -59,6 +59,8 @@ class PiecewisePower:
         lc, e = _frozen(log_coefs), _frozen(exps)
         if lc.shape != (b.size - 1,) or e.shape != lc.shape:
             raise ParameterError("need one (coef, exp) per piece")
+        if not np.isfinite(e).all():
+            raise ParameterError(f"piecewise-power exponents must be finite, got {e.tolist()}")
         pp = object.__new__(PiecewisePower)
         pp.__dict__.update(bounds=b, log_coefs=lc, exps=e)
         return pp
@@ -80,7 +82,8 @@ class PiecewisePower:
         """Vectorized evaluation; arg may be scalar or array, entries > 0."""
         a = np.asarray(arg, dtype=float)
         idx = self.piece_index(a)
-        out = np.exp(self.log_coefs[idx] + self.exps[idx] * np.log(a))
+        with np.errstate(over="ignore"):   # a value beyond the float range is inf, or 0
+            out = np.exp(self.log_coefs[idx] + self.exps[idx] * np.log(a))
         return out if out.ndim else float(out)
 
 
@@ -99,10 +102,11 @@ def pp_product(*pps: PiecewisePower) -> PiecewisePower:
     mid[-1] = lo[-1] + 1.0
     lc = np.zeros(mid.size)
     e = np.zeros(mid.size)
-    for pp in pps:
-        k = pp.piece_index(mid)
-        lc += pp.log_coefs[k]
-        e += pp.exps[k]
+    with np.errstate(over="ignore", invalid="ignore"):   # _from_logs rejects inf and nan
+        for pp in pps:
+            k = pp.piece_index(mid)
+            lc += pp.log_coefs[k]
+            e += pp.exps[k]
     e[lc == -_INF] = 0.0
     return PiecewisePower._from_logs(bounds, lc, e)
 
@@ -130,6 +134,15 @@ def power_integral(log_coef, exp, lo, hi):
     return out if out.ndim else float(out)
 
 
+def require_normal(what: str, radii, values) -> np.ndarray:
+    """values, or ParameterError naming the first radius whose value is not a normal float."""
+    bad = np.flatnonzero(~((values >= np.finfo(float).tiny) & (values < _INF)))
+    if bad.size:
+        raise ParameterError(f"{what} at radius {float(radii[bad[0]])!r} is "
+                             f"{float(values[bad[0]])!r}: it leaves the normal float range")
+    return values
+
+
 def fit_loglog_slope(x, y):
     """Least-squares slope of log y against log x (requires positive data)."""
     lx, ly = np.log(np.asarray(x, dtype=float)), np.log(np.asarray(y, dtype=float))
@@ -140,7 +153,7 @@ def _decade_slope(grid, values, left: bool):
     """Power-law fit over the first/last decade; None if not well defined."""
     g = np.asarray(grid, dtype=float)
     v = np.asarray(values, dtype=float)
-    mask = g <= g[0] * 10.0 if left else g >= g[-1] / 10.0
+    mask = g <= float(g[0]) * 10.0 if left else g >= g[-1] / 10.0   # a float: inf, no warning
     if mask.sum() < 3 or np.any(v[mask] <= 0):
         return None
     return fit_loglog_slope(g[mask], v[mask])

@@ -26,7 +26,7 @@ from .errors import DivergentIntegralError, NonConvergenceError, ParameterError
 from .kernels import KernelSpec, MODE_SURROGATE, potential
 from .profiles import (ExponentPlan, ManifoldProfile, SourceProfile, as_fraction,
                        exponent_window_checks, profile_piecewise)
-from .radial import PiecewisePower, RadialFunction, log_grid, pp_product
+from .radial import PiecewisePower, RadialFunction, log_grid, pp_product, require_normal
 
 CONSTANTS_NOTE = ("constants are suprema over a finite grid and therefore lower bounds "
                   "of the true suprema")
@@ -58,7 +58,8 @@ def _require_window(prof: ManifoldProfile, src: SourceProfile, plan: ExponentPla
 
 
 def _envelope(prof: ManifoldProfile, grid: np.ndarray, power: float) -> np.ndarray:
-    return profile_piecewise("f", prof, power=power).eval(grid)
+    return require_normal(f"envelope f**{power!r}", grid,
+                          profile_piecewise("f", prof, power=power).eval(grid))
 
 
 def _psi_f_source(prof: ManifoldProfile, src: SourceProfile, a_power: float) -> PiecewisePower:
@@ -66,15 +67,23 @@ def _psi_f_source(prof: ManifoldProfile, src: SourceProfile, a_power: float) -> 
                       profile_piecewise("f", prof, power=a_power))
 
 
-def _last_decade_variation(grid: np.ndarray, ratio: np.ndarray) -> float:
+def _last_decade_variation(grid: np.ndarray, ratio: np.ndarray, name: str) -> float:
     """Growth of the running sup across the last decade of the grid.
 
     Boundedness evidence: for a bounded ratio the sup stops moving once the
     grid is long enough, so extending it by the final decade changes the sup
-    only marginally; an unbounded ratio keeps pushing it up.
+    only marginally; an unbounded ratio keeps pushing it up, and a growth of
+    LAST_DECADE_VARIATION_LIMIT or more raises.
     """
     inner = ratio[grid <= grid[-1] / 10.0]
-    return float(ratio.max() / inner.max() - 1.0)
+    if not inner.size:
+        raise ParameterError("the boundedness check needs a grid spanning over a decade")
+    var = float(ratio.max() / inner.max() - 1.0)
+    if var >= LAST_DECADE_VARIATION_LIMIT:
+        raise DivergentIntegralError(
+            f"sup ratio not stabilized: {name} varies by {var:.1%} over the last decade",
+            location="tail")
+    return var
 
 
 def _validate_grid(grid) -> np.ndarray:
@@ -111,13 +120,8 @@ def verify_prop1(plan: ExponentPlan, spec: KernelSpec, src: SourceProfile,
     ratio1 = p1.values / _envelope(prof, grid, b)
     p2 = potential(spec, profile_piecewise("f", prof, power=b), grid)
     ratio2 = p2.values / _envelope(prof, grid, a)
-    var1 = _last_decade_variation(grid, ratio1)
-    var2 = _last_decade_variation(grid, ratio2)
-    for name, var in (("ratio1", var1), ("ratio2", var2)):
-        if var >= LAST_DECADE_VARIATION_LIMIT:
-            raise DivergentIntegralError(
-                f"sup ratio not stabilized: {name} varies by {var:.1%} over the last decade",
-                location="tail")
+    var1 = _last_decade_variation(grid, ratio1, "ratio1")
+    var2 = _last_decade_variation(grid, ratio2, "ratio2")
     return BoundednessCheck(float(ratio1.max()), float(ratio2.max()), var1, var2)
 
 
@@ -156,11 +160,7 @@ def verify_prop2(plan: ExponentPlan, spec: KernelSpec, src: SourceProfile,
     p1 = potential(spec, _psi_f_source(prof, src, a * (p - 1.0)), grid)
     ratio = p1.values / _envelope(prof, grid, b - a)
     p2 = potential(spec, profile_piecewise("f", prof, power=b - a), grid)
-    var = _last_decade_variation(grid, ratio)
-    if var >= LAST_DECADE_VARIATION_LIMIT:
-        raise DivergentIntegralError(
-            f"sup ratio not stabilized: varies by {var:.1%} over the last decade",
-            location="tail")
+    var = _last_decade_variation(grid, ratio, "ratio")
     return ContractionCheck(float(ratio.max()), float(p2.values.max()), var)
 
 
@@ -217,7 +217,7 @@ def _nonlinear_source(plan: ExponentPlan, spec: KernelSpec, src: SourceProfile,
                       grid: np.ndarray, u_vals: np.ndarray) -> RadialFunction:
     a, p, l = float(plan.a), float(plan.p), plan.l
     psi = profile_piecewise("psi", spec.prof, src).eval(grid)
-    fap = _envelope(spec.prof, grid, a * p)
+    fap = profile_piecewise("f", spec.prof, power=a * p).eval(grid)   # may underflow far out
     return RadialFunction.from_values(grid, psi * (u_vals ** p + l ** p * fap))
 
 
@@ -324,6 +324,8 @@ def solve_fixed_point(plan: ExponentPlan, spec: KernelSpec, src: SourceProfile,
     l = pick_l(plan, C, C_prime)
     plan = plan.with_l(l)
     p = float(plan.p)
+    if not l ** p >= np.finfo(float).tiny:
+        raise ParameterError(f"the source weight l**p underflows at l = {l!r}, p = {p!r}")
     predictor = C_prime * p * l ** (p - 1.0)
 
     fa = _envelope(prof, grid, float(plan.a))
@@ -356,34 +358,27 @@ def surrogate_fd_apply(prof: ManifoldProfile, grid: np.ndarray, vals: np.ndarray
     In log coordinates t = ln r the operator reads
         L u = -r**(gamma-alpha) * (u_tt + gamma u_t) / (alpha*gamma),
     discretized with second-order central differences.  Third derivatives of
-    potentials jump at the profile crossover r = 1, so nodes whose centered
-    stencil straddles it switch to one-sided stencils of higher order (the
-    smooth-region second-order error then dominates the sup).
+    potentials jump at the profile crossover r = 1, so a grid that spans it
+    must have 1.0 as a node with at least five nodes below; that node takes a
+    left-sided stencil of higher order (the smooth-region second-order error
+    then dominates the sup).
     """
     t = np.log(grid)
     dt = t[1] - t[0]
     if not np.allclose(np.diff(t), dt, rtol=1e-9):
         raise ParameterError("the surrogate stencil needs a log-uniform grid")
+    spans = grid[0] < 1.0 < grid[-1]
+    i = int(np.searchsorted(grid, 1.0))
+    if spans and not (i >= 5 and grid[i] == 1.0):
+        raise ParameterError("a grid across the crossover r = 1 needs a node 1.0 with 5 below it")
     al, ga = float(prof.alpha), float(prof.gamma)
-    kink = np.where((grid[:-2] < 1.0) & (grid[2:] > 1.0))[0] + 1
-    kink = set(int(i) for i in kink) | set(int(i) for i in np.where(grid == 1.0)[0])
 
     utt = (vals[2:] - 2.0 * vals[1:-1] + vals[:-2]) / dt ** 2
     ut = (vals[2:] - vals[:-2]) / (2.0 * dt)
-    for i in kink:
-        j = i - 1  # index into the interior arrays
-        if not 0 <= j < utt.size:
-            continue
-        if grid[i] <= 1.0 and i >= 5:
-            utt[j] = (45 * vals[i] - 154 * vals[i - 1] + 214 * vals[i - 2]
-                      - 156 * vals[i - 3] + 61 * vals[i - 4] - 10 * vals[i - 5]) / (12 * dt ** 2)
-            ut[j] = (137 * vals[i] - 300 * vals[i - 1] + 300 * vals[i - 2]
-                     - 200 * vals[i - 3] + 75 * vals[i - 4] - 12 * vals[i - 5]) / (60 * dt)
-        elif i + 5 < vals.size:
-            utt[j] = (45 * vals[i] - 154 * vals[i + 1] + 214 * vals[i + 2]
-                      - 156 * vals[i + 3] + 61 * vals[i + 4] - 10 * vals[i + 5]) / (12 * dt ** 2)
-            ut[j] = (-137 * vals[i] + 300 * vals[i + 1] - 300 * vals[i + 2]
-                     + 200 * vals[i + 3] - 75 * vals[i + 4] + 12 * vals[i + 5]) / (60 * dt)
+    if spans:   # six-point left-sided stencils on vals[i], ..., vals[i - 5], summed in order
+        left = vals[i::-1][:6]
+        utt[i - 1] = sum((45, -154, 214, -156, 61, -10) * left) / (12 * dt ** 2)
+        ut[i - 1] = sum((137, -300, 300, -200, 75, -12) * left) / (60 * dt)
     return -grid[1:-1] ** (ga - al) * (utt + ga * ut) / (al * ga)
 
 

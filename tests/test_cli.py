@@ -2,6 +2,7 @@
 
 import filecmp
 import json
+import shutil
 import subprocess
 import sys
 import warnings
@@ -336,6 +337,26 @@ def test_annuli_beyond_the_float_range_exit_two_naming_them(tmp_path, capsys, ar
     assert not (tmp_path / "o" / "report.json").exists()
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["witness", "--alpha", "6", "--gamma", "4", "--m", "0", "--p", "1.0000000000000002"],
+     "radius 1024.0 "),   # lambda1**(2/(p-1)) underflows: lhs = 0
+    (["witness", "--alpha", "6", "--gamma", "4", "--m", "0", "--p", "1e300"],
+     "radius 1024.0 "),   # the shell sum underflows: rhs = 0
+    (["solve", "--alpha", "6", "--gamma", "4", "--s", "0", "--p", "1e300", "--nodes", "64"],
+     "l = 0.9, p = 1e+300"),
+])
+def test_values_beyond_the_float_range_exit_two_naming_them(tmp_path, capsys, argv, named):
+    # these warned and exited 0, writing NaN for e_lambda and gap_fitted (witness)
+    # or for both residuals (solve: the source l**p f**(a p) vanished)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv + ["--out-dir", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert "Traceback" not in err and len(errors) == 1 and named in errors[0]
+    assert not (tmp_path / "o" / "report.json").exists()
+
+
 def test_kernel_table_at_huge_radii(tmp_path):
     # g(rho+r) g(r) went subnormal before v(r) scaled it back: rows at
     # rho = 1e40 and 1e45 came out 1.6684e-81 and 4.3210e-92
@@ -387,23 +408,57 @@ def test_classify_never_raises(tmp_path, capsys, alpha, gamma, m, p, s):
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
-def _flags(command, **flags):
-    """argv of command with one --flag=value per strategy; --r-values stays text."""
-    def argv(values):
+def _flags(command, *groups, **flags):
+    """argv of command with one --flag=value per strategy, plus the flags that
+    each group strategy draws together as a dict; --r-values stays text."""
+    def argv(dicts):
+        values = {name: v for d in dicts for name, v in d.items()}
         return [command] + [f"--{name.replace('_', '-')}={v if isinstance(v, str) else repr(v)}"
                             for name, v in values.items()]
-    return st.fixed_dictionaries(flags).map(argv)
+    return st.tuples(*groups, st.fixed_dictionaries(flags)).map(argv)
 
+
+def _floats(lo, hi, typical_lo, typical_hi):
+    """Finite floats in (lo, hi], half of them in the typical range."""
+    return st.one_of(st.floats(typical_lo, typical_hi),
+                     st.floats(lo, hi, exclude_min=True, allow_infinity=False))
+
+
+def _radii(radius, min_size=1):
+    """--r-values text: up to four radii, in increasing order."""
+    return st.lists(radius, min_size=min_size, max_size=4, unique=True).map(
+        lambda radii: ",".join(map(repr, sorted(radii))))
+
+
+_MAX = 1.7976931348623157e308
+# gamma < alpha < 2 gamma: the window every existence command needs
+_WINDOW = st.tuples(_floats(0.0, _MAX, 0.5, 12.0),
+                    st.floats(1.0, 2.0, exclude_min=True, exclude_max=True)).map(
+    lambda gamma_t: {"alpha": gamma_t[0] * gamma_t[1], "gamma": gamma_t[0]})
+_MODES = st.sampled_from(["split-comparison", "surrogate-exact", "euclidean-exact"])
 
 _FUZZED_ARGV = st.one_of(
     _flags("kernel-table", alpha=_FINITE, gamma=_FINITE, n=st.integers(-1, 12),
            rho_min=_FINITE, rho_max=_FINITE, points=st.integers(-1, 48)),
     _flags("eigen", alpha=_FINITE, gamma=_FINITE, ratio=_FINITE, mesh=st.integers(-1, 128),
-           r_values=st.lists(_FINITE, min_size=1, max_size=4).map(
-               lambda radii: ",".join(map(repr, radii)))),
+           r_values=_radii(_FINITE)),
     _flags("oracle", n=st.integers(-1, 400), x=_FINITE, ball_radius=_FINITE, height=_FINITE,
            samples=st.integers(-1, 2000)),
+    _flags("witness", _WINDOW, m=_floats(-_MAX, _MAX, -4.0, 4.0), p=_floats(1.0, _MAX, 1.0, 24.0),
+           tau=_floats(0.0, 1.0, 0.25, 0.75),
+           big_n=_floats(2.0, _MAX, 2.5, 8.0), r_inner=_floats(1.0, _MAX, 1.0, 8.0),
+           r_values=_radii(_floats(1.0, _MAX, 64.0, 1e6), 3), mesh=st.integers(64, 96)),
+    _flags("verify-bounds", _WINDOW, s=_floats(-_MAX, 0.0, -1.0, 0.0),
+           m=_floats(-_MAX, _MAX, -4.0, 4.0), p=_floats(1.0, _MAX, 1.0, 24.0),
+           kernel_mode=_MODES, grid_lo=_floats(0.0, _MAX, 1e-4, 1.0),
+           grid_hi=_floats(0.0, _MAX, 1.0, 1e6), grid_points=st.integers(8, 48)),
+    _flags("solve", _WINDOW, s=_floats(-_MAX, 0.0, -1.0, 0.0), p=_floats(1.0, _MAX, 1.0, 24.0),
+           kernel_mode=_MODES, nodes=st.integers(16, 96)),
 )
+
+
+def _no_constant(name):
+    raise ValueError(f"report.json holds {name}")
 
 
 @settings(max_examples=150, deadline=None,
@@ -428,8 +483,55 @@ _FUZZED_ARGV = st.one_of(
 @example(argv=["eigen", "--alpha=0.5", "--gamma=8.541153864461078e-150",
                "--ratio=6.422725236823899e+98", "--mesh=81",
                "--r-values=8.541153864461078e-150"])
+# witness sides out of the float range: NaN in report.json, or an
+# OverflowError traceback from lambda1**(2/(p-1))
+@example(argv=["witness", "--alpha=6", "--gamma=4", "--m=0", "--p=1.0000000000000002"])
+@example(argv=["witness", "--alpha=6", "--gamma=4", "--m=0", "--p=1e300"])
+@example(argv=["witness", "--alpha=1", "--gamma=0.99", "--m=0", "--p=1.0000000000000002",
+               "--tau=0.99", "--big-n=2.00001", "--r-inner=1", "--r-values=1.02,1.03,1.04",
+               "--mesh=64"])
+# tau next to 1 asked for ~8e17 shells: MemoryError
+@example(argv=["witness", "--alpha=0.75", "--gamma=0.5", "--big-n=3.0803275778483556e+16",
+               "--mesh=82", "--m=1.1861565823126347e-111",
+               "--r-values=41301038.13392623,87953186.197396,2.0086754756411556e+16",
+               "--r-inner=2.2394680370095963", "--p=1.6532820199016986e+221",
+               "--tau=0.9999999999999999"])
+# l**p vanished: "residuals": [NaN, NaN]
+@example(argv=["solve", "--alpha=6", "--gamma=4", "--s=0", "--p=1e300", "--nodes=64"])
+# exponents or their products and sums past the float range warned
+@example(argv=["solve", "--alpha=7.5", "--gamma=6.0", "--s=0.0", "--p=5.783171915748608e+306",
+               "--kernel-mode=split-comparison", "--nodes=16"])
+@example(argv=["solve", "--alpha=1.6394795847037384e+308", "--gamma=1.6062330852607808e+308",
+               "--s=-1.48393835118562", "--p=1.5", "--kernel-mode=euclidean-exact",
+               "--nodes=33"])
+@example(argv=["solve", "--alpha=1.5816510932103376e+308", "--gamma=8.302626998655981e+307",
+               "--s=-1.4048373131489083e+308", "--p=17.776488888832223",
+               "--kernel-mode=split-comparison", "--nodes=73"])
+# an envelope f**a or f**b that underflows divided by zero
+@example(argv=["solve", "--alpha=7.487572602564594e+16", "--gamma=4.696976987782225e+16",
+               "--s=0.0", "--p=4.696976987782225e+16", "--kernel-mode=euclidean-exact",
+               "--nodes=53"])
+@example(argv=["verify-bounds", "--alpha=4.635838727287223", "--gamma=3.4952943205960776",
+               "--s=-1.4152530471653235", "--m=0.6265496174051224", "--p=10.0",
+               "--kernel-mode=surrogate-exact", "--grid-lo=2.6176701761041148e+16",
+               "--grid-hi=1.0151426370353366e+308", "--grid-points=30"])
+# the first decade's end, 10 * grid_lo, overflowed
+@example(argv=["verify-bounds", "--alpha=5.617778242215263e+102",
+               "--gamma=4.066020066207443e+102", "--s=-3.5471358971116267",
+               "--m=0.5475719164656931", "--p=16.879863541415663",
+               "--kernel-mode=euclidean-exact", "--grid-lo=9.377745755776174e+307",
+               "--grid-hi=1.0318292179324124e+308", "--grid-points=22"])
+# a grid within one decade has no last decade to compare: ValueError traceback
+@example(argv=["verify-bounds", "--alpha=7.603040947731823", "--gamma=6.563513415711955",
+               "--s=-1.5808205879387227e-191", "--m=0.0", "--p=11.683015790075018",
+               "--kernel-mode=euclidean-exact", "--grid-lo=0.5332206331518767",
+               "--grid-hi=1.0", "--grid-points=9"])
 def test_fuzzed_commands_exit_cleanly(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    shutil.rmtree(out, ignore_errors=True)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert run(argv + ["--out-dir", str(tmp_path / "o")]) in (0, 1, 2, 3)
+        assert run(argv + ["--out-dir", str(out)]) in (0, 1, 2, 3)
     assert "Traceback" not in capsys.readouterr().err
+    if (out / "report.json").exists():
+        json.loads((out / "report.json").read_text(), parse_constant=_no_constant)

@@ -11,7 +11,8 @@ from scipy.integrate import quad as scipy_quad
 
 from biharm.errors import ParameterError
 from biharm.profiles import ManifoldProfile, profile_piecewise
-from biharm.quad import PowerIntegrand, _near_segments, _series_zones, integrate
+from biharm.quad import (_K, _STEEP, _X, PowerIntegrand, _near_segments, _series_zones,
+                         integrate)
 from biharm.radial import PiecewisePower, RadialFunction, log_grid, pp_product
 from biharm.solver import default_grid
 
@@ -155,6 +156,20 @@ def test_gauss_zone_holds_only_the_near_breakpoints(rho):
         inside = breaks[(breaks > rho / 4) & (breaks < 4 * rho)]
         expected = np.unique(np.concatenate([[rho / 4, 4 * rho], inside]))
         assert cuts == pytest.approx(expected, rel=1e-12)
+
+
+def test_fixed_series_length_suffices_at_every_exponent():
+    # a series takes the terms 0.._K: at the ratio cap r of a piece of exponent
+    # e, the last, |binom(beta, _K)| r**_K m_0, is below 1e-15 of the sum,
+    # which is at least min(1, (1 + sign r)**beta) m_0, for beta = e, sign +1
+    # (low zone, first high-zone form) and beta = e - 1, sign -1 (second form)
+    e = np.union1d(np.linspace(-1000.0, 1000.0, 200001), np.arange(-1000.0, 1001.0))
+    r = _STEEP / np.maximum(np.abs(e), _STEEP / _X)
+    for beta, sign in ((e, 1.0), (e - 1.0, -1.0)):
+        last = np.ones(e.size)
+        for j in range(_K):
+            last *= np.abs(beta - j) * r / (j + 1)
+        assert (last <= 1e-15 * np.minimum(1.0, (1.0 + sign * r) ** beta)).all()
 
 
 def test_scalar_shift_gives_scalars_and_arrays_keep_shape():

@@ -217,6 +217,23 @@ def test_crossover_is_one_node_with_one_kink_stencil(nodes):
     assert one_sided == [i]
 
 
+def test_surrogate_stencil_needs_the_crossover_node():
+    grid = log_grid(1e-3, 1e6, 1001)   # spans r = 1 without a node there
+    assert not (grid == 1.0).any()
+    with pytest.raises(ParameterError, match="crossover"):
+        surrogate_fd_apply(PROF, grid, np.ones(grid.size))
+
+
+def test_surrogate_stencil_is_central_on_a_grid_beyond_the_crossover():
+    grid = log_grid(2.0, 1e4, 64)
+    vals = (1.0 + grid) ** -2.5
+    dt = np.log(grid[1]) - np.log(grid[0])
+    utt = (vals[2:] - 2.0 * vals[1:-1] + vals[:-2]) / dt ** 2
+    ut = (vals[2:] - vals[:-2]) / (2.0 * dt)
+    central = -grid[1:-1] ** (4.0 - 6.0) * (utt + 4.0 * ut) / (6.0 * 4.0)
+    assert np.array_equal(surrogate_fd_apply(PROF, grid, vals), central)
+
+
 def test_residual_check_requires_surrogate(solved):
     split_report = type(solved)(**{**solved.__dict__, "spec": KernelSpec(MODE_SPLIT, PROF)})
     with pytest.raises(ParameterError, match="surrogate"):
