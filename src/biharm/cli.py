@@ -65,15 +65,12 @@ def _write_json(path: Path, payload: dict):
 
 
 def _write_csv(path: Path, header: str, rows):
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(f"{x:.12e}" for x in row))
+    lines = [header] + [",".join(f"{x:.12e}" for x in row) for row in rows]
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
 def _report(out_dir: Path, command: str, config: dict, body: dict):
-    payload = {"command": command, "config": config, "disclaimers": DISCLAIMERS}
-    payload.update(body)
+    payload = {"command": command, "config": config, "disclaimers": DISCLAIMERS, **body}
     _write_json(out_dir / "report.json", payload)
     cfg_lines = [f"{k}={v}" for k, v in sorted(config.items())]
     _atomic_write(out_dir / "resolved.cfg", "\n".join(cfg_lines) + "\n")

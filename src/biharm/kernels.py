@@ -26,7 +26,7 @@ import numpy as np
 from .errors import DivergentIntegralError, ParameterError
 from .profiles import ManifoldProfile, profile_piecewise
 from .quad import PowerIntegrand, QuadratureResult, integrate
-from .radial import PiecewisePower, RadialFunction, power_integral, pp_product
+from .radial import PiecewisePower, RadialFunction, power_integral, pp_product, require_normal
 
 _INF = float("inf")
 _SPLIT_REL_TOL = 1e-10
@@ -61,10 +61,6 @@ class BallSource:
 
     radius: float
     height: float = 1.0
-
-    @property
-    def support_radius(self) -> float:
-        return self.radius
 
     def __call__(self, r):
         r = np.asarray(r, dtype=float)
@@ -143,11 +139,7 @@ def _max_kernel_values(kexp: float, weighted: PiecewisePower, rho: np.ndarray) -
         raise DivergentIntegralError(
             f"potential at rho=0 diverges: origin exponent {e[0] + kexp} <= -1",
             location="origin", exponent=e[0] + kexp)
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        raise ParameterError(f"potential at radius {float(rho[bad[0]])!r} is "
-                             f"{float(values[bad[0]])!r}: it leaves the float range")
-    return values
+    return require_normal("potential", rho, values, floor=-_INF)
 
 
 def _split_values(spec: KernelSpec, src_pp: PiecewisePower, rho: np.ndarray) -> np.ndarray:
@@ -197,7 +189,7 @@ def potential(spec: KernelSpec, source, grid=None) -> RadialFunction:
 
 # -- Monte Carlo oracle for the euclidean-exact mode -------------------------
 
-def mc_oracle(n: int, x_radius: float, src, samples: int, seed: int):
+def mc_oracle(n: int, x_radius: float, src: BallSource, samples: int, seed: int):
     """Unbiased Monte Carlo estimate of int_{R^n} |x-y|**(2-n) src(|y|) dy.
 
     Two importance-sampling regimes, both unbiased and reproducible for a
@@ -219,7 +211,7 @@ def mc_oracle(n: int, x_radius: float, src, samples: int, seed: int):
         raise ParameterError("need at least 2 samples")
     if not x_radius >= 0:
         raise ParameterError(f"evaluation radius must be >= 0, got {x_radius}")
-    support = float(src.support_radius)
+    support = float(src.radius)
     if support <= 0.0:
         return 0.0, 0.0
     far_field = x_radius >= 2.0 * support

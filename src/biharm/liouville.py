@@ -38,8 +38,6 @@ GAP_RESOLUTION = 0.1          # fitted exponent gaps inside +-this are 'equal'
 RATIO_GROWTH_FACTOR = 2.0     # monotone ratio growth over the last 3 points
 LOG_FIT_MIN_CORRELATION = 0.999
 
-_MAX_SHELLS = 1 << 20         # terms of one shell sum, each an array entry
-
 
 def _default_r_list():
     return tuple(float(2 ** k) for k in range(10, 21))
@@ -82,7 +80,7 @@ class WitnessConfig:
         """Largest admissible shell index k for outer radius R (requires k >= 1)."""
         x = self.r_inner / (self.big_n ** 2 * R)
         k = int(math.floor(math.log(x) / math.log(self.tau))) - 1
-        if k > _MAX_SHELLS:
+        if k > 1 << 20:   # each shell is an array entry of the sum
             raise ParameterError(f"R = {R} needs {k} shells: tau = {self.tau!r} is too close to 1")
         # guard against floating error at exact powers
         while self.tau ** (k + 1) < x:
@@ -121,8 +119,9 @@ def rhs_lower(prof: ManifoldProfile, src: SourceProfile, p: float,
     src.validate(prof)
     if not p > 1:
         raise ParameterError(f"p must exceed 1, got {p}")
-    s = annulus_shell_sum(prof, src, p, cfg, R)
-    return _inf_weight_power(src, p, cfg, R) * annulus_lower_bound(prof, R) * s
+    with np.errstate(over="ignore", invalid="ignore"):   # 0 or inf: verdict names the radius
+        s = annulus_shell_sum(prof, src, p, cfg, R)
+        return _inf_weight_power(src, p, cfg, R) * annulus_lower_bound(prof, R) * s
 
 
 def lhs_upper(prof: ManifoldProfile, p: float, cfg: WitnessConfig, R: float,
@@ -132,7 +131,8 @@ def lhs_upper(prof: ManifoldProfile, p: float, cfg: WitnessConfig, R: float,
         raise ParameterError(f"p must exceed 1, got {p}")
     op = SurrogateOperator.from_profile(prof)
     lam = lambda1_annulus(op, cfg.tau * R, cfg.big_n ** 2 * R, mesh)
-    return float(np.float64(lam.value) ** (2.0 / (p - 1.0)))   # inf, not OverflowError
+    with np.errstate(over="ignore"):   # 0 or inf, not OverflowError: verdict names the radius
+        return float(np.float64(lam.value) ** (2.0 / (p - 1.0)))
 
 
 def rational_exponent_gap(prof: ManifoldProfile, src: SourceProfile, p) -> Fraction:
@@ -230,15 +230,13 @@ def verdict(prof: ManifoldProfile, src: SourceProfile, p: float,
     if not p > 1:
         raise ParameterError(f"p must exceed 1, got {p}")
     rs = np.array(cfg.r_list)
-    with np.errstate(all="ignore"):   # every side is checked below
-        lhs = np.array([lhs_upper(prof, p, cfg, R, mesh) for R in rs])
-        rhs = np.array([rhs_lower(prof, src, p, cfg, R) for R in rs])
+    lhs = np.array([lhs_upper(prof, p, cfg, R, mesh) for R in rs])
+    rhs = np.array([rhs_lower(prof, src, p, cfg, R) for R in rs])
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):   # checked below
         ratio = rhs / lhs
-    # radius by radius: the first one with a side out of range is named
-    require_normal("a witness side (lhs, rhs or rhs/lhs)", np.repeat(rs, 3),
+    require_normal("a witness side (lhs, rhs or rhs/lhs)", np.repeat(rs, 3),   # radius by radius
                    np.column_stack([lhs, rhs, ratio]).ravel())
-    e_lam = fit_loglog_slope(rs, lhs)
-    e_rhs = fit_loglog_slope(rs, rhs)
+    e_lam, e_rhs = fit_loglog_slope(rs, lhs), fit_loglog_slope(rs, rhs)
     gap_fit = e_rhs - e_lam
 
     # logarithmic residual test: ratio against a + b*ln R

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .radial import PiecewisePower, power_integral
+from .radial import PiecewisePower, power_integral, require_normal
 
 _INF = float("inf")
 _TINY = np.finfo(float).tiny
@@ -428,14 +428,11 @@ def integrate(integrand: PowerIntegrand, rel_tol: float = 1e-12) -> QuadratureRe
             val[b] += zv
             err[b] += zc
             nonzero[b] |= zn
-    bad = np.flatnonzero(~seams_ok | ~np.isfinite(val) | (nonzero & (val < _TINY)))
-    if bad.size:
-        i = bad[0]
-        if not seams_ok[i]:
-            raise ParameterError(f"radius {float(shift[i])!r} is out of range: the zone seams "
-                                 "near a quarter and four times the radius leave the float range")
-        raise ParameterError(f"integral at radius {float(shift[i])!r} is {float(val[i])!r}: "
-                             "it leaves the normal float range")
+    cut = np.append(np.flatnonzero(~seams_ok), shift.size)[0]   # the first bad seam
+    require_normal("integral", shift[:cut], val[:cut], np.where(nonzero, _TINY, -_INF)[:cut])
+    if cut < shift.size:
+        raise ParameterError(f"radius {float(shift[cut])!r} is out of range: the zone seams "
+                             "near a quarter and four times the radius leave the float range")
     value[live], abs_err[live] = val, err
 
     def shaped(a):

@@ -59,8 +59,9 @@ class PiecewisePower:
         lc, e = _frozen(log_coefs), _frozen(exps)
         if lc.shape != (b.size - 1,) or e.shape != lc.shape:
             raise ParameterError("need one (coef, exp) per piece")
-        if not np.isfinite(e).all():
-            raise ParameterError(f"piecewise-power exponents must be finite, got {e.tolist()}")
+        if not (np.isfinite(e).all() and (lc < _INF).all()):   # -inf: a vanishing piece
+            raise ParameterError(f"piecewise-power pieces must be finite, got log coefficients "
+                                 f"{lc.tolist()} and exponents {e.tolist()}")
         pp = object.__new__(PiecewisePower)
         pp.__dict__.update(bounds=b, log_coefs=lc, exps=e)
         return pp
@@ -102,7 +103,7 @@ def pp_product(*pps: PiecewisePower) -> PiecewisePower:
     mid[-1] = lo[-1] + 1.0
     lc = np.zeros(mid.size)
     e = np.zeros(mid.size)
-    with np.errstate(over="ignore", invalid="ignore"):   # _from_logs rejects inf and nan
+    with np.errstate(over="ignore", invalid="ignore"):   # _from_logs rejects nan and +inf
         for pp in pps:
             k = pp.piece_index(mid)
             lc += pp.log_coefs[k]
@@ -134,9 +135,10 @@ def power_integral(log_coef, exp, lo, hi):
     return out if out.ndim else float(out)
 
 
-def require_normal(what: str, radii, values) -> np.ndarray:
-    """values, or ParameterError naming the first radius whose value is not a normal float."""
-    bad = np.flatnonzero(~((values >= np.finfo(float).tiny) & (values < _INF)))
+def require_normal(what: str, radii, values, floor=np.finfo(float).tiny) -> np.ndarray:
+    """values, or ParameterError naming the first radius whose value is not
+    finite or lies below floor, by default the smallest normal float."""
+    bad = np.flatnonzero(~(np.isfinite(values) & (values >= floor)))
     if bad.size:
         raise ParameterError(f"{what} at radius {float(radii[bad[0]])!r} is "
                              f"{float(values[bad[0]])!r}: it leaves the normal float range")

@@ -57,9 +57,10 @@ def _require_window(prof: ManifoldProfile, src: SourceProfile, plan: ExponentPla
                 location="tail", exponent=float(check.lhs - check.rhs))
 
 
-def _envelope(prof: ManifoldProfile, grid: np.ndarray, power: float) -> np.ndarray:
+def _envelope(prof: ManifoldProfile, grid: np.ndarray, power: float,
+              floor: float = np.finfo(float).tiny) -> np.ndarray:
     return require_normal(f"envelope f**{power!r}", grid,
-                          profile_piecewise("f", prof, power=power).eval(grid))
+                          profile_piecewise("f", prof, power=power).eval(grid), floor)
 
 
 def _psi_f_source(prof: ManifoldProfile, src: SourceProfile, a_power: float) -> PiecewisePower:
@@ -217,7 +218,7 @@ def _nonlinear_source(plan: ExponentPlan, spec: KernelSpec, src: SourceProfile,
                       grid: np.ndarray, u_vals: np.ndarray) -> RadialFunction:
     a, p, l = float(plan.a), float(plan.p), plan.l
     psi = profile_piecewise("psi", spec.prof, src).eval(grid)
-    fap = profile_piecewise("f", spec.prof, power=a * p).eval(grid)   # may underflow far out
+    fap = _envelope(spec.prof, grid, a * p, floor=0.0)   # may underflow far out
     return RadialFunction.from_values(grid, psi * (u_vals ** p + l ** p * fap))
 
 
@@ -330,9 +331,7 @@ def solve_fixed_point(plan: ExponentPlan, spec: KernelSpec, src: SourceProfile,
 
     fa = _envelope(prof, grid, float(plan.a))
     u = RadialFunction.zero(grid)
-    steps = []
-    ratios = []
-    h = None
+    steps, ratios = [], []
     for it in range(1, maxit + 1):
         h = potential(spec, _nonlinear_source(plan, spec, src, grid, u.values))
         u_next = potential(spec, h)

@@ -424,9 +424,9 @@ def _floats(lo, hi, typical_lo, typical_hi):
                      st.floats(lo, hi, exclude_min=True, allow_infinity=False))
 
 
-def _radii(radius, min_size=1):
-    """--r-values text: up to four radii, in increasing order."""
-    return st.lists(radius, min_size=min_size, max_size=4, unique=True).map(
+def _radii(radius):
+    """witness --r-values text: three or four radii, in increasing order."""
+    return st.lists(radius, min_size=3, max_size=4, unique=True).map(
         lambda radii: ",".join(map(repr, sorted(radii))))
 
 
@@ -441,13 +441,14 @@ _FUZZED_ARGV = st.one_of(
     _flags("kernel-table", alpha=_FINITE, gamma=_FINITE, n=st.integers(-1, 12),
            rho_min=_FINITE, rho_max=_FINITE, points=st.integers(-1, 48)),
     _flags("eigen", alpha=_FINITE, gamma=_FINITE, ratio=_FINITE, mesh=st.integers(-1, 128),
-           r_values=_radii(_FINITE)),
+           r_values=st.lists(_FINITE, min_size=1, max_size=4).map(
+               lambda radii: ",".join(map(repr, radii)))),
     _flags("oracle", n=st.integers(-1, 400), x=_FINITE, ball_radius=_FINITE, height=_FINITE,
            samples=st.integers(-1, 2000)),
     _flags("witness", _WINDOW, m=_floats(-_MAX, _MAX, -4.0, 4.0), p=_floats(1.0, _MAX, 1.0, 24.0),
            tau=_floats(0.0, 1.0, 0.25, 0.75),
            big_n=_floats(2.0, _MAX, 2.5, 8.0), r_inner=_floats(1.0, _MAX, 1.0, 8.0),
-           r_values=_radii(_floats(1.0, _MAX, 64.0, 1e6), 3), mesh=st.integers(64, 96)),
+           r_values=_radii(_floats(1.0, _MAX, 64.0, 1e6)), mesh=st.integers(64, 96)),
     _flags("verify-bounds", _WINDOW, s=_floats(-_MAX, 0.0, -1.0, 0.0),
            m=_floats(-_MAX, _MAX, -4.0, 4.0), p=_floats(1.0, _MAX, 1.0, 24.0),
            kernel_mode=_MODES, grid_lo=_floats(0.0, _MAX, 1e-4, 1.0),
