@@ -293,6 +293,9 @@ def test_as_piecewise_hold_piece_and_zero_tails():
     ((0.0, 1.0, math.inf), (1.0, 1.0), (0.0,)),      # one exp short
     ((0.0, 1.0, math.inf), (1.0, -2.0), (0.0, 0.0)),  # negative coefficient
     ((0.0, math.inf), (math.nan,), (0.0,)),           # nan coefficient
+    ((0.0, math.inf), (math.inf,), (0.0,)),           # infinite coefficient
+    ((0.0, math.inf), (1.0,), (math.nan,)),           # nan exponent
+    ((0.0, math.inf), (1.0,), (-math.inf,)),          # infinite exponent
 ])
 def test_invalid_pieces_rejected(bounds, coefs, exps):
     with pytest.raises(ParameterError):
