@@ -137,11 +137,14 @@ def power_integral(log_coef, exp, lo, hi):
 
 def require_normal(what: str, radii, values, floor=np.finfo(float).tiny) -> np.ndarray:
     """values, or ParameterError naming the first radius whose value is not
-    finite or lies below floor, by default the smallest normal float."""
+    finite or lies below floor, by default the smallest normal float.  A NaN
+    is named as lost to float arithmetic, not as out of range."""
     bad = np.flatnonzero(~(np.isfinite(values) & (values >= floor)))
     if bad.size:
-        raise ParameterError(f"{what} at radius {float(radii[bad[0]])!r} is "
-                             f"{float(values[bad[0]])!r}: it leaves the normal float range")
+        value = float(values[bad[0]])
+        why = ("float arithmetic lost it (inf - inf or 0*inf)" if np.isnan(value)
+               else "it leaves the normal float range")
+        raise ParameterError(f"{what} at radius {float(radii[bad[0]])!r} is {value!r}: {why}")
     return values
 
 

@@ -30,15 +30,21 @@ FD_SAFETY = 10.0
 _TINY = np.finfo(float).tiny
 
 
+# module attribute -> LAPACK routine; the banded Cholesky factor and solve
+# that scipy.linalg's cholesky_banded and cho_solve_banded call
+_LAPACK = {"_cholesky_banded": "dpbtrf", "cho_solve_banded": "dpbtrs"}
+
+
 def __getattr__(name):
-    """``cho_solve_banded``, scipy's banded solve, imported on first use: only
-    the eigen solves need scipy.  It stays a module attribute, so that a
-    profiler can wrap it."""
-    if name != "cho_solve_banded":
+    """LAPACK's banded Cholesky routines, imported from scipy on the first
+    eigen solve: only the eigen solves need scipy.  ``cho_solve_banded``, the
+    per-step solve, stays a module attribute, so that a profiler can wrap it."""
+    if name not in _LAPACK:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from scipy.linalg import cho_solve_banded
-    globals()[name] = cho_solve_banded
-    return cho_solve_banded
+    from scipy.linalg import lapack
+    for attr, routine in _LAPACK.items():
+        globals().setdefault(attr, getattr(lapack, routine))
+    return globals()[name]
 
 
 @dataclass(frozen=True)
@@ -109,22 +115,25 @@ def _assemble(op: SurrogateOperator, r_in: float, r_out: float, n: int):
 
 def _smallest_eigenvalue(ab, w, rel_tol=1e-12, maxit=500):
     """Inverse power iteration on the generalized tridiagonal problem."""
-    from scipy.linalg import cholesky_banded
-    solve = globals().get("cho_solve_banded") or __getattr__("cho_solve_banded")
+    factor, solve = (globals().get(name) or __getattr__(name) for name in _LAPACK)
+    cb, info = factor(ab)
+    if info:
+        raise ParameterError(f"the stiffness matrix is not positive definite "
+                             f"(LAPACK dpbtrf info {info})")
     n = ab.shape[1]
-    cb = cholesky_banded(ab)
     x = np.full(n, 1.0)
     x /= math.sqrt(float(x @ (w * x)))
     lam_prev = None
     trace = []
     for _ in range(maxit):
-        y = solve((cb, False), w * x)
+        wx = w * x
+        y = solve(cb, wx)[0]   # its info is nonzero only for an illegal argument
         norm = math.sqrt(float(y @ (w * y)))
         if not 0.0 < norm < math.inf:   # the iterate's scale left the float range
             return math.nan
         y /= norm
         # Rayleigh quotient of y: A y = W x / norm
-        lam = float(y @ (w * x)) / norm
+        lam = float(y @ wx) / norm
         trace.append(lam)
         if lam_prev is not None and abs(lam - lam_prev) <= rel_tol * abs(lam):
             return lam
@@ -150,12 +159,16 @@ def lambda1_annulus(op: SurrogateOperator, r_in: float, r_out: float,
     with np.errstate(all="ignore"):   # the range is checked below
         systems = [_assemble(op, r_in, r_out, m) for m in (int(mesh), 2 * int(mesh))]
         coefs = [op.stiffness([r_in, r_out]), *(x for ab, w in systems for x in (ab[1], w))]
-    out_of_range = f"annulus ({float(r_in)!r}, {float(r_out)!r}) is out of range: "
+    annulus = f"annulus ({float(r_in)!r}, {float(r_out)!r})"
+    out_of_range = annulus + " is out of range: "
     if not all(((x >= _TINY) & (x < np.inf)).all() for x in coefs):
         raise ParameterError(out_of_range + "the operator's coefficients leave the normal "
                              "float range")
-    with np.errstate(over="ignore"):   # an iterate out of range gives nan
-        lam_coarse, lam_fine = (_smallest_eigenvalue(*system) for system in systems)
+    try:
+        with np.errstate(over="ignore"):   # an iterate out of range gives nan
+            lam_coarse, lam_fine = (_smallest_eigenvalue(*system) for system in systems)
+    except ParameterError as exc:
+        raise ParameterError(f"{annulus}: {exc}") from None
     if not math.isfinite(lam_coarse + lam_fine):
         raise ParameterError(out_of_range + "the inverse iteration leaves the float range")
     rich = lam_fine + (lam_fine - lam_coarse) / 3.0

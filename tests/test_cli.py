@@ -183,6 +183,30 @@ def test_cli_import_leaves_scipy_out():
     assert out.stdout.strip() == "False"
 
 
+def test_commands_without_eigen_solves_leave_scipy_out(tmp_path):
+    # only the eigen solves import scipy, on their first call
+    src = str(Path(biharm.__file__).parents[1])
+    commands = [
+        ["classify", "--alpha", "6", "--gamma", "4", "--m", "0", "--p", "2"],
+        ["kernel-table", "--alpha", "6", "--gamma", "4", "--points", "11"],
+        ["solve", "--alpha", "6", "--gamma", "4", "--s", "0", "--p", "4", "--nodes", "64"],
+        ["verify-bounds", "--alpha", "6", "--gamma", "4", "--s", "0", "--p", "4",
+         "--kernel-mode", "surrogate-exact", "--grid-points", "24"],
+        ["oracle", "--n", "6", "--x", "10", "--ball-radius", "1", "--samples", "1000"],
+    ]
+    runs = [argv + ["--out-dir", str(tmp_path / str(i))] for i, argv in enumerate(commands)]
+    eigen = ["eigen", "--alpha", "6", "--gamma", "4", "--mesh", "64",
+             "--out-dir", str(tmp_path / "eigen")]
+    code = (f"import sys; sys.path.insert(0, {src!r}); from biharm.cli import run\n"
+            f"assert [run(argv) for argv in {runs!r}] == {[0] * len(runs)!r}\n"
+            "print('scipy' in sys.modules)\n"
+            f"assert run({eigen!r}) == 0\n"
+            "print('scipy.linalg' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.split() == ["False", "True"]
+
+
 @pytest.mark.parametrize("text", [None, "alpha=six\n", "r_values=1,x\n"])
 def test_unreadable_config_exits_one(tmp_path, capsys, text):
     path = tmp_path / "case.cfg"
@@ -355,6 +379,28 @@ def test_values_beyond_the_float_range_exit_two_naming_them(tmp_path, capsys, ar
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert "Traceback" not in err and len(errors) == 1 and named in errors[0]
     assert not (tmp_path / "o" / "report.json").exists()
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["verify-bounds", "--alpha", "1.122668275265132e+17", "--gamma", "6.96620778268365e+16",
+      "--s", "-0.1708525435331376", "--m", "-1.4878783024876223", "--p", "12.985174262003074",
+      "--grid-lo", "0.21881586336654948", "--grid-hi", "1e4", "--grid-points", "26"],
+     "integral at radius 0.21881586336654948 is nan"),
+    (["verify-bounds", "--alpha", "6", "--gamma", "4", "--s", "0", "--p", "4",
+      "--kernel-mode", "euclidean-exact", "--n", "200"],
+     "potential at radius 0.01 is nan"),
+    (["oracle", "--n", "107", "--x", "1e-10", "--ball-radius", "1e-10"],
+     "potential at radius 1e-10 is nan"),
+])
+def test_nan_is_named_as_lost_to_float_arithmetic(tmp_path, capsys, argv, error):
+    # each said "it leaves the normal float range", though no input is out of
+    # range; the true values of the last two are finite (the max kernel's
+    # inf - inf, open in the ROADMAP)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv + ["--out-dir", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {error}: float arithmetic lost it (inf - inf or 0*inf)\n")
 
 
 def test_kernel_table_at_huge_radii(tmp_path):

@@ -5,9 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from biharm.errors import ParameterError
-from biharm.liouville import (WitnessConfig, annulus_shell_sum, lhs_upper,
+from biharm.liouville import (GAP_RESOLUTION, WitnessConfig, annulus_shell_sum, lhs_upper,
                               rational_exponent_gap, rhs_lower, verdict)
 from biharm.profiles import ManifoldProfile, SourceProfile
 from biharm.radial import fit_loglog_slope
@@ -129,6 +130,41 @@ def test_verdict_at_exact_threshold_randomized():
         assert rep.verdict == "CONTRADICTION"
         assert rep.log_flag and rep.log_correlation >= 0.999
         checked += 1
+
+
+@st.composite
+def _witness_profiles(draw):
+    """(alpha, gamma, m, p) inside the witness's admissible window."""
+    gamma = draw(st.floats(1.2, 8.0))
+    alpha = draw(st.floats(1.02 * gamma, 1.98 * gamma, exclude_min=True, exclude_max=True))
+    m = draw(st.floats(0.95 * 2.0 * (gamma - alpha), 3.0, exclude_min=True))
+    return alpha, gamma, m, draw(st.floats(1.05, 12.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_witness_profiles())
+# exact gap -0.155, fitted -0.088: INCONCLUSIVE, inside the band allowed below
+@example((6.77215162052244, 6.017149667001174, -0.49685274672997026, 1.1983885169065709))
+def test_verdict_sign_matches_rational_gap(draw):
+    # away from p*, the fitted verdict agrees with the sign of the exact gap
+    alpha, gamma, m, p = draw
+    prof, src = ManifoldProfile(alpha, gamma, 6), SourceProfile(min(m, 0.0), m)
+    gap = rational_exponent_gap(prof, src, p)
+    assume(abs(gap) >= 0.15)
+    try:
+        rep = verdict(prof, src, p, CFG, mesh=64)
+    except ParameterError:   # a witness side leaves the float range
+        return
+    if gap > 0:
+        assert rep.verdict == "CONTRADICTION"
+    elif rep.verdict == "INCONCLUSIVE":
+        # just above p* the shell sum saturates slowly, like ln(N^2 R / r)
+        # over the scan: its fitted slope pulls the fitted gap toward 0
+        rs = np.array(CFG.r_list)
+        log_bias = fit_loglog_slope(rs, np.log(CFG.big_n ** 2 * rs / CFG.r_inner))
+        assert gap > -(GAP_RESOLUTION + log_bias)
+    else:
+        assert rep.verdict == "NO_CONTRADICTION"
 
 
 def test_rhs_monotone_in_m():

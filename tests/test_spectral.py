@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import cho_solve_banded, cholesky_banded, eigh_tridiagonal, lapack
 
 import biharm.spectral as spectral
 from biharm.errors import ParameterError
@@ -59,6 +59,61 @@ def test_mesh_and_domain_validation():
         lambda1_annulus(OP, 1.0, 2.0, 32)
     with pytest.raises(ParameterError):
         lambda1_annulus(OP, 0.0, 1.0, 128)   # surrogate needs r_in > 0
+
+
+def _wrapped_smallest_eigenvalue(ab, w, rel_tol=1e-12, maxit=500):
+    """The inverse iteration through scipy's checked banded Cholesky wrappers."""
+    cb = cholesky_banded(ab)
+    x = np.full(ab.shape[1], 1.0)
+    x /= math.sqrt(float(x @ (w * x)))
+    lam_prev = None
+    for _ in range(maxit):
+        y = cho_solve_banded((cb, False), w * x)
+        norm = math.sqrt(float(y @ (w * y)))
+        y /= norm
+        lam = float(y @ (w * x)) / norm
+        if lam_prev is not None and abs(lam - lam_prev) <= rel_tol * abs(lam):
+            return lam
+        lam_prev = lam
+        x = y
+    raise AssertionError("no convergence")
+
+
+@pytest.mark.parametrize("mesh", [64, 256, 1024])
+@pytest.mark.parametrize("op, r_in, r_out", [
+    *((OP, R / 4.0, 16.0 * R) for R in np.geomspace(1e-3, 1e6, 4)),
+    (SurrogateOperator(5.0, 3.0), 0.5e-3, 2e6),
+    (SurrogateOperator(1.0, 1.0, test_mode=True), 0.0, 1.0),
+])
+def test_lapack_iteration_equals_scipys_wrappers(op, r_in, r_out, mesh):
+    # the same dpbtrf/dpbtrs calls without scipy's checks: every float the same
+    ab, w = spectral._assemble(op, r_in, r_out, mesh)
+    assert spectral._smallest_eigenvalue(ab, w) == _wrapped_smallest_eigenvalue(ab, w)
+
+
+def test_not_positive_definite_is_a_parameter_error(monkeypatch):
+    ab = np.array([[0.0, -3.0, -1.0], [2.0, 2.0, 2.0]])   # leading 2x2 minor 4 - 9 < 0
+    with pytest.raises(ParameterError, match="not positive definite"):
+        spectral._smallest_eigenvalue(ab, np.ones(3))
+    monkeypatch.setattr(spectral, "_assemble", lambda op, r_in, r_out, n: (ab, np.ones(3)))
+    with pytest.raises(ParameterError, match=r"annulus \(1.0, 2.0\): .* not positive definite"):
+        lambda1_annulus(OP, 1.0, 2.0, 64)
+
+
+def test_every_step_calls_the_module_solve(monkeypatch):
+    # a profiler counts iterations by wrapping spectral.cho_solve_banded: it
+    # is LAPACK's dpbtrs itself, so a scan for Python functions skips it
+    assert spectral.cho_solve_banded is lapack.dpbtrs
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return lapack.dpbtrs(*args)
+
+    monkeypatch.setattr(spectral, "cho_solve_banded", counted)
+    ab, w = spectral._assemble(OP, 1.0, 4.0, 64)
+    spectral._smallest_eigenvalue(ab, w)
+    assert len(calls) >= 3
 
 
 def _discrete_eigenpair(op, r_in, r_out, n):
