@@ -403,7 +403,8 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     except NonConvergenceError as exc:
-        sys.stderr.write(f"error: {exc}\n")
+        trace = f" (trace: {len(exc.trace)} values, last {exc.trace[-1]:.1e})" if exc.trace else ""
+        sys.stderr.write(f"error: {exc}{trace}\n")
         return NONCONVERGENCE_EXIT
     except BiharmError as exc:
         sys.stderr.write(f"error: {exc}\n")

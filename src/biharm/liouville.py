@@ -24,7 +24,7 @@ from .errors import ParameterError
 from .kernels import annulus_lower_bound
 from .profiles import ManifoldProfile, SourceProfile, as_fraction
 from .radial import fit_loglog_slope, require_normal
-from .spectral import SurrogateOperator, lambda1_annulus
+from .spectral import SurrogateOperator, annulus_systems, lambda1_annulus
 
 VERDICT_CONTRADICTION = "CONTRADICTION"
 VERDICT_NO_CONTRADICTION = "NO_CONTRADICTION"
@@ -124,15 +124,29 @@ def rhs_lower(prof: ManifoldProfile, src: SourceProfile, p: float,
         return _inf_weight_power(src, p, cfg, R) * annulus_lower_bound(prof, R) * s
 
 
-def lhs_upper(prof: ManifoldProfile, p: float, cfg: WitnessConfig, R: float,
-              mesh: int = 256) -> float:
-    """lambda1 of the surrogate operator on (tau R, big_n**2 R), power 2/(p-1)."""
+def lhs_upper(prof: ManifoldProfile, p: float, cfg: WitnessConfig, R,
+              mesh: int = 256) -> float | np.ndarray:
+    """lambda1 of the surrogate operator on (tau R, big_n**2 R), power 2/(p-1).
+
+    R is one radius or an array of them.  One eigenproblem is solved, at the
+    first radius R0: the operator is exactly homogeneous and the mesh scales
+    with the annulus, so every other radius takes lambda1(R0) *
+    (R/R0)**(gamma-alpha), equal up to rounding.  Every annulus is still
+    range-checked, in order.
+    """
     if not p > 1:
         raise ParameterError(f"p must exceed 1, got {p}")
     op = SurrogateOperator.from_profile(prof)
-    lam = lambda1_annulus(op, cfg.tau * R, cfg.big_n ** 2 * R, mesh)
-    with np.errstate(over="ignore"):   # 0 or inf, not OverflowError: verdict names the radius
-        return float(np.float64(lam.value) ** (2.0 / (p - 1.0)))
+    rs = np.asarray(R, dtype=float)
+    r0, *later = rs.flat
+    lam0 = lambda1_annulus(op, cfg.tau * r0, cfg.big_n ** 2 * r0, mesh).value
+    for r in later:
+        annulus_systems(op, cfg.tau * r, cfg.big_n ** 2 * r, mesh)
+    with np.errstate(over="ignore"):   # 0 or inf: verdict names the radius
+        lam = lam0 * (rs / r0) ** (op.gamma - op.alpha)
+        # a scalar power per radius rounds as the solve's own value did at R0
+        lhs = np.array([x ** (2.0 / (p - 1.0)) for x in lam.flat]).reshape(rs.shape)
+    return float(lhs) if rs.ndim == 0 else lhs
 
 
 def rational_exponent_gap(prof: ManifoldProfile, src: SourceProfile, p) -> Fraction:
@@ -147,20 +161,6 @@ def rational_exponent_gap(prof: ManifoldProfile, src: SourceProfile, p) -> Fract
     e_rhs = m / (pq - 1) + al - 2 * g + max(al + m - pq * (2 * g - al), Fraction(0))
     e_lam = -2 * (al - g) / (pq - 1)
     return e_rhs - e_lam
-
-
-def _pearson(x, y) -> float:
-    """Pearson's r.  Each centred vector is first scaled by the power of two
-    of its largest entry: exact, so r does not change, and the dot products
-    cannot overflow."""
-    def centred(v):
-        c = np.asarray(v, float)
-        c = c - c.mean()
-        return np.ldexp(c, -np.frexp(np.max(np.abs(c)))[1])
-
-    xc, yc = centred(x), centred(y)
-    denom = math.sqrt(float(xc @ xc) * float(yc @ yc))
-    return float(xc @ yc) / denom if denom > 0 else 0.0
 
 
 @dataclass(frozen=True)
@@ -230,7 +230,7 @@ def verdict(prof: ManifoldProfile, src: SourceProfile, p: float,
     if not p > 1:
         raise ParameterError(f"p must exceed 1, got {p}")
     rs = np.array(cfg.r_list)
-    lhs = np.array([lhs_upper(prof, p, cfg, R, mesh) for R in rs])
+    lhs = lhs_upper(prof, p, cfg, rs, mesh)
     rhs = np.array([rhs_lower(prof, src, p, cfg, R) for R in rs])
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):   # checked below
         ratio = rhs / lhs
@@ -241,7 +241,10 @@ def verdict(prof: ManifoldProfile, src: SourceProfile, p: float,
 
     # logarithmic residual test: ratio against a + b*ln R
     b_slope = float(np.polyfit(np.log(rs), ratio, 1)[0])
-    corr = _pearson(np.log(rs), ratio)
+    # scaled by a power of two, exact: corrcoef's dot products cannot overflow
+    scaled = np.ldexp(ratio, -np.frexp(np.max(ratio))[1])
+    with np.errstate(divide="ignore", invalid="ignore"):   # a constant ratio: nan, read as 0
+        corr = float(np.nan_to_num(np.corrcoef(np.log(rs), scaled)[0, 1]))
     log_flag = (abs(gap_fit) <= GAP_RESOLUTION and b_slope > 0.0
                 and corr >= LOG_FIT_MIN_CORRELATION)
 

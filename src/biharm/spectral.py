@@ -143,12 +143,11 @@ def _smallest_eigenvalue(ab, w, rel_tol=1e-12, maxit=500):
         f"inverse power iteration did not converge in {maxit} steps", trace=trace)
 
 
-def lambda1_annulus(op: SurrogateOperator, r_in: float, r_out: float,
-                    mesh: int = 512) -> EigenResult:
-    """Smallest Dirichlet eigenvalue on (r_in, r_out).
+def annulus_systems(op: SurrogateOperator, r_in: float, r_out: float, mesh: int) -> list:
+    """The banded systems of the mesh pair (mesh, 2*mesh) on (r_in, r_out).
 
-    Second-order central differences on the mesh pair (mesh, 2*mesh) with
-    Richardson extrapolation; the discrete values converge at O(mesh**-2).
+    Raises ParameterError, naming the annulus, when the arguments are
+    inadmissible or a coefficient leaves the normal float range.
     """
     if not (r_out > r_in >= 0.0):
         raise ParameterError(f"need 0 <= r_in < r_out, got ({r_in}, {r_out})")
@@ -159,18 +158,29 @@ def lambda1_annulus(op: SurrogateOperator, r_in: float, r_out: float,
     with np.errstate(all="ignore"):   # the range is checked below
         systems = [_assemble(op, r_in, r_out, m) for m in (int(mesh), 2 * int(mesh))]
         coefs = [op.stiffness([r_in, r_out]), *(x for ab, w in systems for x in (ab[1], w))]
-    annulus = f"annulus ({float(r_in)!r}, {float(r_out)!r})"
-    out_of_range = annulus + " is out of range: "
     if not all(((x >= _TINY) & (x < np.inf)).all() for x in coefs):
-        raise ParameterError(out_of_range + "the operator's coefficients leave the normal "
-                             "float range")
+        raise ParameterError(f"annulus ({float(r_in)!r}, {float(r_out)!r}) is out of range: "
+                             "the operator's coefficients leave the normal float range")
+    return systems
+
+
+def lambda1_annulus(op: SurrogateOperator, r_in: float, r_out: float,
+                    mesh: int = 512) -> EigenResult:
+    """Smallest Dirichlet eigenvalue on (r_in, r_out).
+
+    Second-order central differences on the mesh pair (mesh, 2*mesh) with
+    Richardson extrapolation; the discrete values converge at O(mesh**-2).
+    """
+    systems = annulus_systems(op, r_in, r_out, mesh)
+    annulus = f"annulus ({float(r_in)!r}, {float(r_out)!r})"
     try:
         with np.errstate(over="ignore"):   # an iterate out of range gives nan
             lam_coarse, lam_fine = (_smallest_eigenvalue(*system) for system in systems)
     except ParameterError as exc:
         raise ParameterError(f"{annulus}: {exc}") from None
     if not math.isfinite(lam_coarse + lam_fine):
-        raise ParameterError(out_of_range + "the inverse iteration leaves the float range")
+        raise ParameterError(f"{annulus} is out of range: the inverse iteration leaves the "
+                             "float range")
     rich = lam_fine + (lam_fine - lam_coarse) / 3.0
     return EigenResult(lam_fine, 2 * int(mesh), rich, abs(lam_fine - lam_coarse) / 3.0)
 

@@ -62,10 +62,13 @@ def test_validation_error_exits_two(tmp_path):
     assert code == 2
 
 
-def test_solve_exits_three_on_nonconvergence(tmp_path):
+def test_solve_exits_three_on_nonconvergence(tmp_path, capsys):
     code = run(["solve", "--alpha", "6", "--gamma", "4", "--s", "0", "--p", "4",
                 "--nodes", "256", "--maxit", "1", "--out-dir", str(tmp_path / "o")])
     assert code == 3
+    # the one error line carries the iteration trace's length and last value
+    assert capsys.readouterr().err == ("error: fixed-point iteration did not reach tol=1e-10 "
+                                       "in 1 steps (trace: 1 values, last 1.9e-02)\n")
 
 
 def test_witness_artifacts(tmp_path):
@@ -347,6 +350,8 @@ def test_out_of_range_inputs_exit_two(tmp_path, capsys, argv):
      "annulus (5e+299, 1.6e+301) "),
     (["witness", "--alpha", "6", "--gamma", "4", "--p", "2", "--big-n", "1e200"],
      "radius R = 1048576.0"),
+    (["witness", "--alpha", "6", "--gamma", "4", "--p", "2", "--r-values", "1e58,1e59,1e61"],
+     "annulus (5e+60, 1.6e+62) "),   # a later radius: every annulus is checked
 ])
 def test_annuli_beyond_the_float_range_exit_two_naming_them(tmp_path, capsys, argv, named):
     # these raised OverflowError (h**2, big_n**2 * R) or scipy's ValueError

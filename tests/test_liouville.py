@@ -2,16 +2,19 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from biharm import cli, liouville, spectral
 from biharm.errors import ParameterError
 from biharm.liouville import (GAP_RESOLUTION, WitnessConfig, annulus_shell_sum, lhs_upper,
                               rational_exponent_gap, rhs_lower, verdict)
 from biharm.profiles import ManifoldProfile, SourceProfile
 from biharm.radial import fit_loglog_slope
+from biharm.spectral import SurrogateOperator, lambda1_annulus
 
 PROF = ManifoldProfile(6.0, 4.0, 6)
 SRC = SourceProfile(0.0, 0.0)
@@ -187,3 +190,67 @@ def test_report_serializes_and_flags_normalization():
 def test_verdict_rejects_bad_p():
     with pytest.raises(ParameterError):
         verdict(PROF, SRC, 1.0, CFG)
+
+
+# (alpha, gamma, m, p) points: the benchmark sweep's profiles a quarter below
+# and half above p*, and a non-integer profile below, just above and well
+# above its p* ~ 1.19 (near p = 1 the power 2/(p-1) magnifies rounding)
+SCAN_POINTS = [(a, g, m, (a + m) / (2 * g - a) + off)
+               for a, g, m in ((6, 4, 0), (8, 5, 0), (6, 4, -1), (8, 6, 0),
+                               (7, 5, -1), (10, 7, 0), (8, 5, -2), (10, 6, 0))
+               for off in (-0.25, 0.5)] + [(6.77, 6.02, -0.5, p) for p in (1.1, 1.2, 3.0)]
+
+
+def _lhs_per_radius(prof, p, cfg, R, mesh):
+    """The reference lhs: an independent eigen solve at every radius."""
+    op = SurrogateOperator.from_profile(prof)
+    return np.array([np.float64(lambda1_annulus(op, cfg.tau * r, cfg.big_n ** 2 * r, mesh).value)
+                     ** (2.0 / (p - 1.0)) for r in R])
+
+
+@pytest.mark.parametrize("alpha, gamma, m, p", SCAN_POINTS)
+def test_scan_scaled_by_homogeneity_matches_per_radius_solves(monkeypatch, alpha, gamma, m, p):
+    prof, src = ManifoldProfile(alpha, gamma, 6), SourceProfile(min(m, 0.0), m)
+    rep = verdict(prof, src, p, CFG, mesh=64)
+    monkeypatch.setattr(liouville, "lhs_upper", _lhs_per_radius)
+    ref = verdict(prof, src, p, CFG, mesh=64)
+    lhs, ref_lhs = (np.array([row[1] for row in r.rows]) for r in (rep, ref))
+    assert lhs[0] == ref_lhs[0]   # the solved radius
+    np.testing.assert_allclose(lhs, ref_lhs, rtol=5e-12, atol=0.0)
+    assert rep.verdict == ref.verdict
+
+
+def _count_calls(monkeypatch, module):
+    """The positional arguments of every lambda1_annulus call made through module."""
+    calls, orig = [], module.lambda1_annulus
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(module, "lambda1_annulus", counted)
+    return calls
+
+
+def test_verdict_solves_one_eigenproblem_per_scan(monkeypatch):
+    calls = _count_calls(monkeypatch, liouville)
+    verdict(PROF, SRC, 2.0, CFG, mesh=64)
+    assert len(calls) == 1
+
+
+def test_eigen_solves_every_radius(monkeypatch, tmp_path):
+    # criterion 5 tests the scaling law on eigen's output, so eigen may not assume it
+    calls = _count_calls(monkeypatch, spectral)
+    assert cli.run(["eigen", "--alpha", "6", "--gamma", "4", "--r-values", "1e2,1e3,1e4",
+                    "--mesh", "64", "--out-dir", str(tmp_path / "o")]) == 0
+    assert [a[2] for a in calls] == [1e2, 1e3, 1e4]
+
+
+def test_constant_ratio_has_zero_log_correlation(monkeypatch):
+    # equal sides at every radius: the correlation is 0/0, read as 0 without a warning
+    monkeypatch.setattr(liouville, "lhs_upper", lambda prof, p, cfg, R, mesh: np.full(len(R), 2.0))
+    monkeypatch.setattr(liouville, "rhs_lower", lambda prof, src, p, cfg, R: 2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = verdict(PROF, SRC, 2.0, CFG, mesh=64)
+    assert rep.log_correlation == 0.0 and rep.verdict == "INCONCLUSIVE"
