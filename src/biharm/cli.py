@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 usage error, 2 validation/precondition error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -141,17 +142,17 @@ def _radii_text(text: str) -> str:
     raise argparse.ArgumentTypeError(f"expected comma-separated finite numbers, got {text!r}")
 
 
+@functools.cache   # one parser per process: parsing never changes it
 def build_parser() -> _Parser:
     parser = _Parser(prog="biharm", parents=[_global_flags(top=True)],
                      description="numerical toolkit for the biharmonic critical-exponent classification")
     sub = parser.add_subparsers(dest="command", required=True)
-    parser._subparser_map = {}
+    parser.commands = sub.choices   # subcommand name -> its parser
     sub_flags = _global_flags(top=False)
 
     def add_parser(name, **kw):
         p = sub.add_parser(name, parents=[sub_flags], **kw)
         p.error = parser.error
-        parser._subparser_map[name] = p
         return p
 
     p = add_parser("classify", help="place p against both critical thresholds")
@@ -355,50 +356,47 @@ _COMMANDS = {
 }
 
 
-def _preload_config(parser: _Parser, argv):
-    """Before parsing, turn config-file values into subparser defaults so
-    required flags may come from the file; explicit flags keep priority."""
+# the top-level parser's flags that take a value
+_GLOBAL_FLAGS = ("--config", "--out-dir", "--seed")
+
+
+def _with_config(parser: _Parser, argv: list) -> list:
+    """argv with the --config file's key=value lines as --key=value flags, the
+    global ones first and the rest right after the subcommand: argparse checks
+    them as it checks flags, and each given flag, read later, wins."""
     path = None
     for i, tok in enumerate(argv):
         if tok == "--config" and i + 1 < len(argv):
             path = argv[i + 1]
         elif tok.startswith("--config="):
             path = tok.split("=", 1)[1]
-    if path is None:
-        return
-    command = next((tok for tok in argv if tok in _COMMANDS), None)
-    if command is None:
-        return
+    # the subcommand is the first token that is no global flag, nor a prefix of
+    # one (argparse takes those too), nor a global flag's value
+    i = 0
+    while i < len(argv) and argv[i].startswith("-"):
+        i += 2 if any(flag.startswith(argv[i]) for flag in _GLOBAL_FLAGS) else 1
+    if path is None or i >= len(argv) or argv[i] not in parser.commands:
+        return argv
+    command = argv[i]
     try:
         cfg = parse_config_text(Path(path).read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError) as exc:
         parser.error(f"cannot read config file {path!r}: {exc}")
-    sub = parser._subparser_map[command]
-    typed = {}
-    for action in sub._actions:
-        if action.dest in cfg:
-            raw = cfg[action.dest]
-            try:
-                typed[action.dest] = action.type(raw) if action.type else raw
-            except (ValueError, argparse.ArgumentTypeError) as exc:
-                parser.error(f"config value {action.dest}={raw!r}: {exc}")
-            action.required = False
-    unknown = set(cfg) - set(typed) - {"command"}
+    cfg.pop("command", None)   # resolved.cfg records it; argv names it
+    unknown = set(cfg) - {action.dest for action in parser.commands[command]._actions}
     if unknown:
         raise ParameterError(f"config keys not accepted by {command!r}: {sorted(unknown)}")
-    # flags the top level also accepts take their config default there, so
-    # an explicit value on either side of the subcommand still wins
-    top = {action.dest for action in parser._actions}
-    parser.set_defaults(**{k: typed.pop(k) for k in set(typed) & top})
-    sub.set_defaults(**typed)
+    flags = [f"--{key.replace('_', '-')}={value}" for key, value in cfg.items()]
+    top = [flag for flag in flags if flag.split("=", 1)[0] in _GLOBAL_FLAGS]
+    rest = [flag for flag in flags if flag not in top]
+    return top + argv[:i + 1] + rest + argv[i + 1:]
 
 
 def run(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = build_parser()
     try:
-        _preload_config(parser, argv)   # usage errors exit through parser.error
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_with_config(parser, argv))   # usage errors exit via parser.error
         return _COMMANDS[args.command](args, Path(args.out_dir))
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0

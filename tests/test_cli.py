@@ -2,6 +2,7 @@
 
 import filecmp
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import biharm
-from biharm.cli import run
+from biharm.cli import build_parser, run
 
 WITNESS_ARGS = ["witness", "--alpha", "6", "--gamma", "4", "--m", "0", "--p", "2",
                 "--mesh", "96", "--r-values", "1024,4096,16384,65536"]
@@ -293,6 +294,58 @@ def test_config_rerun_keeps_a_and_b(tmp_path, argv):
     assert run([argv[0], "--config", str(first / "resolved.cfg"), "--out-dir", str(rerun)]) == 0
     for name in ("report.json", "resolved.cfg"):
         assert filecmp.cmp(first / name, rerun / name, shallow=False), name
+
+
+@pytest.mark.parametrize("global_flags", [["--out-dir", "eigen"], ["--out-dir", "classify"],
+                                          ["--out", "eigen"]])
+def test_config_after_global_flags_naming_a_command(tmp_path, monkeypatch, global_flags):
+    # the subcommand was taken as the first token naming one, so an --out-dir
+    # named "eigen" checked a classify config against eigen's flags (exit 2);
+    # argparse also reads a prefix of a global flag as that flag
+    cfg = tmp_path / "case.cfg"
+    cfg.write_text("alpha=6\ngamma=4\nm=0\np=2\n")
+    monkeypatch.chdir(tmp_path)
+    assert run([*global_flags, "--config", str(cfg), "classify"]) == 0
+    assert _load(tmp_path / global_flags[-1])["p_star"] == 3.0
+
+
+@pytest.mark.parametrize("text, command, flag", [
+    ("mode=bogus\n", ["classify", "--m", "0", "--p", "2"], "--mode"),
+    ("kernel_mode=bogus\n", ["solve", "--s", "0", "--p", "4"], "--kernel-mode"),
+])
+def test_config_values_are_checked_like_flags(tmp_path, capsys, text, command, flag):
+    # a config value outside a flag's choices exits 1 with argparse's line,
+    # as the flag does, not 2 from the profile's own check
+    cfg = tmp_path / "case.cfg"
+    cfg.write_text(text)
+    argv = [*command, "--alpha", "6", "--gamma", "4", "--config", str(cfg),
+            "--out-dir", str(tmp_path / "o")]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert f"error: argument {flag}: invalid choice: 'bogus'" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_parser_keeps_no_state_between_runs(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    cfg = tmp_path / "alpha.cfg"
+    cfg.write_text("alpha=6\n")
+    classify = ["classify", "--gamma", "4", "--m", "0", "--p", "2"]
+    assert run([*classify, "--config", str(cfg), "--out-dir", str(tmp_path / "a")]) == 0
+    capsys.readouterr()
+    # one parser serves every run, so a config leaves nothing in it
+    assert run([*classify, "--out-dir", str(tmp_path / "b")]) == 1
+    assert "--alpha" in capsys.readouterr().err
+
+
+def test_module_help_lists_every_subcommand():
+    src = str(Path(biharm.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-m", "biharm", "-h"], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 0
+    for command in ("classify", "kernel-table", "verify-bounds", "eigen", "witness", "solve",
+                    "oracle"):
+        assert command in out.stdout, command
 
 
 @pytest.mark.parametrize("argv", [
@@ -587,3 +640,32 @@ def test_fuzzed_commands_exit_cleanly(tmp_path, capsys, argv):
     assert "Traceback" not in capsys.readouterr().err
     if (out / "report.json").exists():
         json.loads((out / "report.json").read_text(), parse_constant=_no_constant)
+
+
+_CLASSIFY_ARGV = _flags("classify", _WINDOW,
+                        st.one_of(st.just({}), st.fixed_dictionaries({"s": _FINITE})),
+                        m=_floats(-_MAX, _MAX, -4.0, 4.0), p=_floats(1.0, _MAX, 1.0, 24.0))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=st.one_of(_FUZZED_ARGV, _CLASSIFY_ARGV))
+# the README commands, made cheap, and witness at its default radii
+@example(argv=["classify", "--alpha=6", "--gamma=4", "--m=0", "--p=2"])
+@example(argv=["kernel-table", "--alpha=6", "--gamma=4", "--n=6", "--points=11"])
+@example(argv=["verify-bounds", "--alpha=6", "--gamma=4", "--s=0", "--p=4",
+               "--kernel-mode=surrogate-exact", "--grid-points=48"])
+@example(argv=["eigen", "--alpha=6", "--gamma=4", "--mesh=64"])
+@example(argv=["witness", "--alpha=6", "--gamma=4", "--m=0", "--p=2", "--mesh=64"])
+@example(argv=["solve", "--alpha=6", "--gamma=4", "--s=0", "--p=4", "--nodes=64"])
+@example(argv=["oracle", "--n=6", "--x=10", "--ball-radius=1", "--seed=7", "--samples=2000"])
+def test_resolved_config_reruns_byte_identical(tmp_path, argv):
+    # resolved.cfg alone, read back through --config, reproduces the run
+    first, rerun = tmp_path / "first", tmp_path / "rerun"
+    for out in (first, rerun):
+        shutil.rmtree(out, ignore_errors=True)
+    if run(argv + ["--out-dir", str(first)]) != 0:
+        return
+    assert run([argv[0], "--config", str(first / "resolved.cfg"), "--out-dir", str(rerun)]) == 0
+    for name in ("report.json", "resolved.cfg"):
+        assert filecmp.cmp(first / name, rerun / name, shallow=False), name
