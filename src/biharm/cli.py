@@ -366,10 +366,13 @@ def _with_config(parser: _Parser, argv: list) -> list:
     them as it checks flags, and each given flag, read later, wins."""
     path = None
     for i, tok in enumerate(argv):
-        if tok == "--config" and i + 1 < len(argv):
-            path = argv[i + 1]
-        elif tok.startswith("--config="):
-            path = tok.split("=", 1)[1]
+        # argparse reads a prefix of --config, such as --conf, as --config too
+        name, eq, value = tok.partition("=")
+        if len(name) > 2 and "--config".startswith(name):
+            if eq:
+                path = value
+            elif i + 1 < len(argv):
+                path = argv[i + 1]
     # the subcommand is the first token that is no global flag, nor a prefix of
     # one (argparse takes those too), nor a global flag's value
     i = 0

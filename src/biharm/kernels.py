@@ -29,7 +29,6 @@ from .quad import PowerIntegrand, QuadratureResult, integrate
 from .radial import PiecewisePower, RadialFunction, power_integral, pp_product, require_normal
 
 _INF = float("inf")
-_SPLIT_REL_TOL = 1e-10
 _ORACLE_MAX_DIM = 340            # math.gamma(n/2 + 1) overflows beyond
 
 MODE_SPLIT = "split-comparison"
@@ -145,8 +144,8 @@ def _max_kernel_values(kexp: float, weighted: PiecewisePower, rho: np.ndarray) -
 def _split_values(spec: KernelSpec, src_pp: PiecewisePower, rho: np.ndarray) -> np.ndarray:
     g = profile_piecewise("g", spec.prof)
     v = profile_piecewise("v", spec.prof)
-    t1 = integrate(PowerIntegrand(pp_product(src_pp, v), g, rho), rel_tol=_SPLIT_REL_TOL)
-    t2 = integrate(PowerIntegrand(pp_product(g, v), src_pp, rho), rel_tol=_SPLIT_REL_TOL)
+    t1 = integrate(PowerIntegrand(pp_product(src_pp, v), g, rho))
+    t2 = integrate(PowerIntegrand(pp_product(g, v), src_pp, rho))
     bad = np.flatnonzero(t1.diverged | t2.diverged)
     if bad.size:
         exponent = float((t1 if t1.diverged[bad[0]] else t2).tail_exponent[bad[0]])

@@ -35,13 +35,7 @@ def as_fraction(x) -> Fraction:
     Floats are converted to their exact binary value, so comparisons are
     exact with respect to the numbers actually supplied.
     """
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, (Fraction, int, float, str)):
         return Fraction(x)
     raise ParameterError(f"cannot interpret {x!r} as a rational number")
 

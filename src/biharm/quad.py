@@ -20,8 +20,9 @@ high, r > rho/x
 near, between them
     cut at the breakpoints of u and of f(rho + .) inside, found per shift by
     ``searchsorted``; each segment is one power product, handled by
-    fixed-order Gauss panels, log-spaced and doubled until that shift's
-    value stabilizes.
+    fixed-order Gauss panels, log-spaced, at two levels: about one panel per
+    two units of log width, then twice as many.  The value is the finer
+    level's, and the two levels' difference is its error estimate.
 
 So only the breakpoints in (rho/4, 4 rho) cost Gauss panels.  The moments
 over whole pieces come from cumulative ``power_integral`` tables built once
@@ -54,7 +55,6 @@ _INF = float("inf")
 _TINY = np.finfo(float).tiny
 _GAUSS_ORDER = 8
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(_GAUSS_ORDER)
-_MAX_NODES = 1 << 20   # Gauss nodes per shift
 _BLOCK_SEAMS = 4096    # seams per block of shifts; bounds every per-node array
 _BLOCK_PIECES = 1024   # series pieces per block; bounds every per-term array
 _X = 0.25              # zone ratio: series in r/rho below _X rho, in rho/r beyond rho/_X
@@ -332,9 +332,9 @@ def _near_segments(u: PiecewisePower, f: PiecewisePower, rho, lo, hi):
 
 
 def _gauss_zone(segs, level: int, nrows: int):
-    """Per-row Gauss sums over the given segments at a refinement level.
+    """Per-row Gauss sums over the given segments at level 0 or 1.
 
-    Panel counts scale with each segment's log width and double per level;
+    Panel counts scale with each segment's log width and double at level 1;
     node values are formed in the exponent.
     """
     row, panels, start, width, log_c, e_u, e_f, shift = segs
@@ -366,25 +366,13 @@ def _gauss_zone(segs, level: int, nrows: int):
     return np.bincount(row[seg], weights=arg[0] * half, minlength=nrows)
 
 
-def _gauss_block(integrand: PowerIntegrand, rho, lo, hi, rel_tol: float):
-    """Gauss-zone (value, last change, nonzero) of one block of shifts:
-    panels refined until each row settles."""
+def _gauss_block(integrand: PowerIntegrand, rho, lo, hi):
+    """Gauss-zone (value, error estimate, nonzero) of one block of shifts:
+    the value at level 1, and its distance from level 0 as the estimate."""
     segs = _near_segments(integrand.u, integrand.f, rho, lo, hi)
-    seg_row = segs[0]
-    base_nodes = _GAUSS_ORDER * np.bincount(seg_row, weights=segs[1], minlength=rho.size)
-    cur = _gauss_zone(segs, 0, rho.size)
-    change = np.zeros(rho.size)
-    active = np.ones(rho.size, dtype=bool)
-    level = 0
-    while active.any():
-        level += 1
-        new = _gauss_zone(tuple(a[active[seg_row]] for a in segs), level, rho.size)[active]
-        step = np.abs(new - cur[active])
-        cur[active], change[active] = new, step
-        settled = ((step <= rel_tol * np.maximum(np.abs(new), 1e-300))
-                   | (base_nodes[active] * (2 << level) > _MAX_NODES))
-        active[np.flatnonzero(active)[settled]] = False
-    return cur, change, base_nodes > 0
+    coarse = _gauss_zone(segs, 0, rho.size)
+    fine = _gauss_zone(segs, 1, rho.size)
+    return fine, np.abs(fine - coarse), np.bincount(segs[0], minlength=rho.size) > 0
 
 
 def _seam_blocks(integrand: PowerIntegrand, rho, lo, hi):
@@ -395,14 +383,16 @@ def _seam_blocks(integrand: PowerIntegrand, rho, lo, hi):
     return zip(np.concatenate([[0], cuts]), np.concatenate([cuts, [rho.size]]))
 
 
-def integrate(integrand: PowerIntegrand, rel_tol: float = 1e-12) -> QuadratureResult:
+def integrate(integrand: PowerIntegrand) -> QuadratureResult:
     """Integrate u(r) f(rho + r) against dr/r over (0, inf) for every shift.
 
-    Each value is within its ``abs_error_estimate`` of the true integral; a
-    divergent origin or tail sets that shift's ``diverged`` flag instead of
-    raising.  A shift whose zone seams or value leave the float range
-    (including a nonzero integral that comes out below the smallest normal
-    float) raises ParameterError naming the first such radius.
+    Each value carries an ``abs_error_estimate``: the series zones' bounded
+    remainders plus the Gauss zone's distance between its two fixed levels,
+    whose finer level gives the value.  A divergent origin or tail sets that
+    shift's ``diverged`` flag instead of raising.  A shift whose zone seams
+    or value leave the float range (including a nonzero integral that comes
+    out below the smallest normal float) raises ParameterError naming the
+    first such radius.
     """
     u, f = integrand.u, integrand.f
     shape = integrand.rho.shape
@@ -424,9 +414,9 @@ def integrate(integrand: PowerIntegrand, rel_tol: float = 1e-12) -> QuadratureRe
         rows = np.flatnonzero(seams_ok)
         for lo, hi in _seam_blocks(integrand, shift[rows], low_end[rows], high_start[rows]):
             b = rows[lo:hi]
-            zv, zc, zn = _gauss_block(integrand, shift[b], low_end[b], high_start[b], rel_tol)
+            zv, ze, zn = _gauss_block(integrand, shift[b], low_end[b], high_start[b])
             val[b] += zv
-            err[b] += zc
+            err[b] += ze
             nonzero[b] |= zn
     cut = np.append(np.flatnonzero(~seams_ok), shift.size)[0]   # the first bad seam
     require_normal("integral", shift[:cut], val[:cut], np.where(nonzero, _TINY, -_INF)[:cut])

@@ -109,10 +109,10 @@ class BoundednessCheck:
 
 
 def verify_prop1(plan: ExponentPlan, spec: KernelSpec, src: SourceProfile,
-                 grid=None) -> BoundednessCheck:
+                 grid) -> BoundednessCheck:
     """Check that the weighted-source potential is bounded by f**b and the
     f**b potential by f**a, as grid sup-ratios with stable last decades."""
-    grid = _validate_grid(default_grid(512) if grid is None else grid)
+    grid = _validate_grid(grid)
     prof = spec.prof
     _require_window(prof, src, plan)
     a, b, p = float(plan.a), float(plan.b), float(plan.p)
@@ -136,7 +136,7 @@ class ContractionCheck:
 
 
 def verify_prop2(plan: ExponentPlan, spec: KernelSpec, src: SourceProfile,
-                 grid=None) -> ContractionCheck:
+                 grid) -> ContractionCheck:
     """Check the contraction-side bounds: potential(psi * f**(a*(p-1)))
     against f**(b-a), and finiteness of sup potential(f**(b-a)).
 
@@ -144,7 +144,7 @@ def verify_prop2(plan: ExponentPlan, spec: KernelSpec, src: SourceProfile,
         gamma - s + a*(p-1)*(2*gamma-alpha) - alpha > (2*gamma-alpha)*(b-a) > alpha - gamma > 0
     is asserted in exact arithmetic before any quadrature runs.
     """
-    grid = _validate_grid(default_grid(512) if grid is None else grid)
+    grid = _validate_grid(grid)
     prof = spec.prof
     al, g, s = as_fraction(prof.alpha), as_fraction(prof.gamma), as_fraction(src.s)
     a_q, b_q, p_q = plan.a, plan.b, plan.p
@@ -184,10 +184,10 @@ def _double_potential(spec: KernelSpec, src: SourceProfile, grid: np.ndarray,
 
 
 def estimate_constants(plan: ExponentPlan, spec: KernelSpec, src: SourceProfile,
-                       grid=None) -> ConstantsEstimate:
+                       grid) -> ConstantsEstimate:
     """C bounds the double potential of psi*f**(a*p) against f**a; C' is the
     plain sup of the double potential of psi*f**(a*(p-1))."""
-    grid = _validate_grid(default_grid(512) if grid is None else grid)
+    grid = _validate_grid(grid)
     _require_window(spec.prof, src, plan)
     a, p = float(plan.a), float(plan.p)
     dp_inv = _double_potential(spec, src, grid, a * p)
@@ -237,10 +237,10 @@ def apply_T(plan: ExponentPlan, spec: KernelSpec, src: SourceProfile,
 
 
 def measure_lipschitz(plan: ExponentPlan, spec: KernelSpec, src: SourceProfile,
-                      grid=None, pairs: int = 50, seed: int = 0) -> float:
+                      grid, pairs: int = 50, seed: int = 0) -> float:
     """Largest quotient sup|Tu1-Tu2| / sup|u1-u2| over random pairs in the
     invariant set, including near-envelope pairs that approach the supremum."""
-    grid = _validate_grid(default_grid(512) if grid is None else grid)
+    grid = _validate_grid(grid)
     if plan.l is None:
         raise ParameterError("plan has no smallness parameter l")
     rng = np.random.default_rng(seed)
@@ -309,13 +309,13 @@ class SolveReport:
 
 
 def solve_fixed_point(plan: ExponentPlan, spec: KernelSpec, src: SourceProfile,
-                      grid=None, tol: float = 1e-10, maxit: int = 80,
+                      grid, tol: float = 1e-10, maxit: int = 80,
                       constants: ConstantsEstimate | None = None) -> SolveReport:
     """Picard iteration from u = 0 until the weighted sup-norm step drops
     below tol.  The iterate sequence is increasing; steps contract at the
     measured geometric rate, and a non-geometric stall raises with the trace.
     """
-    grid = _validate_grid(default_grid() if grid is None else grid)
+    grid = _validate_grid(grid)
     prof = spec.prof
     prof.require_existence_window()
     _require_window(prof, src, plan)

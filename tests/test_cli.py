@@ -266,6 +266,18 @@ def test_config_file_forms(tmp_path):
     assert _load(out)["p_star"] == 3.0
 
 
+@pytest.mark.parametrize("form", [["--conf", "{cfg}"], ["--conf={cfg}"]])
+def test_abbreviated_config_flag_reads_the_file(tmp_path, form):
+    # argparse reads a prefix of --config as --config, so its file is read too
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("samples=2000\n")
+    out = tmp_path / "o"
+    argv = ["oracle", "--x", "10", *(tok.format(cfg=cfg) for tok in form), "--out-dir", str(out)]
+    assert run(argv) == 0
+    assert _load(out)["config"]["samples"] == "2000"
+    assert "samples=2000" in (out / "resolved.cfg").read_text().splitlines()
+
+
 @pytest.mark.parametrize("text, command, code", [
     ("alpha 6\n", ["classify"], 2),                 # a line without '='
     ("alpha=6\nfrobnicate=1\n", ["classify"], 2),   # a key classify does not take

@@ -20,6 +20,7 @@ from biharm.profiles import ManifoldProfile, SourceProfile, profile_piecewise
 from biharm.quad import PowerIntegrand, integrate
 from biharm.radial import (PiecewisePower, RadialFunction, fit_loglog_slope, log_grid,
                            pp_product)
+from biharm.solver import default_grid
 
 PROF = ManifoldProfile(6.0, 4.0, 6)
 SRC = SourceProfile(0.0, 0.0)
@@ -307,8 +308,8 @@ def test_green_and_split_terms_against_mpmath(alpha, gamma, n, rho):
     green = compose_green(prof, rho).value
     assert green == pytest.approx(_mp_integral(pp_product(g, v), g, rho), rel=1e-10)
     # the two terms of a split potential, built as kernels builds them
-    first = integrate(PowerIntegrand(pp_product(src, v), g, rho), rel_tol=1e-10).value
-    second = integrate(PowerIntegrand(pp_product(g, v), src, rho), rel_tol=1e-10).value
+    first = integrate(PowerIntegrand(pp_product(src, v), g, rho)).value
+    second = integrate(PowerIntegrand(pp_product(g, v), src, rho)).value
     assert first == pytest.approx(_mp_integral(pp_product(src, v), g, rho), rel=1e-10)
     assert second == pytest.approx(_mp_integral(pp_product(g, v), src, rho), rel=1e-10)
     split = potential_values(KernelSpec(MODE_SPLIT, prof), src, [rho])[0]
@@ -324,8 +325,29 @@ def test_split_terms_of_a_grid_source_at_huge_radii(rho):
     g = profile_piecewise("g", PROF)
     v = profile_piecewise("v", PROF)
     for u, f in ((pp_product(src, v), g), (pp_product(g, v), src)):
-        got = integrate(PowerIntegrand(u, f, rho), rel_tol=1e-10).value
+        got = integrate(PowerIntegrand(u, f, rho)).value
         assert got == pytest.approx(_mp_integral(u, f, rho), rel=1e-10)
+
+
+# the split potential of a source decaying like r**-3 has tail exponent
+# alpha - gamma - 3, which is 0 at (8, 5, 6), so there the source decays like r**-4
+@pytest.mark.parametrize("alpha, gamma, n, decay", [(6.0, 4.0, 6, 3.0), (7.0, 4.5, 5, 3.0),
+                                                    (5.0, 3.0, 7, 3.0), (8.0, 5.0, 6, 4.0)])
+def test_error_estimates_stay_below_1e_10_of_the_value(alpha, gamma, n, decay):
+    # the Gauss zone's estimate is the distance between its two fixed levels;
+    # both split terms of a grid source, and a two-regime composed kernel
+    prof = ManifoldProfile(alpha, gamma, n)
+    g = profile_piecewise("g", prof)
+    v = profile_piecewise("v", prof)
+    grid = default_grid(1024)
+    src = RadialFunction.from_values(grid, (1.0 + grid) ** -decay).as_piecewise()
+    for res in (integrate(PowerIntegrand(pp_product(src, v), g, grid)),
+                integrate(PowerIntegrand(pp_product(g, v), src, grid)),
+                compose_green(prof, np.geomspace(1e-3, 1e3, 121))):
+        assert not res.diverged.any()
+        pos = res.value > 0.0
+        assert pos.any()
+        assert np.all(res.abs_error_estimate[pos] <= 1e-10 * res.value[pos])
 
 
 def _mp_surrogate_potential(prof, grid, values, tails, rho):

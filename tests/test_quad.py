@@ -238,8 +238,8 @@ def test_batched_equals_one_shift_at_a_time(data):
     g = profile_piecewise("g", prof)
     v = profile_piecewise("v", prof)
     for u, f in ((pp_product(src, v), g), (pp_product(g, v), src), (pp_product(g, v), g)):
-        batched = integrate(PowerIntegrand(u, f, rho), rel_tol=1e-10)
-        single = [integrate(PowerIntegrand(u, f, r), rel_tol=1e-10) for r in rho]
+        batched = integrate(PowerIntegrand(u, f, rho))
+        single = [integrate(PowerIntegrand(u, f, r)) for r in rho]
         assert batched.value.tolist() == [s.value for s in single]
         assert batched.abs_error_estimate.tolist() == [s.abs_error_estimate for s in single]
         assert batched.diverged.tolist() == [s.diverged for s in single]
