@@ -183,7 +183,7 @@ def potential(spec: KernelSpec, source, grid=None) -> RadialFunction:
             grid = source.grid
         else:
             raise ParameterError("potential needs a target grid for closed-form sources")
-    return RadialFunction.from_values(grid, potential_values(spec, source, grid))
+    return RadialFunction(grid, potential_values(spec, source, grid))
 
 
 # -- Monte Carlo oracle for the euclidean-exact mode -------------------------

@@ -103,17 +103,6 @@ class QuadratureResult:
     diverged: np.ndarray
 
 
-def _finite_bounds(pp: PiecewisePower) -> np.ndarray:
-    """The finite bounds after 0: where pp may switch piece."""
-    b = pp.bounds[1:]
-    return b[np.isfinite(b)]
-
-
-def _piece_ends(pp: PiecewisePower) -> np.ndarray:
-    """Upper end of each piece; the last piece runs to infinity."""
-    return np.append(pp.bounds[1:pp.npieces], _INF)
-
-
 def _ratio_caps(pp: PiecewisePower) -> np.ndarray:
     """Largest series ratio of each piece: _X, or _STEEP/|e| for a steep live
     piece, so that cancellation costs at most about exp(2 _STEEP)."""
@@ -165,7 +154,7 @@ def _series(w: PiecewisePower, specs, log_rho, a, b, log_c, beta, spec, ratio):
     lcw, ew = w.log_coefs, w.exps
     p0, s, sign = (np.array([sp[c] for sp in specs])[spec] for c in range(3))
     ia, ib = w.piece_index(a), w.piece_index(b)
-    a_end = np.minimum(b, _piece_ends(w)[ia])
+    a_end = np.minimum(b, w.bounds[ia + 1])
     b_start = np.maximum(a, w.bounds[ib])
     live = np.concatenate([[0], np.cumsum(lcw > -_INF)])
     nonzero = live[ib + 1] > live[ia]
@@ -234,7 +223,7 @@ def _low_zone(f: PiecewisePower, rho):
     row, j = _ranges(j0, count)
     shift = rho[row]
     a = np.maximum(f.bounds[j] - shift, 0.0)
-    b = _piece_ends(f)[j] - shift
+    b = f.bounds[j + 1] - shift
     cap = shift * _ratio_caps(f)[j]
     # the zone ends where the first piece reaches its cap
     end = np.minimum.reduceat(np.where(cap < b, np.maximum(a, cap), _INF),
@@ -250,7 +239,7 @@ def _high_zone(phi: PiecewisePower, rho, offset):
     where a steep piece needs it.  Returns the zone start per shift and,
     per live piece, (row, a, b, piece of phi)."""
     lo = phi.bounds[:phi.npieces] - offset[:, None]
-    hi = _piece_ends(phi) - offset[:, None]
+    hi = phi.bounds[1:] - offset[:, None]
     reach = rho[:, None] / _ratio_caps(phi)
     start = np.maximum(rho / _X, np.where(reach > lo, np.minimum(hi, reach), 0.0).max(axis=1))
     a = np.maximum(lo, start[:, None])
@@ -269,11 +258,11 @@ def _series_zones(u: PiecewisePower, f: PiecewisePower, rho):
     specs = [(0.0, 1.0, 1.0, _INF)]
     if f.npieces <= u.npieces:   # f(rho + r) in rho/r against moments of u
         high_start, row, a, b, j = _high_zone(f, rho, rho)
-        phi, beta, sign, y_max, w = f, f.exps, 1.0, _piece_ends(f), u
+        phi, beta, sign, y_max, w = f, f.exps, 1.0, f.bounds[1:], u
     else:                        # u(s - rho)/(s - rho) in rho/s against moments of f*s
         high_start, row, a, b, j = _high_zone(u, rho, np.zeros(rho.size))
         a, b = a + rho[row], b + rho[row]
-        phi, beta, sign, y_max = u, u.exps - 1.0, -1.0, _piece_ends(u) * (1.0 + _X)
+        phi, beta, sign, y_max = u, u.exps - 1.0, -1.0, u.bounds[1:] * (1.0 + _X)
         w = PiecewisePower._from_logs(f.bounds, f.log_coefs, f.exps + 1.0)
     specs += [(float(beta[jj]), -1.0, sign, float(y_max[jj])) for jj in range(phi.npieces)]
     high = (row, a, b, phi.log_coefs[j], beta[j], 1 + j, rho[row] / a)
@@ -291,7 +280,7 @@ def _series_zones(u: PiecewisePower, f: PiecewisePower, rho):
 def _near_breakpoints(u: PiecewisePower, f: PiecewisePower, rho, lo, hi):
     """Per shift, the first index and the count of the breakpoints of u, and
     of f(rho + .), strictly inside (lo, hi)."""
-    ub, fb = _finite_bounds(u), _finite_bounds(f)
+    ub, fb = u.bounds[1:-1], f.bounds[1:-1]
     iu = np.searchsorted(ub, lo, side="right")
     jf = np.searchsorted(fb, rho + lo, side="right")
     return (iu, np.maximum(np.searchsorted(ub, hi, side="left") - iu, 0),
@@ -307,7 +296,7 @@ def _near_segments(u: PiecewisePower, f: PiecewisePower, rho, lo, hi):
     are dropped.  Returns (row, level-0 panel count, start, width, log c,
     e_u, e_f, rho), one entry per segment, in row order.
     """
-    ub, fb = _finite_bounds(u), _finite_bounds(f)
+    ub, fb = u.bounds[1:-1], f.bounds[1:-1]
     iu, nu, jf, nf = _near_breakpoints(u, f, rho, lo, hi)
     # one row of seams per shift, padded with its upper end
     seams = np.repeat(hi[:, None], 2 + (nu + nf).max(initial=0), axis=1)

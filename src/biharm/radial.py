@@ -30,7 +30,7 @@ def _frozen(values) -> np.ndarray:
 class PiecewisePower:
     """c_j * r**e_j on [bounds[j], bounds[j+1]), j = 0..K-1.
 
-    ``bounds`` has K+1 entries, starts at 0 and may end at inf.  Each c_j is
+    ``bounds`` has K+1 entries, starts at 0 and ends at inf.  Each c_j is
     stored as its natural log, ``log_coefs[j]``, with -inf for a piece where
     the function vanishes: pieces are nonnegative by construction, and no
     coefficient of a steep piece under- or overflows.  The three fields are
@@ -52,8 +52,8 @@ class PiecewisePower:
     def _from_logs(bounds, log_coefs, exps) -> "PiecewisePower":
         """Pieces from log coefficients: the path every constructor takes."""
         b = _frozen(bounds)
-        if b.ndim != 1 or b.size < 2 or b[0] != 0.0:
-            raise ParameterError("bounds must start at 0")
+        if b.ndim != 1 or b.size < 2 or b[0] != 0.0 or b[-1] != _INF:
+            raise ParameterError("bounds must start at 0 and end at inf")
         if (b[:-1] >= b[1:]).any():
             raise ParameterError("bounds must be strictly increasing")
         lc, e = _frozen(log_coefs), _frozen(exps)
@@ -96,8 +96,6 @@ def pp_product(*pps: PiecewisePower) -> PiecewisePower:
     midpoint, or lo + 1 for the infinite last piece.
     """
     bounds = np.unique(np.concatenate([pp.bounds for pp in pps]))
-    if bounds[-1] != _INF:
-        bounds = np.append(bounds, _INF)
     lo, hi = bounds[:-1], bounds[1:]
     mid = 0.5 * (lo + hi)
     mid[-1] = lo[-1] + 1.0
@@ -154,24 +152,24 @@ def fit_loglog_slope(x, y):
     return float(np.polyfit(lx, ly, 1)[0])
 
 
-def _decade_slope(grid, values, left: bool):
-    """Power-law fit over the first/last decade; None if not well defined."""
-    g = np.asarray(grid, dtype=float)
-    v = np.asarray(values, dtype=float)
+def _decade_slope(g, v, left: bool) -> float:
+    """Power-law fit over the first/last decade; 0 (a flat tail) where it is
+    not well defined: fewer than 3 nodes, or a value of 0 among them."""
     mask = g <= float(g[0]) * 10.0 if left else g >= g[-1] / 10.0   # a float: inf, no warning
     if mask.sum() < 3 or np.any(v[mask] <= 0):
-        return None
+        return 0.0
     return fit_loglog_slope(g[mask], v[mask])
 
 
 @dataclass(frozen=True)
 class RadialFunction:
-    """One value per node of a strictly increasing radial grid.
+    """One nonnegative value per node of a strictly increasing radial grid.
 
     Between nodes the function is interpreted by log-log linear
     interpolation (an exact power law per segment); beyond the grid it is
-    extrapolated as a power law with the stored tail exponents, which by
-    default come from a log-log fit over the first and last decades.
+    extrapolated as a power law with the tail exponents.  A tail not given
+    is fitted where the function becomes pieces: a log-log fit over the
+    first or last decade, or 0 where that fit is not defined.
     """
 
     grid: np.ndarray
@@ -186,27 +184,10 @@ class RadialFunction:
             raise ParameterError("grid and values must be matching 1-D arrays, length >= 2")
         if not np.all(g[1:] > g[:-1]) or g[0] <= 0:
             raise ParameterError("grid must be strictly increasing and positive")
-        if not np.all(np.isfinite(v)):
-            raise ParameterError("values must be finite")
+        if not np.all(np.isfinite(v) & (v >= 0.0)):
+            raise ParameterError("values must be finite and >= 0")
         object.__setattr__(self, "grid", g)
         object.__setattr__(self, "values", v)
-
-    @staticmethod
-    def from_values(grid, values) -> "RadialFunction":
-        """Build with tail exponents fitted from the outermost decades."""
-        rf = RadialFunction(np.asarray(grid, float), np.asarray(values, float))
-        return RadialFunction(rf.grid, rf.values,
-                              _decade_slope(rf.grid, rf.values, left=True),
-                              _decade_slope(rf.grid, rf.values, left=False))
-
-    @staticmethod
-    def zero(grid) -> "RadialFunction":
-        g = np.asarray(grid, dtype=float)
-        return RadialFunction(g, np.zeros_like(g), 0.0, 0.0)
-
-    @property
-    def is_zero(self) -> bool:
-        return bool(np.all(self.values == 0.0))
 
     def __call__(self, r):
         """Evaluate at r (scalar or array) with power-law extrapolation."""
@@ -217,15 +198,15 @@ class RadialFunction:
 
         Each piece's log coefficient is L = ln v - e ln g at its left node
         (the first piece's at the first node): a positive value followed by
-        one <= 0 holds its level, and a piece from a value <= 0 vanishes.
+        0 holds its level, and a piece from a value of 0 vanishes.
         """
         g, v = self.grid, self.values
         pos = v > 0
         with np.errstate(divide="ignore"):   # log 0 = -inf
             log_v = np.log(np.where(pos, v, 0.0))
         exps = np.zeros(g.size + 1)
-        exps[0] = self.tail_left if self.tail_left is not None else 0.0
-        exps[-1] = self.tail_right if self.tail_right is not None else 0.0
+        exps[0] = self.tail_left if self.tail_left is not None else _decade_slope(g, v, True)
+        exps[-1] = self.tail_right if self.tail_right is not None else _decade_slope(g, v, False)
         # interior segments: power laws between positive values
         i = np.flatnonzero(pos[:-1] & pos[1:])
         exps[i + 1] = np.log(v[i + 1] / v[i]) / np.log(g[i + 1] / g[i])

@@ -179,7 +179,7 @@ def _double_potential(spec: KernelSpec, src: SourceProfile, grid: np.ndarray,
     """potential(potential(psi * f**a_power)) through the same sampled-grid
     pipeline the fixed-point map uses, so measured constants transfer."""
     source_vals = _psi_f_source(spec.prof, src, a_power).eval(grid)
-    inner = potential(spec, RadialFunction.from_values(grid, source_vals))
+    inner = potential(spec, RadialFunction(grid, source_vals))
     return potential(spec, inner)
 
 
@@ -219,7 +219,7 @@ def _nonlinear_source(plan: ExponentPlan, spec: KernelSpec, src: SourceProfile,
     a, p, l = float(plan.a), float(plan.p), plan.l
     psi = profile_piecewise("psi", spec.prof, src).eval(grid)
     fap = _envelope(spec.prof, grid, a * p, floor=0.0)   # may underflow far out
-    return RadialFunction.from_values(grid, psi * (u_vals ** p + l ** p * fap))
+    return RadialFunction(grid, psi * (u_vals ** p + l ** p * fap))
 
 
 def apply_T(plan: ExponentPlan, spec: KernelSpec, src: SourceProfile,
@@ -230,7 +230,7 @@ def apply_T(plan: ExponentPlan, spec: KernelSpec, src: SourceProfile,
         raise ParameterError("plan has no smallness parameter l; run pick_l first")
     grid = u.grid
     fa = _envelope(spec.prof, grid, float(plan.a))
-    if np.any(u.values < 0.0) or np.any(u.values > plan.l * fa):
+    if np.any(u.values > plan.l * fa):   # u >= 0 holds for every RadialFunction
         raise ParameterError("u is not in the invariant set: need 0 <= u <= l * f**a nodewise")
     h = potential(spec, _nonlinear_source(plan, spec, src, grid, u.values))
     return potential(spec, h)
@@ -255,8 +255,8 @@ def measure_lipschitz(plan: ExponentPlan, spec: KernelSpec, src: SourceProfile,
         else:
             u1 = top * rng.uniform(0.0, 1.0, grid.size)
             u2 = top * rng.uniform(0.0, 1.0, grid.size)
-        t1 = apply_T(plan, spec, src, RadialFunction.from_values(grid, u1))
-        t2 = apply_T(plan, spec, src, RadialFunction.from_values(grid, u2))
+        t1 = apply_T(plan, spec, src, RadialFunction(grid, u1))
+        t2 = apply_T(plan, spec, src, RadialFunction(grid, u2))
         num = float(np.max(np.abs(t1.values - t2.values)))
         den = float(np.max(np.abs(u1 - u2)))
         if den > 0:
@@ -330,7 +330,7 @@ def solve_fixed_point(plan: ExponentPlan, spec: KernelSpec, src: SourceProfile,
     predictor = C_prime * p * l ** (p - 1.0)
 
     fa = _envelope(prof, grid, float(plan.a))
-    u = RadialFunction.zero(grid)
+    u = RadialFunction(grid, np.zeros_like(grid))
     steps, ratios = [], []
     for it in range(1, maxit + 1):
         h = potential(spec, _nonlinear_source(plan, spec, src, grid, u.values))

@@ -28,6 +28,11 @@ from .radial import RadialFunction
 FD_SAFETY = 10.0
 
 _TINY = np.finfo(float).tiny
+# inverse iteration: stop at this relative change of lambda, or raise after _MAXIT steps
+_REL_TOL = 1e-12
+_MAXIT = 500
+# interior nodes of the mesh that calibrates the finite-difference error constant
+_FD_MESH = 256
 
 
 # module attribute -> LAPACK routine; the banded Cholesky factor and solve
@@ -113,7 +118,7 @@ def _assemble(op: SurrogateOperator, r_in: float, r_out: float, n: int):
     return ab, w
 
 
-def _smallest_eigenvalue(ab, w, rel_tol=1e-12, maxit=500):
+def _smallest_eigenvalue(ab, w):
     """Inverse power iteration on the generalized tridiagonal problem."""
     factor, solve = (globals().get(name) or __getattr__(name) for name in _LAPACK)
     cb, info = factor(ab)
@@ -125,7 +130,7 @@ def _smallest_eigenvalue(ab, w, rel_tol=1e-12, maxit=500):
     x /= math.sqrt(float(x @ (w * x)))
     lam_prev = None
     trace = []
-    for _ in range(maxit):
+    for _ in range(_MAXIT):
         wx = w * x
         y = solve(cb, wx)[0]   # its info is nonzero only for an illegal argument
         norm = math.sqrt(float(y @ (w * y)))
@@ -135,12 +140,12 @@ def _smallest_eigenvalue(ab, w, rel_tol=1e-12, maxit=500):
         # Rayleigh quotient of y: A y = W x / norm
         lam = float(y @ wx) / norm
         trace.append(lam)
-        if lam_prev is not None and abs(lam - lam_prev) <= rel_tol * abs(lam):
+        if lam_prev is not None and abs(lam - lam_prev) <= _REL_TOL * abs(lam):
             return lam
         lam_prev = lam
         x = y
     raise NonConvergenceError(
-        f"inverse power iteration did not converge in {maxit} steps", trace=trace)
+        f"inverse power iteration did not converge in {_MAXIT} steps", trace=trace)
 
 
 def annulus_systems(op: SurrogateOperator, r_in: float, r_out: float, mesh: int) -> list:
@@ -164,8 +169,7 @@ def annulus_systems(op: SurrogateOperator, r_in: float, r_out: float, mesh: int)
     return systems
 
 
-def lambda1_annulus(op: SurrogateOperator, r_in: float, r_out: float,
-                    mesh: int = 512) -> EigenResult:
+def lambda1_annulus(op: SurrogateOperator, r_in: float, r_out: float, mesh: int) -> EigenResult:
     """Smallest Dirichlet eigenvalue on (r_in, r_out).
 
     Second-order central differences on the mesh pair (mesh, 2*mesh) with
@@ -200,7 +204,7 @@ def apply_operator(op: SurrogateOperator, grid: np.ndarray, values: np.ndarray) 
 
 
 @lru_cache(maxsize=None)
-def fd_error_constant(mesh: int = 256) -> float:
+def fd_error_constant() -> float:
     """Dimensionless FD error constant, calibrated once in test mode.
 
     Applies L twice to the continuum eigenfunction sin(pi r) on (0, 1) and
@@ -208,7 +212,7 @@ def fd_error_constant(mesh: int = 256) -> float:
     h**2 * pi**4 is the constant.
     """
     op = SurrogateOperator(1.0, 1.0, test_mode=True)
-    grid = annulus_mesh(0.0, 1.0, mesh)
+    grid = annulus_mesh(0.0, 1.0, _FD_MESH)
     f = np.sin(math.pi * grid)
     lf = apply_operator(op, grid, f)
     llf = apply_operator(op, grid[1:-1], lf)
@@ -234,17 +238,15 @@ class InfBoundCheck:
 def check_inf_bound(op: SurrogateOperator, f: RadialFunction, lam) -> InfBoundCheck:
     """Check min over interior nodes of L(Lf) - lambda1**2 f <= tau_fd.
 
-    Preconditions: f >= 0 on the annulus and L f >= 0 at the two boundary
-    bands (first and last interior node), the discrete analogue of the
-    super-harmonicity required on the boundary; their violation raises
-    because the inequality then simply does not apply.  tau_fd is the
+    Preconditions: f >= 0 on the annulus, which every RadialFunction holds,
+    and L f >= 0 at the two boundary bands (first and last interior node),
+    the discrete analogue of the super-harmonicity required on the boundary;
+    its violation raises because the inequality then simply does not apply.  tau_fd is the
     calibrated finite-difference error bound C_fd * (h/width)**2 * scale and
     is reported, never hidden.
     """
     lam1 = lam.value if isinstance(lam, EigenResult) else float(lam)
     grid, values = f.grid, f.values
-    if np.any(values < 0.0):
-        raise ParameterError("the inequality needs f >= 0 on the annulus")
     lf = apply_operator(op, grid, values)
     # the band check gets its own FD allowance: a genuine violation is O(scale)
     h_rel = (grid[1] - grid[0]) / (grid[-1] - grid[0])

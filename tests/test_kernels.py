@@ -53,7 +53,7 @@ def test_compose_green_small_separation_singularity():
 
 def test_split_mode_accepts_grid_sources():
     grid = log_grid(1e-1, 1e2, 48)
-    src_rf = RadialFunction.from_values(grid, np.exp(-np.log(grid) ** 2 / 2.0))
+    src_rf = RadialFunction(grid, np.exp(-np.log(grid) ** 2 / 2.0))
     split = potential(KernelSpec(MODE_SPLIT, PROF), src_rf, grid)
     surro = potential(KernelSpec(MODE_SURROGATE, PROF), src_rf, grid)
     assert np.all(split.values > 0)
@@ -103,10 +103,21 @@ def test_euclidean_ball_anchors():
 def test_zero_source_gives_zero():
     grid = log_grid(1e-1, 1e2, 32)
     for mode in KERNEL_MODES:
-        assert potential(KernelSpec(mode, PROF), RadialFunction.zero(grid)).is_zero
+        zero = RadialFunction(grid, np.zeros_like(grid))
+        assert np.all(potential(KernelSpec(mode, PROF), zero).values == 0.0)
     # rho**(2-n) overflows at this radius, but the source vanishes below it
     spec = KernelSpec(MODE_EUCLIDEAN, ManifoldProfile(107.0, 105.0, 107))
     assert potential_values(spec, BallSource(1e-10, 0.0), [1e-10])[0] == 0.0
+
+
+def test_negative_source_values_rejected():
+    # a value < 0 used to be read as a vanishing piece: a mixed-sign source
+    # got the potential of its positive part, an all-negative one 0
+    grid = log_grid(1e-1, 1e2, 32)
+    mixed = np.exp(-np.log(grid) ** 2 / 2.0) * np.cos(np.log(grid))
+    for values in (mixed, -np.abs(mixed)):
+        with pytest.raises(ParameterError, match=">= 0"):
+            potential(KernelSpec(MODE_SURROGATE, PROF), RadialFunction(grid, values))
 
 
 def test_potential_monotone_in_source():
@@ -114,10 +125,10 @@ def test_potential_monotone_in_source():
     grid = log_grid(1e-2, 1e3, 64)
     spec = KernelSpec(MODE_SURROGATE, PROF)
     base = np.exp(-np.log(grid) ** 2 / 2.0)   # tail steep enough to integrate
-    lo = potential(spec, RadialFunction.from_values(grid, base))
+    lo = potential(spec, RadialFunction(grid, base))
     for _ in range(10):
         bump = base * (1.0 + 0.5 * rng.random(grid.size))
-        hi = potential(spec, RadialFunction.from_values(grid, bump))
+        hi = potential(spec, RadialFunction(grid, bump))
         assert np.all(hi.values >= lo.values)
 
 
@@ -185,11 +196,12 @@ def test_split_and_surrogate_modes_agree_within_constants():
 
 def test_radial_function_power_interp_exact():
     grid = log_grid(1e-1, 1e2, 20)
-    rf = RadialFunction.from_values(grid, 3.0 * grid ** -2.0)
+    rf = RadialFunction(grid, 3.0 * grid ** -2.0)
     probe = np.geomspace(0.05, 300.0, 50)   # includes extrapolation regions
     assert np.allclose(rf(probe), 3.0 * probe ** -2.0, rtol=1e-9)
-    assert rf.tail_left == pytest.approx(-2.0, abs=1e-9)
-    assert rf.tail_right == pytest.approx(-2.0, abs=1e-9)
+    exps = rf.as_piecewise().exps
+    assert exps[0] == pytest.approx(-2.0, abs=1e-9)
+    assert exps[-1] == pytest.approx(-2.0, abs=1e-9)
 
 
 def test_mc_oracle_anchors():
@@ -240,7 +252,7 @@ def reference_sources():
     g96 = log_grid(1e-3, 1e4, 96)
     vals = (1.0 + g96) ** -3.5 * (1.0 + 0.3 * np.sin(3.0 * np.log(g96)))
     vals[40:47] = 0.0
-    return {"grid48": RadialFunction.from_values(g48, np.exp(-np.log(g48) ** 2 / 2.0)),
+    return {"grid48": RadialFunction(g48, np.exp(-np.log(g48) ** 2 / 2.0)),
             "grid96_zeros": RadialFunction(g96, vals, 0.0, -3.5),
             "psi_f": PSI_F,
             "ball": BallSource(1.5, 2.0)}
@@ -340,7 +352,7 @@ def test_error_estimates_stay_below_1e_10_of_the_value(alpha, gamma, n, decay):
     g = profile_piecewise("g", prof)
     v = profile_piecewise("v", prof)
     grid = default_grid(1024)
-    src = RadialFunction.from_values(grid, (1.0 + grid) ** -decay).as_piecewise()
+    src = RadialFunction(grid, (1.0 + grid) ** -decay).as_piecewise()
     for res in (integrate(PowerIntegrand(pp_product(src, v), g, grid)),
                 integrate(PowerIntegrand(pp_product(g, v), src, grid)),
                 compose_green(prof, np.geomspace(1e-3, 1e3, 121))):

@@ -124,12 +124,9 @@ def test_additive_across_a_split_point(exp):
 
 @st.composite
 def piecewise_powers(draw):
-    """Up to five pieces with breakpoints in [1e-2, 1e2], zero pieces included;
-    the last bound is inf or finite (the last piece then extends past it)."""
+    """Up to five pieces with breakpoints in [1e-2, 1e2], zero pieces included."""
     inner = draw(st.lists(st.floats(1e-2, 1e2), min_size=0, max_size=4, unique=True))
-    bounds = [0.0] + sorted(inner) + ([math.inf] if draw(st.booleans()) else [])
-    if len(bounds) < 2:
-        bounds.append(math.inf)
+    bounds = [0.0] + sorted(inner) + [math.inf]
     k = len(bounds) - 1
     coefs = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.1, 10.0)), min_size=k, max_size=k))
     exps = draw(st.lists(st.floats(-4.0, 4.0), min_size=k, max_size=k))
@@ -151,8 +148,6 @@ def test_pp_product_is_the_pointwise_product(a, b, radii):
 def _loop_pp_product(*pps):
     """The per-piece scalar product loop: (bounds, log_coefs, exps) lists."""
     bounds = sorted(set().union(*(pp.bounds.tolist() for pp in pps)))
-    if bounds[-1] != math.inf:
-        bounds.append(math.inf)
     log_coefs, exps = [], []
     for j in range(len(bounds) - 1):
         mid = bounds[j] + 1.0 if math.isinf(bounds[j + 1]) else 0.5 * (bounds[j] + bounds[j + 1])
@@ -166,22 +161,33 @@ def _loop_pp_product(*pps):
     return bounds, log_coefs, exps
 
 
+def _loop_decade_fit(g, v, left):
+    """np.polyfit of ln v against ln r over the nodes of the first or last
+    decade, picked one at a time; 0 when they are under 3 or one is 0."""
+    nodes = [(r, x) for r, x in zip(g, v) if (r <= g[0] * 10.0 if left else r >= g[-1] / 10.0)]
+    if len(nodes) < 3 or any(x == 0.0 for _, x in nodes):
+        return 0.0
+    return float(np.polyfit(np.log([r for r, _ in nodes]), np.log([x for _, x in nodes]), 1)[0])
+
+
 def _loop_as_piecewise(rf):
     """The per-segment scalar conversion loop: (bounds, log_coefs, exps) lists.
 
     Each piece is a power law through its left node (the first piece through
     the first node): a segment between positive values takes the log-log
     slope, a positive value followed by 0 holds its level, and a piece
-    whose left node is 0 vanishes.  Logs are numpy's, one scalar at a time.
+    whose left node is 0 vanishes.  A tail not given is fitted over its
+    outer decade.  Logs are numpy's, one scalar at a time.
     """
     g, v = rf.grid, rf.values
-    pieces = [(0, rf.tail_left if rf.tail_left is not None else 0.0)]
+    pieces = [(0, rf.tail_left if rf.tail_left is not None else _loop_decade_fit(g, v, True))]
     for i in range(g.size - 1):
         if v[i] > 0 and v[i + 1] > 0:
             pieces.append((i, np.log(v[i + 1] / v[i]) / np.log(g[i + 1] / g[i])))
         else:
             pieces.append((i, 0.0))
-    pieces.append((g.size - 1, rf.tail_right if rf.tail_right is not None else 0.0))
+    pieces.append((g.size - 1, rf.tail_right if rf.tail_right is not None
+                   else _loop_decade_fit(g, v, False)))
     log_coefs, exps = [], []
     for node, e in pieces:
         if v[node] > 0:
@@ -203,13 +209,11 @@ _POOL = (0.25, 0.5, 1.0, 1.0 + 2.0 ** -40, 3.0, 7.5, 1e3)
 
 @st.composite
 def pooled_piecewise_powers(draw):
-    """One to five pieces on pooled or free breakpoints; zero pieces, a finite
-    last bound and the single-piece case included."""
+    """One to five pieces on pooled or free breakpoints; zero pieces and the
+    single-piece case included."""
     inner = draw(st.lists(st.one_of(st.sampled_from(_POOL), st.floats(1e-3, 1e3)),
                           max_size=4, unique=True))
-    bounds = [0.0] + sorted(inner)
-    if len(bounds) == 1 or draw(st.booleans()):
-        bounds.append(math.inf)
+    bounds = [0.0] + sorted(inner) + [math.inf]
     k = len(bounds) - 1
     coefs = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1e3)), min_size=k, max_size=k))
     exps = draw(st.lists(st.floats(-6.0, 6.0), min_size=k, max_size=k))
@@ -225,7 +229,7 @@ def test_pp_product_matches_the_scalar_loop_exactly(pps):
 def test_pp_product_single_piece_and_coincident_bounds():
     a = PiecewisePower.single(2.0, 1.5)
     assert _fields(pp_product(a)) == ([0.0, math.inf], a.log_coefs.tolist(), [1.5])
-    b = PiecewisePower((0.0, 1.0, 3.0), (0.0, 4.0), (2.0, -1.0))   # finite last bound
+    b = PiecewisePower((0.0, 1.0, 3.0, math.inf), (0.0, 4.0, 4.0), (2.0, -1.0, -1.0))
     fields = _fields(pp_product(a, b, b))
     assert fields == _loop_pp_product(a, b, b)
     bounds, log_coefs, exps = fields
@@ -237,13 +241,11 @@ def test_pp_product_single_piece_and_coincident_bounds():
 @st.composite
 def radial_functions(draw):
     """Grids of 2..12 nodes; values with zeros (so positive-then-zero hold
-    pieces occur), and fitted, given or missing tails."""
+    pieces occur), and given or fitted tails."""
     grid = sorted(draw(st.lists(st.floats(1e-3, 1e4), min_size=2, max_size=12, unique=True)))
     values = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1e6)),
                            min_size=len(grid), max_size=len(grid)))
     tails = st.one_of(st.none(), st.floats(-6.0, 6.0))
-    if draw(st.booleans()):
-        return RadialFunction.from_values(grid, values)
     return RadialFunction(np.array(grid), np.array(values), draw(tails), draw(tails))
 
 
@@ -282,13 +284,45 @@ def test_as_piecewise_hold_piece_and_zero_tails():
     assert exps == [0.0, 2.0, 0.0, 0.0, 0.0]
 
 
+def test_missing_tails_are_fitted_over_the_outer_decades():
+    # four nodes in the first decade, three in the last, on a bumpy profile
+    grid = np.array([0.01, 0.02, 0.04, 0.08, 0.3, 1.0, 3.0, 10.0, 30.0, 100.0, 200.0, 400.0])
+    values = np.exp(-np.log(grid) ** 2 / 8.0) * (1.0 + 0.2 * np.sin(3.0 * np.log(grid)))
+    exps = RadialFunction(grid, values).as_piecewise().exps
+    assert exps[0] == np.polyfit(np.log(grid[:4]), np.log(values[:4]), 1)[0]
+    assert exps[-1] == np.polyfit(np.log(grid[-3:]), np.log(values[-3:]), 1)[0]
+    # a given tail wins over the fit
+    given = RadialFunction(grid, values, -1.5, 2.5).as_piecewise().exps
+    assert (given[0], given[-1]) == (-1.5, 2.5)
+
+
+def test_tails_are_flat_where_a_decade_has_under_3_positive_nodes():
+    # one node in the first decade; two positive of four in the last
+    grid = np.array([1e-3, 1e-1, 1.0, 2.0, 4.0, 8.0])
+    pp = RadialFunction(grid, np.array([1.0, 2.0, 0.0, 0.0, 3.0, 5.0])).as_piecewise()
+    assert (pp.exps[0], pp.exps[-1]) == (0.0, 0.0)
+    assert np.isfinite(pp.log_coefs[[0, -1]]).all()   # live tails, held at the end values
+
+
+@pytest.mark.parametrize("values", [
+    (1.0, -2.0, 3.0),
+    (-1.0, -2.0, -3.0),
+    (1.0, math.nan, 3.0),
+    (1.0, 2.0, math.inf),
+])
+def test_radial_function_rejects_negative_or_nonfinite_values(values):
+    with pytest.raises(ParameterError, match="finite and >= 0"):
+        RadialFunction(np.array([1.0, 2.0, 4.0]), np.array(values))
+
+
 # -- representation ----------------------------------------------------------
 
 @pytest.mark.parametrize("bounds, coefs, exps", [
     ((1.0, math.inf), (1.0,), (0.0,)),               # does not start at 0
     ((0.0,), (), ()),                                # no piece
     ((0.0, 2.0, 2.0, math.inf), (1.0,) * 3, (0.0,) * 3),   # repeated bound
-    ((0.0, 3.0, 2.0), (1.0, 1.0), (0.0, 0.0)),       # decreasing
+    ((0.0, 3.0, 2.0, math.inf), (1.0,) * 3, (0.0,) * 3),   # decreasing
+    ((0.0, 1.0, 3.0), (1.0, 1.0), (0.0, 0.0)),       # finite last bound
     ((0.0, 1.0, math.inf), (1.0,), (0.0, 0.0)),      # one coef short
     ((0.0, 1.0, math.inf), (1.0, 1.0), (0.0,)),      # one exp short
     ((0.0, 1.0, math.inf), (1.0, -2.0), (0.0, 0.0)),  # negative coefficient
@@ -325,7 +359,7 @@ def test_large_inputs_scale_near_linearly():
                        rng.uniform(0.5, 2.0, n // 2 + 1), rng.uniform(-3.0, 3.0, n // 2 + 1))
     b = PiecewisePower(np.concatenate(([0.0], grid[1::2], [math.inf])),
                        rng.uniform(0.5, 2.0, n // 2 + 1), rng.uniform(-3.0, 3.0, n // 2 + 1))
-    rf = RadialFunction.from_values(grid, np.exp(-np.log(grid) ** 2 / 50.0))
+    rf = RadialFunction(grid, np.exp(-np.log(grid) ** 2 / 50.0))
     t0 = time.perf_counter()
     prod = pp_product(a, b)
     conv = rf.as_piecewise()

@@ -115,7 +115,7 @@ def test_profile_modes_give_comparable_constants():
 def test_apply_T_from_zero(constants):
     l = pick_l(PLAN, constants.C, constants.C_prime)
     plan = PLAN.with_l(l)
-    out = apply_T(plan, SPEC, SRC, RadialFunction.zero(GRID))
+    out = apply_T(plan, SPEC, SRC, RadialFunction(GRID, np.zeros_like(GRID)))
     fa = _envelope(PROF, GRID, float(plan.a))
     assert np.all(out.values > 0.0)
     assert np.all(out.values <= plan.l * fa)
@@ -128,8 +128,8 @@ def test_apply_T_monotone(constants):
     fa = _envelope(PROF, GRID, float(plan.a))
     u1 = l * fa * rng.uniform(0.0, 0.6, GRID.size)
     u2 = u1 + l * fa * rng.uniform(0.0, 0.4, GRID.size)
-    t1 = apply_T(plan, SPEC, SRC, RadialFunction.from_values(GRID, u1))
-    t2 = apply_T(plan, SPEC, SRC, RadialFunction.from_values(GRID, u2))
+    t1 = apply_T(plan, SPEC, SRC, RadialFunction(GRID, u1))
+    t2 = apply_T(plan, SPEC, SRC, RadialFunction(GRID, u2))
     assert np.all(t2.values >= t1.values)
 
 
@@ -138,9 +138,9 @@ def test_apply_T_membership_enforced(constants):
     plan = PLAN.with_l(l)
     fa = _envelope(PROF, GRID, float(plan.a))
     with pytest.raises(ParameterError, match="invariant set"):
-        apply_T(plan, SPEC, SRC, RadialFunction.from_values(GRID, 2.0 * l * fa))
+        apply_T(plan, SPEC, SRC, RadialFunction(GRID, 2.0 * l * fa))
     with pytest.raises(ParameterError, match="smallness"):
-        apply_T(PLAN, SPEC, SRC, RadialFunction.zero(GRID))
+        apply_T(PLAN, SPEC, SRC, RadialFunction(GRID, np.zeros_like(GRID)))
 
 
 def test_invariant_set_preserved_no_tolerance(constants):
@@ -150,7 +150,7 @@ def test_invariant_set_preserved_no_tolerance(constants):
     fa = _envelope(PROF, GRID, float(plan.a))
     for _ in range(100):
         u = l * fa * rng.uniform(0.0, 1.0, GRID.size)
-        out = apply_T(plan, SPEC, SRC, RadialFunction.from_values(GRID, u))
+        out = apply_T(plan, SPEC, SRC, RadialFunction(GRID, u))
         assert np.all(out.values >= 0.0)
         assert np.all(out.values <= l * fa)
 
@@ -187,7 +187,7 @@ def test_fixed_point_reapplication(solved):
 def test_iterates_increase_monotonically(constants):
     l = pick_l(PLAN, constants.C, constants.C_prime)
     plan = PLAN.with_l(l)
-    u = RadialFunction.zero(GRID)
+    u = RadialFunction(GRID, np.zeros_like(GRID))
     prev = u.values
     for _ in range(3):
         u = apply_T(plan, SPEC, SRC, u)
@@ -251,7 +251,7 @@ def test_manufactured_pair_residuals():
     grid = default_grid(1024)
     src_vals = pp_product(profile_piecewise("psi", PROF, SRC),
                           profile_piecewise("f", PROF, power=3.5)).eval(grid)
-    src_rf = RadialFunction.from_values(grid, src_vals)
+    src_rf = RadialFunction(grid, src_vals)
     h_star = potential(SPEC, src_rf)
     u_star = potential(SPEC, h_star)
     res1 = np.max(np.abs(surrogate_fd_apply(PROF, grid, u_star.values) - h_star.values[1:-1]))
