@@ -8,9 +8,11 @@ for an array of shifts rho > 0, where u and f are exact piecewise power laws
 (u is usually a ``pp_product`` of unshifted profiles).  With x = 1/4 each
 shift's half-line falls into three zones:
 
-low, r < x rho
-    piece by piece of f, f(rho + r) = c rho**e (1 + r/rho)**e is a binomial
-    series in r/rho, summed against the moments int u(r) r**(k-1) dr.
+low, r < min(next bound of f - rho, x rho)
+    f's piece at rho alone, f(rho + r) = c rho**e (1 + r/rho)**e, is a
+    binomial series in r/rho, summed against the moments int u(r) r**(k-1) dr.
+    f's later breakpoints are near-zone seams, so a grid source costs one
+    series here, not one per node within x rho.
 high, r > rho/x
     the shifted factor is a binomial series in the ratio of rho to the
     integration variable: f(rho + r) = c r**e (1 + rho/r)**e against moments
@@ -19,20 +21,24 @@ high, r > rho/x
     is cut at the breakpoints of the expanded factor.
 near, between them
     cut at the breakpoints of u and of f(rho + .) inside, found per shift by
-    ``searchsorted``; each segment is one power product, handled by
-    fixed-order Gauss panels, log-spaced, at two levels: about one panel per
-    two units of log width, then twice as many.  The value is the finer
-    level's, and the two levels' difference is its error estimate.
+    ``searchsorted``; each segment is one power product, handled by one
+    fixed-order Gauss rule on log-spaced panels, an even number of them per
+    segment and at most one unit of log width each.  Its error estimate is
+    an a-priori bound: in t = ln r the integrand is analytic in the strip
+    |Im t| < pi, and a Bernstein-ellipse bound per panel is a factor of the
+    panel's own sum that depends on its width and exponents only
+    (``_error_factors``).
 
-So only the breakpoints in (rho/4, 4 rho) cost Gauss panels.  The moments
-over whole pieces come from cumulative ``power_integral`` tables built once
-per call (summed from the origin in the low zone, from infinity in the high
-zone); the partial pieces at a zone's ends, and the powers of rho, are
-formed per shift in the exponent.  A series takes the _K + 1 terms that the
-ratio caps make enough for every exponent; the rest is bounded by the last
-term over 1 - ratio and added to the error estimate.  Alternating series
-lose about ((1 + ratio)/(1 - ratio))**|e| to cancellation, so a steep piece
-expands only up to a ratio 2/|e|, and the near zone grows to cover the rest.
+So only the breakpoints between the low zone's end and 4 rho cost Gauss
+panels.  The moments over whole pieces come from cumulative
+``power_integral`` tables built once per call (summed from the origin in the
+low zone, from infinity in the high zone); the partial pieces at a zone's
+ends, and the powers of rho, are formed per shift in the exponent.  A series
+takes the _K + 1 terms that the ratio caps make enough for every exponent;
+the rest is bounded by the last term over 1 - ratio and added to the error
+estimate.  Alternating series lose about ((1 + ratio)/(1 - ratio))**|e| to
+cancellation, so a steep piece expands only up to a ratio 2/|e|, and the
+near zone grows to cover the rest.
 
 Shifts are processed with array operations, in blocks of about
 ``_BLOCK_SEAMS`` seams and ``_BLOCK_PIECES`` series pieces.  A Gauss node
@@ -215,22 +221,14 @@ def _series(w: PiecewisePower, specs, log_rho, a, b, log_c, beta, spec, ratio):
 
 
 def _low_zone(f: PiecewisePower, rho):
-    """Low-zone pieces: f's pieces over (rho, rho (1 + _X)), each cut to
-    r < its ratio cap times rho.  Returns the zone end per shift and, per
-    live piece, (row, a, b, piece of f)."""
-    j0 = f.piece_index(rho)
-    count = f.piece_index(rho * (1.0 + _X)) - j0 + 1
-    row, j = _ranges(j0, count)
-    shift = rho[row]
-    a = np.maximum(f.bounds[j] - shift, 0.0)
-    b = f.bounds[j + 1] - shift
-    cap = shift * _ratio_caps(f)[j]
-    # the zone ends where the first piece reaches its cap
-    end = np.minimum.reduceat(np.where(cap < b, np.maximum(a, cap), _INF),
-                              np.cumsum(count) - count)
-    b = np.minimum(b, end[row])
-    keep = (a < b) & (f.log_coefs[j] > -_INF)
-    return end, row[keep], a[keep], b[keep], j[keep]
+    """The low zone: f's piece at rho alone, over r in (0, end) with end the
+    nearer of that piece's next bound and its ratio cap times rho.  f's later
+    breakpoints are near-zone seams.  Returns the zone end per shift and,
+    per live piece (at most one per shift), (row, a, b, piece of f)."""
+    j = f.piece_index(rho)
+    end = np.minimum(f.bounds[j + 1] - rho, rho * _ratio_caps(f)[j])
+    row = np.flatnonzero(f.log_coefs[j] > -_INF)
+    return end, row, np.zeros(row.size), end[row], j[row]
 
 
 def _high_zone(phi: PiecewisePower, rho, offset):
@@ -293,8 +291,8 @@ def _near_segments(u: PiecewisePower, f: PiecewisePower, rho, lo, hi):
     Row i covers [lo[i], hi[i]], cut at every breakpoint of u and of
     f(rho[i] + .) inside; each segment lies inside one piece of u and one of
     f, found once at its midpoint.  Segments where the integrand vanishes
-    are dropped.  Returns (row, level-0 panel count, start, width, log c,
-    e_u, e_f, rho), one entry per segment, in row order.
+    are dropped.  Returns (row, panel count, start, width, log c, e_u, e_f,
+    rho), one entry per segment, in row order.
     """
     ub, fb = u.bounds[1:-1], f.bounds[1:-1]
     iu, nu, jf, nf = _near_breakpoints(u, f, rho, lo, hi)
@@ -315,22 +313,59 @@ def _near_segments(u: PiecewisePower, f: PiecewisePower, rho, lo, hi):
     jf = f.piece_index(rho[row] + r_mid)
     log_c = u.log_coefs[iu] + f.log_coefs[jf]
     keep = log_c > -_INF
-    panels = np.maximum(1, np.ceil(width / 2.0).astype(np.int64))
+    # an even count of panels at most one unit of log width wide
+    panels = 2 * np.maximum(1, np.ceil(width / 2.0).astype(np.int64))
     return tuple(a[keep] for a in (row, panels, start, width, log_c, u.exps[iu], f.exps[jf],
                                    rho[row]))
 
 
-def _gauss_zone(segs, level: int, nrows: int):
-    """Per-row Gauss sums over the given segments at level 0 or 1.
+def _error_factors(half, e_u, e_f):
+    """Per segment, K such that each of its panels' Gauss error is at most K
+    times that panel's Gauss sum S; half is the panels' half width.
 
-    Panel counts scale with each segment's log width and double at level 1;
-    node values are formed in the exponent.
+    On a panel [m - half, m + half] the integrand h(t) = exp(log c + e_u t +
+    e_f ln(rho + e^t)) is analytic in the strip |Im t| < pi, whose edges hold
+    its branch points ln rho +- i pi.  Take the Bernstein ellipse of the
+    panel with semi-minor axis b < pi: semi-major axis a = hypot(b, half),
+    parameter q = (a + b)/half.  Gauss-Legendre with 8 nodes is then off by
+    at most half 64 M / (15 (q**2 - 1) q**16), M the bound of |h| on the
+    ellipse (Trefethen, Approximation Theory and Approximation Practice,
+    Thm 19.3).  On the real axis |d ln h/dt| = |e_u + e_f sigma|, sigma in
+    (0, 1), is at most s = max(|e_u|, |e_u + e_f|); and |rho + e^(x + iy)| lies
+    between (rho + e^x) cos(y/2) and rho + e^x.  So M <= h(m) exp(s a)
+    cos(b/2)**-max(-e_f, 0), and S >= 2 half h(m) exp(-s half), which gives
+
+        K = 32 exp(s (a + half)) cos(b/2)**-max(-e_f, 0) / (15 (q**2 - 1) q**16)
+
+    for any b in (0, pi).  b is taken near its best, 18/s, or lower where the
+    cos factor grows: K is then within a factor 4 of its least value over b
+    wherever that lies between 1e-17 and 1.
     """
-    row, panels, start, width, log_c, e_u, e_f, shift = segs
-    n_panels = panels << level
+    slope = np.maximum(np.abs(e_u), np.abs(e_u + e_f))
+    pole = np.maximum(-e_f, 0.0)
+    b = np.minimum(18.0 / np.maximum(slope, 1.0),
+                   6.0 / np.sqrt(pole + (6.0 / (0.98 * np.pi)) ** 2))
+    a = np.sqrt(b * b + half * half)
+    q = (a + b) / half
+    q2 = q * q
+    q16 = q2 * q2
+    q16 *= q16
+    q16 *= q16   # inf for a panel so narrow that q passes 1e19: then K is 0
+    return (32.0 / 15.0) * np.exp(slope * (a + half) - pole * np.log(np.cos(0.5 * b))) / (
+        (q2 - 1.0) * q16)
+
+
+def _gauss_zone(segs, nrows: int):
+    """Per-row Gauss sums over the given segments, and their error bounds.
+
+    Node values are formed in the exponent; each panel's bound is its sum
+    times its segment's ``_error_factors``.
+    """
+    row, n_panels, start, width, log_c, e_u, e_f, shift = segs
     seg = np.repeat(np.arange(row.size), n_panels)
     within = np.arange(seg.size) - np.repeat(np.cumsum(n_panels) - n_panels, n_panels)
-    panel_h = (width / n_panels)[seg]
+    seg_h = width / n_panels
+    panel_h = seg_h[seg]
     mid = start[seg] + (within + 0.5) * panel_h
     half = 0.5 * panel_h
     # (nodes, panels) layout, so per-panel data broadcasts along the long
@@ -352,16 +387,22 @@ def _gauss_zone(segs, level: int, nrows: int):
     # other rows) share the array, as a reduction's summation order can
     while arg.shape[0] > 1:
         arg = arg[0::2] + arg[1::2]
-    return np.bincount(row[seg], weights=arg[0] * half, minlength=nrows)
+    sums = arg[0] * half
+    bounds = sums * _error_factors(0.5 * seg_h, e_u, e_f)[seg]
+    panel_row = row[seg]
+    return (np.bincount(panel_row, weights=sums, minlength=nrows),
+            np.bincount(panel_row, weights=bounds, minlength=nrows))
 
 
 def _gauss_block(integrand: PowerIntegrand, rho, lo, hi):
-    """Gauss-zone (value, error estimate, nonzero) of one block of shifts:
-    the value at level 1, and its distance from level 0 as the estimate."""
+    """Gauss-zone (value, error bound, nonzero) of one block of shifts: one
+    rule, about two panels per unit of log width, and the a-priori bound of
+    ``_error_factors``.  A bound beyond the float range (a panel far too
+    steep for its width) reads inf."""
     segs = _near_segments(integrand.u, integrand.f, rho, lo, hi)
-    coarse = _gauss_zone(segs, 0, rho.size)
-    fine = _gauss_zone(segs, 1, rho.size)
-    return fine, np.abs(fine - coarse), np.bincount(segs[0], minlength=rho.size) > 0
+    value, bound = _gauss_zone(segs, rho.size)
+    nonzero = np.bincount(segs[0], minlength=rho.size) > 0
+    return value, np.where(np.isnan(bound), _INF, bound), nonzero
 
 
 def _seam_blocks(integrand: PowerIntegrand, rho, lo, hi):
@@ -376,12 +417,12 @@ def integrate(integrand: PowerIntegrand) -> QuadratureResult:
     """Integrate u(r) f(rho + r) against dr/r over (0, inf) for every shift.
 
     Each value carries an ``abs_error_estimate``: the series zones' bounded
-    remainders plus the Gauss zone's distance between its two fixed levels,
-    whose finer level gives the value.  A divergent origin or tail sets that
-    shift's ``diverged`` flag instead of raising.  A shift whose zone seams
-    or value leave the float range (including a nonzero integral that comes
-    out below the smallest normal float) raises ParameterError naming the
-    first such radius.
+    remainders plus the Gauss zone's a-priori bound (``_error_factors``);
+    both bound truncation, not float rounding.  A divergent origin or tail
+    sets that shift's ``diverged`` flag instead of raising.  A shift whose
+    zone seams or value leave the float range (including a nonzero integral
+    that comes out below the smallest normal float) raises ParameterError
+    naming the first such radius.
     """
     u, f = integrand.u, integrand.f
     shape = integrand.rho.shape

@@ -50,6 +50,18 @@ def test_kernel_table_first_row(tmp_path):
     assert report["loglog_slope"] == pytest.approx(-2.0, abs=0.1)
 
 
+def test_split_verify_bounds_on_a_1024_point_grid(tmp_path, capsys):
+    # estimate_constants applies split potentials to grid sources at their
+    # own nodes, the last one included, so every shift sits on a seam of the
+    # low zone (f's next bound) or beyond the source's last node
+    out = tmp_path / "o"
+    code = run(["verify-bounds", "--alpha", "6", "--gamma", "4", "--s", "0", "--p", "4",
+                "--grid-points", "1024", "--out-dir", str(out)])
+    assert code == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert "NaN" not in (out / "report.json").read_text()
+
+
 def test_unknown_flag_exits_one(tmp_path, capsys):
     code = run(["classify", "--alpha", "6", "--gamma", "4", "--m", "0", "--p", "2",
                 "--frobnicate", "--out-dir", str(tmp_path / "o")])

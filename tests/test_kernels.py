@@ -281,25 +281,41 @@ def test_kernel_table_rows_equal_single_calls():
 
 # -- 30-digit mpmath references ----------------------------------------------
 
-def _mp_piecewise(pp):
-    b, lc, e = pp.bounds.tolist(), pp.log_coefs.tolist(), pp.exps.tolist()
+def _mp_integral(u, f, rho, method="tanh-sinh"):
+    """int u(r) f(rho + r) dr/r at 30 digits, in t = ln r, cut at every
+    breakpoint; between cuts the integrand is one power product, integrated
+    as exp(log c + e_u t + e_f ln(rho + e^t))."""
+    def piece(pp, bounds, x):
+        j = min(max(bisect.bisect_right(bounds, float(x)) - 1, 0), pp.npieces - 1)
+        return float(pp.log_coefs[j]), float(pp.exps[j])
 
-    def f(x):
-        j = min(max(bisect.bisect_right(b, x) - 1, 0), len(lc) - 1)
-        return mpmath.exp(lc[j]) * x ** mpmath.mpf(e[j])
+    ub, fb = u.bounds.tolist(), f.bounds.tolist()
 
-    return f
-
-
-def _mp_integral(u, f, rho):
-    """int u(r) f(rho + r) dr/r at 30 digits, in t = ln r, cut at every breakpoint."""
     with mpmath.workdps(30):
         rho = mpmath.mpf(rho)
-        mu, mf = _mp_piecewise(u), _mp_piecewise(f)
         cuts = {float(b) for b in u.bounds[1:-1]} | {float(b - rho) for b in f.bounds[1:-1]
                                                        if b > rho} | {float(rho)}
         ts = [-mpmath.inf] + sorted(mpmath.log(c) for c in cuts) + [mpmath.inf]
-        return float(mpmath.quad(lambda t: mu(mpmath.exp(t)) * mf(rho + mpmath.exp(t)), ts))
+        total = mpmath.mpf(0)
+        for lo, hi in zip(ts, ts[1:]):
+            # a point inside (lo, hi), where the pieces are read
+            if mpmath.isfinite(lo + hi):
+                t = (lo + hi) / 2
+            else:
+                t = lo + 1 if hi == mpmath.inf else hi - 1
+            (lcu, eu), (lcf, ef) = piece(u, ub, mpmath.exp(t)), piece(f, fb, rho + mpmath.exp(t))
+            if lcu + lcf > -math.inf:
+                lc = mpmath.mpf(lcu) + lcf
+
+                def log_h(t):
+                    return lc + eu * t + ef * mpmath.log(rho + mpmath.exp(t))
+
+                # mpmath.quad stops at an absolute error of 1e-30, so each
+                # piece is scaled to its larger finite end
+                peak = max(log_h(e) for e in (lo, hi) if mpmath.isfinite(e))
+                total += mpmath.exp(peak) * mpmath.quad(lambda t: mpmath.exp(log_h(t) - peak),
+                                                        [lo, hi], method=method)
+        return float(total)
 
 
 # (alpha, gamma, n) in the existence window; (6, 3.05) has gamma just above
@@ -318,12 +334,12 @@ def test_green_and_split_terms_against_mpmath(alpha, gamma, n, rho):
     v = profile_piecewise("v", prof)
     src = PiecewisePower((0.0, 1.0, INF), (1.0, 1.0), (0.0, gamma - alpha - 1.5))
     green = compose_green(prof, rho).value
-    assert green == pytest.approx(_mp_integral(pp_product(g, v), g, rho), rel=1e-10)
+    assert green == pytest.approx(_mp_integral(pp_product(g, v), g, rho), rel=1e-10, abs=0.0)
     # the two terms of a split potential, built as kernels builds them
     first = integrate(PowerIntegrand(pp_product(src, v), g, rho)).value
     second = integrate(PowerIntegrand(pp_product(g, v), src, rho)).value
-    assert first == pytest.approx(_mp_integral(pp_product(src, v), g, rho), rel=1e-10)
-    assert second == pytest.approx(_mp_integral(pp_product(g, v), src, rho), rel=1e-10)
+    assert first == pytest.approx(_mp_integral(pp_product(src, v), g, rho), rel=1e-10, abs=0.0)
+    assert second == pytest.approx(_mp_integral(pp_product(g, v), src, rho), rel=1e-10, abs=0.0)
     split = potential_values(KernelSpec(MODE_SPLIT, prof), src, [rho])[0]
     assert split == pytest.approx(first + second, rel=1e-15)
 
@@ -338,7 +354,26 @@ def test_split_terms_of_a_grid_source_at_huge_radii(rho):
     v = profile_piecewise("v", PROF)
     for u, f in ((pp_product(src, v), g), (pp_product(g, v), src)):
         got = integrate(PowerIntegrand(u, f, rho)).value
-        assert got == pytest.approx(_mp_integral(u, f, rho), rel=1e-10)
+        assert got == pytest.approx(_mp_integral(u, f, rho), rel=1e-10, abs=0.0)
+
+
+def test_split_terms_of_a_1024_node_grid_source_at_zone_seams():
+    # the low zone keeps f's piece at rho alone, so its seam is f's next
+    # bound: rho on a node (the low zone runs to the next one), one ulp below
+    # the node 1, where g switches branch too (the low zone is ~1e-16 wide
+    # and the near zone starts there), and beyond the last node (f's tail)
+    prof = ManifoldProfile(7.0, 4.5, 5)
+    g = profile_piecewise("g", prof)
+    v = profile_piecewise("v", prof)
+    grid = default_grid(1024)
+    src = RadialFunction(grid, (1.0 + grid) ** -3.0).as_piecewise()
+    rho = np.array([grid[500], np.nextafter(1.0, 0.0), 2.0 * grid[-1]])
+    for u, f in ((pp_product(src, v), g), (pp_product(g, v), src)):
+        got = integrate(PowerIntegrand(u, f, rho))
+        for i, r in enumerate(rho):
+            ref = _mp_integral(u, f, r, method="gauss-legendre")
+            assert got.value[i] == pytest.approx(ref, rel=1e-10, abs=0.0)
+            assert got.abs_error_estimate[i] <= 1e-10 * ref
 
 
 # the split potential of a source decaying like r**-3 has tail exponent

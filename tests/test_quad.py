@@ -4,15 +4,18 @@ calls against one-shift-at-a-time calls.  Finite ranges are windowed
 factors: a piece that is nonzero only on [lo, hi); an unshifted integrand
 is u(r) * ONE(rho + r)."""
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad as scipy_quad
 
+from biharm import quad
 from biharm.errors import ParameterError
+from biharm.kernels import MODE_SPLIT, KernelSpec, potential_values
 from biharm.profiles import ManifoldProfile, profile_piecewise
-from biharm.quad import (_K, _STEEP, _X, PowerIntegrand, _near_segments, _series_zones,
-                         integrate)
+from biharm.quad import (_K, _STEEP, _X, PowerIntegrand, _gauss_zone, _low_zone, _near_segments,
+                         _series_zones, integrate)
 from biharm.radial import PiecewisePower, RadialFunction, log_grid, pp_product
 from biharm.solver import default_grid
 
@@ -138,8 +141,10 @@ def test_breakpoints_from_shifts():
 @pytest.mark.parametrize("rho", [0.013, 0.3, 2.7, 55.0, 3.1e4])
 def test_gauss_zone_holds_only_the_near_breakpoints(rho):
     # for a 1024-node grid source, either split term's Gauss zone is cut only
-    # at its seams rho/4 and 4 rho and at the breakpoints between them, so a
-    # shift costs panels for ~140 nodes, not for all 1024
+    # at its seams and at the breakpoints between them, so a shift costs
+    # panels for ~140 nodes, not for all 1024.  The low zone keeps f's piece
+    # at rho alone: its seam is f's first bound above rho (less rho), or
+    # rho/4 if nearer; the high zone's seam is 4 rho
     prof = ManifoldProfile(7.0, 4.5, 5)   # g switches branch at 1
     grid = default_grid(1024)
     src = RadialFunction(grid, (1.0 + grid) ** -3.0, 0.0, -3.0).as_piecewise()
@@ -150,12 +155,42 @@ def test_gauss_zone_holds_only_the_near_breakpoints(rho):
     for u, f, breaks in ((pp_product(src, v), g, np.append(nodes, 1.0 - rho)),
                          (pp_product(g, v), src, np.append(nodes - rho, 1.0))):
         low_end, high_start = _series_zones(u, f, shift)[3:]
-        assert low_end == pytest.approx(rho / 4) and high_start == pytest.approx(4 * rho)
+        seam = min(f.bounds[f.bounds > rho][0] - rho, _X * rho)
+        assert low_end == pytest.approx(seam, rel=1e-12)
+        assert high_start == pytest.approx(rho / _X)
         start, width = _near_segments(u, f, shift, low_end, high_start)[2:4]
         cuts = np.exp(np.append(start, start[-1] + width[-1]))
-        inside = breaks[(breaks > rho / 4) & (breaks < 4 * rho)]
-        expected = np.unique(np.concatenate([[rho / 4, 4 * rho], inside]))
+        inside = breaks[(breaks > seam) & (breaks < rho / _X)]
+        expected = np.unique(np.concatenate([[seam, rho / _X], inside]))
         assert cuts == pytest.approx(expected, rel=1e-12)
+        assert cuts.size < 200
+
+
+@pytest.mark.parametrize("prof, most", [(ManifoldProfile(6.0, 4.0, 6), 4),
+                                         (ManifoldProfile(7.0, 4.5, 5), 6)])
+def test_series_pieces_per_shift_do_not_grow_with_the_grid(monkeypatch, prof, most):
+    # the low zone expands f's piece at rho alone, and the high zone the
+    # factor with fewer pieces (g, or g v), so a 1024-node grid source's
+    # split potential costs each shift one low-zone series per term and one
+    # high-zone series per live piece of g or g v beyond 4 rho: 4 in all
+    # where g and v are single powers, up to 6 where both switch branch at 1
+    grid = default_grid(1024)
+    src = RadialFunction(grid, (1.0 + grid) ** -3.0).as_piecewise()
+    row = _low_zone(src, grid)[1]
+    assert row.size == grid.size and np.unique(row).size == row.size
+    per_shift = np.zeros(grid.size, int)
+
+    def counting(zone):
+        def counted(*args):
+            out = zone(*args)
+            np.add.at(per_shift, out[1], 1)
+            return out
+        return counted
+
+    monkeypatch.setattr(quad, "_low_zone", counting(quad._low_zone))
+    monkeypatch.setattr(quad, "_high_zone", counting(quad._high_zone))
+    potential_values(KernelSpec(MODE_SPLIT, prof), src, grid)
+    assert per_shift.min() >= 4 and per_shift.max() <= most
 
 
 def test_fixed_series_length_suffices_at_every_exponent():
@@ -197,6 +232,59 @@ def test_eval_is_the_integrand():
     # (6, 4, 6): g = r**-4 and v = r**6 on both branches
     expected = (rho + r) ** -4.0 * r ** -4.0 * r ** 6 / r
     assert green_integrand(prof, rho).eval(r) == pytest.approx(expected, rel=1e-14)
+
+
+# -- the Gauss zone's a-priori error bound -----------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(-12.0, 12.0), st.floats(-12.0, 12.0), st.floats(-50.0, 50.0),
+       st.floats(-3.0, 3.0), st.floats(-6.0, 4.0), st.floats(-3.0, 0.9))
+@example(12.0, -12.0, 0.0, 0.0, -1.0, 0.9)   # steep and wide: the rule's own error shows
+@example(-12.0, 12.0, 0.0, 0.0, -0.5, 0.0)   # a segment across ln rho
+def test_gauss_bound_holds_against_mpmath(e_u, e_f, log_c, log_rho, offset, log_width):
+    # one segment of c r**e_u (rho + r)**e_f against dr/r, from r = rho e**offset,
+    # panelled as the near zone panels it; its level-1 sum is within the
+    # reported bound of a 30-digit integral, up to float rounding: each node
+    # value is exp of a sum whose terms reach |log c| + (|e_u| + |e_f|) (|t| + |L|),
+    # t = ln r and L = ln(rho + r), so it carries a relative error of a few ulps
+    # of that
+    rho = 10.0 ** log_rho
+    u = PiecewisePower.single(np.exp(log_c), e_u)
+    f = PiecewisePower.single(1.0, e_f)
+    lo = rho * np.exp(offset)
+    segs = _near_segments(u, f, np.array([rho]), np.array([lo]),
+                          np.array([lo * np.exp(10.0 ** log_width)]))
+    value, bound = (x[0] for x in _gauss_zone(segs, 1))
+    start, width, lc = (float(x[0]) for x in segs[2:5])
+    with mpmath.workdps(30):
+        t0, t1 = mpmath.mpf(start), mpmath.mpf(start) + width
+
+        def log_h(t):
+            return lc + e_u * t + e_f * mpmath.log(rho + mpmath.exp(t))
+
+        # mpmath.quad stops at an absolute error of 1e-30, so the integrand
+        # is scaled to a peak near 1
+        peak = max(log_h(t) for t in (t0, (t0 + t1) / 2, t1))
+        ref = mpmath.exp(peak) * mpmath.quad(lambda t: mpmath.exp(log_h(t) - peak),
+                                             mpmath.linspace(t0, t1, 2 + int(width)))
+        big_t = max(abs(t0), abs(t1))
+        big_l = max(abs(mpmath.log(rho + mpmath.exp(t))) for t in (t0, t1))
+        rounding = float(8 * np.finfo(float).eps * (4 + abs(lc) + (abs(e_u) + abs(e_f))
+                                                    * (big_t + big_l)) * ref)
+        assert 0.0 <= bound < np.inf
+        assert abs(value - float(ref)) <= bound + rounding
+
+
+def test_error_estimate_covers_a_piece_too_steep_for_its_panels():
+    # f is 1 below 2 and (x/2)**-3000 beyond, so past r = 1 the integrand
+    # falls like e**(-1500 (r - 1)), inside one panel: the value misses that
+    # tail (1.3e-3 of it), and the bound must cover the miss (its factor
+    # overflows while far panels underflow: inf, not nan)
+    f = PiecewisePower._from_logs(np.array([0.0, 2.0, INF]), np.array([0.0, 3000.0 * np.log(2.0)]),
+                                  np.array([0.0, -3000.0]))
+    res = integrate(PowerIntegrand(PiecewisePower.single(1.0, 2.0), f, 1.0))
+    exact = 0.5 + 4.0 / 2998.0 - 2.0 / 2999.0
+    assert abs(res.value - exact) <= res.abs_error_estimate
 
 
 # -- batched calls against one shift at a time ------------------------------
