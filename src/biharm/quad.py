@@ -21,13 +21,13 @@ high, r > rho/x
     is cut at the breakpoints of the expanded factor.
 near, between them
     cut at the breakpoints of u and of f(rho + .) inside, found per shift by
-    ``searchsorted``; each segment is one power product, handled by one
-    fixed-order Gauss rule on log-spaced panels, an even number of them per
-    segment and at most one unit of log width each.  Its error estimate is
-    an a-priori bound: in t = ln r the integrand is analytic in the strip
-    |Im t| < pi, and a Bernstein-ellipse bound per panel is a factor of the
-    panel's own sum that depends on its width and exponents only
-    (``_error_factors``).
+    ``searchsorted``; each segment is one power product c r**e_u (rho + r)**e_f,
+    handled by one fixed-order Gauss rule on ceil(width max(1, s)) log-spaced
+    panels, s = max(|e_u|, |e_u + e_f|) its log slope, so no panel is wider
+    than one unit or 1/s.  On such panels the rule is off by less than a
+    fixed share, ``_PANEL_ERROR``, of its sum, and that share is the zone's
+    error estimate.  A segment that would need more than ``_MAX_PANELS``
+    panels keeps one per unit of log width and reports an infinite estimate.
 
 So only the breakpoints between the low zone's end and 4 rho cost Gauss
 panels.  The moments over whole pieces come from cumulative
@@ -41,11 +41,11 @@ cancellation, so a steep piece expands only up to a ratio 2/|e|, and the
 near zone grows to cover the rest.
 
 Shifts are processed with array operations, in blocks of about
-``_BLOCK_SEAMS`` seams and ``_BLOCK_PIECES`` series pieces.  A Gauss node
-value is formed in the exponent, exp(log c + e_u t + e_f log(rho + e^t)) at
-r = e^t, so no partial product under- or overflows on its way to the value.
-Divergence is reported per shift through a flag (not an exception) so
-finiteness checks can consume it.
+``_BLOCK_SEAMS`` seams, ``_BLOCK_PANELS`` Gauss panels and ``_BLOCK_PIECES``
+series pieces.  A Gauss node value is formed in the exponent,
+exp(log c + e_u t + e_f log(rho + e^t)) at r = e^t, so no partial product
+under- or overflows on its way to the value.  Divergence is reported per
+shift through a flag (not an exception) so finiteness checks can consume it.
 """
 
 from __future__ import annotations
@@ -61,8 +61,20 @@ _INF = float("inf")
 _TINY = np.finfo(float).tiny
 _GAUSS_ORDER = 8
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(_GAUSS_ORDER)
-_BLOCK_SEAMS = 4096    # seams per block of shifts; bounds every per-node array
+_BLOCK_SEAMS = 4096    # seams per block of shifts; bounds every per-segment array
+_BLOCK_PANELS = 16384  # Gauss panels per chunk of segments; bounds every per-node array
 _BLOCK_PIECES = 1024   # series pieces per block; bounds every per-term array
+_MAX_PANELS = 8192     # panels of a segment at most; a steeper one's estimate reads inf
+# On a panel [m - h, m + h] the integrand exp(log c + e_u t + e_f ln(rho + e^t))
+# is analytic in the strip |Im t| < pi, and |d/dt of its log| <= s on the real
+# axis.  Over the Bernstein ellipse with semi-minor axis b < pi, semi-major
+# axis a = hypot(b, h) and q = (a + b)/h, the 8-node rule is off by at most
+#     32 exp(s (a + h)) cos(b/2)**-max(-e_f, 0) / (15 (q**2 - 1) q**16)
+# of the panel's sum (Trefethen, ATAP Thm 19.3, with |rho + e^(x+iy)| >=
+# (rho + e^x) cos(y/2)).  With b = min(18/max(s, 1), 6/sqrt(max(-e_f, 0) +
+# (6/(0.98 pi))**2)), h <= min(1, 1/s)/2 and max(-e_f, 0) <= 2 s, a scan over
+# the exponents peaks at 3.93e-16, at s = 1, e_f = -2 and h = 1/2.
+_PANEL_ERROR = 4e-16
 _X = 0.25              # zone ratio: series in r/rho below _X rho, in rho/r beyond rho/_X
 _STEEP = 2.0           # a piece of exponent e expands up to the ratio min(_X, _STEEP/|e|)
 _K = 40                # terms 0.._K of a series; at the ratio caps the last is at most
@@ -292,7 +304,9 @@ def _near_segments(u: PiecewisePower, f: PiecewisePower, rho, lo, hi):
     f(rho[i] + .) inside; each segment lies inside one piece of u and one of
     f, found once at its midpoint.  Segments where the integrand vanishes
     are dropped.  Returns (row, panel count, start, width, log c, e_u, e_f,
-    rho), one entry per segment, in row order.
+    rho, steep), one entry per segment, in row order; a steep segment has
+    one panel per unit of log width, not the ceil(width max(1, s)) of the
+    others, since that would pass ``_MAX_PANELS``.
     """
     ub, fb = u.bounds[1:-1], f.bounds[1:-1]
     iu, nu, jf, nf = _near_breakpoints(u, f, rho, lo, hi)
@@ -313,116 +327,85 @@ def _near_segments(u: PiecewisePower, f: PiecewisePower, rho, lo, hi):
     jf = f.piece_index(rho[row] + r_mid)
     log_c = u.log_coefs[iu] + f.log_coefs[jf]
     keep = log_c > -_INF
-    # an even count of panels at most one unit of log width wide
-    panels = 2 * np.maximum(1, np.ceil(width / 2.0).astype(np.int64))
-    return tuple(a[keep] for a in (row, panels, start, width, log_c, u.exps[iu], f.exps[jf],
-                                   rho[row]))
+    e_u, e_f = u.exps[iu], f.exps[jf]
+    panels = np.ceil(width * np.maximum(1.0, np.maximum(np.abs(e_u), np.abs(e_u + e_f))))
+    steep = panels > _MAX_PANELS
+    panels = np.where(steep, np.ceil(width), panels).astype(np.int64)
+    return tuple(a[keep] for a in (row, panels, start, width, log_c, e_u, e_f, rho[row], steep))
 
 
-def _error_factors(half, e_u, e_f):
-    """Per segment, K such that each of its panels' Gauss error is at most K
-    times that panel's Gauss sum S; half is the panels' half width.
-
-    On a panel [m - half, m + half] the integrand h(t) = exp(log c + e_u t +
-    e_f ln(rho + e^t)) is analytic in the strip |Im t| < pi, whose edges hold
-    its branch points ln rho +- i pi.  Take the Bernstein ellipse of the
-    panel with semi-minor axis b < pi: semi-major axis a = hypot(b, half),
-    parameter q = (a + b)/half.  Gauss-Legendre with 8 nodes is then off by
-    at most half 64 M / (15 (q**2 - 1) q**16), M the bound of |h| on the
-    ellipse (Trefethen, Approximation Theory and Approximation Practice,
-    Thm 19.3).  On the real axis |d ln h/dt| = |e_u + e_f sigma|, sigma in
-    (0, 1), is at most s = max(|e_u|, |e_u + e_f|); and |rho + e^(x + iy)| lies
-    between (rho + e^x) cos(y/2) and rho + e^x.  So M <= h(m) exp(s a)
-    cos(b/2)**-max(-e_f, 0), and S >= 2 half h(m) exp(-s half), which gives
-
-        K = 32 exp(s (a + half)) cos(b/2)**-max(-e_f, 0) / (15 (q**2 - 1) q**16)
-
-    for any b in (0, pi).  b is taken near its best, 18/s, or lower where the
-    cos factor grows: K is then within a factor 4 of its least value over b
-    wherever that lies between 1e-17 and 1.
-    """
-    slope = np.maximum(np.abs(e_u), np.abs(e_u + e_f))
-    pole = np.maximum(-e_f, 0.0)
-    b = np.minimum(18.0 / np.maximum(slope, 1.0),
-                   6.0 / np.sqrt(pole + (6.0 / (0.98 * np.pi)) ** 2))
-    a = np.sqrt(b * b + half * half)
-    q = (a + b) / half
-    q2 = q * q
-    q16 = q2 * q2
-    q16 *= q16
-    q16 *= q16   # inf for a panel so narrow that q passes 1e19: then K is 0
-    return (32.0 / 15.0) * np.exp(slope * (a + half) - pole * np.log(np.cos(0.5 * b))) / (
-        (q2 - 1.0) * q16)
+def _blocks(sizes, budget):
+    """Index ranges of consecutive entries whose sizes sum to about budget."""
+    block = np.cumsum(sizes) // budget
+    cuts = np.flatnonzero(np.diff(block)) + 1
+    return zip(np.concatenate([[0], cuts]), np.concatenate([cuts, [sizes.size]]))
 
 
 def _gauss_zone(segs, nrows: int):
-    """Per-row Gauss sums over the given segments, and their error bounds.
+    """Per-row Gauss sums over the given segments, and their error bounds:
+    ``_PANEL_ERROR`` of the sum, or inf for a row with a steep segment.
 
-    Node values are formed in the exponent; each panel's bound is its sum
-    times its segment's ``_error_factors``.
+    Node values are formed in the exponent.  Segments go in chunks of about
+    ``_BLOCK_PANELS`` panels; each segment is summed within its chunk and the
+    rows from the segment sums, so no sum depends on the chunking.
     """
-    row, n_panels, start, width, log_c, e_u, e_f, shift = segs
-    seg = np.repeat(np.arange(row.size), n_panels)
-    within = np.arange(seg.size) - np.repeat(np.cumsum(n_panels) - n_panels, n_panels)
+    row, n_panels, start, width, log_c, e_u, e_f, shift, steep = segs
     seg_h = width / n_panels
-    panel_h = seg_h[seg]
-    mid = start[seg] + (within + 0.5) * panel_h
-    half = 0.5 * panel_h
-    # (nodes, panels) layout, so per-panel data broadcasts along the long
-    # axis; in place, at most two such arrays are alive at once
-    tt = _GAUSS_NODES[:, None] * half
-    tt += mid
-    arg = np.exp(tt)
-    arg += shift[seg]
-    np.log(arg, out=arg)
-    arg *= e_f[seg]
-    tt *= e_u[seg]
-    arg += tt
-    del tt
-    arg += log_c[seg]
-    np.exp(arg, out=arg)
-    arg *= _GAUSS_WEIGHTS[:, None]
-    # sum over the (power of two) nodes by halving, with elementwise adds
-    # only: a panel's sum then does not depend on how many panels (which
-    # other rows) share the array, as a reduction's summation order can
-    while arg.shape[0] > 1:
-        arg = arg[0::2] + arg[1::2]
-    sums = arg[0] * half
-    bounds = sums * _error_factors(0.5 * seg_h, e_u, e_f)[seg]
-    panel_row = row[seg]
-    return (np.bincount(panel_row, weights=sums, minlength=nrows),
-            np.bincount(panel_row, weights=bounds, minlength=nrows))
+    seg_sums = np.zeros(row.size)
+    for first, end in _blocks(n_panels, _BLOCK_PANELS):
+        count = n_panels[first:end]
+        local, within = _ranges(np.zeros_like(count), count)
+        seg = local + first
+        panel_h = seg_h[seg]
+        mid = start[seg] + (within + 0.5) * panel_h
+        half = 0.5 * panel_h
+        # (nodes, panels) layout, so per-panel data broadcasts along the long
+        # axis; in place, at most two such arrays are alive at once
+        tt = _GAUSS_NODES[:, None] * half
+        tt += mid
+        arg = np.exp(tt)
+        arg += shift[seg]
+        np.log(arg, out=arg)
+        arg *= e_f[seg]
+        tt *= e_u[seg]
+        arg += tt
+        del tt
+        arg += log_c[seg]
+        np.exp(arg, out=arg)
+        arg *= _GAUSS_WEIGHTS[:, None]
+        # sum over the (power of two) nodes by halving, with elementwise adds
+        # only: a panel's sum then does not depend on how many panels (which
+        # other rows) share the array, as a reduction's summation order can
+        while arg.shape[0] > 1:
+            arg = arg[0::2] + arg[1::2]
+        seg_sums[first:end] = np.bincount(local, weights=arg[0] * half, minlength=count.size)
+    value = np.bincount(row, weights=seg_sums, minlength=nrows)
+    bound = _PANEL_ERROR * value
+    bound[row[steep]] = _INF
+    return value, bound
 
 
 def _gauss_block(integrand: PowerIntegrand, rho, lo, hi):
     """Gauss-zone (value, error bound, nonzero) of one block of shifts: one
-    rule, about two panels per unit of log width, and the a-priori bound of
-    ``_error_factors``.  A bound beyond the float range (a panel far too
-    steep for its width) reads inf."""
+    rule on panels at most one unit of log width and 1/s wide, s the
+    segment's log slope, whose error is below ``_PANEL_ERROR`` of the value;
+    a row with a segment too steep for ``_MAX_PANELS`` panels reads inf."""
     segs = _near_segments(integrand.u, integrand.f, rho, lo, hi)
     value, bound = _gauss_zone(segs, rho.size)
-    nonzero = np.bincount(segs[0], minlength=rho.size) > 0
-    return value, np.where(np.isnan(bound), _INF, bound), nonzero
-
-
-def _seam_blocks(integrand: PowerIntegrand, rho, lo, hi):
-    """Row ranges holding about _BLOCK_SEAMS near-zone seams each."""
-    _, nu, _, nf = _near_breakpoints(integrand.u, integrand.f, rho, lo, hi)
-    block = np.cumsum(2 + nu + nf) // _BLOCK_SEAMS
-    cuts = np.flatnonzero(np.diff(block)) + 1
-    return zip(np.concatenate([[0], cuts]), np.concatenate([cuts, [rho.size]]))
+    return value, bound, np.bincount(segs[0], minlength=rho.size) > 0
 
 
 def integrate(integrand: PowerIntegrand) -> QuadratureResult:
     """Integrate u(r) f(rho + r) against dr/r over (0, inf) for every shift.
 
     Each value carries an ``abs_error_estimate``: the series zones' bounded
-    remainders plus the Gauss zone's a-priori bound (``_error_factors``);
-    both bound truncation, not float rounding.  A divergent origin or tail
-    sets that shift's ``diverged`` flag instead of raising.  A shift whose
-    zone seams or value leave the float range (including a nonzero integral
-    that comes out below the smallest normal float) raises ParameterError
-    naming the first such radius.
+    remainders plus the Gauss zone's a-priori bound, ``_PANEL_ERROR`` of its
+    sum on slope-sized panels (inf where a segment is too steep for
+    ``_MAX_PANELS`` of them); both bound truncation, not float rounding.  A
+    divergent origin or tail sets that shift's ``diverged`` flag instead of
+    raising.  A shift whose zone seams or value leave the float range
+    (including a nonzero integral that comes out below the smallest normal
+    float) raises ParameterError naming the first such radius.
     """
     u, f = integrand.u, integrand.f
     shape = integrand.rho.shape
@@ -442,7 +425,8 @@ def integrate(integrand: PowerIntegrand) -> QuadratureResult:
         val, err, nonzero, low_end, high_start = _series_zones(u, f, shift)
         seams_ok = (low_end > 0.0) & (high_start < _INF)
         rows = np.flatnonzero(seams_ok)
-        for lo, hi in _seam_blocks(integrand, shift[rows], low_end[rows], high_start[rows]):
+        _, nu, _, nf = _near_breakpoints(u, f, shift[rows], low_end[rows], high_start[rows])
+        for lo, hi in _blocks(2 + nu + nf, _BLOCK_SEAMS):
             b = rows[lo:hi]
             zv, ze, zn = _gauss_block(integrand, shift[b], low_end[b], high_start[b])
             val[b] += zv

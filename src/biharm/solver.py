@@ -315,6 +315,10 @@ def solve_fixed_point(plan: ExponentPlan, spec: KernelSpec, src: SourceProfile,
     below tol.  The iterate sequence is increasing; steps contract at the
     measured geometric rate, and a non-geometric stall raises with the trace.
     """
+    if not tol > 0.0:
+        raise ParameterError(f"tol must be positive, got {tol!r}")
+    if maxit < 1:
+        raise ParameterError(f"maxit must be at least 1, got {maxit!r}")
     grid = _validate_grid(grid)
     prof = spec.prof
     prof.require_existence_window()

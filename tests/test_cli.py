@@ -395,6 +395,19 @@ def test_negative_radius_or_small_ratio_exits_two(tmp_path, capsys, argv):
     _assert_one_error_line(capsys)
 
 
+@pytest.mark.parametrize("flag", ["--maxit=0", "--maxit=-1", "--tol=0", "--tol=-1e-10"])
+def test_solve_without_steps_or_tolerance_exits_two(tmp_path, capsys, monkeypatch, flag):
+    # rejected before any potential is formed; these exited 3, after 0 steps
+    # (--maxit 0) or after all 80 (--tol 0)
+    def no_constants(*args):
+        raise AssertionError("estimate_constants ran")
+
+    monkeypatch.setattr(biharm.solver, "estimate_constants", no_constants)
+    assert run(["solve", "--alpha", "6", "--gamma", "4", "--s", "0", "--p", "4", flag,
+                "--out-dir", str(tmp_path / "o")]) == 2
+    _assert_one_error_line(capsys)
+
+
 @pytest.mark.parametrize("argv", [
     ["oracle", "--x", "1e308"],
     ["oracle", "--x", "1", "--ball-radius", "1e308"],
@@ -495,7 +508,7 @@ def test_kernel_table_at_huge_radii(tmp_path):
             for line in (out / "kernel_table.csv").read_text().splitlines()[1:]]
     assert len(rows) == 5
     for rho, val in rows:
-        assert val == pytest.approx(rho ** (6 - 2 * 4) / 6.0, rel=1e-10)
+        assert val == pytest.approx(rho ** (6 - 2 * 4) / 6.0, rel=1e-10, abs=0.0)
     assert _load(out)["loglog_slope"] == pytest.approx(-2.0, abs=1e-9)
 
 

@@ -381,7 +381,7 @@ def test_split_terms_of_a_1024_node_grid_source_at_zone_seams():
 @pytest.mark.parametrize("alpha, gamma, n, decay", [(6.0, 4.0, 6, 3.0), (7.0, 4.5, 5, 3.0),
                                                     (5.0, 3.0, 7, 3.0), (8.0, 5.0, 6, 4.0)])
 def test_error_estimates_stay_below_1e_10_of_the_value(alpha, gamma, n, decay):
-    # the Gauss zone's estimate is the distance between its two fixed levels;
+    # the Gauss zone's estimate is a fixed share of its sum on slope-sized panels;
     # both split terms of a grid source, and a two-regime composed kernel
     prof = ManifoldProfile(alpha, gamma, n)
     g = profile_piecewise("g", prof)

@@ -239,11 +239,12 @@ def test_eval_is_the_integrand():
 @settings(max_examples=60, deadline=None)
 @given(st.floats(-12.0, 12.0), st.floats(-12.0, 12.0), st.floats(-50.0, 50.0),
        st.floats(-3.0, 3.0), st.floats(-6.0, 4.0), st.floats(-3.0, 0.9))
-@example(12.0, -12.0, 0.0, 0.0, -1.0, 0.9)   # steep and wide: the rule's own error shows
+@example(12.0, -12.0, 0.0, 0.0, -1.0, 0.9)   # steep and wide: 96 slope-sized panels
 @example(-12.0, 12.0, 0.0, 0.0, -0.5, 0.0)   # a segment across ln rho
+@example(1.0, -2.0, 0.0, 0.0, -1.0, 0.0)     # one panel at the constant's worst case
 def test_gauss_bound_holds_against_mpmath(e_u, e_f, log_c, log_rho, offset, log_width):
     # one segment of c r**e_u (rho + r)**e_f against dr/r, from r = rho e**offset,
-    # panelled as the near zone panels it; its level-1 sum is within the
+    # panelled as the near zone panels it; its Gauss sum is within the
     # reported bound of a 30-digit integral, up to float rounding: each node
     # value is exp of a sum whose terms reach |log c| + (|e_u| + |e_f|) (|t| + |L|),
     # t = ln r and L = ln(rho + r), so it carries a relative error of a few ulps
@@ -276,15 +277,34 @@ def test_gauss_bound_holds_against_mpmath(e_u, e_f, log_c, log_rho, offset, log_
 
 
 def test_error_estimate_covers_a_piece_too_steep_for_its_panels():
-    # f is 1 below 2 and (x/2)**-3000 beyond, so past r = 1 the integrand
-    # falls like e**(-1500 (r - 1)), inside one panel: the value misses that
-    # tail (1.3e-3 of it), and the bound must cover the miss (its factor
-    # overflows while far panels underflow: inf, not nan)
-    f = PiecewisePower._from_logs(np.array([0.0, 2.0, INF]), np.array([0.0, 3000.0 * np.log(2.0)]),
-                                  np.array([0.0, -3000.0]))
-    res = integrate(PowerIntegrand(PiecewisePower.single(1.0, 2.0), f, 1.0))
-    exact = 0.5 + 4.0 / 2998.0 - 2.0 / 2999.0
-    assert abs(res.value - exact) <= res.abs_error_estimate
+    # f is 1 below 2 and (x/2)**e beyond, so past r = 1 the integrand falls
+    # like e**(e (r - 1)/2).  At e = -3000 the segment's panels are sized by
+    # its slope, so the value is right and its bound finite; at e = -3e5 it
+    # would need more than _MAX_PANELS panels, so its bound reads inf
+    def integral(e):
+        f = PiecewisePower._from_logs(np.array([0.0, 2.0, INF]),
+                                      np.array([0.0, -e * np.log(2.0)]), np.array([0.0, e]))
+        return integrate(PowerIntegrand(PiecewisePower.single(1.0, 2.0), f, 1.0))
+
+    res = integral(-3000.0)
+    assert res.value == pytest.approx(0.5 + 4.0 / 2998.0 - 2.0 / 2999.0, rel=0.0, abs=1e-13)
+    assert res.abs_error_estimate < INF
+    assert integral(-3e5).abs_error_estimate == INF
+
+
+def test_panel_chunks_leave_the_sums_unchanged(monkeypatch):
+    # each segment is summed within one chunk of panels and the rows from the
+    # segment sums, so chunks of a few panels give the same bits as one chunk
+    prof = ManifoldProfile(7.0, 4.5, 5)
+    grid = default_grid(256)
+    src = RadialFunction(grid, (1.0 + grid) ** -3.0).as_piecewise()
+    g = profile_piecewise("g", prof)
+    integrand = PowerIntegrand(pp_product(g, profile_piecewise("v", prof)), src, grid)
+    whole = integrate(integrand)
+    monkeypatch.setattr(quad, "_BLOCK_PANELS", 3)
+    chunked = integrate(integrand)
+    assert np.array_equal(chunked.value, whole.value)
+    assert np.array_equal(chunked.abs_error_estimate, whole.abs_error_estimate)
 
 
 # -- batched calls against one shift at a time ------------------------------
