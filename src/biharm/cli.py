@@ -18,6 +18,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -40,7 +41,12 @@ DISCLAIMERS = {
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that exits 1 on usage errors, per the CLI contract."""
+    """argparse that exits 1 on usage errors, per the CLI contract, and reads
+    a negative number in any float notation (-1e-3 too) as a value."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -7,7 +7,10 @@ Kernel modes
 split-comparison
     (G phi)(rho) = int g(rho+r) phi(r) v(r) dr/r + int g(r) phi(rho+r) v(r) dr/r,
     the two-sided comparable reduction of the manifold potential for radial
-    monotone sources.
+    monotone sources.  Each term is one batched ``quad.integrate``; when the
+    source's interior breakpoints are the radii themselves (a grid source on
+    its own grid) and that grid is log-uniform, ``quad.integrate_grid`` sums
+    the grid cells as Toeplitz correlations instead.
 surrogate-exact
     kernel max(rho, r)**(-gamma) against the measure alpha * r**(alpha-1) dr;
     the exact inverse of the surrogate radial operator in `spectral`.
@@ -25,7 +28,7 @@ import numpy as np
 
 from .errors import DivergentIntegralError, ParameterError
 from .profiles import ManifoldProfile, profile_piecewise
-from .quad import PowerIntegrand, QuadratureResult, integrate
+from .quad import PowerIntegrand, QuadratureResult, integrate, integrate_grid
 from .radial import PiecewisePower, RadialFunction, power_integral, pp_product, require_normal
 
 _INF = float("inf")
@@ -144,11 +147,21 @@ def _max_kernel_values(kexp: float, weighted: PiecewisePower, rho: np.ndarray) -
 def _split_values(spec: KernelSpec, src_pp: PiecewisePower, rho: np.ndarray) -> np.ndarray:
     g = profile_piecewise("g", spec.prof)
     v = profile_piecewise("v", spec.prof)
-    t1 = integrate(PowerIntegrand(pp_product(src_pp, v), g, rho))
-    t2 = integrate(PowerIntegrand(pp_product(g, v), src_pp, rho))
+    terms = [PowerIntegrand(pp_product(src_pp, v), g, rho),
+             PowerIntegrand(pp_product(g, v), src_pp, rho)]
+    # a grid source on its own grid: the cells as Toeplitz correlations
+    on_grid = np.array_equal(src_pp.bounds[1:-1], rho)
+    t1, t2 = ((integrate_grid if on_grid else integrate)(term) for term in terms)
     bad = np.flatnonzero(t1.diverged | t2.diverged)
     if bad.size:
-        exponent = float((t1 if t1.diverged[bad[0]] else t2).tail_exponent[bad[0]])
+        i = bad[0]
+        term, res = (terms[0], t1) if t1.diverged[i] else (terms[1], t2)
+        u, f = term.u, term.f
+        if u.log_coefs[0] > -_INF and u.exps[0] <= 0.0 and f.log_coefs[f.piece_index(rho[i])] > -_INF:
+            raise DivergentIntegralError(
+                f"split potential diverges at the origin: exponent {u.exps[0]} <= 0",
+                location="origin", exponent=float(u.exps[0]))
+        exponent = float(res.tail_exponent[i])
         raise DivergentIntegralError(
             f"split potential diverges: tail exponent {exponent} >= 0",
             location="tail", exponent=exponent)

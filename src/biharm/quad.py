@@ -40,6 +40,14 @@ estimate.  Alternating series lose about ((1 + ratio)/(1 - ratio))**|e| to
 cancellation, so a steep piece expands only up to a ratio 2/|e|, and the
 near zone grows to cover the rest.
 
+``integrate_grid`` is a second route to the same integrals for shifts that
+are the nodes of a log-uniform grid that u or f breaks at (a grid source on
+its own grid): the grid cells all get the same Gauss panels, and within one
+piece of the other factor a node's value is a product of a factor of its
+cell and one of the cell's offset from the shift, so each sum over cells is
+a Toeplitz correlation.  Only what lies beyond the grid, and on f's grid the
+two cells at each shift, still go through the zones above.
+
 Shifts are processed with array operations, in blocks of about
 ``_BLOCK_SEAMS`` seams, ``_BLOCK_PANELS`` Gauss panels and ``_BLOCK_PIECES``
 series pieces.  A Gauss node value is formed in the exponent,
@@ -175,7 +183,9 @@ def _series(w: PiecewisePower, specs, log_rho, a, b, log_c, beta, spec, ratio):
     a_end = np.minimum(b, w.bounds[ia + 1])
     b_start = np.maximum(a, w.bounds[ib])
     live = np.concatenate([[0], np.cumsum(lcw > -_INF)])
-    nonzero = live[ib + 1] > live[ia]
+    # the last piece that [a, b) reaches: not the one starting at b
+    reach = np.maximum(np.searchsorted(w.bounds, b, side="left") - 1, ia)
+    nonzero = live[reach + 1] > live[ia]
     k = np.arange(_K + 1.0)
     whole_pieces = ib > ia + 1
     tables = {key: _moment_table(w, specs[key], k) for key in np.unique(spec[whole_pieces])}
@@ -257,9 +267,20 @@ def _high_zone(phi: PiecewisePower, rho, offset):
     return start, row, a[row, j], hi[row, j], j
 
 
-def _series_zones(u: PiecewisePower, f: PiecewisePower, rho):
-    """Low- and high-zone sums per shift: (value, error estimate, nonzero,
-    low-zone end, high-zone start)."""
+def _cut(entries, lo, hi):
+    """Entries (row, a, b, ...) with (lo[row], hi[row]) cut out of each (a, b),
+    which may leave two entries or none."""
+    row, a, b, *rest = entries
+    parts = zip((row, a, np.minimum(b, lo[row]), *rest), (row, np.maximum(a, hi[row]), b, *rest))
+    row, a, b, *rest = (np.concatenate(x) for x in parts)
+    keep = a < b
+    return tuple(x[keep] for x in (row, a, b, *rest))
+
+
+def _series_zones(u: PiecewisePower, f: PiecewisePower, rho, skip=None):
+    """Low- and high-zone sums per shift, with the r-window skip = (lo, hi)
+    left out if given: (value, error estimate, nonzero, low-zone end,
+    high-zone start)."""
     log_rho = np.log(rho)
     low_end, row, a, b, j = _low_zone(f, rho)
     # low zone: f(rho + r) in r/rho against moments of u
@@ -269,13 +290,18 @@ def _series_zones(u: PiecewisePower, f: PiecewisePower, rho):
     if f.npieces <= u.npieces:   # f(rho + r) in rho/r against moments of u
         high_start, row, a, b, j = _high_zone(f, rho, rho)
         phi, beta, sign, y_max, w = f, f.exps, 1.0, f.bounds[1:], u
+        offset = np.zeros(rho.size)
     else:                        # u(s - rho)/(s - rho) in rho/s against moments of f*s
         high_start, row, a, b, j = _high_zone(u, rho, np.zeros(rho.size))
         a, b = a + rho[row], b + rho[row]
         phi, beta, sign, y_max = u, u.exps - 1.0, -1.0, u.bounds[1:] * (1.0 + _X)
         w = PiecewisePower._from_logs(f.bounds, f.log_coefs, f.exps + 1.0)
+        offset = rho
     specs += [(float(beta[jj]), -1.0, sign, float(y_max[jj])) for jj in range(phi.npieces)]
     high = (row, a, b, phi.log_coefs[j], beta[j], 1 + j, rho[row] / a)
+    if skip is not None:
+        low = _cut(low, *skip)
+        high = _cut(high, skip[0] + offset, skip[1] + offset)
     parts = [(u, low, high)] if w is u else [(u, low), (w, high)]
     value, err, nonzero = np.zeros(rho.size), np.zeros(rho.size), np.zeros(rho.size, bool)
     for moments, *pieces in parts:
@@ -407,6 +433,13 @@ def integrate(integrand: PowerIntegrand) -> QuadratureResult:
     (including a nonzero integral that comes out below the smallest normal
     float) raises ParameterError naming the first such radius.
     """
+    return _integrate(integrand)
+
+
+def _integrate(integrand: PowerIntegrand, skip=None) -> QuadratureResult:
+    """``integrate``, over (0, inf) without the r-window skip = (lo, hi) of
+    each shift if given (arrays in the shape of rho).  The divergence flags
+    still read the whole half-line."""
     u, f = integrand.u, integrand.f
     shape = integrand.rho.shape
     rho = integrand.rho.ravel()
@@ -420,18 +453,22 @@ def integrate(integrand: PowerIntegrand) -> QuadratureResult:
     abs_err = np.full(rho.size, _INF)
     live = np.flatnonzero(~diverged)
     shift = rho[live]
+    if skip is not None:
+        skip = tuple(np.ravel(w)[live] for w in skip)
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
         # seams and values are checked below
-        val, err, nonzero, low_end, high_start = _series_zones(u, f, shift)
+        val, err, nonzero, low_end, high_start = _series_zones(u, f, shift, skip)
         seams_ok = (low_end > 0.0) & (high_start < _INF)
         rows = np.flatnonzero(seams_ok)
-        _, nu, _, nf = _near_breakpoints(u, f, shift[rows], low_end[rows], high_start[rows])
+        zone = (rows, low_end[rows], high_start[rows])
+        rows, lo_r, hi_r = zone if skip is None else _cut(zone, *skip)
+        _, nu, _, nf = _near_breakpoints(u, f, shift[rows], lo_r, hi_r)
         for lo, hi in _blocks(2 + nu + nf, _BLOCK_SEAMS):
             b = rows[lo:hi]
-            zv, ze, zn = _gauss_block(integrand, shift[b], low_end[b], high_start[b])
-            val[b] += zv
-            err[b] += ze
-            nonzero[b] |= zn
+            zv, ze, zn = _gauss_block(integrand, shift[b], lo_r[lo:hi], hi_r[lo:hi])
+            np.add.at(val, b, zv)
+            np.add.at(err, b, ze)
+            nonzero[b[zn]] = True
     cut = np.append(np.flatnonzero(~seams_ok), shift.size)[0]   # the first bad seam
     require_normal("integral", shift[:cut], val[:cut], np.where(nonzero, _TINY, -_INF)[:cut])
     if cut < shift.size:
@@ -444,3 +481,227 @@ def integrate(integrand: PowerIntegrand) -> QuadratureResult:
 
     return QuadratureResult(shaped(value), shaped(abs_err),
                             shaped(np.full(rho.size, tail_exponent)), shaped(diverged))
+
+
+# -- shifts on the grid of one factor: the cells as Toeplitz correlations -----
+#
+# When the shifts are the nodes x_0 < ... < x_{n-1} of a log-uniform grid (step
+# h) that one factor w breaks at, every grid cell gets the same P panels of the
+# 8-node rule, at node offsets tau_q of its log width.  Within one piece
+# c y**e of the other factor, a node of cell j and the shift x_i give a value
+# F[j, q] T[j - i, q] S[i], so each sum over cells is a Toeplitz correlation:
+#   w = u, in t = ln r:  u(r) f(x_i + r),  F = weight * u(node),
+#                        T[k] = (1 + e**y)**e at y = (k + tau_q) h;
+#   w = f, in ln s:      u(s - x_i) f(s) s/(s - x_i),  F = weight * f(node),
+#                        T[k] = e**y (e**y - 1)**(e - 1), for k >= 2 only;
+# and S[i] = c x_i**e.  On the u side a cell's panels obey the near zone's
+# rule, so ``_PANEL_ERROR`` bounds them.  On the f side, in x = ln s - ln rho a
+# cell k >= 2 past rho carries phi(x) = C e**(beta x) (1 - e**-x)**(e - 1),
+# beta = e_f + e, whose log slope |beta + (e - 1)/(e**x - 1)| is at most the
+# s the panels are sized by (taken at x = 2h), and whose branch point x = 0
+# lies 2kP + 1 >= 5 half widths from the first panel's centre.  With P >=
+# |e - 1| as well, the bound 32 M / (15 (R**2 - 1) R**16 min phi), M the
+# largest |phi| on a Bernstein ellipse E_R inside Re x > 0 (found on 720
+# boundary points), scanned over beta, e and the panel widths, peaks at
+# 6.7e-16, at P = 1, e = 0 and h -> 0.
+_GRID_PANEL_ERROR = 7e-16
+_GRID_ULPS = 8          # a log-uniform grid's ln nodes lie this many ulps from a line at most
+_GRID_RANGE = 600.0     # every product F T S stays within e**+-this
+_DIRECT_NODE = 100      # one directly summed node costs about this many multiply-adds
+_GRID_ROWS = 128        # rows per correlation block; bounds the zero products of a block
+                        # whose rows each start two cells past the row
+
+
+def _log_step(x: np.ndarray):
+    """The log step of x if it is a log-uniform grid of 3 or more nodes, else None."""
+    if x.ndim != 1 or x.size < 3 or not (np.all(x[1:] > x[:-1]) and np.isfinite(x[-1])):
+        return None
+    t = np.log(x)
+    h = (t[-1] - t[0]) / (x.size - 1)
+    off_line = np.abs(t - (t[0] + h * np.arange(x.size))).max()
+    return h if off_line <= _GRID_ULPS * np.spacing(np.abs(t).max()) else None
+
+
+def _holds(pp: PiecewisePower, x: np.ndarray) -> bool:
+    """Whether every node of x is a breakpoint of pp."""
+    i = np.minimum(np.searchsorted(pp.bounds, x), pp.bounds.size - 1)
+    return bool(np.all(pp.bounds[i] == x))
+
+
+def _only(pp: PiecewisePower, keep) -> PiecewisePower:
+    """pp on the pieces where keep holds and vanishing elsewhere, each run of
+    vanishing pieces merged into one."""
+    lc = np.where(keep, pp.log_coefs, -_INF)
+    dead = lc == -_INF
+    first = np.concatenate([[True], ~(dead[1:] & dead[:-1])])
+    return PiecewisePower._from_logs(np.append(pp.bounds[:-1][first], _INF), lc[first],
+                                     np.where(dead, 0.0, pp.exps)[first])
+
+
+def _panel_count(need: np.ndarray, cells: int) -> int:
+    """Panels per cell for the correlations: the count that minimises their
+    work plus that of the cells needing more, which are summed directly."""
+    if not need.size:
+        return 1
+    srt = np.sort(need)
+    above = np.append(np.cumsum(srt[::-1])[::-1], 0.0)
+    cost = srt * cells + _DIRECT_NODE * above[np.searchsorted(srt, srt, side="right")]
+    return int(srt[np.argmin(cost)])
+
+
+def _row_blocks(rows, lo, hi, rel):
+    """Runs of consecutive rows that share a cell range [lo, hi), or whose
+    ranges start where the row's do (rel: at 0, or two cells past an f-side
+    row) and share hi; at most _GRID_ROWS rows each, as index ranges into
+    rows."""
+    key = np.where(rel, -1, lo)
+    cut = np.flatnonzero((np.diff(rows) != 1) | (np.diff(key) != 0) | (np.diff(hi) != 0)) + 1
+    for a, b in zip(np.concatenate([[0], cut]), np.concatenate([cut, [rows.size]])):
+        for c in range(a, b, _GRID_ROWS):
+            yield c, min(c + _GRID_ROWS, b)
+
+
+def _correlate(F, T, rows, lo, hi, rel):
+    """Per row i of rows, sum_q sum_j F[j, q] T[j - i + c, q] over the cells
+    j in [lo, hi), c the cell count (the index of j - i = 0).  A block of at
+    least as many rows as nodes per cell is one np.correlate per node offset
+    over the first row's range (T vanishes on the cells a later rel row
+    skips), a smaller one a dot product per row."""
+    ncell, nq = F.shape
+    out = np.zeros(ncell + 1)
+    Fq, Tq = F.T.copy(), T.T.copy()
+    Ff, Tf = F.ravel(), T.ravel()
+    for a, b in _row_blocks(rows, lo, hi, rel):
+        i0, i1, c0, c1 = rows[a], rows[b - 1] + 1, lo[a], hi[a]
+        if b - a >= nq:
+            ta, tb = c0 - i1 + 1 + ncell, c1 - i0 + ncell
+            out[i0:i1] = sum(np.correlate(Tq[q, ta:tb], Fq[q, c0:c1], "valid")[::-1]
+                             for q in range(nq))
+        else:
+            for i, c0 in zip(rows[a:b].tolist(), lo[a:b].tolist()):
+                out[i] = Ff[c0 * nq:c1 * nq] @ Tf[(c0 - i + ncell) * nq:(c1 - i + ncell) * nq]
+    return out
+
+
+def _grid_integrate(integrand: PowerIntegrand, h: float, on_u: bool):
+    """The grid path of ``integrate_grid``, on u's grid or on f's; None where
+    a product F T S could leave the float range."""
+    u, f, x = integrand.u, integrand.f, integrand.rho
+    n = x.size
+    rows = np.arange(n)
+    if on_u:   # u's pieces beyond the grid, through integrate
+        w, kern, start = u, f, np.zeros(n, int)
+        beyond = (u.bounds[1:] <= x[0]) | (u.bounds[:-1] >= x[-1])
+        part = integrate(PowerIntegrand(_only(u, beyond), f, x))
+    else:      # the cell at each shift and the next one, and f's tail
+        w, kern, start = f, u, rows + 2
+        part = _integrate(integrand, (x[np.minimum(start, n - 1)] - x, x[-1] - x))
+    t = np.log(x)
+    width = np.log(x[1:] / x[:-1])
+
+    # w's piece on each cell, and the panels each needs; a cell that w breaks
+    # inside, or that needs more panels than the rest, is summed directly
+    nxt = np.searchsorted(w.bounds, x[:-1], side="right")
+    lc_w, e_w = w.log_coefs[nxt - 1], w.exps[nxt - 1]
+    live = lc_w > -_INF
+    pieces = np.flatnonzero(kern.log_coefs > -_INF)
+    lc_k, e_k = kern.log_coefs[pieces], kern.exps[pieces]
+    ek = e_k[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        if on_u:
+            slope, least = np.maximum(np.abs(e_w), np.abs(e_w + ek)), 1.0
+        else:
+            slope = np.maximum(np.abs(e_w + ek), np.abs(e_w + ek + (ek - 1.0) / np.expm1(2.0 * h)))
+            least = np.ceil(np.abs(e_k - 1.0)).max(initial=1.0)
+        need = np.maximum(np.ceil(width * np.maximum(1.0, slope.max(axis=0, initial=0.0))), least)
+    direct = w.bounds[nxt] < x[1:]
+    panels = _panel_count(need[live & ~direct], n - 1)
+    direct |= live & (need > panels)
+    use = live & ~direct
+
+    tau = ((np.arange(panels)[:, None] + 0.5 * (1.0 + _GAUSS_NODES)) / panels).ravel()
+    weight = np.tile(_GAUSS_WEIGHTS / (2.0 * panels), panels)
+    k = np.arange(1 - n, n - 1)   # j - i over the cells j and rows i
+    y = (k[:, None] + tau) * h
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):   # checked below
+        log_F = (lc_w[:, None] + e_w[:, None] * (t[:-1, None] + tau * width[:, None])
+                 + np.log(weight * width[:, None]))
+        log_F[~use] = -_INF
+        if on_u:
+            log_T = e_k[:, None, None] * np.logaddexp(0.0, y)
+        else:
+            log_T = (e_k[:, None, None] - 1.0) * (y + np.log(-np.expm1(-y))) + y
+            log_T[:, k < 2] = -_INF
+        log_S = lc_k[:, None] + e_k[:, None] * t
+    fin_F, fin_T = log_F[use], log_T[log_T > -_INF]
+    if fin_F.size and fin_T.size and not (
+            fin_F.max() + fin_T.max() + log_S.max() < _GRID_RANGE
+            and fin_F.min() + fin_T.min() + log_S.min() > -_GRID_RANGE):
+        return None
+    F, T, S = np.exp(log_F), np.exp(log_T), np.exp(log_S)
+
+    # per row, the cells in each piece of the other factor: from the first node
+    # at or past the piece's start to the last one at or before its end
+    edges = (kern.bounds[:, None] - x) if on_u else (x + kern.bounds[:, None])
+    at = np.searchsorted(x, edges.ravel(), side="left").reshape(edges.shape)
+    upto = np.searchsorted(x, edges.ravel(), side="right").reshape(edges.shape) - 1
+    # direct: the cell each inner breakpoint of it cuts, and the direct
+    # columns in the rows where they are not near cells
+    d_rows, d_cells = [], []
+    for m in range(1, kern.bounds.size - 1):
+        c = upto[m]
+        cut = (at[m] > c) & (c >= start) & (c <= n - 2)
+        cut[cut] = ~direct[c[cut]]
+        d_rows.append(rows[cut])
+        d_cells.append(c[cut])
+    cols = np.flatnonzero(direct)
+    col, row = _ranges(np.zeros(cols.size, int), np.full(cols.size, n) if on_u else np.maximum(cols - 1, 0))
+    d_rows, d_cells = np.concatenate(d_rows + [row]), np.concatenate(d_cells + [cols[col]])
+
+    value, err = np.zeros(n), np.zeros(n)
+    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+        base = 0.0 if on_u else x[d_rows]
+        lo_r, hi_r = x[d_cells] - base, x[d_cells + 1] - base
+        _, nu, _, nf = _near_breakpoints(u, f, x[d_rows], lo_r, hi_r)
+        for a, b in _blocks(2 + nu + nf, _BLOCK_SEAMS):
+            dv, de, _ = _gauss_block(integrand, x[d_rows[a:b]], lo_r[a:b], hi_r[a:b])
+            np.add.at(value, d_rows[a:b], dv)
+            np.add.at(err, d_rows[a:b], de)
+    for m, p in enumerate(pieces):
+        lo, hi = np.maximum(at[p], start), np.minimum(upto[p + 1], n - 1)
+        sel = np.flatnonzero(hi > lo)
+        if sel.size:
+            sums = S[m] * _correlate(F, T[m], sel, lo[sel], hi[sel], lo[sel] == start[sel])
+            value += sums
+            err += (_PANEL_ERROR if on_u else _GRID_PANEL_ERROR) * sums
+    return QuadratureResult(part.value + value, part.abs_error_estimate + err,
+                            part.tail_exponent, part.diverged)
+
+
+def integrate_grid(integrand: PowerIntegrand) -> QuadratureResult:
+    """``integrate``, summing the grid cells as Toeplitz correlations when the
+    shifts are breakpoints of u or of f on a log-uniform grid of 3 or more
+    nodes (a grid source's own grid); other inputs go to ``integrate``.
+
+    What stays on ``integrate`` keeps its divergence flags and range checks:
+    u's pieces beyond the grid when the grid is u's; when it is f's, the cell
+    at each shift and the next one, where the kernel's branch point at
+    s = rho is near, and f's tail.  Cells that a breakpoint of the other
+    factor cuts, and cells too steep for the common panel count, are summed
+    directly.  Inputs where a product of a node value, a kernel entry and a
+    row scale could leave the float range, or where a part on ``integrate``
+    does, go to ``integrate`` whole.  The error estimate adds the panels'
+    a-priori bound, ``_PANEL_ERROR`` or ``_GRID_PANEL_ERROR`` of the sums.
+    """
+    rho = integrand.rho
+    h = _log_step(rho)
+    if h is not None:
+        on_u = _holds(integrand.u, rho)
+        if on_u or _holds(integrand.f, rho):
+            try:
+                res = _grid_integrate(integrand, h, on_u)
+            except ParameterError:
+                res = None
+            if res is not None:
+                return res
+    return integrate(integrand)

@@ -408,6 +408,29 @@ def test_solve_without_steps_or_tolerance_exits_two(tmp_path, capsys, monkeypatc
     _assert_one_error_line(capsys)
 
 
+def test_every_float_flag_reads_a_negative_exponent_as_its_value():
+    # argparse alone takes "-1e-3" for a flag ("expected one argument")
+    parser = build_parser()
+    seen = 0
+    for name, sub in parser.commands.items():
+        required = [a.option_strings[-1] for a in sub._actions if a.required]
+        for action in sub._actions:
+            if action.type is biharm.cli._finite_float:
+                flag = action.option_strings[-1]
+                fill = [tok for req in required if req != flag for tok in (req, "1")]
+                args = parser.parse_args([name, *fill, flag, "-1e-3"])
+                assert getattr(args, action.dest) == -1e-3
+                seen += 1
+    assert seen > 20
+
+
+def test_solve_reads_a_negative_exponent_value(tmp_path):
+    out = tmp_path / "o"
+    assert run(["solve", "--alpha", "6", "--gamma", "4", "--s", "-1e-3", "--p", "4",
+                "--nodes", "64", "--kernel-mode", "split-comparison", "--out-dir", str(out)]) == 0
+    assert float(_load(out)["config"]["s"]) == -1e-3
+
+
 @pytest.mark.parametrize("argv", [
     ["oracle", "--x", "1e308"],
     ["oracle", "--x", "1", "--ball-radius", "1e308"],

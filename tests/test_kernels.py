@@ -10,14 +10,15 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from biharm.errors import DivergentIntegralError, ParameterError
 from biharm.kernels import (BallSource, KERNEL_MODES, KernelSpec, MODE_EUCLIDEAN, MODE_SPLIT,
                             MODE_SURROGATE, annulus_lower_bound, compose_green, mc_oracle,
                             potential, potential_values, sphere_area)
 from biharm.profiles import ManifoldProfile, SourceProfile, profile_piecewise
-from biharm.quad import PowerIntegrand, integrate
+from biharm import quad
+from biharm.quad import PowerIntegrand, integrate, integrate_grid
 from biharm.radial import (PiecewisePower, RadialFunction, fit_loglog_slope, log_grid,
                            pp_product)
 from biharm.solver import default_grid
@@ -158,6 +159,25 @@ def test_potential_divergence_names_exponent():
         with pytest.raises(DivergentIntegralError) as err:
             potential_values(KernelSpec(mode, PROF), source, [0.0])
         assert (err.value.location, err.value.exponent) == ("origin", -4.5)
+
+
+@pytest.mark.parametrize("on_grid", [False, True])
+def test_split_divergence_names_the_end_that_diverges(on_grid):
+    # u = src * v is r**-7 * r**6 near the origin, r**-5 * r**6 near infinity
+    # (tail exponent 1 - 4 = -3 < 0), then r**-2 * r**6 (tail exponent 0)
+    spec = KernelSpec(MODE_SPLIT, PROF)
+    grid = default_grid(64)
+    vals = (1.0 + grid) ** -3.0
+    for tails, rho, want in (((-7.0, -5.0), [0.5, 2.0], ("origin", -1.0)),
+                             ((0.0, -2.0), [0.5, 2.0], ("tail", 0.0))):
+        if on_grid:
+            source, rho = RadialFunction(grid, vals, *tails), grid
+        else:
+            source = PiecewisePower((0.0, 1.0, INF), (1.0, 1.0), tails)
+        with pytest.raises(DivergentIntegralError) as err:
+            potential_values(spec, source, rho)
+        assert (err.value.location, err.value.exponent) == want
+        assert f"{want[1]}" in str(err.value)
 
 
 def test_annulus_lower_bound():
@@ -464,3 +484,162 @@ def test_split_potentials_positive_and_monotone(sources, rho):
     hi = potential_values(spec, s2, rho)
     assert np.all(lo > 0.0)
     assert np.all(lo <= hi * (1.0 + 1e-12))
+
+
+# -- grid sources on their own log-uniform grid --------------------------------
+
+GRID_PROFILES = [ManifoldProfile(6.0, 4.0, 6),        # g and g*v one piece each
+                 ManifoldProfile(7.0, 5.0, 6),        # both two pieces
+                 ManifoldProfile(6.5, 6.0, 5),        # alpha - gamma = 0.5: e**x (e**x - 1)**-0.5
+                 ManifoldProfile(9.0, 5.5, 8),        # (e**x - 1)**2.5 at r > 1, steep v inside
+                 ManifoldProfile(5.0, 3.0, 6, "pure-power")]
+GRIDS = {"default127": default_grid(128),             # 1.0 a node
+         "default64": default_grid(64),               # h = 0.33: several panels a cell
+         "log384": log_grid(1e-2, 1e4, 384)}          # 1.0 inside a cell
+
+
+def grid_sources(prof, grid):
+    """Smooth, zero-node (two runs of zeros) and one-steep-node sources on
+    grid, decaying fast enough for the split potential to converge.  The
+    steep node is 10 times its neighbours: log slope 64 on log384 (and
+    slope times a ulp of ln r, the float error of any rule, stays ~1e-14)."""
+    decay = prof.gamma - prof.alpha - 1.0
+    smooth = (1.0 + grid) ** decay
+    zeros = smooth * (1.0 + 0.3 * np.sin(3.0 * np.log(grid)))
+    zeros[grid.size // 3:grid.size // 3 + 5] = 0.0
+    zeros[-4:] = 0.0
+    steep = smooth.copy()
+    steep[grid.size // 2] *= 10.0
+    return {"smooth": RadialFunction(grid, smooth, 0.5, decay),
+            "zeros": RadialFunction(grid, zeros, 0.0, decay - 0.5),
+            "steep": RadialFunction(grid, steep)}
+
+
+def split_terms(prof, src):
+    """The two split-potential integrands of kernels, on the source's grid."""
+    g = profile_piecewise("g", prof)
+    v = profile_piecewise("v", prof)
+    pp = src.as_piecewise()
+    return (PowerIntegrand(pp_product(pp, v), g, src.grid),
+            PowerIntegrand(pp_product(g, v), pp, src.grid))
+
+
+@pytest.fixture
+def grid_path(monkeypatch):
+    """Records, per integrate_grid call, whether the grid path returned."""
+    taken = []
+    real = quad._grid_integrate
+
+    def spy(*args):
+        res = real(*args)
+        taken.append(res is not None)
+        return res
+
+    monkeypatch.setattr(quad, "_grid_integrate", spy)
+    return taken
+
+
+def assert_grid_matches(term):
+    ref, got = integrate(term), integrate_grid(term)
+    np.testing.assert_array_equal(got.diverged, ref.diverged)
+    np.testing.assert_array_equal(got.tail_exponent, ref.tail_exponent)
+    np.testing.assert_allclose(got.value, ref.value, rtol=1e-13, atol=0)
+    live = ~ref.diverged & (ref.value > 0)
+    assert np.all(got.abs_error_estimate[live] <= 1e-10 * got.value[live])
+
+
+@pytest.mark.parametrize("prof", GRID_PROFILES, ids=lambda p: f"{p.alpha},{p.gamma},{p.dim_n}")
+@pytest.mark.parametrize("grid", sorted(GRIDS))
+@pytest.mark.parametrize("kind", ["smooth", "zeros", "steep"])
+def test_grid_path_matches_integrate(grid_path, prof, grid, kind):
+    src = grid_sources(prof, GRIDS[grid])[kind]
+    for term in split_terms(prof, src):
+        assert_grid_matches(term)
+    assert grid_path == [True, True]
+    values = potential_values(KernelSpec(MODE_SPLIT, prof), src, src.grid)
+    ref = sum(integrate(term).value for term in split_terms(prof, src))
+    np.testing.assert_allclose(values, ref, rtol=1e-13, atol=0)
+
+
+def test_grid_path_uses_several_panels_and_direct_cells(monkeypatch):
+    # at h = 0.33 the r**8 inside gives u a slope of 8: three panels a cell;
+    # on log384 the steep node's two cells need three, the others one, and
+    # the first term sums them directly (the second term's kernel
+    # (e**x - 1)**2.5 needs three panels on every cell anyway)
+    counts = []
+    real = quad._panel_count
+
+    def spy(need, cells):
+        counts.append((real(need, cells), need.max()))
+        return counts[-1][0]
+
+    monkeypatch.setattr(quad, "_panel_count", spy)
+    prof = GRID_PROFILES[3]
+    for grid, kind in (("default64", "smooth"), ("log384", "steep")):
+        for term in split_terms(prof, grid_sources(prof, GRIDS[grid])[kind]):
+            assert_grid_matches(term)
+    assert [p for p, _ in counts] == [3, 3, 1, 4]
+    assert counts[2][1] == 3
+
+
+@pytest.mark.parametrize("divergent", [(-7.0, -3.0), (0.5, -2.0)])
+def test_grid_path_flags_divergence_as_integrate(grid_path, divergent):
+    # origin (u = r**-1 at 0) and logarithmic tail (exponent 0) on one grid
+    src = RadialFunction(default_grid(128), (1.0 + default_grid(128)) ** -3.0, *divergent)
+    for term in split_terms(PROF, src):
+        assert_grid_matches(term)
+    assert grid_path == [True, True]
+
+
+@st.composite
+def log_uniform_sources(draw):
+    """(profile, grid source) on a log-uniform grid: random node values,
+    some of them 0, and random tails."""
+    gamma = draw(st.floats(1.0, 6.0))
+    prof = ManifoldProfile(gamma * draw(st.floats(1.02, 1.98)), gamma, draw(st.integers(3, 8)),
+                           draw(st.sampled_from(["two-regime", "pure-power"])))
+    n = draw(st.integers(3, 64))
+    grid = log_grid(10.0 ** draw(st.floats(-3, 0)), 10.0 ** draw(st.floats(1, 4)), n)
+    # a walk of up to 2 e-folds a node: log slopes up to ~55, where float
+    # rounding in ln r costs either rule ~5e-14
+    logs = np.cumsum(draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n)))
+    on = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    on[draw(st.integers(0, n - 1))] = True
+    tails = (draw(st.floats(0.0, 4.0)), prof.gamma - prof.alpha - draw(st.floats(0.2, 3.0)))
+    return prof, RadialFunction(grid, np.where(on, np.exp(logs), 0.0), *tails)
+
+
+@settings(max_examples=40, deadline=None)
+@given(log_uniform_sources())
+# the window of the second term ends at a node whose cell is the first live
+# one: a series piece of zero width there once read as nonzero, so the grid
+# path gave up on a value of 0
+@example((ManifoldProfile(1.5, 1.0, 3), RadialFunction(
+    log_grid(0.1, 1e3, 10), np.array([1.0, 0, 0, 0, 0, 0, 0, 0, 1.0, 0]), 0.0, -1.5)))
+def test_grid_path_matches_integrate_on_random_sources(source):
+    prof, src = source
+    taken = []
+    real = quad._grid_integrate
+    quad._grid_integrate = lambda *a: taken.append(real(*a)) or taken[-1]
+    try:
+        for term in split_terms(prof, src):
+            assert_grid_matches(term)
+    finally:
+        quad._grid_integrate = real
+    assert all(res is not None for res in taken) and len(taken) == 2
+
+
+def test_other_inputs_keep_todays_values():
+    spec = KernelSpec(MODE_SPLIT, ManifoldProfile(7.0, 5.0, 6))
+    uniform = log_grid(1e-2, 1e4, 96)
+    bent = uniform * np.exp(0.01 * np.sin(np.arange(96)))   # not log-uniform
+    cases = [(RadialFunction(bent, (1.0 + bent) ** -3.0), bent),
+             (RadialFunction(uniform, (1.0 + uniform) ** -3.0), uniform[::2]),    # off-grid radii
+             (RadialFunction(uniform, (1.0 + uniform) ** -3.0), uniform * 1.5)]
+    for src, rho in cases:
+        g = profile_piecewise("g", spec.prof)
+        v = profile_piecewise("v", spec.prof)
+        pp = src.as_piecewise()
+        today = (integrate(PowerIntegrand(pp_product(pp, v), g, rho)).value
+                 + integrate(PowerIntegrand(pp_product(g, v), pp, rho)).value)
+        assert potential_values(spec, src, rho).tolist() == today.tolist()
