@@ -659,14 +659,15 @@ def _grid_integrate(integrand: PowerIntegrand, h: float, on_u: bool):
     d_rows, d_cells = np.concatenate(d_rows + [row]), np.concatenate(d_cells + [cols[col]])
 
     value, err = np.zeros(n), np.zeros(n)
-    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+    if d_rows.size:
         base = 0.0 if on_u else x[d_rows]
         lo_r, hi_r = x[d_cells] - base, x[d_cells + 1] - base
         _, nu, _, nf = _near_breakpoints(u, f, x[d_rows], lo_r, hi_r)
-        for a, b in _blocks(2 + nu + nf, _BLOCK_SEAMS):
-            dv, de, _ = _gauss_block(integrand, x[d_rows[a:b]], lo_r[a:b], hi_r[a:b])
-            np.add.at(value, d_rows[a:b], dv)
-            np.add.at(err, d_rows[a:b], de)
+        with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+            for a, b in _blocks(2 + nu + nf, _BLOCK_SEAMS):
+                dv, de, _ = _gauss_block(integrand, x[d_rows[a:b]], lo_r[a:b], hi_r[a:b])
+                np.add.at(value, d_rows[a:b], dv)
+                np.add.at(err, d_rows[a:b], de)
     for m, p in enumerate(pieces):
         lo, hi = np.maximum(at[p], start), np.minimum(upto[p + 1], n - 1)
         sel = np.flatnonzero(hi > lo)
