@@ -46,7 +46,9 @@ its own grid): the grid cells all get the same Gauss panels, and within one
 piece of the other factor a node's value is a product of a factor of its
 cell and one of the cell's offset from the shift, so each sum over cells is
 a Toeplitz correlation.  Only what lies beyond the grid, and on f's grid the
-two cells at each shift, still go through the zones above.
+two cells at each shift, still go through the zones above.  A grid whose
+cells need more than ``_MAX_PANELS`` panels, or whose kernel tables would
+pass ``_GRID_PANELS`` panels, goes through them whole.
 
 Shifts are processed with array operations, in blocks of about
 ``_BLOCK_SEAMS`` seams, ``_BLOCK_PANELS`` Gauss panels and ``_BLOCK_PIECES``
@@ -507,7 +509,8 @@ def _integrate(integrand: PowerIntegrand, skip=None) -> QuadratureResult:
 _GRID_PANEL_ERROR = 7e-16
 _GRID_ULPS = 8          # a log-uniform grid's ln nodes lie this many ulps from a line at most
 _GRID_RANGE = 600.0     # every product F T S stays within e**+-this
-_DIRECT_NODE = 100      # one directly summed node costs about this many multiply-adds
+_GRID_PANELS = 1 << 16  # kernel-table panels (pieces x offsets x P) at most; bounds every
+                        # per-node array of the grid path
 _GRID_ROWS = 128        # rows per correlation block; bounds the zero products of a block
                         # whose rows each start two cells past the row
 
@@ -536,17 +539,6 @@ def _only(pp: PiecewisePower, keep) -> PiecewisePower:
     first = np.concatenate([[True], ~(dead[1:] & dead[:-1])])
     return PiecewisePower._from_logs(np.append(pp.bounds[:-1][first], _INF), lc[first],
                                      np.where(dead, 0.0, pp.exps)[first])
-
-
-def _panel_count(need: np.ndarray, cells: int) -> int:
-    """Panels per cell for the correlations: the count that minimises their
-    work plus that of the cells needing more, which are summed directly."""
-    if not need.size:
-        return 1
-    srt = np.sort(need)
-    above = np.append(np.cumsum(srt[::-1])[::-1], 0.0)
-    cost = srt * cells + _DIRECT_NODE * above[np.searchsorted(srt, srt, side="right")]
-    return int(srt[np.argmin(cost)])
 
 
 def _row_blocks(rows, lo, hi, rel):
@@ -585,22 +577,18 @@ def _correlate(F, T, rows, lo, hi, rel):
 
 def _grid_integrate(integrand: PowerIntegrand, h: float, on_u: bool):
     """The grid path of ``integrate_grid``, on u's grid or on f's; None where
-    a product F T S could leave the float range."""
+    a cell needs more than ``_MAX_PANELS`` panels, the kernel tables would
+    pass ``_GRID_PANELS`` panels or a product F T S could leave the float
+    range."""
     u, f, x = integrand.u, integrand.f, integrand.rho
     n = x.size
     rows = np.arange(n)
-    if on_u:   # u's pieces beyond the grid, through integrate
-        w, kern, start = u, f, np.zeros(n, int)
-        beyond = (u.bounds[1:] <= x[0]) | (u.bounds[:-1] >= x[-1])
-        part = integrate(PowerIntegrand(_only(u, beyond), f, x))
-    else:      # the cell at each shift and the next one, and f's tail
-        w, kern, start = f, u, rows + 2
-        part = _integrate(integrand, (x[np.minimum(start, n - 1)] - x, x[-1] - x))
+    w, kern, start = (u, f, np.zeros(n, int)) if on_u else (f, u, rows + 2)
     t = np.log(x)
     width = np.log(x[1:] / x[:-1])
 
-    # w's piece on each cell, and the panels each needs; a cell that w breaks
-    # inside, or that needs more panels than the rest, is summed directly
+    # w's piece on each cell, and the panels each needs: P is the most any
+    # cell needs; a cell that w breaks inside is summed directly
     nxt = np.searchsorted(w.bounds, x[:-1], side="right")
     lc_w, e_w = w.log_coefs[nxt - 1], w.exps[nxt - 1]
     live = lc_w > -_INF
@@ -615,9 +603,11 @@ def _grid_integrate(integrand: PowerIntegrand, h: float, on_u: bool):
             least = np.ceil(np.abs(e_k - 1.0)).max(initial=1.0)
         need = np.maximum(np.ceil(width * np.maximum(1.0, slope.max(axis=0, initial=0.0))), least)
     direct = w.bounds[nxt] < x[1:]
-    panels = _panel_count(need[live & ~direct], n - 1)
-    direct |= live & (need > panels)
     use = live & ~direct
+    panels = need[use].max(initial=1.0)
+    if not (panels <= _MAX_PANELS and max(pieces.size, 1) * (2 * n - 2) * panels <= _GRID_PANELS):
+        return None
+    panels = int(panels)
 
     tau = ((np.arange(panels)[:, None] + 0.5 * (1.0 + _GAUSS_NODES)) / panels).ravel()
     weight = np.tile(_GAUSS_WEIGHTS / (2.0 * panels), panels)
@@ -639,6 +629,11 @@ def _grid_integrate(integrand: PowerIntegrand, h: float, on_u: bool):
             and fin_F.min() + fin_T.min() + log_S.min() > -_GRID_RANGE):
         return None
     F, T, S = np.exp(log_F), np.exp(log_T), np.exp(log_S)
+    if on_u:   # u's pieces beyond the grid, through integrate
+        beyond = (u.bounds[1:] <= x[0]) | (u.bounds[:-1] >= x[-1])
+        part = integrate(PowerIntegrand(_only(u, beyond), f, x))
+    else:      # the cell at each shift and the next one, and f's tail
+        part = _integrate(integrand, (x[np.minimum(start, n - 1)] - x, x[-1] - x))
 
     # per row, the cells in each piece of the other factor: from the first node
     # at or past the piece's start to the last one at or before its end
@@ -655,7 +650,8 @@ def _grid_integrate(integrand: PowerIntegrand, h: float, on_u: bool):
         d_rows.append(rows[cut])
         d_cells.append(c[cut])
     cols = np.flatnonzero(direct)
-    col, row = _ranges(np.zeros(cols.size, int), np.full(cols.size, n) if on_u else np.maximum(cols - 1, 0))
+    col, row = _ranges(np.zeros(cols.size, int),
+                       np.full(cols.size, n) if on_u else np.maximum(cols - 1, 0))
     d_rows, d_cells = np.concatenate(d_rows + [row]), np.concatenate(d_cells + [cols[col]])
 
     value, err = np.zeros(n), np.zeros(n)
@@ -687,12 +683,14 @@ def integrate_grid(integrand: PowerIntegrand) -> QuadratureResult:
     What stays on ``integrate`` keeps its divergence flags and range checks:
     u's pieces beyond the grid when the grid is u's; when it is f's, the cell
     at each shift and the next one, where the kernel's branch point at
-    s = rho is near, and f's tail.  Cells that a breakpoint of the other
-    factor cuts, and cells too steep for the common panel count, are summed
-    directly.  Inputs where a product of a node value, a kernel entry and a
-    row scale could leave the float range, or where a part on ``integrate``
-    does, go to ``integrate`` whole.  The error estimate adds the panels'
-    a-priori bound, ``_PANEL_ERROR`` or ``_GRID_PANEL_ERROR`` of the sums.
+    s = rho is near, and f's tail.  Every cell gets the panels the steepest
+    one needs; cells that a breakpoint of either factor cuts are summed
+    directly.  Inputs whose cells need more than ``_MAX_PANELS`` panels, whose
+    kernel tables would pass ``_GRID_PANELS`` panels (so memory stays
+    bounded), where a product of a node value, a kernel entry and a row scale
+    could leave the float range, or where a part on ``integrate`` does, go to
+    ``integrate`` whole.  The error estimate adds the panels' a-priori bound,
+    ``_PANEL_ERROR`` or ``_GRID_PANEL_ERROR`` of the sums.
     """
     rho = integrand.rho
     h = _log_step(rho)

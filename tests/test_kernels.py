@@ -5,6 +5,8 @@ mpmath references; positivity and monotonicity of split potentials."""
 import bisect
 import json
 import math
+import re
+import tracemalloc
 from pathlib import Path
 
 import mpmath
@@ -561,25 +563,53 @@ def test_grid_path_matches_integrate(grid_path, prof, grid, kind):
     np.testing.assert_allclose(values, ref, rtol=1e-13, atol=0)
 
 
-def test_grid_path_uses_several_panels_and_direct_cells(monkeypatch):
+def test_grid_path_uses_several_panels(monkeypatch):
     # at h = 0.33 the r**8 inside gives u a slope of 8: three panels a cell;
-    # on log384 the steep node's two cells need three, the others one, and
-    # the first term sums them directly (the second term's kernel
-    # (e**x - 1)**2.5 needs three panels on every cell anyway)
-    counts = []
-    real = quad._panel_count
+    # on log384 the steep node's two cells need three, so every cell gets
+    # three (the second term's kernel (e**x - 1)**2.5 needs more anyway)
+    panels = []
+    real = quad._correlate
 
-    def spy(need, cells):
-        counts.append((real(need, cells), need.max()))
-        return counts[-1][0]
+    def spy(F, *args):
+        panels.append(F.shape[1] // quad._GAUSS_ORDER)
+        return real(F, *args)
 
-    monkeypatch.setattr(quad, "_panel_count", spy)
+    monkeypatch.setattr(quad, "_correlate", spy)
     prof = GRID_PROFILES[3]
     for grid, kind in (("default64", "smooth"), ("log384", "steep")):
         for term in split_terms(prof, grid_sources(prof, GRIDS[grid])[kind]):
+            panels.append("term")
             assert_grid_matches(term)
-    assert [p for p, _ in counts] == [3, 3, 1, 4]
-    assert counts[2][1] == 3
+    per_term = " ".join(map(str, panels)).split("term")[1:]
+    assert [set(p.split()) for p in per_term] == [{"3"}, {"3"}, {"3"}, {"4"}]
+
+
+def test_grid_path_leaves_steep_cells_and_large_tables_to_integrate(monkeypatch):
+    # alpha - gamma = 5e5: each term needs ~5e5 panels a cell, past
+    # _MAX_PANELS, so the grid path gives up before it builds a table, and
+    # both routes end in integrate's range check
+    grid = default_grid(128)
+    for on_u, term in zip((True, False), split_terms(ManifoldProfile(2e6, 1.5e6, 6),
+                                                     RadialFunction(grid, np.exp(-grid)))):
+        tracemalloc.start()
+        try:
+            assert quad._grid_integrate(term, quad._log_step(grid), on_u) is None
+            assert tracemalloc.get_traced_memory()[1] < 2 ** 20
+        finally:
+            tracemalloc.stop()
+        with pytest.raises(ParameterError) as ref:
+            integrate(term)
+        with pytest.raises(ParameterError, match=re.escape(str(ref.value))):
+            integrate_grid(term)
+    # a jump of 1e3 between nodes asks for 8 panels a cell: a kernel table
+    # of (2 x 126) x 8 panels, one short of passing a lowered _GRID_PANELS
+    jump = np.where(np.arange(grid.size) == 64, 1e3, 1.0)
+    steep = RadialFunction(grid, (1.0 + grid) ** -3.0 * jump)
+    term = split_terms(PROF, steep)[0]
+    assert quad._grid_integrate(term, quad._log_step(grid), True) is not None
+    monkeypatch.setattr(quad, "_GRID_PANELS", 252 * 8 - 1)
+    assert quad._grid_integrate(term, quad._log_step(grid), True) is None
+    assert integrate_grid(term).value.tolist() == integrate(term).value.tolist()
 
 
 @pytest.mark.parametrize("divergent", [(-7.0, -3.0), (0.5, -2.0)])
