@@ -69,8 +69,14 @@ from .radial import PiecewisePower, power_integral, require_normal
 
 _INF = float("inf")
 _TINY = np.finfo(float).tiny
-_GAUSS_ORDER = 8
-_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(_GAUSS_ORDER)
+# the 8-node Gauss-Legendre rule as np.polynomial.legendre.leggauss(8) gives it,
+# written out: importing numpy.polynomial would add ~3 ms to every start
+_GAUSS_NODES = np.array([-0.9602898564975362, -0.7966664774136267, -0.525532409916329,
+                         -0.18343464249564978, 0.18343464249564978, 0.525532409916329,
+                         0.7966664774136267, 0.9602898564975362])
+_GAUSS_WEIGHTS = np.array([0.10122853629037706, 0.22238103445337443, 0.3137066458778869,
+                           0.36268378337836166, 0.36268378337836166, 0.3137066458778869,
+                           0.22238103445337443, 0.10122853629037706])
 _BLOCK_SEAMS = 4096    # seams per block of shifts; bounds every per-segment array
 _BLOCK_PANELS = 16384  # Gauss panels per chunk of segments; bounds every per-node array
 _BLOCK_PIECES = 1024   # series pieces per block; bounds every per-term array

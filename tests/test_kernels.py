@@ -571,7 +571,7 @@ def test_grid_path_uses_several_panels(monkeypatch):
     real = quad._correlate
 
     def spy(F, *args):
-        panels.append(F.shape[1] // quad._GAUSS_ORDER)
+        panels.append(F.shape[1] // quad._GAUSS_NODES.size)
         return real(F, *args)
 
     monkeypatch.setattr(quad, "_correlate", spy)

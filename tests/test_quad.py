@@ -44,6 +44,12 @@ def green_integrand(prof, rho, *extra):
     return PowerIntegrand(pp_product(g, v, *extra), g, rho)
 
 
+def test_gauss_rule_is_numpys_8_node_legendre_rule():
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    assert quad._GAUSS_NODES.tolist() == nodes.tolist()
+    assert quad._GAUSS_WEIGHTS.tolist() == weights.tolist()
+
+
 def test_unit_interval_linear():
     res = integrate(power_on(0.0, 1.0, 1.0))
     assert res.value == pytest.approx(0.5, abs=1e-14)
