@@ -72,8 +72,10 @@ def _write_json(path: Path, payload: dict):
 
 
 def _write_csv(path: Path, header: str, rows):
-    lines = [header] + [",".join(f"{x:.12e}" for x in row) for row in rows]
-    _atomic_write(path, "\n".join(lines) + "\n")
+    """One line per row, each value as %.12e: one format per row, with one
+    field per column of the header."""
+    fmt = ",".join(["%.12e"] * len(header.split(",")))
+    _atomic_write(path, "\n".join([header, *(fmt % row for row in rows)]) + "\n")
 
 
 def _report(out_dir: Path, command: str, config: dict, body: dict):

@@ -33,6 +33,7 @@ from .radial import PiecewisePower, RadialFunction, power_integral, pp_product, 
 
 _INF = float("inf")
 _ORACLE_MAX_DIM = 340            # math.gamma(n/2 + 1) overflows beyond
+_ORACLE_BLOCK = 8192             # rows of normal variates drawn at a time
 
 MODE_SPLIT = "split-comparison"
 MODE_SURROGATE = "surrogate-exact"
@@ -127,10 +128,16 @@ def _max_kernel_values(kexp: float, weighted: PiecewisePower, rho: np.ndarray) -
     outer_full = power_integral(lc, e + kexp, b[:-1], b[1:])
     suffix = np.concatenate([np.cumsum(outer_full[::-1])[::-1], [0.0]])
 
-    # the piece containing each rho, split at rho
+    # the piece containing each rho, split at rho where rho is inside it; at
+    # its start the split is an empty interval and the whole piece, which
+    # prefix and suffix already hold
     idx = weighted.piece_index(rho)
-    inner = prefix[idx] + power_integral(lc[idx], e[idx], b[idx], rho)
-    outer = suffix[idx + 1] + power_integral(lc[idx], e[idx] + kexp, rho, b[idx + 1])
+    inner, outer = prefix[idx], suffix[idx]
+    cut = np.flatnonzero(rho > b[idx])
+    if cut.size:   # none on a grid source's own grid
+        j = idx[cut]
+        inner[cut] += power_integral(lc[j], e[j], b[j], rho[cut])
+        outer[cut] = suffix[j + 1] + power_integral(lc[j], e[j] + kexp, rho[cut], b[j + 1])
     # w vanishes on (0, start), and so does the first term
     pos = rho > b[:-1][lc > -_INF].min(initial=_INF)
     first = np.zeros_like(rho)
@@ -245,8 +252,12 @@ def mc_oracle(n: int, x_radius: float, src: BallSource, samples: int, seed: int)
     remaining = int(samples)
     while remaining > 0:
         m = min(batch, remaining)
-        z = rng.standard_normal((m, n))
-        omega1 = z[:, 0] / np.linalg.norm(z, axis=1)
+        # the normals in row blocks, of which only omega1 is kept: the same
+        # stream as one (m, n) draw
+        omega1 = np.empty(m)
+        for i in range(0, m, _ORACLE_BLOCK):
+            z = rng.standard_normal((min(_ORACLE_BLOCK, m - i), n))
+            omega1[i:i + len(z)] = z[:, 0] / np.linalg.norm(z, axis=1)
         with np.errstate(all="ignore"):   # checked after the loop
             if far_field:
                 # y uniform in the support ball; kernel bounded away from x

@@ -196,7 +196,9 @@ def _series(w: PiecewisePower, specs, log_rho, a, b, log_c, beta, spec, ratio):
     nonzero = live[reach + 1] > live[ia]
     k = np.arange(_K + 1.0)
     whole_pieces = ib > ia + 1
-    tables = {key: _moment_table(w, specs[key], k) for key in np.unique(spec[whole_pieces])}
+    # spec ids as sorted sets: np.unique would import numpy.ma
+    keys = sorted(set(spec[whole_pieces].tolist()))
+    tables = {key: _moment_table(w, specs[key], k) for key in keys}
     value, err = np.zeros(a.size), np.zeros(a.size)
 
     def partial(i, piece, lo, hi):
@@ -233,7 +235,7 @@ def _series(w: PiecewisePower, specs, log_rho, a, b, log_c, beta, spec, ratio):
                         np.concatenate([a_end[todo], b[todo[two]]]))
         m = parts[:todo.size]
         m[two] += parts[todo.size:]
-        for key in np.unique(spec[todo[whole_pieces[todo]]]):
+        for key in sorted(set(spec[todo[whole_pieces[todo]]].tolist())):
             ss = specs[key][1]
             log_r, c = tables[key]
             mid = np.flatnonzero(whole_pieces[todo] & (spec[todo] == key))

@@ -95,7 +95,9 @@ def pp_product(*pps: PiecewisePower) -> PiecewisePower:
     Each merged piece takes its factors' pieces at an interior point: the
     midpoint, or lo + 1 for the infinite last piece.
     """
-    bounds = np.unique(np.concatenate([pp.bounds for pp in pps]))
+    # sorted, each once (np.unique would import numpy.ma)
+    bounds = np.sort(np.concatenate([pp.bounds for pp in pps]))
+    bounds = bounds[np.concatenate(([True], bounds[1:] != bounds[:-1]))]
     lo, hi = bounds[:-1], bounds[1:]
     mid = 0.5 * (lo + hi)
     mid[-1] = lo[-1] + 1.0

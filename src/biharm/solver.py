@@ -18,7 +18,7 @@ lower bounds of the true suprema; reports say so.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -167,33 +167,43 @@ def verify_prop2(plan: ExponentPlan, spec: KernelSpec, src: SourceProfile,
 
 @dataclass(frozen=True)
 class ConstantsEstimate:
-    """Measured invariance and contraction constants (grid lower bounds)."""
+    """Measured invariance and contraction constants (grid lower bounds).
+
+    inner is potential(psi * f**(a*p)) on the grid and outer its potential,
+    the double potential that C is read off; the fixed-point iteration takes
+    its first step from them.
+    """
 
     C: float
     C_prime: float
     note: str = CONSTANTS_NOTE
+    inner: RadialFunction | None = field(default=None, repr=False, compare=False)
+    outer: RadialFunction | None = field(default=None, repr=False, compare=False)
 
 
 def _double_potential(spec: KernelSpec, src: SourceProfile, grid: np.ndarray,
-                      a_power: float) -> RadialFunction:
-    """potential(potential(psi * f**a_power)) through the same sampled-grid
-    pipeline the fixed-point map uses, so measured constants transfer."""
+                      a_power: float) -> tuple[RadialFunction, RadialFunction]:
+    """potential(psi * f**a_power) and its potential, through the same
+    sampled-grid pipeline the fixed-point map uses, so measured constants
+    transfer."""
     source_vals = _psi_f_source(spec.prof, src, a_power).eval(grid)
     inner = potential(spec, RadialFunction(grid, source_vals))
-    return potential(spec, inner)
+    return inner, potential(spec, inner)
 
 
 def estimate_constants(plan: ExponentPlan, spec: KernelSpec, src: SourceProfile,
                        grid) -> ConstantsEstimate:
     """C bounds the double potential of psi*f**(a*p) against f**a; C' is the
-    plain sup of the double potential of psi*f**(a*(p-1))."""
+    plain sup of the double potential of psi*f**(a*(p-1)).  The estimate
+    keeps both potentials of psi*f**(a*p): scaled by l**p, they are the first
+    Picard step from u = 0."""
     grid = _validate_grid(grid)
     _require_window(spec.prof, src, plan)
     a, p = float(plan.a), float(plan.p)
-    dp_inv = _double_potential(spec, src, grid, a * p)
-    c_val = float(np.max(dp_inv.values / _envelope(spec.prof, grid, a)))
-    dp_con = _double_potential(spec, src, grid, a * (p - 1.0))
-    return ConstantsEstimate(c_val, float(np.max(dp_con.values)))
+    inner, outer = _double_potential(spec, src, grid, a * p)
+    c_val = float(np.max(outer.values / _envelope(spec.prof, grid, a)))
+    _, dp_con = _double_potential(spec, src, grid, a * (p - 1.0))
+    return ConstantsEstimate(c_val, float(np.max(dp_con.values)), inner=inner, outer=outer)
 
 
 def pick_l(plan: ExponentPlan, C: float, C_prime: float) -> float:
@@ -308,12 +318,24 @@ class SolveReport:
         }
 
 
+def _scaled(scale: float, pot: RadialFunction) -> RadialFunction:
+    """scale * pot, range-checked as a potential's values are: a value the
+    scaling takes out of the normal float range raises, naming its radius."""
+    tiny = np.finfo(float).tiny
+    floor = np.where(pot.values >= tiny, tiny, -np.inf)
+    return RadialFunction(pot.grid, require_normal("potential", pot.grid,
+                                                   scale * pot.values, floor))
+
+
 def solve_fixed_point(plan: ExponentPlan, spec: KernelSpec, src: SourceProfile,
-                      grid, tol: float = 1e-10, maxit: int = 80,
-                      constants: ConstantsEstimate | None = None) -> SolveReport:
+                      grid, tol: float = 1e-10, maxit: int = 80) -> SolveReport:
     """Picard iteration from u = 0 until the weighted sup-norm step drops
     below tol.  The iterate sequence is increasing; steps contract at the
     measured geometric rate, and a non-geometric stall raises with the trace.
+
+    The potential is linear, so the first step T(0) is l**p times the double
+    potential of psi * f**(a*p) that ``estimate_constants`` reads C off; it
+    is scaled from that estimate, not formed again.
     """
     if not tol > 0.0:
         raise ParameterError(f"tol must be positive, got {tol!r}")
@@ -323,8 +345,7 @@ def solve_fixed_point(plan: ExponentPlan, spec: KernelSpec, src: SourceProfile,
     prof = spec.prof
     prof.require_existence_window()
     _require_window(prof, src, plan)
-    if constants is None:
-        constants = estimate_constants(plan, spec, src, grid)
+    constants = estimate_constants(plan, spec, src, grid)
     C, C_prime = constants.C, constants.C_prime
     l = pick_l(plan, C, C_prime)
     plan = plan.with_l(l)
@@ -335,10 +356,12 @@ def solve_fixed_point(plan: ExponentPlan, spec: KernelSpec, src: SourceProfile,
 
     fa = _envelope(prof, grid, float(plan.a))
     u = RadialFunction(grid, np.zeros_like(grid))
+    h, u_next = _scaled(l ** p, constants.inner), _scaled(l ** p, constants.outer)
     steps, ratios = [], []
     for it in range(1, maxit + 1):
-        h = potential(spec, _nonlinear_source(plan, spec, src, grid, u.values))
-        u_next = potential(spec, h)
+        if it > 1:
+            h = potential(spec, _nonlinear_source(plan, spec, src, grid, u.values))
+            u_next = potential(spec, h)
         step = float(np.max(np.abs(u_next.values - u.values) / fa))
         if steps and steps[-1] > 0 and step > 1e3 * np.finfo(float).tiny:
             ratios.append(step / steps[-1])

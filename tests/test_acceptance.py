@@ -216,7 +216,7 @@ def test_criterion_9_fixed_point_and_residuals():
         spec = KernelSpec(MODE_SURROGATE, PROF)
         grid = default_grid(1024)
         constants = estimate_constants(plan, spec, SRC, grid)
-        report = solve_fixed_point(plan, spec, SRC, grid, tol=1e-10, constants=constants)
+        report = solve_fixed_point(plan, spec, SRC, grid, tol=1e-10)
         assert report.final_step < 1e-10
         assert report.membership_margin > 0.0
 

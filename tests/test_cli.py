@@ -2,6 +2,7 @@
 
 import filecmp
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import biharm
-from biharm.cli import build_parser, run
+from biharm.cli import _write_csv, build_parser, run
 
 WITNESS_ARGS = ["witness", "--alpha", "6", "--gamma", "4", "--m", "0", "--p", "2",
                 "--mesh", "96", "--r-values", "1024,4096,16384,65536"]
@@ -213,14 +214,25 @@ def test_commands_without_eigen_solves_leave_scipy_out(tmp_path):
     runs = [argv + ["--out-dir", str(tmp_path / str(i))] for i, argv in enumerate(commands)]
     eigen = ["eigen", "--alpha", "6", "--gamma", "4", "--mesh", "64",
              "--out-dir", str(tmp_path / "eigen")]
+    # nor numpy.ma, which np.unique imports on its first call
     code = (f"import sys; sys.path.insert(0, {src!r}); from biharm.cli import run\n"
             f"assert [run(argv) for argv in {runs!r}] == {[0] * len(runs)!r}\n"
-            "print('scipy' in sys.modules)\n"
+            "print('scipy' in sys.modules, 'numpy.ma' in sys.modules)\n"
             f"assert run({eigen!r}) == 0\n"
             "print('scipy.linalg' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
-    assert out.stdout.split() == ["False", "True"]
+    assert out.stdout.split() == ["False", "False", "True"]
+
+
+def test_csv_rows_match_the_per_value_format(tmp_path):
+    values = [math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, 1.7976931348623157e308,
+              1.0 / 3.0, -2.5e-300, 1e16 + 2.0, 123456789.0]
+    rows = list(zip(values, np.array(values[::-1]), map(np.float64, values)))
+    for header, table in (("a,b,c", rows), ("x,y", [row[:2] for row in rows]), ("x,y", [])):
+        expected = "\n".join([header] + [",".join(f"{x:.12e}" for x in row) for row in table])
+        _write_csv(tmp_path / "t.csv", header, iter(table))
+        assert (tmp_path / "t.csv").read_bytes() == (expected + "\n").encode()
 
 
 @pytest.mark.parametrize("text", [None, "alpha=six\n", "r_values=1,x\n"])

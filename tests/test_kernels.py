@@ -19,10 +19,10 @@ from biharm.kernels import (BallSource, KERNEL_MODES, KernelSpec, MODE_EUCLIDEAN
                             MODE_SURROGATE, annulus_lower_bound, compose_green, mc_oracle,
                             potential, potential_values, sphere_area)
 from biharm.profiles import ManifoldProfile, SourceProfile, profile_piecewise
-from biharm import quad
+from biharm import kernels, quad
 from biharm.quad import PowerIntegrand, integrate, integrate_grid
 from biharm.radial import (PiecewisePower, RadialFunction, fit_loglog_slope, log_grid,
-                           pp_product)
+                           power_integral, pp_product)
 from biharm.solver import default_grid
 
 PROF = ManifoldProfile(6.0, 4.0, 6)
@@ -242,6 +242,48 @@ def test_mc_oracle_reproducible():
     assert a == b
 
 
+def _unblocked_oracle(n, x_radius, src, samples, seed):
+    """mc_oracle with each batch's normals drawn as one (m, n) array."""
+    support = src.radius
+    far_field = x_radius >= 2.0 * support
+    t_max = x_radius + support
+    if far_field:
+        scale = math.pi ** (n / 2.0) * support ** n / math.gamma(n / 2.0 + 1.0)
+    else:
+        scale = sphere_area(n) * t_max ** 2 / 2.0
+    batch = min(1 << 19, (1 << 22) // n)
+    rng = np.random.default_rng(seed)
+    total = total_sq = 0.0
+    remaining = samples
+    while remaining > 0:
+        m = min(batch, remaining)
+        z = rng.standard_normal((m, n))
+        omega1 = z[:, 0] / np.linalg.norm(z, axis=1)
+        if far_field:
+            y_radius = support * rng.random(m) ** (1.0 / n)
+            dist = np.sqrt(x_radius ** 2 - 2.0 * x_radius * y_radius * omega1 + y_radius ** 2)
+            f = scale * dist ** (2.0 - n) * src(y_radius)
+        else:
+            t = t_max * np.sqrt(rng.random(m))
+            y_radius = np.sqrt(x_radius ** 2 + 2.0 * x_radius * t * omega1 + t ** 2)
+            f = scale * src(y_radius)
+        total += float(np.sum(f))
+        total_sq += float(np.sum(f * f))
+        remaining -= m
+    mean = total / samples
+    var = max(total_sq / samples - mean ** 2, 0.0) * samples / (samples - 1)
+    return mean, math.sqrt(var / samples)
+
+
+@pytest.mark.parametrize("n, x, samples", [
+    (5, 0.4, 17), (5, 3.0, 20001), (6, 0.0, 8193), (6, 2.5, 16383), (6, 10.0, 8193),
+    (12, 0.3, (1 << 22) // 12 + 1001),   # two batches
+])
+def test_blocked_oracle_draws_the_unblocked_stream(n, x, samples):
+    src = BallSource(1.3, 0.7)
+    assert mc_oracle(n, x, src, samples, seed=n) == _unblocked_oracle(n, x, src, samples, seed=n)
+
+
 def test_mc_oracle_rejects_low_dimension():
     with pytest.raises(ParameterError):
         mc_oracle(4, 1.0, BallSource(1.0), 1000, seed=0)
@@ -256,6 +298,38 @@ def test_negative_radius_rejected():
             potential_values(spec, BallSource(1.0), [1.0, -1.0])
         # the origin itself stays allowed
         assert potential_values(spec, BallSource(1.0), [0.0])[0] > 0.0
+
+
+def _max_kernel_values_splitting_every_radius(kexp, weighted, rho):
+    """_max_kernel_values with every radius split inside its piece."""
+    b, lc, e = weighted.bounds, weighted.log_coefs, weighted.exps
+    prefix = np.concatenate([[0.0], np.cumsum(power_integral(lc, e, b[:-1], b[1:]))])
+    outer_full = power_integral(lc, e + kexp, b[:-1], b[1:])
+    suffix = np.concatenate([np.cumsum(outer_full[::-1])[::-1], [0.0]])
+    idx = weighted.piece_index(rho)
+    inner = prefix[idx] + power_integral(lc[idx], e[idx], b[idx], rho)
+    outer = suffix[idx + 1] + power_integral(lc[idx], e[idx] + kexp, rho, b[idx + 1])
+    pos = rho > b[:-1][lc > -INF].min(initial=INF)
+    first = np.zeros_like(rho)
+    first[pos] = rho[pos] ** kexp * inner[pos]
+    return first + outer
+
+
+@pytest.mark.parametrize("mode", [MODE_SURROGATE, MODE_EUCLIDEAN])
+def test_max_kernel_values_skip_empty_splits_exactly(mode):
+    # at a piece's start the split pieces are an empty interval and a whole
+    # piece, already in the prefix and suffix sums
+    kexp, measure = kernels._max_kernel_data(KernelSpec(mode, PROF))
+    grid = default_grid(256)
+    between = np.sqrt(grid[1:] * grid[:-1])
+    rho = np.concatenate([[0.0], grid, between, grid * (1.0 + 1e-6), [1e-5, 2e6, 1e30]])
+    grid_source = RadialFunction(grid, PSI_F.eval(grid))
+    shell = PiecewisePower((0.0, 0.5, 1.0, INF), (0.0, 2.0, 0.0), (0.0, -1.5, 0.0))
+    for source in (grid_source.as_piecewise(), PSI_F, shell):
+        weighted = pp_product(source, measure)
+        got = kernels._max_kernel_values(kexp, weighted, rho)
+        assert np.array_equal(got, _max_kernel_values_splitting_every_radius(kexp, weighted, rho))
+        assert got[0] > 0.0
 
 
 def test_sphere_area_values():

@@ -10,10 +10,11 @@ from biharm.kernels import KernelSpec, MODE_EUCLIDEAN, MODE_SPLIT, MODE_SURROGAT
 from biharm.profiles import (ExponentPlan, ManifoldProfile, SourceProfile, plan_exponents,
                              profile_piecewise)
 from biharm.radial import PiecewisePower, RadialFunction, log_grid, pp_product
+from biharm import solver
 from biharm.solver import (apply_T, default_grid, estimate_constants,
                            measure_lipschitz, pick_l, residual_check,
                            solve_fixed_point, surrogate_fd_apply, verify_prop1,
-                           verify_prop2, _envelope)
+                           verify_prop2, _envelope, _nonlinear_source, _scaled)
 
 PROF = ManifoldProfile(6.0, 4.0, 6)
 SRC = SourceProfile(0.0, 0.0)
@@ -29,8 +30,8 @@ def constants():
 
 
 @pytest.fixture(scope="module")
-def solved(constants):
-    return solve_fixed_point(PLAN, SPEC, SRC, GRID, tol=1e-10, constants=constants)
+def solved():
+    return solve_fixed_point(PLAN, SPEC, SRC, GRID, tol=1e-10)
 
 
 def test_bounded_potential_checks_surrogate():
@@ -193,6 +194,39 @@ def test_iterates_increase_monotonically(constants):
         u = apply_T(plan, SPEC, SRC, u)
         assert np.all(u.values >= prev)
         prev = u.values
+
+
+@pytest.mark.parametrize("mode, nodes", [(MODE_SURROGATE, 512), (MODE_EUCLIDEAN, 512),
+                                         (MODE_SPLIT, 64)])
+def test_first_step_is_the_scaled_double_potential(monkeypatch, mode, nodes):
+    # T is linear in its source: T(0) is l**p times the double potential of
+    # psi * f**(a*p), which the constants' estimate has formed already
+    spec = KernelSpec(mode, PROF)
+    grid = default_grid(nodes)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return potential(*args)
+
+    monkeypatch.setattr(solver, "potential", counted)
+    first = solve_fixed_point(PLAN, spec, SRC, grid, tol=math.inf)
+    assert len(calls) == 4 and first.iterations == 1   # the four of estimate_constants
+    zero = np.zeros_like(grid)
+    h = potential(spec, _nonlinear_source(first.plan, spec, SRC, grid, zero))
+    u = apply_T(first.plan, spec, SRC, RadialFunction(grid, zero))
+    np.testing.assert_allclose(first.h.values, h.values, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(first.u.values, u.values, rtol=1e-13, atol=0)
+    fa = _envelope(PROF, grid, float(PLAN.a))
+    assert first.final_step == float(np.max(first.u.values / fa))
+
+
+def test_scaling_a_potential_keeps_its_values_normal():
+    grid = default_grid(64)
+    pot = RadialFunction(grid, np.where(grid < 1e5, 1e-10, 1e-310))
+    assert np.array_equal(_scaled(0.5, pot).values, 0.5 * pot.values)
+    with pytest.raises(ParameterError, match="potential at radius 0.001 is 1e-310"):
+        _scaled(1e-300, pot)
 
 
 def test_solve_nonconvergence_raises():
