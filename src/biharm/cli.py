@@ -290,8 +290,12 @@ def _cmd_eigen(args, out: Path):
         raise ParameterError(f"--ratio must exceed 1, got {args.ratio}")
     op = spectral.SurrogateOperator(args.alpha, args.gamma)
     radii = _parse_radii(args.r_values)
-    # each annulus is checked first, so an out-of-range one is named
-    results = [spectral.lambda1_annulus(op, R / args.ratio, R, args.mesh) for R in radii]
+    # each annulus is checked first, so an out-of-range one is named; the mesh
+    # scales with the annulus, so each radius's eigenvectors start the next's
+    results = []
+    for R in radii:
+        start = results[-1].vectors if results else None
+        results.append(spectral.lambda1_annulus(op, R / args.ratio, R, args.mesh, start=start))
     if len(set(radii)) < 2:
         raise ParameterError("--r-values needs two distinct radii to fit a slope, "
                              f"got {args.r_values}")
@@ -302,6 +306,7 @@ def _cmd_eigen(args, out: Path):
         "slope": slope,
         "expected_slope": -(args.alpha - args.gamma),
         "error_estimates": [res.error_estimate for res in results],
+        "inverse_iterations": [list(res.iterations) for res in results],
     })
     return 0
 

@@ -131,17 +131,17 @@ def lhs_upper(prof: ManifoldProfile, p: float, cfg: WitnessConfig, R,
     R is one radius or an array of them.  One eigenproblem is solved, at the
     first radius R0: the operator is exactly homogeneous and the mesh scales
     with the annulus, so every other radius takes lambda1(R0) *
-    (R/R0)**(gamma-alpha), equal up to rounding.  Every annulus is still
-    range-checked, in order.
+    (R/R0)**(gamma-alpha), equal up to rounding.  The other annuli are
+    range-checked in one broadcast pass over (radii x nodes), which names
+    the first out-of-range one in scan order.
     """
     if not p > 1:
         raise ParameterError(f"p must exceed 1, got {p}")
     op = SurrogateOperator.from_profile(prof)
     rs = np.asarray(R, dtype=float)
-    r0, *later = rs.flat
+    r0, later = rs.flat[0], rs.ravel()[1:]
     lam0 = lambda1_annulus(op, cfg.tau * r0, cfg.big_n ** 2 * r0, mesh).value
-    for r in later:
-        annulus_systems(op, cfg.tau * r, cfg.big_n ** 2 * r, mesh)
+    annulus_systems(op, cfg.tau * later, cfg.big_n ** 2 * later, mesh)
     with np.errstate(over="ignore"):   # 0 or inf: verdict names the radius
         lam = lam0 * (rs / r0) ** (op.gamma - op.alpha)
         # a scalar power per radius rounds as the solve's own value did at R0

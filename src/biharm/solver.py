@@ -224,12 +224,21 @@ def pick_l(plan: ExponentPlan, C: float, C_prime: float) -> float:
     return l
 
 
-def _nonlinear_source(plan: ExponentPlan, spec: KernelSpec, src: SourceProfile,
-                      grid: np.ndarray, u_vals: np.ndarray) -> RadialFunction:
+def _source_factors(plan: ExponentPlan, spec: KernelSpec, src: SourceProfile,
+                    grid: np.ndarray) -> tuple:
+    """psi and l**p * f**(a*p) on the grid: the factors of the nonlinear
+    source that do not depend on u, so a solve forms them once."""
     a, p, l = float(plan.a), float(plan.p), plan.l
     psi = profile_piecewise("psi", spec.prof, src).eval(grid)
     fap = _envelope(spec.prof, grid, a * p, floor=0.0)   # may underflow far out
-    return RadialFunction(grid, psi * (u_vals ** p + l ** p * fap))
+    return psi, l ** p * fap
+
+
+def _nonlinear_source(plan: ExponentPlan, spec: KernelSpec, src: SourceProfile,
+                      grid: np.ndarray, u_vals: np.ndarray, factors=None) -> RadialFunction:
+    """psi * (u**p + l**p f**(a*p)), from ``_source_factors``' pair when given."""
+    psi, lp_fap = _source_factors(plan, spec, src, grid) if factors is None else factors
+    return RadialFunction(grid, psi * (u_vals ** float(plan.p) + lp_fap))
 
 
 def apply_T(plan: ExponentPlan, spec: KernelSpec, src: SourceProfile,
@@ -357,10 +366,11 @@ def solve_fixed_point(plan: ExponentPlan, spec: KernelSpec, src: SourceProfile,
     fa = _envelope(prof, grid, float(plan.a))
     u = RadialFunction(grid, np.zeros_like(grid))
     h, u_next = _scaled(l ** p, constants.inner), _scaled(l ** p, constants.outer)
-    steps, ratios = [], []
+    steps, ratios, factors = [], [], None
     for it in range(1, maxit + 1):
         if it > 1:
-            h = potential(spec, _nonlinear_source(plan, spec, src, grid, u.values))
+            factors = factors or _source_factors(plan, spec, src, grid)
+            h = potential(spec, _nonlinear_source(plan, spec, src, grid, u.values, factors))
             u_next = potential(spec, h)
         step = float(np.max(np.abs(u_next.values - u.values) / fa))
         if steps and steps[-1] > 0 and step > 1e3 * np.finfo(float).tiny:

@@ -15,7 +15,7 @@ like R**(-(alpha-gamma)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -85,13 +85,17 @@ class EigenResult:
 
     ``lambda1`` is the raw value on the finer mesh, ``richardson`` the
     second-order extrapolation from the mesh pair, ``error_estimate`` the
-    extrapolation increment.
+    extrapolation increment.  ``vectors`` holds the (coarse, fine)
+    eigenvectors, a start for the next solve, and ``iterations`` the
+    (coarse, fine) inverse-iteration step counts.
     """
 
     lambda1: float
     mesh: int
     richardson: float
     error_estimate: float
+    vectors: tuple = field(repr=False, compare=False)
+    iterations: tuple
 
     @property
     def value(self) -> float:
@@ -103,90 +107,132 @@ def annulus_mesh(r_in: float, r_out: float, n: int) -> np.ndarray:
     return np.linspace(float(r_in), float(r_out), int(n) + 2)
 
 
-def _assemble(op: SurrogateOperator, r_in: float, r_out: float, n: int):
-    """Symmetric tridiagonal stiffness in banded form plus the diagonal weight."""
+def _assemble(op: SurrogateOperator, r_in, r_out, n: int):
+    """Symmetric tridiagonal stiffness in banded form plus the diagonal weight.
+
+    r_in and r_out may be columns of annuli: every array then holds one row
+    per annulus, each with the floats of that annulus's own assembly.
+    """
     h = (r_out - r_in) / (n + 1)
     half = r_in + h * (np.arange(n + 1) + 0.5)
     a_half = op.stiffness(half)
-    diag = (a_half[:-1] + a_half[1:]) / (h * h)
-    off = -a_half[1:-1] / (h * h)
+    diag = (a_half[..., :-1] + a_half[..., 1:]) / (h * h)
+    off = -a_half[..., 1:-1] / (h * h)
     nodes = r_in + h * np.arange(1, n + 1)
     w = op.weight(nodes)
-    ab = np.zeros((2, n))
-    ab[0, 1:] = off
-    ab[1, :] = diag
+    ab = np.zeros((2, *diag.shape))
+    ab[0, ..., 1:] = off
+    ab[1] = diag
     return ab, w
 
 
-def _smallest_eigenvalue(ab, w):
-    """Inverse power iteration on the generalized tridiagonal problem."""
+def _smallest_eigenvalue(ab, w, start=None):
+    """Inverse power iteration on the generalized tridiagonal problem.
+
+    Starts from ``start`` (a vector of ones by default), scaled to max-abs 1
+    before the W-normalization, so that a start from another scale keeps the
+    iterates in the float range.  Returns (lambda, eigenvector, steps); lambda
+    is nan when an iterate leaves the float range.
+    """
     factor, solve = (globals().get(name) or __getattr__(name) for name in _LAPACK)
     cb, info = factor(ab)
     if info:
         raise ParameterError(f"the stiffness matrix is not positive definite "
                              f"(LAPACK dpbtrf info {info})")
-    n = ab.shape[1]
-    x = np.full(n, 1.0)
+    x = np.full(ab.shape[1], 1.0) if start is None else start / np.max(np.abs(start))
     x /= math.sqrt(float(x @ (w * x)))
     lam_prev = None
     trace = []
-    for _ in range(_MAXIT):
+    for steps in range(1, _MAXIT + 1):
         wx = w * x
         y = solve(cb, wx)[0]   # its info is nonzero only for an illegal argument
         norm = math.sqrt(float(y @ (w * y)))
         if not 0.0 < norm < math.inf:   # the iterate's scale left the float range
-            return math.nan
+            return math.nan, x, steps
         y /= norm
         # Rayleigh quotient of y: A y = W x / norm
         lam = float(y @ wx) / norm
         trace.append(lam)
         if lam_prev is not None and abs(lam - lam_prev) <= _REL_TOL * abs(lam):
-            return lam
+            return lam, y, steps
         lam_prev = lam
         x = y
     raise NonConvergenceError(
         f"inverse power iteration did not converge in {_MAXIT} steps", trace=trace)
 
 
-def annulus_systems(op: SurrogateOperator, r_in: float, r_out: float, mesh: int) -> list:
+def _interpolated(vec, n: int):
+    """vec, given at the interior nodes of a uniform mesh, linearly
+    interpolated onto the n interior nodes of the same interval (zero at
+    both ends)."""
+    coarse = np.arange(vec.size + 2) / (vec.size + 1)
+    return np.interp(np.arange(1, n + 1) / (n + 1), coarse, np.concatenate(([0.0], vec, [0.0])))
+
+
+def annulus_systems(op: SurrogateOperator, r_in, r_out, mesh: int) -> list:
     """The banded systems of the mesh pair (mesh, 2*mesh) on (r_in, r_out).
 
-    Raises ParameterError, naming the annulus, when the arguments are
-    inadmissible or a coefficient leaves the normal float range.
+    r_in and r_out may be arrays of annuli, range-checked in one broadcast
+    pass over (annuli x nodes); each system's arrays then hold one row per
+    annulus.  Raises ParameterError for the first annulus, in order, whose
+    arguments are inadmissible or whose coefficients leave the normal float
+    range, naming it as a call on that annulus alone would.
     """
-    if not (r_out > r_in >= 0.0):
-        raise ParameterError(f"need 0 <= r_in < r_out, got ({r_in}, {r_out})")
-    if r_in == 0.0 and not op.test_mode:
-        raise ParameterError("the surrogate coefficients need r_in > 0")
-    if mesh < 64:
-        raise ParameterError(f"mesh must be at least 64 interior nodes, got {mesh}")
+    r_in, r_out = np.broadcast_arrays(np.asarray(r_in, dtype=float),
+                                      np.asarray(r_out, dtype=float))
+    # a mesh below 64 refuses every annulus, so the first one raises
+    refused = (~((r_out > r_in) & (r_in >= 0.0)) | ((r_in == 0.0) & (not op.test_mode))
+               | (mesh < 64))
     with np.errstate(all="ignore"):   # the range is checked below
-        systems = [_assemble(op, r_in, r_out, m) for m in (int(mesh), 2 * int(mesh))]
-        coefs = [op.stiffness([r_in, r_out]), *(x for ab, w in systems for x in (ab[1], w))]
-    if not all(((x >= _TINY) & (x < np.inf)).all() for x in coefs):
-        raise ParameterError(f"annulus ({float(r_in)!r}, {float(r_out)!r}) is out of range: "
+        systems = [_assemble(op, r_in[..., None], r_out[..., None], m)
+                   for m in (int(mesh), 2 * int(mesh))]
+        coefs = [op.stiffness(np.stack([r_in, r_out], axis=-1)),
+                 *(x for ab, w in systems for x in (ab[1], w))]
+    normal = np.logical_and.reduce([((x >= _TINY) & (x < np.inf)).all(axis=-1) for x in coefs])
+    bad = np.flatnonzero(refused | ~normal)
+    if bad.size:
+        a, b = float(r_in.flat[bad[0]]), float(r_out.flat[bad[0]])
+        if not (b > a >= 0.0):
+            raise ParameterError(f"need 0 <= r_in < r_out, got ({a}, {b})")
+        if a == 0.0 and not op.test_mode:
+            raise ParameterError("the surrogate coefficients need r_in > 0")
+        if mesh < 64:
+            raise ParameterError(f"mesh must be at least 64 interior nodes, got {mesh}")
+        raise ParameterError(f"annulus ({a!r}, {b!r}) is out of range: "
                              "the operator's coefficients leave the normal float range")
     return systems
 
 
-def lambda1_annulus(op: SurrogateOperator, r_in: float, r_out: float, mesh: int) -> EigenResult:
+def lambda1_annulus(op: SurrogateOperator, r_in: float, r_out: float, mesh: int,
+                    start=None) -> EigenResult:
     """Smallest Dirichlet eigenvalue on (r_in, r_out).
 
     Second-order central differences on the mesh pair (mesh, 2*mesh) with
     Richardson extrapolation; the discrete values converge at O(mesh**-2).
+    ``start``, a previous result's ``vectors`` on the same mesh pair, starts
+    both inverse iterations; without it the coarse one starts from a vector
+    of ones and the fine one from the coarse eigenvector, linearly
+    interpolated onto its nodes.  A start changes the step counts, not the
+    stop rule.
     """
-    systems = annulus_systems(op, r_in, r_out, mesh)
+    (ab_coarse, w_coarse), fine = annulus_systems(op, r_in, r_out, mesh)
     annulus = f"annulus ({float(r_in)!r}, {float(r_out)!r})"
+    coarse_start, fine_start = start or (None, None)
     try:
         with np.errstate(over="ignore"):   # an iterate out of range gives nan
-            lam_coarse, lam_fine = (_smallest_eigenvalue(*system) for system in systems)
+            lam_coarse, vec_coarse, it_coarse = _smallest_eigenvalue(ab_coarse, w_coarse,
+                                                                     coarse_start)
+            if fine_start is None:
+                fine_start = _interpolated(vec_coarse, 2 * int(mesh))
+            lam_fine, vec_fine, it_fine = _smallest_eigenvalue(*fine, fine_start)
     except ParameterError as exc:
         raise ParameterError(f"{annulus}: {exc}") from None
     if not math.isfinite(lam_coarse + lam_fine):
         raise ParameterError(f"{annulus} is out of range: the inverse iteration leaves the "
                              "float range")
     rich = lam_fine + (lam_fine - lam_coarse) / 3.0
-    return EigenResult(lam_fine, 2 * int(mesh), rich, abs(lam_fine - lam_coarse) / 3.0)
+    return EigenResult(lam_fine, 2 * int(mesh), rich, abs(lam_fine - lam_coarse) / 3.0,
+                       (vec_coarse, vec_fine), (it_coarse, it_fine))
 
 
 # -- fourth-order infimum check ----------------------------------------------

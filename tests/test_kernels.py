@@ -464,10 +464,13 @@ def test_split_terms_of_a_1024_node_grid_source_at_zone_seams():
     grid = default_grid(1024)
     src = RadialFunction(grid, (1.0 + grid) ** -3.0).as_piecewise()
     rho = np.array([grid[500], np.nextafter(1.0, 0.0), 2.0 * grid[-1]])
-    for u, f in ((pp_product(src, v), g), (pp_product(g, v), src)):
+    # _mp_integral(u, f, r, method="gauss-legendre") at each rho, stored: the
+    # 1024-piece source makes each reference take about a second
+    refs = ((0.17921720859889467, 0.6832873038511275, 0.0006465228638863379),
+            (0.23082237084448115, 0.8399605581877464, 0.0008330700782776389))
+    for (u, f), term_refs in zip(((pp_product(src, v), g), (pp_product(g, v), src)), refs):
         got = integrate(PowerIntegrand(u, f, rho))
-        for i, r in enumerate(rho):
-            ref = _mp_integral(u, f, r, method="gauss-legendre")
+        for i, ref in enumerate(term_refs):
             assert got.value[i] == pytest.approx(ref, rel=1e-10, abs=0.0)
             assert got.abs_error_estimate[i] <= 1e-10 * ref
 

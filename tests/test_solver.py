@@ -221,6 +221,24 @@ def test_first_step_is_the_scaled_double_potential(monkeypatch, mode, nodes):
     assert first.final_step == float(np.max(first.u.values / fa))
 
 
+def test_a_solve_forms_the_source_factors_once(monkeypatch, solved):
+    calls, orig = [], solver._source_factors
+
+    def counted(*args):
+        calls.append(args)
+        return orig(*args)
+
+    monkeypatch.setattr(solver, "_source_factors", counted)
+    again = solve_fixed_point(PLAN, SPEC, SRC, GRID, tol=1e-10)
+    assert again.iterations >= 3 and len(calls) == 1
+    assert np.array_equal(again.u.values, solved.u.values)
+    # held factors give the floats of factors formed afresh
+    u = solved.u.values * np.random.default_rng(3).uniform(0.0, 1.0, GRID.size)
+    held = orig(solved.plan, SPEC, SRC, GRID)
+    assert np.array_equal(_nonlinear_source(solved.plan, SPEC, SRC, GRID, u, held).values,
+                          _nonlinear_source(solved.plan, SPEC, SRC, GRID, u).values)
+
+
 def test_scaling_a_potential_keeps_its_values_normal():
     grid = default_grid(64)
     pot = RadialFunction(grid, np.where(grid < 1e5, 1e-10, 1e-310))

@@ -1,17 +1,20 @@
 """Surrogate eigenvalues: discretization order, scaling law, infimum check."""
 
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import cho_solve_banded, cholesky_banded, eigh_tridiagonal, lapack
 
 import biharm.spectral as spectral
+from biharm import cli
 from biharm.errors import ParameterError
 from biharm.kernels import KernelSpec, MODE_SURROGATE, potential_values
 from biharm.profiles import ManifoldProfile
 from biharm.radial import PiecewisePower, RadialFunction
-from biharm.spectral import (SurrogateOperator, annulus_mesh, check_inf_bound,
+from biharm.spectral import (SurrogateOperator, annulus_mesh, annulus_systems, check_inf_bound,
                              fd_error_constant, lambda1_annulus)
 
 OP = SurrogateOperator(6.0, 4.0)
@@ -88,7 +91,8 @@ def _wrapped_smallest_eigenvalue(ab, w, rel_tol=1e-12, maxit=500):
 def test_lapack_iteration_equals_scipys_wrappers(op, r_in, r_out, mesh):
     # the same dpbtrf/dpbtrs calls without scipy's checks: every float the same
     ab, w = spectral._assemble(op, r_in, r_out, mesh)
-    assert spectral._smallest_eigenvalue(ab, w) == _wrapped_smallest_eigenvalue(ab, w)
+    lam, _, _ = spectral._smallest_eigenvalue(ab, w)
+    assert lam == _wrapped_smallest_eigenvalue(ab, w)
 
 
 def test_not_positive_definite_is_a_parameter_error(monkeypatch):
@@ -114,6 +118,121 @@ def test_every_step_calls_the_module_solve(monkeypatch):
     ab, w = spectral._assemble(OP, 1.0, 4.0, 64)
     spectral._smallest_eigenvalue(ab, w)
     assert len(calls) >= 3
+
+
+def _cold(op, r_in, r_out, mesh):
+    """lambda1_annulus' (coarse, fine) eigenvalues with both iterations
+    started from a vector of ones."""
+    return tuple(spectral._smallest_eigenvalue(*system)[0]
+                 for system in annulus_systems(op, r_in, r_out, mesh))
+
+
+WARM_CASES = [*((OP, R / 4.0, 16.0 * R) for R in np.geomspace(1e-3, 1e6, 4)),
+              (SurrogateOperator(5.0, 3.0), 0.5e-3, 2e6),
+              (SurrogateOperator(1.0, 1.0, test_mode=True), 0.0, 1.0)]
+
+
+@pytest.mark.parametrize("mesh", [64, 256, 1024])
+@pytest.mark.parametrize("op, r_in, r_out", WARM_CASES)
+def test_warm_fine_solve_agrees_with_cold_and_converged_ones(op, r_in, r_out, mesh):
+    # the fine mesh starts from the interpolated coarse eigenvector; the stop
+    # rule is the same, so the value moves by less than it allows
+    res = lambda1_annulus(op, r_in, r_out, mesh)
+    coarse, fine = _cold(op, r_in, r_out, mesh)
+    assert res.lambda1 == pytest.approx(fine, rel=1e-12, abs=0.0)
+    # the coarse solve still starts from ones: the same floats
+    assert res.lambda1 + (res.lambda1 - coarse) / 3.0 == res.richardson
+    converged = _wrapped_smallest_eigenvalue(*annulus_systems(op, r_in, r_out, mesh)[1],
+                                             rel_tol=1e-16, maxit=2000)
+    assert res.lambda1 == pytest.approx(converged, rel=1e-13, abs=0.0)
+    assert res.iterations[1] < res.iterations[0]
+
+
+def test_foreign_and_random_starts_converge_to_the_same_eigenvalue():
+    cold = lambda1_annulus(OP, 1.0, 4.0, 128)
+    rng = np.random.default_rng(5)
+    starts = [lambda1_annulus(SurrogateOperator(5.0, 3.0), 1e3, 2e4, 128).vectors,
+              lambda1_annulus(SurrogateOperator(1.0, 1.0, test_mode=True), 0.0, 1.0, 128).vectors,
+              (rng.uniform(0.1, 1.0, 128), rng.uniform(0.1, 1.0, 256))]
+    for start in starts:
+        warm = lambda1_annulus(OP, 1.0, 4.0, 128, start=start)
+        assert warm.lambda1 == pytest.approx(cold.lambda1, rel=1e-12, abs=0.0)
+        assert warm.richardson == pytest.approx(cold.richardson, rel=1e-12, abs=0.0)
+
+
+def _eigen_results(monkeypatch, tmp_path, argv):
+    """The EigenResults of one eigen command, in radius order."""
+    results, orig = [], spectral.lambda1_annulus
+
+    def kept(*args, **kwargs):
+        results.append((args, orig(*args, **kwargs)))
+        return results[-1][1]
+
+    monkeypatch.setattr(spectral, "lambda1_annulus", kept)
+    assert cli.run(["eigen", *argv, "--out-dir", str(tmp_path / "o")]) == 0
+    return results
+
+
+@pytest.mark.parametrize("r_values", ["1e-30,1e30", "1e30,1e-30"])
+def test_eigen_starts_from_radii_thirty_decades_apart(monkeypatch, tmp_path, r_values):
+    # each radius starts from the last one's eigenvectors, whose W-norm on the
+    # new annulus is (R_new/R_old)**((alpha-1)/2): 1e270 here, squared past
+    # the float range unless the start is scaled first
+    results = _eigen_results(monkeypatch, tmp_path, ["--alpha", "10", "--gamma", "7",
+                                                     "--mesh", "64", "--r-values", r_values])
+    op = SurrogateOperator(10.0, 7.0)
+    assert results[1][1].iterations[0] < results[0][1].iterations[0]   # the start was used
+    for (op_arg, r_in, r_out, mesh), res in results:
+        coarse, fine = _cold(op, r_in, r_out, mesh)
+        assert res.lambda1 == pytest.approx(fine, rel=1e-12, abs=0.0)
+        assert res.richardson == pytest.approx(fine + (fine - coarse) / 3.0, rel=1e-12, abs=0.0)
+
+
+def test_eigen_scan_reuses_its_eigenvectors(monkeypatch, tmp_path):
+    # six radii at mesh 1024 took 12 steps per solve from ones, 144 in all
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return lapack.dpbtrs(*args)
+
+    assert spectral.cho_solve_banded is lapack.dpbtrs
+    monkeypatch.setattr(spectral, "cho_solve_banded", counted)
+    assert cli.run(["eigen", "--alpha", "6", "--gamma", "4", "--mesh", "1024", "--r-values",
+                    "1e2,1e3,1e4,1e5,1e6,1e7", "--out-dir", str(tmp_path / "o")]) == 0
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert sum(map(sum, report["inverse_iterations"])) == len(calls) <= 60
+
+
+def _raised(call):
+    try:
+        call()
+    except ParameterError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(alpha=st.floats(0.05, 12.0), gamma=st.floats(0.05, 12.0),
+       exps=st.lists(st.floats(-330.0, 320.0), min_size=1, max_size=5),
+       inner=st.floats(0.01, 0.9), outer=st.floats(1.1, 64.0), mesh=st.sampled_from([64, 97]))
+@example(alpha=6.0, gamma=4.0, exps=[40.0, 60.0, 61.0], inner=0.5, outer=16.0, mesh=64)
+@example(alpha=0.5, gamma=4.0, exps=[0.0, 300.0, -400.0], inner=0.5, outer=16.0, mesh=64)
+def test_one_pass_check_raises_as_the_first_failing_annulus(alpha, gamma, exps, inner, outer,
+                                                            mesh):
+    # the annuli (inner R, outer R) of a scan, huge, tiny, 0 and inf radii included
+    op = SurrogateOperator(alpha, gamma)
+    with np.errstate(over="ignore", under="ignore"):
+        radii = np.power(10.0, exps)
+    r_in, r_out = inner * radii, outer * radii
+    per_annulus = next((msg for a, b in zip(r_in, r_out)
+                        if (msg := _raised(lambda: annulus_systems(op, a, b, mesh)))), None)
+    assert _raised(lambda: annulus_systems(op, r_in, r_out, mesh)) == per_annulus
+    if per_annulus is None:   # every row holds the floats of its annulus's own assembly
+        rows = annulus_systems(op, r_in, r_out, mesh)
+        for i, (a, b) in enumerate(zip(r_in, r_out)):
+            for (ab, w), (ab1, w1) in zip(rows, annulus_systems(op, a, b, mesh)):
+                assert np.array_equal(ab[:, i], ab1) and np.array_equal(w[i], w1)
 
 
 def _discrete_eigenpair(op, r_in, r_out, n):
