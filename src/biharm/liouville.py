@@ -112,16 +112,23 @@ def _inf_weight_power(src: SourceProfile, p: float, cfg: WitnessConfig, R: float
 
 
 def rhs_lower(prof: ManifoldProfile, src: SourceProfile, p: float,
-              cfg: WitnessConfig, R: float) -> float:
+              cfg: WitnessConfig, R) -> float | np.ndarray:
     """Lower bound of the weighted double-potential side at outer radius R:
 
-        inf weight**(1/(p-1)) * R**(-2*gamma) * R**alpha * shell sum."""
+        inf weight**(1/(p-1)) * R**(-2*gamma) * R**alpha * shell sum.
+
+    R is one radius or an array of them; the source is validated once."""
     src.validate(prof)
     if not p > 1:
         raise ParameterError(f"p must exceed 1, got {p}")
+    rs = np.asarray(R, dtype=float)
+    rhs = np.empty(rs.shape)
     with np.errstate(over="ignore", invalid="ignore"):   # 0 or inf: verdict names the radius
-        s = annulus_shell_sum(prof, src, p, cfg, R)
-        return _inf_weight_power(src, p, cfg, R) * annulus_lower_bound(prof, R) * s
+        # radius by radius, each an np.float64: its powers overflow to inf
+        for i, r in enumerate(rs.flat):
+            s = annulus_shell_sum(prof, src, p, cfg, r)
+            rhs.flat[i] = _inf_weight_power(src, p, cfg, r) * annulus_lower_bound(prof, r) * s
+    return float(rhs) if rs.ndim == 0 else rhs
 
 
 def lhs_upper(prof: ManifoldProfile, p: float, cfg: WitnessConfig, R,
@@ -231,7 +238,7 @@ def verdict(prof: ManifoldProfile, src: SourceProfile, p: float,
         raise ParameterError(f"p must exceed 1, got {p}")
     rs = np.array(cfg.r_list)
     lhs = lhs_upper(prof, p, cfg, rs, mesh)
-    rhs = np.array([rhs_lower(prof, src, p, cfg, R) for R in rs])
+    rhs = rhs_lower(prof, src, p, cfg, rs)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):   # checked below
         ratio = rhs / lhs
     require_normal("a witness side (lhs, rhs or rhs/lhs)", np.repeat(rs, 3),   # radius by radius

@@ -46,9 +46,11 @@ its own grid): the grid cells all get the same Gauss panels, and within one
 piece of the other factor a node's value is a product of a factor of its
 cell and one of the cell's offset from the shift, so each sum over cells is
 a Toeplitz correlation.  Only what lies beyond the grid, and on f's grid the
-two cells at each shift, still go through the zones above.  A grid whose
-cells need more than ``_MAX_PANELS`` panels, or whose kernel tables would
-pass ``_GRID_PANELS`` panels, goes through them whole.
+two cells at each shift, still goes through the zones above, in one
+``_integrate`` call that leaves the correlated cells' window out of every
+zone.  Cells that a breakpoint cuts get the near zone's Gauss driver.  A grid
+whose cells need more than ``_MAX_PANELS`` panels, or whose kernel tables
+would pass ``_GRID_PANELS`` panels, goes through the zones whole.
 
 Shifts are processed with array operations, in blocks of about
 ``_BLOCK_SEAMS`` seams, ``_BLOCK_PANELS`` Gauss panels and ``_BLOCK_PIECES``
@@ -206,7 +208,7 @@ def _series(w: PiecewisePower, specs, log_rho, a, b, log_c, beta, spec, ratio):
         interval from 0 or to infinity (the one-piece series) is
         end**q_k / |q_k| in closed form, the others are power_integrals."""
         out = np.zeros((i.size, k.size))
-        live = lcw[piece] > -_INF
+        live = (lcw[piece] > -_INF) & (lo < hi)
         one_sided = (lo == 0.0) | (hi == _INF)
         for rows in (np.flatnonzero(live & one_sided), np.flatnonzero(live & ~one_sided)):
             if not rows.size:
@@ -421,14 +423,20 @@ def _gauss_zone(segs, nrows: int):
     return value, bound
 
 
-def _gauss_block(integrand: PowerIntegrand, rho, lo, hi):
-    """Gauss-zone (value, error bound, nonzero) of one block of shifts: one
-    rule on panels at most one unit of log width and 1/s wide, s the
-    segment's log slope, whose error is below ``_PANEL_ERROR`` of the value;
-    a row with a segment too steep for ``_MAX_PANELS`` panels reads inf."""
-    segs = _near_segments(integrand.u, integrand.f, rho, lo, hi)
-    value, bound = _gauss_zone(segs, rho.size)
-    return value, bound, np.bincount(segs[0], minlength=rho.size) > 0
+def _add_gauss(u: PiecewisePower, f: PiecewisePower, rows, shift, lo, hi, value, err, nonzero):
+    """Add each entry's Gauss zone, r in (lo, hi) at its shift, into value,
+    err and nonzero at its row, in entry order: a row that a skip window
+    splits into two entries reads (sum + first) + second.  One rule on
+    panels at most one unit of log width and 1/s wide, s the segment's log
+    slope, whose error is below ``_PANEL_ERROR`` of the value; a row with a
+    segment too steep for ``_MAX_PANELS`` panels reads inf."""
+    _, nu, _, nf = _near_breakpoints(u, f, shift, lo, hi)
+    for a, b in _blocks(2 + nu + nf, _BLOCK_SEAMS):
+        segs = _near_segments(u, f, shift[a:b], lo[a:b], hi[a:b])
+        zv, ze = _gauss_zone(segs, b - a)
+        np.add.at(value, rows[a:b], zv)
+        np.add.at(err, rows[a:b], ze)
+        nonzero[rows[a:b][segs[0]]] = True
 
 
 def integrate(integrand: PowerIntegrand) -> QuadratureResult:
@@ -472,13 +480,7 @@ def _integrate(integrand: PowerIntegrand, skip=None) -> QuadratureResult:
         rows = np.flatnonzero(seams_ok)
         zone = (rows, low_end[rows], high_start[rows])
         rows, lo_r, hi_r = zone if skip is None else _cut(zone, *skip)
-        _, nu, _, nf = _near_breakpoints(u, f, shift[rows], lo_r, hi_r)
-        for lo, hi in _blocks(2 + nu + nf, _BLOCK_SEAMS):
-            b = rows[lo:hi]
-            zv, ze, zn = _gauss_block(integrand, shift[b], lo_r[lo:hi], hi_r[lo:hi])
-            np.add.at(val, b, zv)
-            np.add.at(err, b, ze)
-            nonzero[b[zn]] = True
+        _add_gauss(u, f, rows, shift[rows], lo_r, hi_r, val, err, nonzero)
     cut = np.append(np.flatnonzero(~seams_ok), shift.size)[0]   # the first bad seam
     require_normal("integral", shift[:cut], val[:cut], np.where(nonzero, _TINY, -_INF)[:cut])
     if cut < shift.size:
@@ -537,16 +539,6 @@ def _holds(pp: PiecewisePower, x: np.ndarray) -> bool:
     """Whether every node of x is a breakpoint of pp."""
     i = np.minimum(np.searchsorted(pp.bounds, x), pp.bounds.size - 1)
     return bool(np.all(pp.bounds[i] == x))
-
-
-def _only(pp: PiecewisePower, keep) -> PiecewisePower:
-    """pp on the pieces where keep holds and vanishing elsewhere, each run of
-    vanishing pieces merged into one."""
-    lc = np.where(keep, pp.log_coefs, -_INF)
-    dead = lc == -_INF
-    first = np.concatenate([[True], ~(dead[1:] & dead[:-1])])
-    return PiecewisePower._from_logs(np.append(pp.bounds[:-1][first], _INF), lc[first],
-                                     np.where(dead, 0.0, pp.exps)[first])
 
 
 def _row_blocks(rows, lo, hi, rel):
@@ -637,11 +629,10 @@ def _grid_integrate(integrand: PowerIntegrand, h: float, on_u: bool):
             and fin_F.min() + fin_T.min() + log_S.min() > -_GRID_RANGE):
         return None
     F, T, S = np.exp(log_F), np.exp(log_T), np.exp(log_S)
-    if on_u:   # u's pieces beyond the grid, through integrate
-        beyond = (u.bounds[1:] <= x[0]) | (u.bounds[:-1] >= x[-1])
-        part = integrate(PowerIntegrand(_only(u, beyond), f, x))
-    else:      # the cell at each shift and the next one, and f's tail
-        part = _integrate(integrand, (x[np.minimum(start, n - 1)] - x, x[-1] - x))
+    # the zones take what lies outside the cells: on u's grid, u beyond it;
+    # on f's, the cell at each shift and the next one, and f's tail
+    base = np.zeros(n) if on_u else x   # r = s - base
+    part = _integrate(integrand, (x[np.minimum(start, n - 1)] - base, np.full(n, x[-1]) - base))
 
     # per row, the cells in each piece of the other factor: from the first node
     # at or past the piece's start to the last one at or before its end
@@ -664,14 +655,9 @@ def _grid_integrate(integrand: PowerIntegrand, h: float, on_u: bool):
 
     value, err = np.zeros(n), np.zeros(n)
     if d_rows.size:
-        base = 0.0 if on_u else x[d_rows]
-        lo_r, hi_r = x[d_cells] - base, x[d_cells + 1] - base
-        _, nu, _, nf = _near_breakpoints(u, f, x[d_rows], lo_r, hi_r)
         with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-            for a, b in _blocks(2 + nu + nf, _BLOCK_SEAMS):
-                dv, de, _ = _gauss_block(integrand, x[d_rows[a:b]], lo_r[a:b], hi_r[a:b])
-                np.add.at(value, d_rows[a:b], dv)
-                np.add.at(err, d_rows[a:b], de)
+            _add_gauss(u, f, d_rows, x[d_rows], x[d_cells] - base[d_rows],
+                       x[d_cells + 1] - base[d_rows], value, err, np.zeros(n, bool))
     for m, p in enumerate(pieces):
         lo, hi = np.maximum(at[p], start), np.minimum(upto[p + 1], n - 1)
         sel = np.flatnonzero(hi > lo)
@@ -688,16 +674,16 @@ def integrate_grid(integrand: PowerIntegrand) -> QuadratureResult:
     shifts are breakpoints of u or of f on a log-uniform grid of 3 or more
     nodes (a grid source's own grid); other inputs go to ``integrate``.
 
-    What stays on ``integrate`` keeps its divergence flags and range checks:
-    u's pieces beyond the grid when the grid is u's; when it is f's, the cell
-    at each shift and the next one, where the kernel's branch point at
-    s = rho is near, and f's tail.  Every cell gets the panels the steepest
-    one needs; cells that a breakpoint of either factor cuts are summed
-    directly.  Inputs whose cells need more than ``_MAX_PANELS`` panels, whose
-    kernel tables would pass ``_GRID_PANELS`` panels (so memory stays
-    bounded), where a product of a node value, a kernel entry and a row scale
-    could leave the float range, or where a part on ``integrate`` does, go to
-    ``integrate`` whole.  The error estimate adds the panels' a-priori bound,
+    What stays on ``integrate``'s zones, which leave the correlated cells'
+    window out, keeps its divergence flags and range checks: r outside the
+    grid when the grid is u's; when it is f's, the cell at each shift and the
+    next one, where the kernel's branch point at s = rho is near, and f's
+    tail.  Every cell gets the panels the steepest one needs; cells that a
+    breakpoint of either factor cuts are summed directly.  Inputs whose cells
+    need more than ``_MAX_PANELS`` panels, whose kernel tables would pass
+    ``_GRID_PANELS`` panels (so memory stays bounded), where a product of a
+    node value, a kernel entry and a row scale could leave the float range,
+    or where a part on ``integrate`` does, go to ``integrate`` whole.  The error estimate adds the panels' a-priori bound,
     ``_PANEL_ERROR`` or ``_GRID_PANEL_ERROR`` of the sums.
     """
     rho = integrand.rho

@@ -640,6 +640,32 @@ def test_grid_path_matches_integrate(grid_path, prof, grid, kind):
     np.testing.assert_allclose(values, ref, rtol=1e-13, atol=0)
 
 
+def only(pp, keep):
+    """pp on the pieces where keep holds and vanishing elsewhere, each run of
+    vanishing pieces merged into one: the reference for term 1's part beyond
+    the grid, a source of its own that integrate takes whole."""
+    lc = np.where(keep, pp.log_coefs, -np.inf)
+    dead = lc == -np.inf
+    first = np.concatenate([[True], ~(dead[1:] & dead[:-1])])
+    return PiecewisePower._from_logs(np.append(pp.bounds[:-1][first], np.inf), lc[first],
+                                     np.where(dead, 0.0, pp.exps)[first])
+
+
+@pytest.mark.parametrize("prof", GRID_PROFILES, ids=lambda p: f"{p.alpha},{p.gamma},{p.dim_n}")
+@pytest.mark.parametrize("grid", sorted(GRIDS))
+@pytest.mark.parametrize("kind", ["smooth", "zeros", "steep"])
+def test_grid_window_is_the_source_beyond_the_grid(prof, grid, kind):
+    # leaving the grid's window out of the zones gives the floats of
+    # integrating u with its pieces inside the grid zeroed
+    term = split_terms(prof, grid_sources(prof, GRIDS[grid])[kind])[0]
+    u, x = term.u, term.rho
+    beyond = (u.bounds[1:] <= x[0]) | (u.bounds[:-1] >= x[-1])
+    got = quad._integrate(term, (np.full(x.size, x[0]), np.full(x.size, x[-1])))
+    ref = integrate(PowerIntegrand(only(u, beyond), term.f, x))
+    for field in ("value", "abs_error_estimate", "diverged", "tail_exponent"):
+        assert getattr(got, field).tolist() == getattr(ref, field).tolist(), field
+
+
 def test_grid_path_uses_several_panels(monkeypatch):
     # at h = 0.33 the r**8 inside gives u a slope of 8: three panels a cell;
     # on log384 the steep node's two cells need three, so every cell gets

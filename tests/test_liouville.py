@@ -72,6 +72,20 @@ def test_rhs_fitted_exponents():
     assert fit_loglog_slope(rs, vals) == pytest.approx(-2.0, abs=0.1)
 
 
+def test_rhs_lower_takes_an_array_of_radii(monkeypatch):
+    # one validation for the whole scan; each entry is the scalar call's
+    # float, and a power past the float range reads inf, not OverflowError
+    prof, src = ManifoldProfile(6.0, 1.0, 6), SourceProfile(0.0, 1.0)
+    rs = np.array([1024.0, 3.0e4, 1e300])
+    calls, real = [], SourceProfile.validate
+    monkeypatch.setattr(SourceProfile, "validate",
+                        lambda self, prof: calls.append(prof) or real(self, prof))
+    vals = rhs_lower(prof, src, 2.0, CFG, rs)
+    assert len(calls) == 1
+    assert vals.tolist() == [rhs_lower(prof, src, 2.0, CFG, r) for r in rs.tolist()]
+    assert vals[-1] == math.inf and isinstance(rhs_lower(prof, src, 2.0, CFG, 1e3), float)
+
+
 def test_lhs_fitted_exponents():
     rs = np.array(CFG.r_list)
     vals = np.array([lhs_upper(PROF, 2.0, CFG, R, mesh=128) for R in rs])
@@ -249,7 +263,7 @@ def test_eigen_solves_every_radius(monkeypatch, tmp_path):
 def test_constant_ratio_has_zero_log_correlation(monkeypatch):
     # equal sides at every radius: the correlation is 0/0, read as 0 without a warning
     monkeypatch.setattr(liouville, "lhs_upper", lambda prof, p, cfg, R, mesh: np.full(len(R), 2.0))
-    monkeypatch.setattr(liouville, "rhs_lower", lambda prof, src, p, cfg, R: 2.0)
+    monkeypatch.setattr(liouville, "rhs_lower", lambda prof, src, p, cfg, R: np.full(len(R), 2.0))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rep = verdict(PROF, SRC, 2.0, CFG, mesh=64)

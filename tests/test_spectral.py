@@ -218,13 +218,15 @@ def _raised(call):
        inner=st.floats(0.01, 0.9), outer=st.floats(1.1, 64.0), mesh=st.sampled_from([64, 97]))
 @example(alpha=6.0, gamma=4.0, exps=[40.0, 60.0, 61.0], inner=0.5, outer=16.0, mesh=64)
 @example(alpha=0.5, gamma=4.0, exps=[0.0, 300.0, -400.0], inner=0.5, outer=16.0, mesh=64)
+# outer * 1e308 overflows to an inf outer radius
+@example(alpha=1.0, gamma=1.0, exps=[308.0], inner=0.5, outer=2.0, mesh=64)
 def test_one_pass_check_raises_as_the_first_failing_annulus(alpha, gamma, exps, inner, outer,
                                                             mesh):
     # the annuli (inner R, outer R) of a scan, huge, tiny, 0 and inf radii included
     op = SurrogateOperator(alpha, gamma)
     with np.errstate(over="ignore", under="ignore"):
         radii = np.power(10.0, exps)
-    r_in, r_out = inner * radii, outer * radii
+        r_in, r_out = inner * radii, outer * radii
     per_annulus = next((msg for a, b in zip(r_in, r_out)
                         if (msg := _raised(lambda: annulus_systems(op, a, b, mesh)))), None)
     assert _raised(lambda: annulus_systems(op, r_in, r_out, mesh)) == per_annulus
