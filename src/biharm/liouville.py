@@ -156,6 +156,12 @@ def lhs_upper(prof: ManifoldProfile, p: float, cfg: WitnessConfig, R,
     return float(lhs) if rs.ndim == 0 else lhs
 
 
+def _shell_exponent(prof: ManifoldProfile, src: SourceProfile, p) -> Fraction:
+    """Exact exponent alpha + m - p*(2*gamma-alpha) of the shell sum's terms."""
+    al, g = as_fraction(prof.alpha), as_fraction(prof.gamma)
+    return al + as_fraction(src.m) - as_fraction(p) * (2 * g - al)
+
+
 def rational_exponent_gap(prof: ManifoldProfile, src: SourceProfile, p) -> Fraction:
     """Exact predictor of the fitted exponent gap e_rhs - e_lambda.
 
@@ -165,7 +171,7 @@ def rational_exponent_gap(prof: ManifoldProfile, src: SourceProfile, p) -> Fract
     """
     al, g, m = as_fraction(prof.alpha), as_fraction(prof.gamma), as_fraction(src.m)
     pq = as_fraction(p)
-    e_rhs = m / (pq - 1) + al - 2 * g + max(al + m - pq * (2 * g - al), Fraction(0))
+    e_rhs = m / (pq - 1) + al - 2 * g + max(_shell_exponent(prof, src, p), Fraction(0))
     e_lam = -2 * (al - g) / (pq - 1)
     return e_rhs - e_lam
 
@@ -228,9 +234,13 @@ def verdict(prof: ManifoldProfile, src: SourceProfile, p: float,
     CONTRADICTION when the ratio rhs/lhs grows without bound along the scan:
     fitted exponent gap above the resolution, or monotone ratio growth by the
     configured factor over the last three points, or equal exponents with a
-    clean logarithmic residual (slope > 0, correlation >= 0.999).
+    clean logarithmic residual (correlation >= 0.999).
     NO_CONTRADICTION when the gap is clearly negative; INCONCLUSIVE when the
     scan cannot separate the two.
+
+    e_rhs is fitted on rhs divided by the shell sum's unsaturated fraction
+    -expm1(-(k+1)|c ln tau|), k shells of term exponent c, which still grows
+    over the scan for small |c|; at c = 0, decided exactly, on rhs itself.
     """
     cfg = cfg or WitnessConfig()
     src.validate(prof)
@@ -244,16 +254,19 @@ def verdict(prof: ManifoldProfile, src: SourceProfile, p: float,
     require_normal("a witness side (lhs, rhs or rhs/lhs)", np.repeat(rs, 3),   # radius by radius
                    np.column_stack([lhs, rhs, ratio]).ravel())
     e_lam, e_rhs = fit_loglog_slope(rs, lhs), fit_loglog_slope(rs, rhs)
+    c = _shell_exponent(prof, src, p)
+    if c != 0:   # the slope of rhs/fraction as a difference of slopes: no quotient overflows
+        shells = np.array([cfg.shell_count(R) for R in rs])
+        e_rhs -= fit_loglog_slope(rs, -np.expm1(-(shells + 1) * abs(float(c) * math.log(cfg.tau))))
     gap_fit = e_rhs - e_lam
 
-    # logarithmic residual test: ratio against a + b*ln R
-    b_slope = float(np.polyfit(np.log(rs), ratio, 1)[0])
-    # scaled by a power of two, exact: corrcoef's dot products cannot overflow
+    # logarithmic residual test: ratio against a + b*ln R, whose slope has the
+    # correlation's sign; scaled by a power of two, exact: corrcoef's dot
+    # products cannot overflow
     scaled = np.ldexp(ratio, -np.frexp(np.max(ratio))[1])
     with np.errstate(divide="ignore", invalid="ignore"):   # a constant ratio: nan, read as 0
         corr = float(np.nan_to_num(np.corrcoef(np.log(rs), scaled)[0, 1]))
-    log_flag = (abs(gap_fit) <= GAP_RESOLUTION and b_slope > 0.0
-                and corr >= LOG_FIT_MIN_CORRELATION)
+    log_flag = abs(gap_fit) <= GAP_RESOLUTION and corr >= LOG_FIT_MIN_CORRELATION
 
     growing = (ratio[-1] > ratio[-2] > ratio[-3]
                and ratio[-1] >= RATIO_GROWTH_FACTOR * ratio[-3])

@@ -56,26 +56,25 @@ def __getattr__(name):
 class SurrogateOperator:
     """Coefficients of the surrogate Sturm-Liouville operator.
 
-    ``test_mode`` replaces both coefficients by 1, turning L into the plain
-    second-derivative operator with Dirichlet eigenvalue pi**2 on (0, 1).
+    Its Dirichlet lambda1 on (r1, r2) is known exactly, and the tests check
+    the solver against it: (gamma**2/4 + pi**2/ln(r2/r1)**2)/(gamma*alpha)
+    at alpha = gamma (Euler's equation), else the first root in lambda of
+    J_nu(k r1**q) Y_nu(k r2**q) - J_nu(k r2**q) Y_nu(k r1**q), with
+    q = (alpha-gamma)/2, nu = gamma/|alpha-gamma| and
+    k = 2 sqrt(lambda gamma alpha)/|alpha-gamma| (DLMF 10.13, 10.21).
     """
 
     alpha: float
     gamma: float
-    test_mode: bool = False
 
     @staticmethod
     def from_profile(prof: ManifoldProfile) -> "SurrogateOperator":
         return SurrogateOperator(float(prof.alpha), float(prof.gamma))
 
     def stiffness(self, r):
-        if self.test_mode:
-            return np.ones_like(np.asarray(r, dtype=float))
         return np.asarray(r, dtype=float) ** (self.gamma + 1.0) / self.gamma
 
     def weight(self, r):
-        if self.test_mode:
-            return np.ones_like(np.asarray(r, dtype=float))
         return self.alpha * np.asarray(r, dtype=float) ** (self.alpha - 1.0)
 
 
@@ -181,8 +180,7 @@ def annulus_systems(op: SurrogateOperator, r_in, r_out, mesh: int) -> list:
     r_in, r_out = np.broadcast_arrays(np.asarray(r_in, dtype=float),
                                       np.asarray(r_out, dtype=float))
     # a mesh below 64 refuses every annulus, so the first one raises
-    refused = (~((r_out > r_in) & (r_in >= 0.0)) | ((r_in == 0.0) & (not op.test_mode))
-               | (mesh < 64))
+    refused = ~((r_out > r_in) & (r_in > 0.0)) | (mesh < 64)
     with np.errstate(all="ignore"):   # the range is checked below
         systems = [_assemble(op, r_in[..., None], r_out[..., None], m)
                    for m in (int(mesh), 2 * int(mesh))]
@@ -192,10 +190,8 @@ def annulus_systems(op: SurrogateOperator, r_in, r_out, mesh: int) -> list:
     bad = np.flatnonzero(refused | ~normal)
     if bad.size:
         a, b = float(r_in.flat[bad[0]]), float(r_out.flat[bad[0]])
-        if not (b > a >= 0.0):
-            raise ParameterError(f"need 0 <= r_in < r_out, got ({a}, {b})")
-        if a == 0.0 and not op.test_mode:
-            raise ParameterError("the surrogate coefficients need r_in > 0")
+        if not (b > a > 0.0):
+            raise ParameterError(f"need 0 < r_in < r_out, got ({a}, {b})")
         if mesh < 64:
             raise ParameterError(f"mesh must be at least 64 interior nodes, got {mesh}")
         raise ParameterError(f"annulus ({a!r}, {b!r}) is out of range: "
@@ -251,17 +247,19 @@ def apply_operator(op: SurrogateOperator, grid: np.ndarray, values: np.ndarray) 
 
 @lru_cache(maxsize=None)
 def fd_error_constant() -> float:
-    """Dimensionless FD error constant, calibrated once in test mode.
+    """Dimensionless FD error constant, calibrated once on -u'' over (0, 1).
 
-    Applies L twice to the continuum eigenfunction sin(pi r) on (0, 1) and
-    compares with pi**4 sin(pi r); the maximum defect divided by
-    h**2 * pi**4 is the constant.
+    Applies the flux-form stencil of apply_operator with unit coefficients
+    twice to the continuum eigenfunction sin(pi r) and compares with
+    pi**4 sin(pi r); the maximum defect divided by h**2 * pi**4 is the
+    constant.
     """
-    op = SurrogateOperator(1.0, 1.0, test_mode=True)
     grid = annulus_mesh(0.0, 1.0, _FD_MESH)
     f = np.sin(math.pi * grid)
-    lf = apply_operator(op, grid, f)
-    llf = apply_operator(op, grid[1:-1], lf)
+    llf = f
+    for nodes in (grid, grid[1:-1]):
+        h = nodes[1] - nodes[0]
+        llf = -np.diff(np.diff(llf) / h) / h
     defect = llf - math.pi ** 4 * f[2:-2]
     h = grid[1] - grid[0]
     return float(np.max(np.abs(defect)) / (h ** 2 * math.pi ** 4))

@@ -104,9 +104,11 @@ def test_criterion_4_euclidean_oracle_agreement():
 
 def test_criterion_5_eigenvalue_scaling():
     with criterion(5, "surrogate eigenvalue scaling and interval sanity", 60.0):
-        test_op = SurrogateOperator(1.0, 1.0, test_mode=True)
-        assert lambda1_annulus(test_op, 0.0, 1.0, 256).value == pytest.approx(
-            math.pi ** 2, abs=1e-3)
+        # at alpha = gamma, Euler's equation: (gamma**2/4 + pi**2/ln(r2/r1)**2)/(gamma*alpha)
+        gamma, r_in, r_out = 2.0, 1.0, math.e
+        exact = (gamma ** 2 / 4.0 + math.pi ** 2 / math.log(r_out / r_in) ** 2) / (gamma * gamma)
+        res = lambda1_annulus(SurrogateOperator(gamma, gamma), r_in, r_out, 256)
+        assert res.value == pytest.approx(exact, abs=1e-3)
         for alpha, gamma in ((6.0, 4.0), (5.0, 3.0), (4.5, 3.0)):
             op = SurrogateOperator(alpha, gamma)
             radii = [1e2, 1e3, 1e4]

@@ -3,6 +3,7 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -20,11 +21,64 @@ from biharm.spectral import (SurrogateOperator, annulus_mesh, annulus_systems, c
 OP = SurrogateOperator(6.0, 4.0)
 
 
+def euler_lambda1(gamma, r_in, r_out):
+    """Exact lambda1 of SurrogateOperator(gamma, gamma) on (r_in, r_out): in
+    t = ln r, u = r**(-gamma/2) v turns L into (-v'' + gamma**2/4 v)/gamma**2."""
+    return (gamma ** 2 / 4.0 + math.pi ** 2 / math.log(r_out / r_in) ** 2) / gamma ** 2
+
+
 def test_interval_laplacian_eigenvalue():
-    op = SurrogateOperator(1.0, 1.0, test_mode=True)
-    res = lambda1_annulus(op, 0.0, 1.0, 256)
-    assert res.richardson == pytest.approx(math.pi ** 2, abs=1e-3)
-    assert res.lambda1 > 0
+    # at alpha = gamma the operator is the interval Laplacian in ln r, shifted
+    for gamma, r_in, r_out in ((2.0, 1.0, math.e), (3.0, 0.5, 2.0)):
+        res = lambda1_annulus(SurrogateOperator(gamma, gamma), r_in, r_out, 256)
+        exact = euler_lambda1(gamma, r_in, r_out)
+        assert res.richardson == pytest.approx(exact, rel=1e-7, abs=0.0)
+        assert abs(res.richardson - exact) <= res.error_estimate
+        assert res.lambda1 > 0
+
+
+def bessel_lambda1(alpha, gamma, r_in, r_out):
+    """Exact lambda1 of SurrogateOperator(alpha, gamma), alpha != gamma, on
+    (r_in, r_out): the first root in lambda of the cross-product
+    J_nu(k x1) Y_nu(k x2) - J_nu(k x2) Y_nu(k x1), x = r**q (DLMF 10.21).
+
+    The sign scan starts at the Rayleigh bound (min a / max w) pi**2/width**2
+    and steps by 1.1; a step over two roots brackets a later eigenvalue,
+    which the caller's comparison then fails on.
+    """
+    with mpmath.workdps(20):
+        a, g, r1, r2 = map(mpmath.mpf, (alpha, gamma, r_in, r_out))
+        nu, x1, x2 = g / abs(a - g), r1 ** ((a - g) / 2), r2 ** ((a - g) / 2)
+
+        def sign(lam):
+            k = 2 * mpmath.sqrt(lam * g * a) / abs(a - g)
+            return mpmath.sign(mpmath.besselj(nu, k * x1) * mpmath.bessely(nu, k * x2)
+                               - mpmath.besselj(nu, k * x2) * mpmath.bessely(nu, k * x1))
+
+        min_a, max_w = r1 ** (g + 1) / g, a * max(r1 ** (a - 1), r2 ** (a - 1))
+        lo = min_a / max_w * mpmath.pi ** 2 / (r2 - r1) ** 2
+        s_lo = sign(lo)
+        while sign(lo * mpmath.mpf("1.1")) == s_lo:
+            lo *= mpmath.mpf("1.1")
+        hi = lo * mpmath.mpf("1.1")
+        for _ in range(50):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if sign(mid) == s_lo else (lo, mid)
+        return float(lo)
+
+
+@settings(max_examples=10, deadline=None)
+@given(gamma=st.floats(1.2, 8.0), alpha_over_gamma=st.floats(1.1, 1.98),
+       r_in=st.floats(-1.0, 2.0).map(lambda e: 10.0 ** e), r_ratio=st.floats(1.5, 32.0),
+       mesh=st.sampled_from([64, 128, 256]))
+@example(gamma=6.0, alpha_over_gamma=4.0 / 6.0, r_in=0.5, r_ratio=4.0, mesh=256)
+def test_richardson_error_estimate_bounds_the_exact_eigenvalue(gamma, alpha_over_gamma, r_in,
+                                                               r_ratio, mesh):
+    # operators of the witness window gamma < alpha < 2 gamma, on annuli up to
+    # the scan's (R/2, 16 R), and one alpha < gamma example
+    alpha, r_out = alpha_over_gamma * gamma, r_ratio * r_in
+    res = lambda1_annulus(SurrogateOperator(alpha, gamma), r_in, r_out, mesh)
+    assert abs(res.richardson - bessel_lambda1(alpha, gamma, r_in, r_out)) <= res.error_estimate
 
 
 def test_scaling_law_slope():
@@ -86,7 +140,7 @@ def _wrapped_smallest_eigenvalue(ab, w, rel_tol=1e-12, maxit=500):
 @pytest.mark.parametrize("op, r_in, r_out", [
     *((OP, R / 4.0, 16.0 * R) for R in np.geomspace(1e-3, 1e6, 4)),
     (SurrogateOperator(5.0, 3.0), 0.5e-3, 2e6),
-    (SurrogateOperator(1.0, 1.0, test_mode=True), 0.0, 1.0),
+    (SurrogateOperator(3.0, 3.0), 0.5, 2.0),
 ])
 def test_lapack_iteration_equals_scipys_wrappers(op, r_in, r_out, mesh):
     # the same dpbtrf/dpbtrs calls without scipy's checks: every float the same
@@ -129,7 +183,7 @@ def _cold(op, r_in, r_out, mesh):
 
 WARM_CASES = [*((OP, R / 4.0, 16.0 * R) for R in np.geomspace(1e-3, 1e6, 4)),
               (SurrogateOperator(5.0, 3.0), 0.5e-3, 2e6),
-              (SurrogateOperator(1.0, 1.0, test_mode=True), 0.0, 1.0)]
+              (SurrogateOperator(3.0, 3.0), 0.5, 2.0)]
 
 
 @pytest.mark.parametrize("mesh", [64, 256, 1024])
@@ -152,7 +206,7 @@ def test_foreign_and_random_starts_converge_to_the_same_eigenvalue():
     cold = lambda1_annulus(OP, 1.0, 4.0, 128)
     rng = np.random.default_rng(5)
     starts = [lambda1_annulus(SurrogateOperator(5.0, 3.0), 1e3, 2e4, 128).vectors,
-              lambda1_annulus(SurrogateOperator(1.0, 1.0, test_mode=True), 0.0, 1.0, 128).vectors,
+              lambda1_annulus(SurrogateOperator(3.0, 3.0), 0.5, 2.0, 128).vectors,
               (rng.uniform(0.1, 1.0, 128), rng.uniform(0.1, 1.0, 256))]
     for start in starts:
         warm = lambda1_annulus(OP, 1.0, 4.0, 128, start=start)
