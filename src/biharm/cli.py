@@ -353,7 +353,7 @@ def _cmd_oracle(args, out: Path):
     _report(out, "oracle", _resolved_config(args), {
         "estimate": est, "stderr": stderr, "exact": exact,
         "abs_difference": abs(est - exact),
-        "within_3_stderr": bool(abs(est - exact) <= 3.0 * stderr + 1e-12),
+        "within_3_stderr": bool(abs(est - exact) <= 3.0 * stderr + 1e-12 * abs(exact)),
     })
     return 0
 

@@ -33,7 +33,6 @@ from .radial import PiecewisePower, RadialFunction, power_integral, pp_product, 
 
 _INF = float("inf")
 _ORACLE_MAX_DIM = 340            # math.gamma(n/2 + 1) overflows beyond
-_ORACLE_BLOCK = 8192             # rows of normal variates drawn at a time
 
 MODE_SPLIT = "split-comparison"
 MODE_SURROGATE = "surrogate-exact"
@@ -64,6 +63,12 @@ class BallSource:
 
     radius: float
     height: float = 1.0
+
+    def __post_init__(self):
+        if not 0.0 < self.radius < _INF:
+            raise ParameterError(f"ball radius must be finite and > 0, got {self.radius!r}")
+        if not 0.0 <= self.height < _INF:
+            raise ParameterError(f"ball height must be finite and >= 0, got {self.height!r}")
 
     def __call__(self, r):
         r = np.asarray(r, dtype=float)
@@ -219,9 +224,10 @@ def mc_oracle(n: int, x_radius: float, src: BallSource, samples: int, seed: int)
     the kernel is bounded, and points y are sampled uniformly in the support
     ball.  Returns (estimate, standard error).
 
-    A batch holds 2**19 samples, fewer above n = 8 so that it draws at most
-    2**22 normal variates.  Inputs whose constants or sums leave the float
-    range raise ParameterError.
+    Each sample's direction enters only through its cosine omega with x,
+    drawn from its exact marginal on the sphere S**(n-1):
+    (1 + omega)/2 ~ Beta((n-1)/2, (n-1)/2).  A batch holds 2**19 samples.
+    Inputs whose constants or sums leave the float range raise ParameterError.
     """
     if not 5 <= n <= _ORACLE_MAX_DIM:
         raise ParameterError(f"oracle is for 5 <= n <= {_ORACLE_MAX_DIM} "
@@ -231,8 +237,6 @@ def mc_oracle(n: int, x_radius: float, src: BallSource, samples: int, seed: int)
     if not x_radius >= 0:
         raise ParameterError(f"evaluation radius must be >= 0, got {x_radius}")
     support = float(src.radius)
-    if support <= 0.0:
-        return 0.0, 0.0
     far_field = x_radius >= 2.0 * support
     t_max = x_radius + support
     try:
@@ -244,20 +248,14 @@ def mc_oracle(n: int, x_radius: float, src: BallSource, samples: int, seed: int)
     except OverflowError:
         raise ParameterError(f"oracle inputs out of range: n={n}, |x|={x_radius!r}, "
                              f"support radius {support!r}") from None
-    batch = min(1 << 19, (1 << 22) // n)
     rng = np.random.default_rng(seed)
 
     total = 0.0
     total_sq = 0.0
     remaining = int(samples)
     while remaining > 0:
-        m = min(batch, remaining)
-        # the normals in row blocks, of which only omega1 is kept: the same
-        # stream as one (m, n) draw
-        omega1 = np.empty(m)
-        for i in range(0, m, _ORACLE_BLOCK):
-            z = rng.standard_normal((min(_ORACLE_BLOCK, m - i), n))
-            omega1[i:i + len(z)] = z[:, 0] / np.linalg.norm(z, axis=1)
+        m = min(1 << 19, remaining)
+        omega1 = 2.0 * rng.beta((n - 1) / 2.0, (n - 1) / 2.0, m) - 1.0
         with np.errstate(all="ignore"):   # checked after the loop
             if far_field:
                 # y uniform in the support ball; kernel bounded away from x

@@ -121,6 +121,16 @@ def test_oracle_agreement(tmp_path):
     assert report["within_3_stderr"] is True
 
 
+def test_oracle_agreement_is_scale_free(tmp_path, monkeypatch):
+    # an absolute slack of 1e-12 let an estimate of 0 agree with any exact
+    # value below it (here 5.2e-18)
+    monkeypatch.setattr(biharm.kernels, "mc_oracle", lambda *args: (0.0, 0.0))
+    out = tmp_path / "o"
+    assert run(["oracle", "--n", "6", "--x", "10", "--height", "1e-14",
+                "--out-dir", str(out)]) == 0
+    assert _load(out)["within_3_stderr"] is False
+
+
 def test_byte_identical_reruns(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     for out in (out1, out2):
@@ -405,6 +415,21 @@ def test_non_finite_flags_exit_one(tmp_path, capsys, argv):
 def test_negative_radius_or_small_ratio_exits_two(tmp_path, capsys, argv):
     assert run(argv + ["--out-dir", str(tmp_path / "o")]) == 2
     _assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["--ball-radius", "0"], "ball radius must be finite and > 0, got 0.0"),
+    (["--ball-radius", "-1"], "ball radius must be finite and > 0, got -1.0"),
+    (["--height", "-1"], "ball height must be finite and >= 0, got -1.0"),
+])
+def test_impossible_ball_exits_two_naming_it(tmp_path, capsys, monkeypatch, argv, error):
+    # rejected before any sampling, naming the value
+    def no_oracle(*args):
+        raise AssertionError("mc_oracle ran")
+
+    monkeypatch.setattr(biharm.kernels, "mc_oracle", no_oracle)
+    assert run(["oracle", "--x", "1", *argv, "--out-dir", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
 
 
 @pytest.mark.parametrize("flag", ["--maxit=0", "--maxit=-1", "--tol=0", "--tol=-1e-10"])
