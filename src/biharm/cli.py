@@ -301,9 +301,8 @@ def _cmd_eigen(args, out: Path):
                              f"got {args.r_values}")
     rows = [(R, res.value) for R, res in zip(radii, results)]
     _write_csv(out / "eigen.csv", "R,lambda1", rows)
-    slope = fit_loglog_slope(np.array(radii), np.array([res.value for res in results]))
     _report(out, "eigen", _resolved_config(args), {
-        "slope": slope,
+        "slope": fit_loglog_slope(radii, [res.value for res in results]),
         "expected_slope": -(args.alpha - args.gamma),
         "error_estimates": [res.error_estimate for res in results],
         "inverse_iterations": [list(res.iterations) for res in results],

@@ -250,11 +250,9 @@ def mc_oracle(n: int, x_radius: float, src: BallSource, samples: int, seed: int)
                              f"support radius {support!r}") from None
     rng = np.random.default_rng(seed)
 
-    total = 0.0
-    total_sq = 0.0
-    remaining = int(samples)
-    while remaining > 0:
-        m = min(1 << 19, remaining)
+    total, total_sq, shift = 0.0, 0.0, None   # sums in units of 2**shift: no square underflows
+    for start in range(0, int(samples), 1 << 19):
+        m = min(1 << 19, samples - start)
         omega1 = 2.0 * rng.beta((n - 1) / 2.0, (n - 1) / 2.0, m) - 1.0
         with np.errstate(all="ignore"):   # checked after the loop
             if far_field:
@@ -266,13 +264,16 @@ def mc_oracle(n: int, x_radius: float, src: BallSource, samples: int, seed: int)
                 t = t_max * np.sqrt(rng.random(m))
                 y_radius = np.sqrt(x_sq + 2.0 * x_radius * t * omega1 + t ** 2)
                 f = scale * np.asarray(src(y_radius), dtype=float)
+            if shift is None and np.max(f) > 0.0:
+                shift = int(np.frexp(np.max(f))[1])
+            f = np.ldexp(f, -(shift or 0))
             total += float(np.sum(f))
             total_sq += float(np.sum(f * f))
-        remaining -= m
-    if not math.isfinite(total_sq):
-        raise ParameterError(f"oracle sums overflow at n={n}, |x|={x_radius!r}, "
-                             f"support radius {support!r}")
     mean = total / samples
     var = max(total_sq / samples - mean ** 2, 0.0) * samples / (samples - 1)
-    stderr = math.sqrt(var / samples)
+    with np.errstate(over="ignore"):   # checked below
+        mean, stderr = np.ldexp([mean, math.sqrt(var / samples)], shift or 0).tolist()
+    if not math.isfinite(mean + stderr):
+        raise ParameterError(f"oracle sums overflow at n={n}, |x|={x_radius!r}, "
+                             f"support radius {support!r}")
     return mean, stderr

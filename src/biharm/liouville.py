@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ParameterError
 from .kernels import annulus_lower_bound
 from .profiles import ManifoldProfile, SourceProfile, as_fraction
-from .radial import fit_loglog_slope, require_normal
+from .radial import fit_loglog_slope, line_fit, require_normal
 from .spectral import SurrogateOperator, annulus_systems, lambda1_annulus
 
 VERDICT_CONTRADICTION = "CONTRADICTION"
@@ -253,19 +253,14 @@ def verdict(prof: ManifoldProfile, src: SourceProfile, p: float,
         ratio = rhs / lhs
     require_normal("a witness side (lhs, rhs or rhs/lhs)", np.repeat(rs, 3),   # radius by radius
                    np.column_stack([lhs, rhs, ratio]).ravel())
-    e_lam, e_rhs = fit_loglog_slope(rs, lhs), fit_loglog_slope(rs, rhs)
     c = _shell_exponent(prof, src, p)
-    if c != 0:   # the slope of rhs/fraction as a difference of slopes: no quotient overflows
-        shells = np.array([cfg.shell_count(R) for R in rs])
-        e_rhs -= fit_loglog_slope(rs, -np.expm1(-(shells + 1) * abs(float(c) * math.log(cfg.tau))))
+    shells = np.array([cfg.shell_count(R) for R in rs])
+    frac = -np.expm1(-(shells + 1) * abs(float(c) * math.log(cfg.tau))) if c != 0 else 1.0
+    # one fit of ln rhs - ln fraction: no quotient is formed, so none overflows
+    e_lam, e_rhs = fit_loglog_slope(rs, lhs), line_fit(np.log(rs), np.log(rhs) - np.log(frac))[0]
     gap_fit = e_rhs - e_lam
 
-    # logarithmic residual test: ratio against a + b*ln R, whose slope has the
-    # correlation's sign; scaled by a power of two, exact: corrcoef's dot
-    # products cannot overflow
-    scaled = np.ldexp(ratio, -np.frexp(np.max(ratio))[1])
-    with np.errstate(divide="ignore", invalid="ignore"):   # a constant ratio: nan, read as 0
-        corr = float(np.nan_to_num(np.corrcoef(np.log(rs), scaled)[0, 1]))
+    _, corr = line_fit(np.log(rs), ratio)   # the log residual test: ratio against a + b*ln R
     log_flag = abs(gap_fit) <= GAP_RESOLUTION and corr >= LOG_FIT_MIN_CORRELATION
 
     growing = (ratio[-1] > ratio[-2] > ratio[-3]

@@ -148,19 +148,29 @@ def require_normal(what: str, radii, values, floor=np.finfo(float).tiny) -> np.n
     return values
 
 
+def line_fit(x, y) -> tuple[float, float]:
+    """Least-squares (slope, correlation) of y on x from centred sums, y first scaled by a power
+    of two to |y| <= 1 so no product overflows; correlation in [-1, 1], (0, 0) for a constant y."""
+    lo, hi = np.min(y), np.max(y)
+    if lo == hi:
+        return 0.0, 0.0
+    shift = int(np.frexp(max(-lo, hi))[1])
+    dx, dy = (v - v.sum() / v.size for v in (np.asarray(x, dtype=float), np.ldexp(y, -shift)))
+    cx, cy, n = dx.sum(), dy.sum(), dx.size   # the rounded means' residues: corrected two-pass
+    sxx, sxy, syy = dx @ dx - cx * cx / n, dx @ dy - cx * cy / n, dy @ dy - cy * cy / n
+    return float(np.ldexp(sxy / sxx, shift)), float(max(-1.0, min(1.0, sxy / np.sqrt(sxx * syy))))
+
+
 def fit_loglog_slope(x, y):
     """Least-squares slope of log y against log x (requires positive data)."""
-    lx, ly = np.log(np.asarray(x, dtype=float)), np.log(np.asarray(y, dtype=float))
-    return float(np.polyfit(lx, ly, 1)[0])
+    return line_fit(np.log(x), np.log(y))[0]
 
 
 def _decade_slope(g, v, left: bool) -> float:
     """Power-law fit over the first/last decade; 0 (a flat tail) where it is
     not well defined: fewer than 3 nodes, or a value of 0 among them."""
     mask = g <= float(g[0]) * 10.0 if left else g >= g[-1] / 10.0   # a float: inf, no warning
-    if mask.sum() < 3 or np.any(v[mask] <= 0):
-        return 0.0
-    return fit_loglog_slope(g[mask], v[mask])
+    return fit_loglog_slope(g[mask], v[mask]) if mask.sum() >= 3 and np.all(v[mask] > 0) else 0.0
 
 
 @dataclass(frozen=True)

@@ -121,6 +121,15 @@ def test_oracle_agreement(tmp_path):
     assert report["within_3_stderr"] is True
 
 
+def test_oracle_stderr_survives_underflowing_squares(tmp_path):
+    # samples near 1e-191 square to 0: stderr read 0.0 and the estimate,
+    # 2.08e-191 against an exact 2.08e-191, did not agree
+    out = tmp_path / "o"
+    assert run(["oracle", "--n", "107", "--x", "25", "--out-dir", str(out)]) == 0
+    report = _load(out)
+    assert report["stderr"] > 0.0 and report["within_3_stderr"] is True
+
+
 def test_oracle_agreement_is_scale_free(tmp_path, monkeypatch):
     # an absolute slack of 1e-12 let an estimate of 0 agree with any exact
     # value below it (here 5.2e-18)

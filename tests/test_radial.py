@@ -5,14 +5,15 @@ product and grid conversion against the scalar loops they replaced."""
 import bisect
 import math
 import time
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from biharm.errors import ParameterError
-from biharm.radial import PiecewisePower, RadialFunction, power_integral, pp_product
+from biharm.radial import PiecewisePower, RadialFunction, line_fit, power_integral, pp_product
 
 # (coef, exp, lo, hi): finite pieces, origin pieces (lo = 0) and tail pieces (hi = inf)
 CASES = [
@@ -161,33 +162,57 @@ def _loop_pp_product(*pps):
     return bounds, log_coefs, exps
 
 
+_EPS = np.finfo(float).eps
+
+
+def _exact_fit(x, y):
+    """The least-squares line through float data, in exact rationals: its slope
+    Sxy/Sxx, its correlation (rounded once, from its exact square), and
+    Syy/Sxx, the square of the largest slope the data allow."""
+    fx, fy = [Fraction(float(a)) for a in x], [Fraction(float(b)) for b in y]
+    mx, my = sum(fx) / len(fx), sum(fy) / len(fy)
+    sxx = sum((a - mx) ** 2 for a in fx)
+    syy = sum((b - my) ** 2 for b in fy)
+    sxy = sum((a - mx) * (b - my) for a, b in zip(fx, fy))
+    corr = math.copysign(math.sqrt(sxy * sxy / (sxx * syy)), sxy) if syy else 0.0
+    return sxy / sxx, corr, syy / sxx
+
+
+def _assert_slope_close(slope, fit, ulps=8):
+    """slope is fit's exact slope to within ulps of sqrt(Syy/Sxx), or of the
+    smallest subnormal, the float grid's spacing below 2**-1022."""
+    exact, _, scale_sq = fit
+    over = abs(Fraction(slope) - exact) - Fraction(2.0 ** -1074)
+    assert over <= 0 or over ** 2 <= (ulps * Fraction(_EPS)) ** 2 * scale_sq
+
+
 def _loop_decade_fit(g, v, left):
-    """np.polyfit of ln v against ln r over the nodes of the first or last
-    decade, picked one at a time; 0 when they are under 3 or one is 0."""
+    """The exact fit (_exact_fit) of ln v against ln r over the nodes of the
+    first or last decade, picked one at a time; None when they are under 3 or
+    one is 0."""
     nodes = [(r, x) for r, x in zip(g, v) if (r <= g[0] * 10.0 if left else r >= g[-1] / 10.0)]
     if len(nodes) < 3 or any(x == 0.0 for _, x in nodes):
-        return 0.0
-    return float(np.polyfit(np.log([r for r, _ in nodes]), np.log([x for _, x in nodes]), 1)[0])
+        return None
+    return _exact_fit(np.log([r for r, _ in nodes]), np.log([x for _, x in nodes]))
 
 
-def _loop_as_piecewise(rf):
+def _loop_as_piecewise(rf, fitted):
     """The per-segment scalar conversion loop: (bounds, log_coefs, exps) lists.
 
     Each piece is a power law through its left node (the first piece through
     the first node): a segment between positive values takes the log-log
     slope, a positive value followed by 0 holds its level, and a piece
-    whose left node is 0 vanishes.  A tail not given is fitted over its
-    outer decade.  Logs are numpy's, one scalar at a time.
+    whose left node is 0 vanishes.  A tail not given takes its exponent from
+    fitted, the (left, right) pair.  Logs are numpy's, one scalar at a time.
     """
     g, v = rf.grid, rf.values
-    pieces = [(0, rf.tail_left if rf.tail_left is not None else _loop_decade_fit(g, v, True))]
+    pieces = [(0, rf.tail_left if rf.tail_left is not None else fitted[0])]
     for i in range(g.size - 1):
         if v[i] > 0 and v[i + 1] > 0:
             pieces.append((i, np.log(v[i + 1] / v[i]) / np.log(g[i + 1] / g[i])))
         else:
             pieces.append((i, 0.0))
-    pieces.append((g.size - 1, rf.tail_right if rf.tail_right is not None
-                   else _loop_decade_fit(g, v, False)))
+    pieces.append((g.size - 1, rf.tail_right if rf.tail_right is not None else fitted[1]))
     log_coefs, exps = [], []
     for node, e in pieces:
         if v[node] > 0:
@@ -252,7 +277,18 @@ def radial_functions(draw):
 @settings(max_examples=200, deadline=None)
 @given(radial_functions())
 def test_as_piecewise_matches_the_scalar_loop_exactly(rf):
-    assert _fields(rf.as_piecewise()) == _loop_as_piecewise(rf)
+    pp = rf.as_piecewise()
+    fitted = pp.exps[0], pp.exps[-1]
+    # a fitted tail is the exact least-squares slope to 8 ulps, or 0 where
+    # that fit is not defined ...
+    for tail, e, left in zip((rf.tail_left, rf.tail_right), fitted, (True, False)):
+        fit = _loop_decade_fit(rf.grid, rf.values, left)
+        if tail is None and fit is None:
+            assert e == 0.0
+        elif tail is None:
+            _assert_slope_close(e, fit)
+    # ... and with the tails it took, every piece is the scalar loop's, bit for bit
+    assert _fields(pp) == _loop_as_piecewise(rf, fitted)
 
 
 def _mp_loglog(grid, values, r):
@@ -289,11 +325,47 @@ def test_missing_tails_are_fitted_over_the_outer_decades():
     grid = np.array([0.01, 0.02, 0.04, 0.08, 0.3, 1.0, 3.0, 10.0, 30.0, 100.0, 200.0, 400.0])
     values = np.exp(-np.log(grid) ** 2 / 8.0) * (1.0 + 0.2 * np.sin(3.0 * np.log(grid)))
     exps = RadialFunction(grid, values).as_piecewise().exps
-    assert exps[0] == np.polyfit(np.log(grid[:4]), np.log(values[:4]), 1)[0]
-    assert exps[-1] == np.polyfit(np.log(grid[-3:]), np.log(values[-3:]), 1)[0]
+    _assert_slope_close(exps[0], _exact_fit(np.log(grid[:4]), np.log(values[:4])))
+    _assert_slope_close(exps[-1], _exact_fit(np.log(grid[-3:]), np.log(values[-3:])))
     # a given tail wins over the fit
     given = RadialFunction(grid, values, -1.5, 2.5).as_piecewise().exps
     assert (given[0], given[-1]) == (-1.5, 2.5)
+
+
+@st.composite
+def line_data(draw):
+    """2..30 points: distinct x in [-700, 700] (the logs of radii) spread over
+    at least 1e-6, and y up to 1e300 in magnitude: any values, a constant, or
+    a rounded line."""
+    n = draw(st.integers(2, 30))
+    x = np.array(draw(st.lists(st.floats(-700.0, 700.0), min_size=n, max_size=n, unique=True)))
+    assume(np.ptp(x) >= 1e-6)
+    big = st.floats(-1e300, 1e300)
+    y = draw(st.one_of(st.lists(big, min_size=n, max_size=n).map(np.array),
+                       big.map(lambda c: np.full(n, c)),
+                       st.tuples(big, st.floats(-1e-3, 1e-3)).map(lambda cb: cb[0] * (1.0 + cb[1] * x))))
+    return x, y
+
+
+@settings(max_examples=200, deadline=None)
+@given(line_data())
+@example((np.array([0.0, 1.0, 2.0]), np.full(3, 0.1)))   # its float mean is not 0.1
+@example((np.array([0.0, 1.0, 2.0]), np.array([1e300, 1.7e300, -1.7e300])))
+def test_line_fit_matches_the_exact_least_squares_fit(data):
+    # filterwarnings = error: an overflow or a 0/0 on the way fails the test
+    x, y = data
+    slope, corr = line_fit(x, y)
+    fit = _exact_fit(x, y)
+    _assert_slope_close(slope, fit)
+    assert abs(corr - fit[1]) <= 8 * _EPS and -1.0 <= corr <= 1.0
+
+
+def test_line_fit_of_a_constant_and_of_a_line_near_the_float_limit():
+    x = np.log([1.0, 2.0, 4.0, 8.0])
+    assert line_fit(x, np.full(4, 0.1)) == (0.0, 0.0)
+    assert line_fit(x, np.full(4, -1e300)) == (0.0, 0.0)
+    slope, corr = line_fit(x, 1e300 * (1.0 + x))   # the sums of 1e300**2 would overflow
+    assert slope == pytest.approx(1e300, rel=4 * _EPS) and corr == 1.0
 
 
 def test_tails_are_flat_where_a_decade_has_under_3_positive_nodes():
