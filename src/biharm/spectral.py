@@ -84,10 +84,9 @@ class EigenResult:
 
     ``lambda1`` is the raw value on the finer mesh, ``richardson`` the
     second-order extrapolation from the mesh pair, ``error_estimate`` the
-    larger of the extrapolation increment and the change of the
-    extrapolation from the pair one halving coarser.  ``vectors`` holds the
-    (coarse, fine, half) eigenvectors, a start for the next solve, and
-    ``iterations`` the (coarse, fine, half) inverse-iteration step counts.
+    extrapolation increment.  ``vectors`` holds the (coarse, fine)
+    eigenvectors, a start for the next solve, and ``iterations`` the
+    (coarse, fine) inverse-iteration step counts.
     """
 
     lambda1: float
@@ -207,24 +206,14 @@ def lambda1_annulus(op: SurrogateOperator, r_in: float, r_out: float, mesh: int,
     Second-order central differences on the mesh pair (mesh, 2*mesh) with
     Richardson extrapolation; the discrete values converge at O(mesh**-2).
     ``start``, a previous result's ``vectors`` on the same mesh pair, starts
-    the inverse iterations; without it the coarse one starts from a vector
-    of ones, and the fine and half ones from the coarse eigenvector, linearly
-    interpolated onto their nodes.  A start changes the step counts, not the
+    both inverse iterations; without it the coarse one starts from a vector
+    of ones and the fine one from the coarse eigenvector, linearly
+    interpolated onto its nodes.  A start changes the step counts, not the
     stop rule.
-
-    A third solve on mesh//2 nodes gives the extrapolation of the pair
-    (mesh//2, mesh); ``error_estimate`` is the larger of the increment
-    |lambda_fine - lambda_coarse|/3 and the change between the two
-    extrapolations.  The change bounds the error of ``richardson`` whenever
-    halving the mesh at least halves the extrapolation's error.  The
-    increment alone does not where the coarse mesh is too wide for the
-    coefficients' variation near r_in, so that the h**2 and h**4 terms of the
-    error cancel in it.
     """
     (ab_coarse, w_coarse), fine = annulus_systems(op, r_in, r_out, mesh)
     annulus = f"annulus ({float(r_in)!r}, {float(r_out)!r})"
-    coarse_start, fine_start, *half_start = start or (None, None)
-    half_start = half_start[0] if half_start else None
+    coarse_start, fine_start = start or (None, None)
     try:
         with np.errstate(over="ignore"):   # an iterate out of range gives nan
             lam_coarse, vec_coarse, it_coarse = _smallest_eigenvalue(ab_coarse, w_coarse,
@@ -232,20 +221,14 @@ def lambda1_annulus(op: SurrogateOperator, r_in: float, r_out: float, mesh: int,
             if fine_start is None:
                 fine_start = _interpolated(vec_coarse, 2 * int(mesh))
             lam_fine, vec_fine, it_fine = _smallest_eigenvalue(*fine, fine_start)
-            if half_start is None:
-                half_start = _interpolated(vec_coarse, int(mesh) // 2)
-            lam_half, vec_half, it_half = _smallest_eigenvalue(
-                *_assemble(op, r_in, r_out, int(mesh) // 2), half_start)
     except ParameterError as exc:
         raise ParameterError(f"{annulus}: {exc}") from None
-    if not math.isfinite(lam_coarse + lam_fine + lam_half):
+    if not math.isfinite(lam_coarse + lam_fine):
         raise ParameterError(f"{annulus} is out of range: the inverse iteration leaves the "
                              "float range")
     rich = lam_fine + (lam_fine - lam_coarse) / 3.0
-    rich_half = lam_coarse + (lam_coarse - lam_half) / 3.0
-    error = max(abs(lam_fine - lam_coarse) / 3.0, abs(rich - rich_half))
-    return EigenResult(lam_fine, 2 * int(mesh), rich, error, (vec_coarse, vec_fine, vec_half),
-                       (it_coarse, it_fine, it_half))
+    return EigenResult(lam_fine, 2 * int(mesh), rich, abs(lam_fine - lam_coarse) / 3.0,
+                       (vec_coarse, vec_fine), (it_coarse, it_fine))
 
 
 # -- fourth-order infimum check ----------------------------------------------
