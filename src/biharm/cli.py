@@ -72,10 +72,12 @@ def _write_json(path: Path, payload: dict):
 
 
 def _write_csv(path: Path, header: str, rows):
-    """One line per row, each value as %.12e: one format per row, with one
-    field per column of the header."""
-    fmt = ",".join(["%.12e"] * len(header.split(",")))
-    _atomic_write(path, "\n".join([header, *(fmt % row for row in rows)]) + "\n")
+    """One line per row, each value as %.12e: the rows go through a float
+    array, and one format over the whole table takes one field per column
+    of the header on every line, so a row of another width fails."""
+    values = np.array(list(rows), dtype=float)
+    line = ",".join(["%.12e"] * len(header.split(","))) + "\n"
+    _atomic_write(path, header + "\n" + (line * len(values)) % tuple(values.ravel().tolist()))
 
 
 def _report(out_dir: Path, command: str, config: dict, body: dict):

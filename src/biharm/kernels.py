@@ -10,7 +10,10 @@ split-comparison
     monotone sources.  Each term is one batched ``quad.integrate``; when the
     source's interior breakpoints are the radii themselves (a grid source on
     its own grid) and that grid is log-uniform, ``quad.integrate_grid`` sums
-    the grid cells as Toeplitz correlations instead.
+    the grid cells as Toeplitz correlations instead, and the source's tails
+    past the grid as offset cells: then only the second term's two cells
+    past each radius, and a tail that a profile breakpoint cuts, reach the
+    zones.
 surrogate-exact
     kernel max(rho, r)**(-gamma) against the measure alpha * r**(alpha-1) dr;
     the exact inverse of the surrogate radial operator in `spectral`.

@@ -45,12 +45,16 @@ are the nodes of a log-uniform grid that u or f breaks at (a grid source on
 its own grid): the grid cells all get the same Gauss panels, and within one
 piece of the other factor a node's value is a product of a factor of its
 cell and one of the cell's offset from the shift, so each sum over cells is
-a Toeplitz correlation.  Only what lies beyond the grid, and on f's grid the
-two cells at each shift, still goes through the zones above, in one
-``_integrate`` call that leaves the correlated cells' window out of every
-zone.  Cells that a breakpoint cuts get the near zone's Gauss driver.  A grid
-whose cells need more than ``_MAX_PANELS`` panels, or whose kernel tables
-would pass ``_GRID_PANELS`` panels, goes through the zones whole.
+a Toeplitz correlation.  The grid factor's power-law tails past the grid's
+ends are cells of the grid continued log-uniformly: scaled by the shift,
+every row's tail is a suffix of one table of Gauss cells plus one binomial
+series beyond them that all rows share.  So on u's grid nothing reaches the
+zones above, and on f's grid only the two cells past each shift do, in one
+``_integrate`` call over that window.  A tail that a breakpoint of either
+factor cuts, at some row, goes through the zones for that row.  Cells that a
+breakpoint cuts get the near zone's Gauss rule, ``_add_gauss``.  A grid whose
+cells need more than ``_MAX_PANELS`` panels, or whose kernel tables would pass
+``_GRID_PANELS`` panels, goes through the zones whole.
 
 Shifts are processed with array operations, in blocks of about
 ``_BLOCK_SEAMS`` seams, ``_BLOCK_PANELS`` Gauss panels and ``_BLOCK_PIECES``
@@ -318,6 +322,8 @@ def _series_zones(u: PiecewisePower, f: PiecewisePower, rho, skip=None):
     value, err, nonzero = np.zeros(rho.size), np.zeros(rho.size), np.zeros(rho.size, bool)
     for moments, *pieces in parts:
         row, *rest = (np.concatenate(x) for x in zip(*pieces))
+        if not row.size:   # a zone that the skip window covers whole
+            continue
         v, e, nz = _series(moments, specs, log_rho[row], *rest)
         value += np.bincount(row, weights=v, minlength=rho.size)
         err += np.bincount(row, weights=e, minlength=rho.size)
@@ -454,6 +460,16 @@ def integrate(integrand: PowerIntegrand) -> QuadratureResult:
     return _integrate(integrand)
 
 
+def _divergence(u: PiecewisePower, f: PiecewisePower, rho):
+    """The tail exponent of u(r) f(rho + r) against dr/r, and per shift
+    whether its origin or its tail diverges."""
+    with np.errstate(over="ignore"):   # a sum beyond the float range is +-inf: flagged
+        tail_exponent = float(u.exps[-1] + f.exps[-1])
+    tail_live = u.log_coefs[-1] > -_INF and f.log_coefs[-1] > -_INF
+    origin_live = (u.log_coefs[0] > -_INF) & (f.log_coefs[f.piece_index(rho)] > -_INF)
+    return tail_exponent, (tail_live and tail_exponent >= 0.0) | (origin_live & (u.exps[0] <= 0.0))
+
+
 def _integrate(integrand: PowerIntegrand, skip=None) -> QuadratureResult:
     """``integrate``, over (0, inf) without the r-window skip = (lo, hi) of
     each shift if given (arrays in the shape of rho).  The divergence flags
@@ -461,11 +477,7 @@ def _integrate(integrand: PowerIntegrand, skip=None) -> QuadratureResult:
     u, f = integrand.u, integrand.f
     shape = integrand.rho.shape
     rho = integrand.rho.ravel()
-    with np.errstate(over="ignore"):   # a sum beyond the float range is +-inf, flagged below
-        tail_exponent = float(u.exps[-1] + f.exps[-1])
-    tail_live = u.log_coefs[-1] > -_INF and f.log_coefs[-1] > -_INF
-    origin_live = (u.log_coefs[0] > -_INF) & (f.log_coefs[f.piece_index(rho)] > -_INF)
-    diverged = (tail_live and tail_exponent >= 0.0) | (origin_live & (u.exps[0] <= 0.0))
+    tail_exponent, diverged = _divergence(u, f, rho)
 
     value = np.full(rho.size, _INF)
     abs_err = np.full(rho.size, _INF)
@@ -575,15 +587,124 @@ def _correlate(F, T, rows, lo, hi, rel):
     return out
 
 
+def _offset_cells(log_s, off, table, a, beta, sign, h):
+    """Per entry i, exp(log_s[i]) int_{off[i] h}^inf e**(a z) (1 + sign e**-z)**beta dz
+    with (a, beta) = (a, beta)[table[i]], a < 0: the suffix from cell off[i]
+    of the table's Gauss cells [k h, (k + 1) h], plus the table's binomial
+    series in e**-z from z = m h on, m >= max(off) and far enough out for
+    every ratio cap.  All tables share one grid of cells and panels.
+
+    sign = +1 is the near zone's integrand in t = ln r, with its slope rule
+    and ``_PANEL_ERROR``; sign = -1 is f's grid kernel from two cells past
+    the shift on, with the grid path's rule and ``_GRID_PANEL_ERROR``.  The
+    series take _K + 1 terms and the last one's remainder bound.  Returns
+    (value, error estimate, ok): no entry is ok where the tables would need
+    more than ``_MAX_PANELS`` panels a cell or ``_GRID_PANELS`` in all, or
+    its table could pass e**``_GRID_RANGE``, and an entry is not ok where
+    its scale or its value could leave e**+-``_GRID_RANGE``.
+    """
+    none = np.zeros(off.size), np.zeros(off.size), np.zeros(off.size, bool)
+    cap = _STEEP / np.maximum(np.abs(beta), _STEEP / _X)
+    k0, m = int(off.min()), max(int(off.max()), int(np.ceil(-np.log(cap.min()) / h)))
+    if sign > 0:
+        slope, least, error = np.maximum(np.abs(a), np.abs(a - beta)), 1.0, _PANEL_ERROR
+    else:
+        slope = np.maximum(np.abs(a), np.abs(a + beta / np.expm1(2.0 * h)))
+        least, error = np.ceil(np.abs(beta)).max(), _GRID_PANEL_ERROR
+    panels = max(np.ceil(h * np.maximum(1.0, slope)).max(), least)
+    if not (panels <= _MAX_PANELS and a.size * (m - k0) * panels <= _GRID_PANELS):
+        return none
+    panels = int(panels)
+    tau = ((np.arange(panels)[:, None] + 0.5 * (1.0 + _GAUSS_NODES)) / panels).ravel()
+    z = (np.arange(k0, m)[:, None] + tau) * h
+    bend = np.log1p(np.exp(-z)) if sign > 0 else np.log(-np.expm1(-z))
+    log_k = a[:, None, None] * z + beta[:, None, None] * bend
+    fits = log_k.max(axis=(1, 2), initial=-_INF) < _GRID_RANGE
+    cells = np.exp(np.minimum(log_k, _GRID_RANGE)) @ np.tile(_GAUSS_WEIGHTS * (h / (2.0 * panels)), panels)
+    k = np.arange(_K + 1.0)
+    terms = np.cumprod(np.concatenate([np.ones((a.size, 1)), (beta[:, None] - k[1:] + 1.0) / k[1:] * sign],
+                                      axis=1), axis=1)
+    terms *= np.exp((a[:, None] - k) * (m * h)) / (k - a[:, None])
+    far = terms.sum(axis=1)
+    suffix = np.cumsum(np.concatenate([cells, far[:, None]], axis=1)[:, ::-1], axis=1)[:, ::-1]
+    suffix = suffix[table, off - k0]
+    log_v = np.log(suffix)
+    ok = (fits[table] & (np.abs(log_s) < _GRID_RANGE) & (log_v > -_GRID_RANGE)
+          & (np.abs(log_s + log_v) < _GRID_RANGE))
+    scale = np.exp(np.where(ok, log_s, -_INF))
+    far_err = np.abs(terms[:, -1]) / -np.expm1(-m * h)
+    return scale * suffix, scale * (error * (suffix - far[table]) + far_err[table]), ok
+
+
+def _grid_tails(w: PiecewisePower, kern: PiecewisePower, x, h, on_u: bool):
+    """The grid factor w's tails past the grid's ends as ``_offset_cells``,
+    row by row, where the tail is one piece of w and lies in one piece of
+    the other factor at that row: one table per pair of pieces.  On u's
+    grid, r**e_w (x_i + r)**e_k is x_i**(e_w + e_k) e**(a z) (1 + e**-z)**e_k
+    in z = ln(x_i/r) below the grid (a = -e_w) and z = ln(r/x_i) above it
+    (a = e_w + e_k); on f's, the kernel (s - x_i)**(e_k - 1) s times s**e_w
+    is x_i**(e_w + e_k) e**(a z) (1 - e**-z)**(e_k - 1) in z = ln(s/x_i),
+    from two cells past each shift on.  A divergent tail reads inf.  Returns
+    (value, error estimate, [summed below, summed above]); on f's grid
+    nothing is below.
+    """
+    n = x.size
+    t = np.log(x)
+    rows = np.arange(n)
+    value, err = np.zeros(n), np.zeros(n)
+    summed = [np.full(n, not on_u), np.zeros(n, bool)]
+    last = np.full(n, kern.npieces - 1)
+    # (w's piece, offsets in cells, the kernel's piece per row, whether it holds)
+    if on_u:
+        j = kern.piece_index(x)
+        tails = [(0, rows, j, (w.bounds[1] == x[0]) & (x + x[0] <= kern.bounds[j + 1])),
+                 (-1, n - 1 - rows, last, (w.bounds[-2] == x[-1]) & (kern.bounds[-2] <= x + x[-1]))]
+    else:
+        off = np.maximum(n - 1 - rows, 2)
+        tails = [(-1, off, last, (w.bounds[-2] == x[-1]) & (kern.bounds[-2] <= x * np.expm1(off * h)))]
+    entries, tables = [], []   # (side, row, offset, table, log scale), (a, beta)
+    for p, off, j, holds in tails:
+        for jj in sorted(set(j[holds].tolist())):
+            sel = np.flatnonzero(holds & (j == jj))
+            lc, e_w, e_k = w.log_coefs[p] + kern.log_coefs[jj], w.exps[p], kern.exps[jj]
+            a = e_w + e_k if p else -e_w
+            if lc == -_INF or a >= 0.0:   # a dead tail adds 0, a divergent one inf
+                if lc > -_INF:
+                    value[sel] = err[sel] = _INF
+                summed[p][sel] = True
+                continue
+            entries.append((np.full(sel.size, p), sel, off[sel], np.full(sel.size, len(tables)),
+                            lc + (e_w + e_k) * t[sel]))
+            tables.append((a, e_k if on_u else e_k - 1.0))
+    if tables:
+        side, row, off, table, log_s = (np.concatenate(c) for c in zip(*entries))
+        a, beta = np.array(tables).T
+        v, e, ok = _offset_cells(log_s, off, table, a, beta, 1.0 if on_u else -1.0, h)
+        value += np.bincount(row[ok], weights=v[ok], minlength=n)
+        err += np.bincount(row[ok], weights=e[ok], minlength=n)
+        for p in (0, -1):
+            summed[p][row[ok & (side == p)]] = True
+    return value, err, summed
+
+
 def _grid_integrate(integrand: PowerIntegrand, h: float, on_u: bool):
-    """The grid path of ``integrate_grid``, on u's grid or on f's; None where
-    a cell needs more than ``_MAX_PANELS`` panels, the kernel tables would
-    pass ``_GRID_PANELS`` panels or a product F T S could leave the float
-    range."""
+    """The grid path of ``integrate_grid``, on u's grid or on f's: the
+    cells as Toeplitz correlations, w's tails as ``_grid_tails``, and on
+    ``_integrate``'s zones only the tails that do not fit there and, on f's
+    grid, the two cells past each shift.  None where a cell needs more than
+    ``_MAX_PANELS`` panels, the kernel tables would pass ``_GRID_PANELS``
+    panels or a product F T S could leave the float range."""
     u, f, x = integrand.u, integrand.f, integrand.rho
     n = x.size
     rows = np.arange(n)
     w, kern, start = (u, f, np.zeros(n, int)) if on_u else (f, u, rows + 2)
+    # the other factor with equal neighbouring pieces merged: a breakpoint
+    # that changes nothing (g v = r**2 on both sides of 1 where
+    # alpha - gamma = 2) cuts no cell and no tail
+    new = np.concatenate([[True], (kern.log_coefs[1:] != kern.log_coefs[:-1])
+                          | (kern.exps[1:] != kern.exps[:-1])])
+    kern = PiecewisePower._from_logs(np.append(kern.bounds[:-1][new], _INF), kern.log_coefs[new],
+                                     kern.exps[new])
     t = np.log(x)
     width = np.log(x[1:] / x[:-1])
 
@@ -629,10 +750,28 @@ def _grid_integrate(integrand: PowerIntegrand, h: float, on_u: bool):
             and fin_F.min() + fin_T.min() + log_S.min() > -_GRID_RANGE):
         return None
     F, T, S = np.exp(log_F), np.exp(log_T), np.exp(log_S)
-    # the zones take what lies outside the cells: on u's grid, u beyond it;
-    # on f's, the cell at each shift and the next one, and f's tail
+    # w's tails as offset cells; the zones take the tails that do not fit,
+    # and on f's grid the cell at each shift and the next one, real or past
+    # the grid's end
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):   # past the float range: not ok
+        value, err, summed = _grid_tails(w, kern, x, h, on_u)
     base = np.zeros(n) if on_u else x   # r = s - base
-    part = _integrate(integrand, (x[np.minimum(start, n - 1)] - base, np.full(n, x[-1]) - base))
+    if on_u:
+        tail_exponent, diverged = _divergence(u, f, x)
+        todo = np.flatnonzero(~(summed[0] & summed[1]))
+        if todo.size:
+            part = _integrate(PowerIntegrand(u, f, x[todo]),
+                              (np.where(summed[0], 0.0, x[0])[todo],
+                               np.where(summed[1], _INF, x[-1])[todo]))
+            value[todo] += part.value
+            err[todo] += part.abs_error_estimate
+    else:
+        ahead = np.append(x, x[-1] * np.exp([h, 2.0 * h]))[rows + 2]
+        part = _integrate(integrand, (np.where(summed[1], ahead, x[np.minimum(start, n - 1)]) - x,
+                                      np.where(summed[1], _INF, x[-1] - x)))
+        value += part.value
+        err += part.abs_error_estimate
+        tail_exponent, diverged = part.tail_exponent, part.diverged
 
     # per row, the cells in each piece of the other factor: from the first node
     # at or past the piece's start to the last one at or before its end
@@ -653,7 +792,6 @@ def _grid_integrate(integrand: PowerIntegrand, h: float, on_u: bool):
                        np.full(cols.size, n) if on_u else np.maximum(cols - 1, 0))
     d_rows, d_cells = np.concatenate(d_rows + [row]), np.concatenate(d_cells + [cols[col]])
 
-    value, err = np.zeros(n), np.zeros(n)
     if d_rows.size:
         with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
             _add_gauss(u, f, d_rows, x[d_rows], x[d_cells] - base[d_rows],
@@ -665,8 +803,7 @@ def _grid_integrate(integrand: PowerIntegrand, h: float, on_u: bool):
             sums = S[m] * _correlate(F, T[m], sel, lo[sel], hi[sel], lo[sel] == start[sel])
             value += sums
             err += (_PANEL_ERROR if on_u else _GRID_PANEL_ERROR) * sums
-    return QuadratureResult(part.value + value, part.abs_error_estimate + err,
-                            part.tail_exponent, part.diverged)
+    return QuadratureResult(value, err, np.full(n, tail_exponent), diverged)
 
 
 def integrate_grid(integrand: PowerIntegrand) -> QuadratureResult:
@@ -674,17 +811,22 @@ def integrate_grid(integrand: PowerIntegrand) -> QuadratureResult:
     shifts are breakpoints of u or of f on a log-uniform grid of 3 or more
     nodes (a grid source's own grid); other inputs go to ``integrate``.
 
-    What stays on ``integrate``'s zones, which leave the correlated cells'
-    window out, keeps its divergence flags and range checks: r outside the
-    grid when the grid is u's; when it is f's, the cell at each shift and the
-    next one, where the kernel's branch point at s = rho is near, and f's
-    tail.  Every cell gets the panels the steepest one needs; cells that a
-    breakpoint of either factor cuts are summed directly.  Inputs whose cells
-    need more than ``_MAX_PANELS`` panels, whose kernel tables would pass
-    ``_GRID_PANELS`` panels (so memory stays bounded), where a product of a
-    node value, a kernel entry and a row scale could leave the float range,
-    or where a part on ``integrate`` does, go to ``integrate`` whole.  The error estimate adds the panels' a-priori bound,
-    ``_PANEL_ERROR`` or ``_GRID_PANEL_ERROR`` of the sums.
+    The grid factor's tails past the grid's ends are summed as offset cells
+    of the grid continued log-uniformly, with one shared binomial series
+    beyond them.  What still reaches ``integrate``'s zones keeps their range
+    checks: on f's grid, the cell at each shift and the next one, real or
+    past the grid's end, where the kernel's branch point at s = rho is near;
+    and at any row, a tail that a breakpoint of either factor cuts (a
+    breakpoint between two equal pieces of the other factor cuts nothing).
+    The divergence flags and tail exponent are ``integrate``'s.  Every cell
+    gets the panels the steepest one needs; cells that a breakpoint of either
+    factor cuts are summed directly.  Inputs whose cells need more than
+    ``_MAX_PANELS`` panels, whose kernel tables would pass ``_GRID_PANELS``
+    panels (so memory stays bounded), where a product of a node value, a
+    kernel entry and a row scale could leave the float range, or where a part
+    on ``integrate`` does, go to ``integrate`` whole.  The error estimate adds
+    the panels' a-priori bound, ``_PANEL_ERROR`` or ``_GRID_PANEL_ERROR`` of
+    the sums, and the shared series' remainder bound.
     """
     rho = integrand.rho
     h = _log_step(rho)

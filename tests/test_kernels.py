@@ -641,6 +641,64 @@ def test_grid_window_is_the_source_beyond_the_grid(prof, grid, kind):
         assert getattr(got, field).tolist() == getattr(ref, field).tolist(), field
 
 
+@pytest.mark.parametrize("prof", GRID_PROFILES, ids=lambda p: f"{p.alpha},{p.gamma},{p.dim_n}")
+@pytest.mark.parametrize("grid", sorted(GRIDS))
+@pytest.mark.parametrize("kind", ["smooth", "zeros", "steep"])
+def test_grid_tails_are_the_source_beyond_the_grid(prof, grid, kind):
+    # the offset cells of each tail against integrate of the source beyond
+    # the grid: u's pieces inside it zeroed for the first term, f's for the
+    # second, whose tail starts two cells past each shift
+    term1, term2 = split_terms(prof, grid_sources(prof, GRIDS[grid])[kind])
+    x = term1.rho
+    h = quad._log_step(x)
+    for term, on_u in ((term1, True), (term2, False)):
+        w, kern = (term.u, term.f) if on_u else (term.f, term.u)
+        value, err, summed = quad._grid_tails(w, kern, x, h, on_u)
+        assert np.all(summed[0]) and np.all(summed[1])
+        beyond = (w.bounds[1:] <= x[0]) | (w.bounds[:-1] >= x[-1])
+        if on_u:
+            ref = integrate(PowerIntegrand(only(w, beyond), kern, x)).value
+        else:
+            tail = PowerIntegrand(kern, only(w, beyond), x)
+            ref = integrate(tail).value
+            # the last two rows' tails start past the grid's end
+            ref[-2:] = quad._integrate(tail, (np.zeros(x.size), x * np.expm1(2.0 * h))).value[-2:]
+        np.testing.assert_allclose(value, ref, rtol=1e-13, atol=0)
+        assert np.all(err <= 1e-10 * value)
+
+
+def test_grid_path_integrates_only_the_two_cells_past_each_shift(monkeypatch):
+    # and on f's grid g v = r**2 on both sides of 1: one kernel piece, one correlation
+    windows, pieces = [], []
+    real, real_correlate = quad._integrate, quad._correlate
+
+    def spy(integrand, skip=None):
+        windows.append(skip)
+        return real(integrand, skip)
+
+    def correlations(*args):
+        pieces.append(args)
+        return real_correlate(*args)
+
+    monkeypatch.setattr(quad, "_integrate", spy)
+    monkeypatch.setattr(quad, "_correlate", correlations)
+    prof = GRID_PROFILES[1]
+    x = GRIDS["default127"]
+    h = quad._log_step(x)
+    for on_u, term in zip((True, False), split_terms(prof, grid_sources(prof, x)["smooth"])):
+        windows.clear()
+        pieces.clear()
+        assert quad._grid_integrate(term, h, on_u) is not None
+        if on_u:
+            assert windows == []
+            continue
+        [(lo, hi)] = windows
+        ahead = np.append(x[2:], x[-1] * np.exp([h, 2.0 * h]))
+        np.testing.assert_array_equal(lo, ahead - x)
+        assert np.all(hi == INF)
+        assert len(pieces) == 1
+
+
 def test_grid_path_uses_several_panels(monkeypatch):
     # at h = 0.33 the r**8 inside gives u a slope of 8: three panels a cell;
     # on log384 the steep node's two cells need three, so every cell gets
@@ -724,6 +782,20 @@ def log_uniform_sources(draw):
 # path gave up on a value of 0
 @example((ManifoldProfile(1.5, 1.0, 3), RadialFunction(
     log_grid(0.1, 1e3, 10), np.array([1.0, 0, 0, 0, 0, 0, 0, 0, 1.0, 0]), 0.0, -1.5)))
+# a grid from 0.6: the first row's tail below the grid crosses g's breakpoint at 1
+@example((ManifoldProfile(7.0, 5.0, 6), RadialFunction(
+    log_grid(0.6, 1e3, 12), (1.0 + log_grid(0.6, 1e3, 12)) ** -3.0, 1.0, -3.0)))
+# v's breakpoint at 1 in the tail above a grid that ends below 1 (and g v's in
+# the second term's), or below one that starts above 1
+@example((ManifoldProfile(9.0, 5.5, 8), RadialFunction(
+    log_grid(1e-3, 0.5, 12), np.exp(-log_grid(1e-3, 0.5, 12)), 1.0, -4.5)))
+@example((ManifoldProfile(9.0, 5.5, 8), RadialFunction(
+    log_grid(2.0, 1e3, 12), log_grid(2.0, 1e3, 12) ** -4.5, 1.0, -4.5)))
+# a divergent origin under a source that vanishes past the grid, and a divergent tail
+@example((ManifoldProfile(7.0, 5.0, 6), RadialFunction(
+    log_grid(1e-2, 1e2, 12), (1.0 + log_grid(1e-2, 1e2, 12)) ** -3.0 * (np.arange(12) < 11), -7.0, -3.0)))
+@example((ManifoldProfile(7.0, 5.0, 6), RadialFunction(
+    log_grid(1e-2, 1e2, 12), (1.0 + log_grid(1e-2, 1e2, 12)) ** -3.0, 0.5, -1.0)))
 def test_grid_path_matches_integrate_on_random_sources(source):
     prof, src = source
     taken = []

@@ -176,10 +176,13 @@ def test_gauss_zone_holds_only_the_near_breakpoints(rho):
                                          (ManifoldProfile(7.0, 4.5, 5), 6)])
 def test_series_pieces_per_shift_do_not_grow_with_the_grid(monkeypatch, prof, most):
     # the low zone expands f's piece at rho alone, and the high zone the
-    # factor with fewer pieces (g, or g v), so a 1024-node grid source's
-    # split potential costs each shift one low-zone series per term and one
-    # high-zone series per live piece of g or g v beyond 4 rho: 4 in all
-    # where g and v are single powers, up to 6 where both switch branch at 1
+    # factor with fewer pieces (g, or g v), so integrating a 1024-node grid
+    # source's two split terms costs each shift one low-zone series per term
+    # and one high-zone series per live piece of g or g v beyond 4 rho: 4 in
+    # all where g and v are single powers, up to 6 where both switch branch
+    # at 1.  On its own grid the split potential sums the source's tails as
+    # offset cells, so only the second term's series remain, the high-zone
+    # pieces of which its window cuts away: 2, up to 3
     grid = default_grid(1024)
     src = RadialFunction(grid, (1.0 + grid) ** -3.0).as_piecewise()
     row = _low_zone(src, grid)[1]
@@ -195,8 +198,13 @@ def test_series_pieces_per_shift_do_not_grow_with_the_grid(monkeypatch, prof, mo
 
     monkeypatch.setattr(quad, "_low_zone", counting(quad._low_zone))
     monkeypatch.setattr(quad, "_high_zone", counting(quad._high_zone))
-    potential_values(KernelSpec(MODE_SPLIT, prof), src, grid)
+    g, v = profile_piecewise("g", prof), profile_piecewise("v", prof)
+    for term in (PowerIntegrand(pp_product(src, v), g, grid), PowerIntegrand(pp_product(g, v), src, grid)):
+        integrate(term)
     assert per_shift.min() >= 4 and per_shift.max() <= most
+    per_shift[:] = 0
+    potential_values(KernelSpec(MODE_SPLIT, prof), src, grid)
+    assert per_shift.min() >= 2 and per_shift.max() <= most // 2
 
 
 def test_fixed_series_length_suffices_at_every_exponent():
