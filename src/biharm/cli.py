@@ -54,12 +54,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_EXIT)
 
 
-def _atomic_write(path: Path, text: str):
+def _atomic_write(path: Path, chunks):
+    """Write the byte chunks, one at a time, to a temp file beside path, then
+    rename it over path."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.writelines(chunks)   # holds no chunk past its write
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -68,23 +70,118 @@ def _atomic_write(path: Path, text: str):
 
 
 def _write_json(path: Path, payload: dict):
-    _atomic_write(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _atomic_write(path, [(json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()])
+
+
+# _write_csv formats this many rows at a time, so its temporaries are one
+# block's (~0.5 MB at three columns), whatever the table's length
+_CSV_BLOCK_ROWS = 1024
+# a %.12e field is d.dddddddddddde±XX[X]: its 13 digits are an integer N in
+# [10**12, 10**13), its exponent k, for a finite nonzero double, is in
+# [-324, 308]
+_EXP_MIN, _EXP_MAX = -324, 308
+_DOUBLE_TINY, _DOUBLE_MAX = 5e-324, 1.7976931348623157e308
+
+
+def _byte_words(columns, size: int) -> np.ndarray:
+    """Row i of the byte columns as one little-endian word of size bytes; the
+    bytes past the given columns, and every 0 byte, are left out of the output."""
+    table = np.zeros((len(columns[0]), size), np.uint8)
+    for i, column in enumerate(columns):
+        table[:, i] = column
+    return table.view(f"<u{size}").ravel()
+
+
+@functools.cache   # built on first use, never written to
+def _csv_tables():
+    """For each exponent k from _EXP_MIN: 10**(12 - k) in long double (0 where
+    that overflows, which sends the value to the per-value format) and the
+    8-byte words of 'e', the exponent and a comma or a newline; the tolerance
+    of N; the 4-byte words of four digits and of the sign, leading digit and
+    point."""
+    k = np.arange(_EXP_MIN, _EXP_MAX + 1)
+    with np.errstate(over="ignore"):
+        pow10 = np.longdouble(10) ** (12 - k).astype(np.longdouble)
+    pow10[~np.isfinite(pow10)] = 0
+    exp = [np.full(len(k), ord("e")), np.where(k < 0, ord("-"), ord("+")),
+           np.where(abs(k) >= 100, 48 + abs(k) // 100, 0), 48 + abs(k) // 10 % 10, 48 + abs(k) % 10]
+    # the scaled value, below 10**13, is off by a few long-double ulps at most
+    tol = 16 * float(np.finfo(np.longdouble).eps) * 1e13
+    d = np.arange(10000)
+    digits = _byte_words([48 + d // 1000, 48 + d // 100 % 10, 48 + d // 10 % 10, 48 + d % 10], 4)
+    lead = _byte_words([np.repeat([0, ord("-")], 10), 48 + np.tile(np.arange(10), 2),
+                        np.full(20, ord("."))], 4)
+    return (pow10, _byte_words(exp + [ord(",")], 8), _byte_words(exp + [ord("\n")], 8), tol,
+            digits, lead)
+
+
+def _csv_block(values: np.ndarray) -> bytes:
+    """The CSV lines of a 2-D float block, each value exactly as "%.12e" % x.
+
+    Each value gets a 24-byte slot: sign, leading digit and '.'; three times
+    four digits; 'e', the exponent and the separator.  The 13 digits are
+    N = round(|x| * 10**(12 - k)) with k = floor(log10|x|), scaled in long
+    double.  A value whose N is not certain that way (zero or not finite,
+    k off by one, N within the tolerance of a rounding tie, or N carrying
+    to 10**13) takes the per-value format.  The 0 bytes that pad the slots
+    are dropped at the end.
+    """
+    pow10, exp_comma, exp_newline, tol, digits, lead = _csv_tables()
+    rows, cols = values.shape
+    a = np.abs(values)
+    clamped = np.fmax(np.fmin(a, _DOUBLE_MAX), _DOUBLE_TINY)   # differs where a is 0, inf or nan
+    row = (np.log10(clamped) - _EXP_MIN).astype(np.intp)   # k - _EXP_MIN, truncated as floor
+    scaled = clamped.astype(np.longdouble) * pow10[row]
+    n = scaled.astype(np.int64)
+    frac = (scaled - n).astype(float)
+    fallback = (clamped != a) | (n < 10 ** 12) | (np.abs(frac - 0.5) <= tol)
+    n += frac > 0.5
+    fallback |= n >= 10 ** 13
+    n[fallback] = 0   # keeps the table indices in range; the slot is overwritten
+    q4 = n // 10 ** 4
+    q8 = q4 // 10 ** 4
+    first = q8 // 10 ** 4
+    slots = np.empty((rows, cols, 6), "<u4")
+    slots[..., 0] = lead[first + 10 * np.signbit(values)]
+    slots[..., 1] = digits[q8 - first * 10 ** 4]
+    slots[..., 2] = digits[q4 - q8 * 10 ** 4]
+    slots[..., 3] = digits[n - q4 * 10 ** 4]
+    words = slots.view("<u8")
+    words[:, :-1, 2] = exp_comma[row[:, :-1]]
+    words[:, -1, 2] = exp_newline[row[:, -1]]
+    slot_bytes = slots.view(np.uint8).reshape(-1, 24)
+    flat = values.reshape(-1)
+    for i in np.flatnonzero(fallback):
+        slot_bytes[i, :21] = np.frombuffer(("%.12e" % flat[i]).encode().ljust(21, b"\0"), np.uint8)
+    return slots.tobytes().translate(None, b"\0")
 
 
 def _write_csv(path: Path, header: str, rows):
-    """One line per row, each value as %.12e: the rows go through a float
-    array, and one format over the whole table takes one field per column
-    of the header on every line, so a row of another width fails."""
-    values = np.array(list(rows), dtype=float)
-    line = ",".join(["%.12e"] * len(header.split(","))) + "\n"
-    _atomic_write(path, header + "\n" + (line * len(values)) % tuple(values.ravel().tolist()))
+    """One line per row, each value exactly as "%.12e" % x.
+
+    rows is a 2-D float array or any iterable of rows; a row of another width
+    than the header fails.  The digits are made by numpy (_csv_block), a
+    value that it cannot decide exactly goes through the per-value %, and
+    the lines go to the file in blocks of _CSV_BLOCK_ROWS rows."""
+    values = np.asarray(rows if isinstance(rows, np.ndarray) else list(rows), dtype=float)
+    width = len(header.split(","))
+    if values.size != len(values) * width:
+        raise ValueError(f"each row of {header!r} needs {width} values")
+    values = values.reshape(len(values), width)
+
+    def chunks():
+        yield (header + "\n").encode()
+        for start in range(0, len(values), _CSV_BLOCK_ROWS):
+            yield _csv_block(values[start:start + _CSV_BLOCK_ROWS])
+
+    _atomic_write(path, chunks())
 
 
 def _report(out_dir: Path, command: str, config: dict, body: dict):
     payload = {"command": command, "config": config, "disclaimers": DISCLAIMERS, **body}
     _write_json(out_dir / "report.json", payload)
     cfg_lines = [f"{k}={v}" for k, v in sorted(config.items())]
-    _atomic_write(out_dir / "resolved.cfg", "\n".join(cfg_lines) + "\n")
+    _atomic_write(out_dir / "resolved.cfg", [("\n".join(cfg_lines) + "\n").encode()])
 
 
 def parse_config_text(text: str) -> dict:
@@ -252,7 +349,7 @@ def _cmd_kernel_table(args, out: Path):
     rhos = log_grid(args.rho_min, args.rho_max, args.points)
     res = kernels.compose_green(prof, rhos)   # diverged rows have value inf
     diverged = bool(res.diverged.any())
-    _write_csv(out / "kernel_table.csv", "rho,gtilde", zip(rhos, res.value))
+    _write_csv(out / "kernel_table.csv", "rho,gtilde", np.column_stack([rhos, res.value]))
     body = {"diverged": diverged,
             "finiteness_condition": "gamma > alpha/2",
             "tail_exponent": float(res.tail_exponent[0])}
@@ -301,10 +398,10 @@ def _cmd_eigen(args, out: Path):
     if len(set(radii)) < 2:
         raise ParameterError("--r-values needs two distinct radii to fit a slope, "
                              f"got {args.r_values}")
-    rows = [(R, res.value) for R, res in zip(radii, results)]
-    _write_csv(out / "eigen.csv", "R,lambda1", rows)
+    values = [res.value for res in results]
+    _write_csv(out / "eigen.csv", "R,lambda1", np.column_stack([radii, values]))
     _report(out, "eigen", _resolved_config(args), {
-        "slope": fit_loglog_slope(radii, [res.value for res in results]),
+        "slope": fit_loglog_slope(radii, values),
         "expected_slope": -(args.alpha - args.gamma),
         "error_estimates": [res.error_estimate for res in results],
         "inverse_iterations": [list(res.iterations) for res in results],
@@ -320,8 +417,7 @@ def _cmd_witness(args, out: Path):
         kwargs["r_list"] = _parse_radii(args.r_values)
     cfg_obj = liouville.WitnessConfig(**kwargs)
     report = liouville.verdict(prof, src, args.p, cfg_obj, args.mesh)
-    _write_csv(out / "witness.csv", "R,lhs,rhs",
-               [(r, l, h) for r, l, h, _ in report.rows])
+    _write_csv(out / "witness.csv", "R,lhs,rhs", np.array(report.rows)[:, :3])
     cfg = _resolved_config(args)
     cfg["r_values"] = ",".join(repr(r) for r in cfg_obj.r_list)
     _report(out, "witness", cfg, {"witness": report.as_dict(), "verdict": report.verdict})
@@ -339,7 +435,7 @@ def _cmd_solve(args, out: Path):
         res = solver.residual_check(prof, report)
         report = solver.SolveReport(**{**report.__dict__, "residuals": res})
     _write_csv(out / "solution.csv", "rho,u,h",
-               zip(report.u.grid, report.u.values, report.h.values))
+               np.column_stack([report.u.grid, report.u.values, report.h.values]))
     _report(out, "solve", _resolved_config(args), {"solve": report.as_dict(),
                                 "membership_margin": report.membership_margin})
     return 0
@@ -423,6 +519,9 @@ def run(argv=None) -> int:
         return NONCONVERGENCE_EXIT
     except BiharmError as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return VALIDATION_EXIT
+    except MemoryError as exc:   # a size flag too large for this machine
+        sys.stderr.write(f"error: out of memory: {str(exc) or 'allocation failed'}\n")
         return VALIDATION_EXIT
 
 

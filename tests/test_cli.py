@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -15,7 +16,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import biharm
-from biharm.cli import _write_csv, build_parser, run
+from biharm import cli
+from biharm.cli import _CSV_BLOCK_ROWS, _write_csv, build_parser, run
 
 WITNESS_ARGS = ["witness", "--alpha", "6", "--gamma", "4", "--m", "0", "--p", "2",
                 "--mesh", "96", "--r-values", "1024,4096,16384,65536"]
@@ -254,6 +256,78 @@ def test_csv_rows_match_the_per_value_format(tmp_path):
         assert (tmp_path / "t.csv").read_bytes() == (expected + "\n").encode()
 
 
+def _per_value_csv(header, table):
+    return (header + "\n" + "".join(",".join("%.12e" % x for x in row) + "\n"
+                                    for row in table)).encode()
+
+
+# 10**p and both its float neighbours, for every decimal exponent of a double
+_POWERS_OF_TEN = [v for p in range(-323, 309)
+                  for v in (math.nextafter(10.0 ** p, 0.0), 10.0 ** p,
+                            math.nextafter(10.0 ** p, math.inf))]
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(values=st.lists(st.floats(), min_size=1, max_size=40), cols=st.integers(1, 3),
+       rows=st.one_of(st.integers(0, 8),
+                      st.integers(_CSV_BLOCK_ROWS - 2, _CSV_BLOCK_ROWS + 2),
+                      st.integers(2 * _CSV_BLOCK_ROWS - 1, 2 * _CSV_BLOCK_ROWS + 1)))
+# exact decimal ties, which round half to even, and a carry to 1e+01
+@example(values=[12345678901235.0, 12345678901225.0, 9.9999999999995], cols=3, rows=1)
+# carries that N meets after the scaling (log10 rounds the one above up to 1)
+@example(values=[9.9999999999995e-101, -9.999999999999501e-256, 9.9999999999995e-69], cols=3,
+         rows=1)
+@example(values=_POWERS_OF_TEN, cols=3, rows=len(_POWERS_OF_TEN) // 3)
+@example(values=[1e100, -1e-100, 5e-324, -1.7976931348623157e308, 0.0, -0.0,
+                 math.inf, -math.inf, math.nan], cols=3, rows=3)
+def test_csv_bytes_match_the_per_value_format(tmp_path, values, cols, rows):
+    table = np.resize(np.array(values), (rows, cols))
+    header = ",".join("abc"[:cols])
+    _write_csv(tmp_path / "t.csv", header, table)
+    assert (tmp_path / "t.csv").read_bytes() == _per_value_csv(header, table.tolist())
+
+
+def test_csv_digits_stay_exact_where_long_double_is_double(tmp_path, monkeypatch):
+    # with a long double of 53 bits, more values fall back to the per-value
+    # format (near ties, and below 1e-296, where 10**(12 - k) overflows)
+    rng = np.random.default_rng(0)
+    table = np.concatenate([np.array(_POWERS_OF_TEN),
+                            rng.lognormal(0.0, 200.0, 3000) * rng.choice([-1.0, 1.0], 3000),
+                            rng.integers(1, 10 ** 15, 3000) / 100.0]).reshape(-1, 3)
+    monkeypatch.setattr(np, "longdouble", np.float64)
+    cli._csv_tables.cache_clear()
+    try:
+        _write_csv(tmp_path / "t.csv", "a,b,c", table)
+    finally:
+        monkeypatch.undo()
+        cli._csv_tables.cache_clear()
+    assert (tmp_path / "t.csv").read_bytes() == _per_value_csv("a,b,c", table.tolist())
+
+
+@pytest.mark.parametrize("rows", [[(1.0, 2.0), (3.0,)], [(1.0, 2.0, 3.0)], [(1.0,)],
+                                  np.ones((2, 3))])
+def test_csv_rows_of_another_width_fail(tmp_path, rows):
+    with pytest.raises(ValueError):
+        _write_csv(tmp_path / "t.csv", "x,y", rows)
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_csv_writer_holds_one_block_at_a_time(tmp_path):
+    # the whole-table % format peaked at 13.0 MB for this table
+    table = np.random.default_rng(0).lognormal(0.0, 50.0, (65536, 3))
+    _write_csv(tmp_path / "t.csv", "a,b,c", table[:1])   # builds the lookup tables
+    peaks = []
+    for rows in (_CSV_BLOCK_ROWS, len(table)):
+        tracemalloc.start()
+        try:
+            _write_csv(tmp_path / "t.csv", "a,b,c", table[:rows])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.05 * peaks[0] and peaks[1] < 2 ** 20, peaks
+
+
 @pytest.mark.parametrize("text", [None, "alpha=six\n", "r_values=1,x\n"])
 def test_unreadable_config_exits_one(tmp_path, capsys, text):
     path = tmp_path / "case.cfg"
@@ -424,6 +498,20 @@ def test_non_finite_flags_exit_one(tmp_path, capsys, argv):
 def test_negative_radius_or_small_ratio_exits_two(tmp_path, capsys, argv):
     assert run(argv + ["--out-dir", str(tmp_path / "o")]) == 2
     _assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--alpha", "6", "--gamma", "4", "--s", "0", "--p", "4", "--nodes"],
+    ["kernel-table", "--alpha", "6", "--gamma", "4", "--points"],
+    ["verify-bounds", "--alpha", "6", "--gamma", "4", "--s", "0", "--p", "4", "--grid-points"],
+    ["eigen", "--alpha", "6", "--gamma", "4", "--mesh"],
+    ["witness", "--alpha", "6", "--gamma", "4", "--m", "0", "--p", "2", "--mesh"],
+])
+def test_sizes_too_large_to_allocate_exit_two(tmp_path, capsys, argv):
+    # numpy refuses 10**15 points at once; its MemoryError was a traceback, exit 1
+    assert run(argv + [str(10 ** 15), "--out-dir", str(tmp_path / "o")]) == 2
+    _assert_one_error_line(capsys)
+    assert not (tmp_path / "o" / "report.json").exists()
 
 
 @pytest.mark.parametrize("argv, error", [
