@@ -10,10 +10,11 @@ split-comparison
     monotone sources.  Each term is one batched ``quad.integrate``; when the
     source's interior breakpoints are the radii themselves (a grid source on
     its own grid) and that grid is log-uniform, ``quad.integrate_grid`` sums
-    the grid cells as Toeplitz correlations instead, and the source's tails
-    past the grid as offset cells: then only the second term's two cells
-    past each radius, and a tail that a profile breakpoint cuts, reach the
-    zones.
+    the grid cells as Toeplitz correlations instead, the source's tails past
+    the grid as offset cells, and the second term's two cells past each
+    radius, where the kernel's branch point is, by a Gauss-Jacobi rule and
+    finer Gauss panels: then only a tail that a profile breakpoint cuts
+    reaches the zones.
 surrogate-exact
     kernel max(rho, r)**(-gamma) against the measure alpha * r**(alpha-1) dr;
     the exact inverse of the surrogate radial operator in `spectral`.
@@ -156,7 +157,10 @@ def _max_kernel_values(kexp: float, weighted: PiecewisePower, rho: np.ndarray) -
         raise DivergentIntegralError(
             f"potential at rho=0 diverges: origin exponent {e[0] + kexp} <= -1",
             location="origin", exponent=e[0] + kexp)
-    return require_normal("potential", rho, values, floor=-_INF)
+    # a source live somewhere gives a positive potential everywhere: one
+    # that comes out below the normal range has left the float range
+    return require_normal("potential", rho, values,
+                          floor=np.finfo(float).tiny if np.any(lc > -_INF) else -_INF)
 
 
 def _split_values(spec: KernelSpec, src_pp: PiecewisePower, rho: np.ndarray) -> np.ndarray:

@@ -48,13 +48,14 @@ cell and one of the cell's offset from the shift, so each sum over cells is
 a Toeplitz correlation.  The grid factor's power-law tails past the grid's
 ends are cells of the grid continued log-uniformly: scaled by the shift,
 every row's tail is a suffix of one table of Gauss cells plus one binomial
-series beyond them that all rows share.  So on u's grid nothing reaches the
-zones above, and on f's grid only the two cells past each shift do, in one
-``_integrate`` call over that window.  A tail that a breakpoint of either
-factor cuts, at some row, goes through the zones for that row.  Cells that a
-breakpoint cuts get the near zone's Gauss rule, ``_add_gauss``.  A grid whose
-cells need more than ``_MAX_PANELS`` panels, or whose kernel tables would pass
-``_GRID_PANELS`` panels, goes through the zones whole.
+series beyond them that all rows share.  On f's grid the two cells past
+each shift, at and next to the kernel's branch point at s = rho, take one
+Gauss-Jacobi rule per kernel piece and finer Gauss panels.  So the grid path
+never reaches the zones above, but for one ``integrate`` call over the grid
+factor beyond the grid, for the rows whose tail a breakpoint cuts.  Cells
+that a breakpoint cuts get the near zone's Gauss rule, ``_add_gauss``.  A
+grid whose cells need more than ``_MAX_PANELS`` panels, or whose kernel
+tables would pass ``_GRID_PANELS`` panels, goes through the zones whole.
 
 Shifts are processed with array operations, in blocks of about
 ``_BLOCK_SEAMS`` seams, ``_BLOCK_PANELS`` Gauss panels and ``_BLOCK_PIECES``
@@ -67,11 +68,12 @@ shift through a flag (not an exception) so finiteness checks can consume it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import ParameterError
-from .radial import PiecewisePower, power_integral, require_normal
+from .radial import PiecewisePower, _frozen, power_integral, require_normal
 
 _INF = float("inf")
 _TINY = np.finfo(float).tiny
@@ -283,20 +285,9 @@ def _high_zone(phi: PiecewisePower, rho, offset):
     return start, row, a[row, j], hi[row, j], j
 
 
-def _cut(entries, lo, hi):
-    """Entries (row, a, b, ...) with (lo[row], hi[row]) cut out of each (a, b),
-    which may leave two entries or none."""
-    row, a, b, *rest = entries
-    parts = zip((row, a, np.minimum(b, lo[row]), *rest), (row, np.maximum(a, hi[row]), b, *rest))
-    row, a, b, *rest = (np.concatenate(x) for x in parts)
-    keep = a < b
-    return tuple(x[keep] for x in (row, a, b, *rest))
-
-
-def _series_zones(u: PiecewisePower, f: PiecewisePower, rho, skip=None):
-    """Low- and high-zone sums per shift, with the r-window skip = (lo, hi)
-    left out if given: (value, error estimate, nonzero, low-zone end,
-    high-zone start)."""
+def _series_zones(u: PiecewisePower, f: PiecewisePower, rho):
+    """Low- and high-zone sums per shift: (value, error estimate, nonzero,
+    low-zone end, high-zone start)."""
     log_rho = np.log(rho)
     low_end, row, a, b, j = _low_zone(f, rho)
     # low zone: f(rho + r) in r/rho against moments of u
@@ -306,23 +297,18 @@ def _series_zones(u: PiecewisePower, f: PiecewisePower, rho, skip=None):
     if f.npieces <= u.npieces:   # f(rho + r) in rho/r against moments of u
         high_start, row, a, b, j = _high_zone(f, rho, rho)
         phi, beta, sign, y_max, w = f, f.exps, 1.0, f.bounds[1:], u
-        offset = np.zeros(rho.size)
     else:                        # u(s - rho)/(s - rho) in rho/s against moments of f*s
         high_start, row, a, b, j = _high_zone(u, rho, np.zeros(rho.size))
         a, b = a + rho[row], b + rho[row]
         phi, beta, sign, y_max = u, u.exps - 1.0, -1.0, u.bounds[1:] * (1.0 + _X)
         w = PiecewisePower._from_logs(f.bounds, f.log_coefs, f.exps + 1.0)
-        offset = rho
     specs += [(float(beta[jj]), -1.0, sign, float(y_max[jj])) for jj in range(phi.npieces)]
     high = (row, a, b, phi.log_coefs[j], beta[j], 1 + j, rho[row] / a)
-    if skip is not None:
-        low = _cut(low, *skip)
-        high = _cut(high, skip[0] + offset, skip[1] + offset)
     parts = [(u, low, high)] if w is u else [(u, low), (w, high)]
     value, err, nonzero = np.zeros(rho.size), np.zeros(rho.size), np.zeros(rho.size, bool)
     for moments, *pieces in parts:
         row, *rest = (np.concatenate(x) for x in zip(*pieces))
-        if not row.size:   # a zone that the skip window covers whole
+        if not row.size:   # no live piece in either zone
             continue
         v, e, nz = _series(moments, specs, log_rho[row], *rest)
         value += np.bincount(row, weights=v, minlength=rho.size)
@@ -431,8 +417,8 @@ def _gauss_zone(segs, nrows: int):
 
 def _add_gauss(u: PiecewisePower, f: PiecewisePower, rows, shift, lo, hi, value, err, nonzero):
     """Add each entry's Gauss zone, r in (lo, hi) at its shift, into value,
-    err and nonzero at its row, in entry order: a row that a skip window
-    splits into two entries reads (sum + first) + second.  One rule on
+    err and nonzero at its row, in entry order: a row with two entries
+    reads (sum + first) + second.  One rule on
     panels at most one unit of log width and 1/s wide, s the segment's log
     slope, whose error is below ``_PANEL_ERROR`` of the value; a row with a
     segment too steep for ``_MAX_PANELS`` panels reads inf."""
@@ -443,6 +429,16 @@ def _add_gauss(u: PiecewisePower, f: PiecewisePower, rows, shift, lo, hi, value,
         np.add.at(value, rows[a:b], zv)
         np.add.at(err, rows[a:b], ze)
         nonzero[rows[a:b][segs[0]]] = True
+
+
+def _divergence(u: PiecewisePower, f: PiecewisePower, rho):
+    """The tail exponent of u(r) f(rho + r) against dr/r, and per shift
+    whether its origin or its tail diverges."""
+    with np.errstate(over="ignore"):   # a sum beyond the float range is +-inf: flagged
+        tail_exponent = float(u.exps[-1] + f.exps[-1])
+    tail_live = u.log_coefs[-1] > -_INF and f.log_coefs[-1] > -_INF
+    origin_live = (u.log_coefs[0] > -_INF) & (f.log_coefs[f.piece_index(rho)] > -_INF)
+    return tail_exponent, (tail_live and tail_exponent >= 0.0) | (origin_live & (u.exps[0] <= 0.0))
 
 
 def integrate(integrand: PowerIntegrand) -> QuadratureResult:
@@ -457,23 +453,6 @@ def integrate(integrand: PowerIntegrand) -> QuadratureResult:
     (including a nonzero integral that comes out below the smallest normal
     float) raises ParameterError naming the first such radius.
     """
-    return _integrate(integrand)
-
-
-def _divergence(u: PiecewisePower, f: PiecewisePower, rho):
-    """The tail exponent of u(r) f(rho + r) against dr/r, and per shift
-    whether its origin or its tail diverges."""
-    with np.errstate(over="ignore"):   # a sum beyond the float range is +-inf: flagged
-        tail_exponent = float(u.exps[-1] + f.exps[-1])
-    tail_live = u.log_coefs[-1] > -_INF and f.log_coefs[-1] > -_INF
-    origin_live = (u.log_coefs[0] > -_INF) & (f.log_coefs[f.piece_index(rho)] > -_INF)
-    return tail_exponent, (tail_live and tail_exponent >= 0.0) | (origin_live & (u.exps[0] <= 0.0))
-
-
-def _integrate(integrand: PowerIntegrand, skip=None) -> QuadratureResult:
-    """``integrate``, over (0, inf) without the r-window skip = (lo, hi) of
-    each shift if given (arrays in the shape of rho).  The divergence flags
-    still read the whole half-line."""
     u, f = integrand.u, integrand.f
     shape = integrand.rho.shape
     rho = integrand.rho.ravel()
@@ -483,16 +462,12 @@ def _integrate(integrand: PowerIntegrand, skip=None) -> QuadratureResult:
     abs_err = np.full(rho.size, _INF)
     live = np.flatnonzero(~diverged)
     shift = rho[live]
-    if skip is not None:
-        skip = tuple(np.ravel(w)[live] for w in skip)
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
         # seams and values are checked below
-        val, err, nonzero, low_end, high_start = _series_zones(u, f, shift, skip)
+        val, err, nonzero, low_end, high_start = _series_zones(u, f, shift)
         seams_ok = (low_end > 0.0) & (high_start < _INF)
         rows = np.flatnonzero(seams_ok)
-        zone = (rows, low_end[rows], high_start[rows])
-        rows, lo_r, hi_r = zone if skip is None else _cut(zone, *skip)
-        _add_gauss(u, f, rows, shift[rows], lo_r, hi_r, val, err, nonzero)
+        _add_gauss(u, f, rows, shift[rows], low_end[rows], high_start[rows], val, err, nonzero)
     cut = np.append(np.flatnonzero(~seams_ok), shift.size)[0]   # the first bad seam
     require_normal("integral", shift[:cut], val[:cut], np.where(nonzero, _TINY, -_INF)[:cut])
     if cut < shift.size:
@@ -528,7 +503,27 @@ def _integrate(integrand: PowerIntegrand, skip=None) -> QuadratureResult:
 # largest |phi| on a Bernstein ellipse E_R inside Re x > 0 (found on 720
 # boundary points), scanned over beta, e and the panel widths, peaks at
 # 6.7e-16, at P = 1, e = 0 and h -> 0.
+#
+# Cells 0 and 1 past rho, at and next to the branch point, go to
+# ``_branch_cells``.  Cell 1 takes 2P' panels, P' the rule above at the step
+# h/2 (slope at x = h), so it is cells 2 and 3 of that grid and the bound
+# holds.  On cell 0 a kernel piece is x**(e - 1) phi(x), phi = C e**(beta x)
+# ((1 - e**-x)/x)**(e - 1) analytic in |Im x| < 2 pi, summed by the Q-node
+# Gauss rule of weight x**(e - 1) on [0, c] (Golub and Welsch 1969, Math.
+# Comp. 23:221-230).  A Gauss rule has positive weights and is exact to
+# degree 2Q - 1, so its error is at most twice int x**(e - 1) times the best
+# polynomial error, 2 M R**(1 - 2Q)/(R - 1) on E_R (ATAP Thm 8.2): 4 (M/m)
+# R**(1 - 2Q)/(R - 1) of its sum, m = min phi on [0, c].  phi's log slope is
+# beta + (e - 1) (1/(e**x - 1) - 1/x), and |1/(e**x - 1) - 1/x| <= 1 for
+# |Im x| <= pi, where E_R lies if c <= 1 and (R - 1/R)/2 <= 2 pi; its points
+# lie within c (R - 1/R)/4 of [0, c], so ln(M/m) <= c (|beta| + |e - 1|)
+# (1 + (R - 1/R)/4).  At Q = 16 and c (|beta| + |e - 1|) <= 8 the best R
+# gives 5.9e-21.  So c is the nearest of h, that span, 1 and the end of w's
+# piece, and the near zone's rule sums the rest of the cell.
 _GRID_PANEL_ERROR = 7e-16
+_JACOBI_NODES = 16      # Q
+_JACOBI_SPAN = 8.0      # c (|beta| + |e - 1|) at most on the rule's [0, c]
+_JACOBI_ERROR = 6e-21
 _GRID_ULPS = 8          # a log-uniform grid's ln nodes lie this many ulps from a line at most
 _GRID_RANGE = 600.0     # every product F T S stays within e**+-this
 _GRID_PANELS = 1 << 16  # kernel-table panels (pieces x offsets x P) at most; bounds every
@@ -587,6 +582,14 @@ def _correlate(F, T, rows, lo, hi, rel):
     return out
 
 
+@lru_cache(maxsize=64)
+def _panel_rule(panels: int):
+    """Node offsets in [0, 1] and weights (summing to 1) of ``panels`` equal
+    panels of the 8-node Gauss rule on a unit cell."""
+    tau = ((np.arange(panels)[:, None] + 0.5 * (1.0 + _GAUSS_NODES)) / panels).ravel()
+    return _frozen(tau), _frozen(np.tile(_GAUSS_WEIGHTS / (2.0 * panels), panels))   # shared: read-only
+
+
 def _offset_cells(log_s, off, table, a, beta, sign, h):
     """Per entry i, exp(log_s[i]) int_{off[i] h}^inf e**(a z) (1 + sign e**-z)**beta dz
     with (a, beta) = (a, beta)[table[i]], a < 0: the suffix from cell off[i]
@@ -596,12 +599,13 @@ def _offset_cells(log_s, off, table, a, beta, sign, h):
 
     sign = +1 is the near zone's integrand in t = ln r, with its slope rule
     and ``_PANEL_ERROR``; sign = -1 is f's grid kernel from two cells past
-    the shift on, with the grid path's rule and ``_GRID_PANEL_ERROR``.  The
-    series take _K + 1 terms and the last one's remainder bound.  Returns
-    (value, error estimate, ok): no entry is ok where the tables would need
-    more than ``_MAX_PANELS`` panels a cell or ``_GRID_PANELS`` in all, or
-    its table could pass e**``_GRID_RANGE``, and an entry is not ok where
-    its scale or its value could leave e**+-``_GRID_RANGE``.
+    the shift on (``_branch_cells`` takes the two before), with the grid
+    path's rule and ``_GRID_PANEL_ERROR``.  The series take _K + 1 terms and
+    the last one's remainder bound.  Returns (value, error estimate, ok): no
+    entry is ok where the tables would need more than ``_MAX_PANELS`` panels
+    a cell or ``_GRID_PANELS`` in all, or its table could pass
+    e**``_GRID_RANGE``, and an entry is not ok where its scale or its value
+    could leave e**+-``_GRID_RANGE``.
     """
     none = np.zeros(off.size), np.zeros(off.size), np.zeros(off.size, bool)
     cap = _STEEP / np.maximum(np.abs(beta), _STEEP / _X)
@@ -614,13 +618,12 @@ def _offset_cells(log_s, off, table, a, beta, sign, h):
     panels = max(np.ceil(h * np.maximum(1.0, slope)).max(), least)
     if not (panels <= _MAX_PANELS and a.size * (m - k0) * panels <= _GRID_PANELS):
         return none
-    panels = int(panels)
-    tau = ((np.arange(panels)[:, None] + 0.5 * (1.0 + _GAUSS_NODES)) / panels).ravel()
+    tau, weight = _panel_rule(int(panels))
     z = (np.arange(k0, m)[:, None] + tau) * h
     bend = np.log1p(np.exp(-z)) if sign > 0 else np.log(-np.expm1(-z))
     log_k = a[:, None, None] * z + beta[:, None, None] * bend
     fits = log_k.max(axis=(1, 2), initial=-_INF) < _GRID_RANGE
-    cells = np.exp(np.minimum(log_k, _GRID_RANGE)) @ np.tile(_GAUSS_WEIGHTS * (h / (2.0 * panels)), panels)
+    cells = np.exp(np.minimum(log_k, _GRID_RANGE)) @ (weight * h)
     k = np.arange(_K + 1.0)
     terms = np.cumprod(np.concatenate([np.ones((a.size, 1)), (beta[:, None] - k[1:] + 1.0) / k[1:] * sign],
                                       axis=1), axis=1)
@@ -636,6 +639,98 @@ def _offset_cells(log_s, off, table, a, beta, sign, h):
     return scale * suffix, scale * (error * (suffix - far[table]) + far_err[table]), ok
 
 
+@lru_cache(maxsize=64)
+def _jacobi_rule(e: float):
+    """Nodes and log weights of the ``_JACOBI_NODES``-node Gauss rule of
+    weight y**(e - 1) on [0, 1], e > 0, by Golub-Welsch: the eigenvalues of
+    the Jacobi matrix and 1/e times the squared first components of its
+    eigenvectors.  Written in e, so that e near 0 keeps its digits."""
+    k = np.arange(1.0, _JACOBI_NODES)
+    m = 2.0 * k - 1.0 + e
+    diag = np.concatenate([[(e - 1.0) / (e + 1.0)], (e - 1.0) ** 2 / (m * (m + 2.0))])
+    off = 2.0 * k * (k - 1.0 + e) / (m * np.sqrt((m + 1.0) * (2.0 * k - 2.0 + e)))
+    nodes, vectors = np.linalg.eigh(np.diag(diag) + np.diag(off, -1))
+    with np.errstate(divide="ignore"):   # a weight that underflows adds 0
+        return _frozen(0.5 * (1.0 + nodes)), _frozen(2.0 * np.log(np.abs(vectors[0])) - np.log(e))
+
+
+def _branch_cells(kern: PiecewisePower, w: PiecewisePower, x, pieces, h):
+    """Cells 0 and 1 past the shift on f's grid, around the kernel's branch
+    point at s = x: per row, int kern(s - x) w(s) s/(s - x) dz over
+    z = ln(s/x) in [0, 2h], with pieces = ((lc, e, end) on cell 0, the same
+    on cell 1): w is exp(lc) s**e on the cell up to s = end (inf where that
+    piece holds it; lc = -inf with end = inf leaves the cell out).  A kernel
+    piece c r**e_k gives exp(log_s) e**(a z) (1 - e**-z)**(e_k - 1), a =
+    e + e_k.  On cell 0, up to z = c, each kernel piece adds its Gauss-Jacobi
+    rule from 0 to its end less that to its start; cell 1, where nothing
+    cuts it, takes 2P' panels; ``_add_gauss`` sums the rest (see the comment
+    above ``_GRID_PANEL_ERROR``).  An origin that diverges (e_k <= 0 at
+    r = 0) adds 0: the caller flags it.  Returns (value, error estimate,
+    ok), not ok where a weighted node value could leave e**+-``_GRID_RANGE``
+    or cell 1 would pass ``_MAX_PANELS`` panels, or ``_GRID_PANELS`` in all.
+    """
+    (lc0, e0, end0), (lc1, e1, end1) = pieces
+    value, err = np.zeros(x.size), np.zeros(x.size)
+    ok = np.ones(x.size, bool)
+    t = np.log(x)
+    lc_k, e_k, bounds = kern.log_coefs, kern.exps, kern.bounds
+    r1, r2 = x * np.expm1(h), x * np.expm1(2.0 * h)
+
+    # cell 0, up to w's next piece and to a kernel piece with e_k <= 0, whose
+    # weight z**(e_k - 1) has no integral from 0
+    live = lc_k > -_INF
+    usable = np.flatnonzero(live & (e_k > 0.0))
+    stop = np.minimum(end0 - x, bounds[1:-1][live[1:] & (e_k[1:] <= 0.0)].min(initial=_INF))
+    with np.errstate(divide="ignore"):   # a flat integrand spans up to 1
+        span = _JACOBI_SPAN / (np.abs(e0[:, None] + e_k[usable])
+                               + np.abs(e_k[usable] - 1.0)).max(axis=1, initial=0.0)
+    c = np.minimum(np.where(lc0 > -_INF, np.minimum(span, 1.0), _INF), h)
+    c = np.where(stop >= r1, c, np.minimum(c, np.log1p(stop / x)))
+    r_c = x * np.expm1(c)
+    for p in usable:
+        rows = np.flatnonzero((lc0 > -_INF) & (bounds[p] < r_c))
+        a = e0[rows] + e_k[p]
+        log_s = lc_k[p] + lc0[rows] + a * t[rows]
+        hi = np.where(bounds[p + 1] < r_c[rows], np.log1p(bounds[p + 1] / x[rows]), c[rows])
+        y, log_weight = _jacobi_rule(e_k[p])
+        for sign, end in ((1.0, hi), (-1.0, np.log1p(bounds[p] / x[rows])))[:1 + (p > 0)]:
+            z = end[:, None] * y
+            smooth = np.log(-np.expm1(-z) / z, where=z > 0.0, out=np.zeros_like(z))   # 0 at z = 0
+            log_v = ((log_s + e_k[p] * np.log(end))[:, None] + log_weight + a[:, None] * z
+                     + (e_k[p] - 1.0) * smooth)
+            ok[rows] &= np.abs(log_v.max(axis=1)) < _GRID_RANGE
+            v = np.exp(log_v).sum(axis=1)
+            value[rows] += sign * v
+            err[rows] += _JACOBI_ERROR * v
+    # cell 1
+    p = kern.piece_index(r1)
+    whole = np.minimum(bounds[p + 1], end1 - x) >= r2
+    fast = whole & (lc_k[p] + lc1 > -_INF)
+    if fast.any():
+        a, beta = e1 + e_k[p], e_k[p] - 1.0
+        slope = np.where(fast, np.maximum(np.abs(a), np.abs(a + beta / np.expm1(h))), 0.0)
+        half = max(np.ceil(0.5 * h * max(1.0, slope.max())), np.ceil(np.abs(beta[fast]).max()), 1.0)
+        if 2.0 * half <= _MAX_PANELS and 2.0 * half * x.size <= _GRID_PANELS:
+            tau, weight = _panel_rule(2 * int(half))
+            z = h * (1.0 + tau)
+            log_v = ((lc_k[p] + lc1 + a * t)[:, None] + a[:, None] * z
+                     + beta[:, None] * np.log(-np.expm1(-z)))
+            ok &= ~fast | (np.abs(log_v.max(axis=1)) < _GRID_RANGE)
+            v = np.where(fast, np.exp(log_v) @ (weight * h), 0.0)
+            value += v
+            err += _GRID_PANEL_ERROR * v
+        else:
+            ok &= ~fast
+    # the rest, but for a cell on which w vanishes whole (or that is left out)
+    rest = [np.flatnonzero((c < h) & ((lc0 > -_INF) | (end0 < _INF))),
+            np.flatnonzero(~whole & ((lc1 > -_INF) | (end1 < _INF)))]
+    if rest[0].size or rest[1].size:
+        rows = np.concatenate(rest)
+        _add_gauss(kern, w, rows, x[rows], np.concatenate([r_c[rest[0]], r1[rest[1]]]),
+                   np.concatenate([r1[rest[0]], r2[rest[1]]]), value, err, np.zeros(x.size, bool))
+    return value, err, ok
+
+
 def _grid_tails(w: PiecewisePower, kern: PiecewisePower, x, h, on_u: bool):
     """The grid factor w's tails past the grid's ends as ``_offset_cells``,
     row by row, where the tail is one piece of w and lies in one piece of
@@ -644,9 +739,10 @@ def _grid_tails(w: PiecewisePower, kern: PiecewisePower, x, h, on_u: bool):
     in z = ln(x_i/r) below the grid (a = -e_w) and z = ln(r/x_i) above it
     (a = e_w + e_k); on f's, the kernel (s - x_i)**(e_k - 1) s times s**e_w
     is x_i**(e_w + e_k) e**(a z) (1 - e**-z)**(e_k - 1) in z = ln(s/x_i),
-    from two cells past each shift on.  A divergent tail reads inf.  Returns
-    (value, error estimate, [summed below, summed above]); on f's grid
-    nothing is below.
+    from two cells past each shift on, and the last two rows' cells before
+    that, past the grid's end, are ``_branch_cells``.  A divergent tail
+    reads inf.  Returns (value, error estimate, done): a row is done where
+    all its tails are summed, and reads 0 where not.
     """
     n = x.size
     t = np.log(x)
@@ -684,16 +780,36 @@ def _grid_tails(w: PiecewisePower, kern: PiecewisePower, x, h, on_u: bool):
         err += np.bincount(row[ok], weights=e[ok], minlength=n)
         for p in (0, -1):
             summed[p][row[ok & (side == p)]] = True
-    return value, err, summed
+    if not on_u and w.bounds[-2] == x[-1]:
+        # row n - 2's cell 1 and row n - 1's cells 0 and 1 lie in w's last piece
+        lc, e_w, end = np.full(2, w.log_coefs[-1]), np.full(2, w.exps[-1]), np.full(2, _INF)
+        v, e, ok = _branch_cells(kern, w, x[-2:], ((np.array([-_INF, lc[0]]), e_w, end),
+                                                   (lc, e_w, end)), h)
+        value[-2:] += v
+        err[-2:] += e
+        summed[1][-2:] &= ok
+    done = summed[0] & summed[1]
+    value[~done] = err[~done] = 0.0
+    return value, err, done
+
+
+def _merged(pp: PiecewisePower, log_coefs) -> PiecewisePower:
+    """pp with the given log coefficients, each run of equal neighbouring
+    pieces one piece; a vanishing piece's exponent reads 0."""
+    e = np.where(log_coefs == -_INF, 0.0, pp.exps)
+    new = np.concatenate([[True], (log_coefs[1:] != log_coefs[:-1]) | (e[1:] != e[:-1])])
+    return PiecewisePower._from_logs(np.append(pp.bounds[:-1][new], _INF), log_coefs[new], e[new])
 
 
 def _grid_integrate(integrand: PowerIntegrand, h: float, on_u: bool):
     """The grid path of ``integrate_grid``, on u's grid or on f's: the
-    cells as Toeplitz correlations, w's tails as ``_grid_tails``, and on
-    ``_integrate``'s zones only the tails that do not fit there and, on f's
-    grid, the two cells past each shift.  None where a cell needs more than
+    cells as Toeplitz correlations, w's tails as ``_grid_tails`` and, on
+    f's grid, the two cells past each shift as ``_branch_cells``; one
+    ``integrate`` call takes the rows whose tails do not fit, with w
+    vanishing on the grid.  None where a cell needs more than
     ``_MAX_PANELS`` panels, the kernel tables would pass ``_GRID_PANELS``
-    panels or a product F T S could leave the float range."""
+    panels or a product F T S or a branch-cell node value could leave the
+    float range."""
     u, f, x = integrand.u, integrand.f, integrand.rho
     n = x.size
     rows = np.arange(n)
@@ -701,10 +817,7 @@ def _grid_integrate(integrand: PowerIntegrand, h: float, on_u: bool):
     # the other factor with equal neighbouring pieces merged: a breakpoint
     # that changes nothing (g v = r**2 on both sides of 1 where
     # alpha - gamma = 2) cuts no cell and no tail
-    new = np.concatenate([[True], (kern.log_coefs[1:] != kern.log_coefs[:-1])
-                          | (kern.exps[1:] != kern.exps[:-1])])
-    kern = PiecewisePower._from_logs(np.append(kern.bounds[:-1][new], _INF), kern.log_coefs[new],
-                                     kern.exps[new])
+    kern = _merged(kern, kern.log_coefs)
     t = np.log(x)
     width = np.log(x[1:] / x[:-1])
 
@@ -728,10 +841,8 @@ def _grid_integrate(integrand: PowerIntegrand, h: float, on_u: bool):
     panels = need[use].max(initial=1.0)
     if not (panels <= _MAX_PANELS and max(pieces.size, 1) * (2 * n - 2) * panels <= _GRID_PANELS):
         return None
-    panels = int(panels)
 
-    tau = ((np.arange(panels)[:, None] + 0.5 * (1.0 + _GAUSS_NODES)) / panels).ravel()
-    weight = np.tile(_GAUSS_WEIGHTS / (2.0 * panels), panels)
+    tau, weight = _panel_rule(int(panels))
     k = np.arange(1 - n, n - 1)   # j - i over the cells j and rows i
     y = (k[:, None] + tau) * h
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):   # checked below
@@ -750,31 +861,29 @@ def _grid_integrate(integrand: PowerIntegrand, h: float, on_u: bool):
             and fin_F.min() + fin_T.min() + log_S.min() > -_GRID_RANGE):
         return None
     F, T, S = np.exp(log_F), np.exp(log_T), np.exp(log_S)
-    # w's tails as offset cells; the zones take the tails that do not fit,
-    # and on f's grid the cell at each shift and the next one, real or past
-    # the grid's end
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):   # past the float range: not ok
-        value, err, summed = _grid_tails(w, kern, x, h, on_u)
-    base = np.zeros(n) if on_u else x   # r = s - base
-    if on_u:
-        tail_exponent, diverged = _divergence(u, f, x)
-        todo = np.flatnonzero(~(summed[0] & summed[1]))
-        if todo.size:
-            part = _integrate(PowerIntegrand(u, f, x[todo]),
-                              (np.where(summed[0], 0.0, x[0])[todo],
-                               np.where(summed[1], _INF, x[-1])[todo]))
-            value[todo] += part.value
-            err[todo] += part.abs_error_estimate
-    else:
-        ahead = np.append(x, x[-1] * np.exp([h, 2.0 * h]))[rows + 2]
-        part = _integrate(integrand, (np.where(summed[1], ahead, x[np.minimum(start, n - 1)]) - x,
-                                      np.where(summed[1], _INF, x[-1] - x)))
-        value += part.value
-        err += part.abs_error_estimate
-        tail_exponent, diverged = part.tail_exponent, part.diverged
+    with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
+        # past the float range: not ok
+        value, err, done = _grid_tails(w, kern, x, h, on_u)
+        if not on_u:   # cells 0 and 1 past each shift inside the grid
+            end = np.where(direct, w.bounds[nxt], _INF)
+            cells = [(lc_w, e_w, end), (np.append(lc_w[1:], -_INF), np.append(e_w[1:], 0.0),
+                                         np.append(end[1:], _INF))]
+            v, e, ok = _branch_cells(kern, w, x[:-1], cells, h)
+            if not ok.all():
+                return None
+            value[:-1] += v
+            err[:-1] += e
+    todo = np.flatnonzero(~done)
+    if todo.size:   # the tails that do not fit: w beyond the grid as a source of its own
+        beyond = _merged(w, np.where((w.bounds[1:] <= x[0]) | (w.bounds[:-1] >= x[-1]),
+                                     w.log_coefs, -_INF))
+        part = integrate(PowerIntegrand(*((beyond, f) if on_u else (u, beyond)), x[todo]))
+        value[todo] += part.value
+        err[todo] += part.abs_error_estimate
 
     # per row, the cells in each piece of the other factor: from the first node
     # at or past the piece's start to the last one at or before its end
+    base = np.zeros(n) if on_u else x   # r = s - base
     edges = (kern.bounds[:, None] - x) if on_u else (x + kern.bounds[:, None])
     at = np.searchsorted(x, edges.ravel(), side="left").reshape(edges.shape)
     upto = np.searchsorted(x, edges.ravel(), side="right").reshape(edges.shape) - 1
@@ -803,6 +912,8 @@ def _grid_integrate(integrand: PowerIntegrand, h: float, on_u: bool):
             sums = S[m] * _correlate(F, T[m], sel, lo[sel], hi[sel], lo[sel] == start[sel])
             value += sums
             err += (_PANEL_ERROR if on_u else _GRID_PANEL_ERROR) * sums
+    tail_exponent, diverged = _divergence(u, f, x)
+    value[diverged] = err[diverged] = _INF
     return QuadratureResult(value, err, np.full(n, tail_exponent), diverged)
 
 
@@ -813,20 +924,21 @@ def integrate_grid(integrand: PowerIntegrand) -> QuadratureResult:
 
     The grid factor's tails past the grid's ends are summed as offset cells
     of the grid continued log-uniformly, with one shared binomial series
-    beyond them.  What still reaches ``integrate``'s zones keeps their range
-    checks: on f's grid, the cell at each shift and the next one, real or
-    past the grid's end, where the kernel's branch point at s = rho is near;
-    and at any row, a tail that a breakpoint of either factor cuts (a
-    breakpoint between two equal pieces of the other factor cuts nothing).
-    The divergence flags and tail exponent are ``integrate``'s.  Every cell
-    gets the panels the steepest one needs; cells that a breakpoint of either
-    factor cuts are summed directly.  Inputs whose cells need more than
-    ``_MAX_PANELS`` panels, whose kernel tables would pass ``_GRID_PANELS``
-    panels (so memory stays bounded), where a product of a node value, a
-    kernel entry and a row scale could leave the float range, or where a part
-    on ``integrate`` does, go to ``integrate`` whole.  The error estimate adds
-    the panels' a-priori bound, ``_PANEL_ERROR`` or ``_GRID_PANEL_ERROR`` of
-    the sums, and the shared series' remainder bound.
+    beyond them; on f's grid the cell at each shift and the next one, real
+    or past the grid's end, by a Gauss-Jacobi rule and finer Gauss panels.
+    At rows where a breakpoint of either factor cuts a tail (a breakpoint
+    between two equal pieces of the other factor cuts nothing), one
+    ``integrate`` call sums the grid factor beyond the grid.  The divergence
+    flags and tail exponent are ``integrate``'s.  Every cell gets the panels
+    the steepest one needs; cells that a breakpoint of either factor cuts are
+    summed directly.  Inputs whose cells need more than ``_MAX_PANELS``
+    panels, whose kernel tables would pass ``_GRID_PANELS`` panels (so
+    memory stays bounded), where a product of a node value, a kernel entry
+    and a row scale, or a branch cell's term, could leave the float range,
+    or where the ``integrate`` call raises, go to ``integrate`` whole.  The
+    error estimate adds the rules' a-priori bounds (``_PANEL_ERROR``,
+    ``_GRID_PANEL_ERROR`` or ``_JACOBI_ERROR`` of the sums) and the shared
+    series' remainder bound.
     """
     rho = integrand.rho
     h = _log_step(rho)

@@ -633,6 +633,17 @@ def test_values_beyond_the_float_range_exit_two_naming_them(tmp_path, capsys, ar
     assert not (tmp_path / "o" / "report.json").exists()
 
 
+def test_max_kernel_potential_below_the_float_range_exits_two(tmp_path, capsys):
+    # vol(B**340) 2.2**-338 is about 1e-338, below the float range: the
+    # potential is not 0.0, so the run exits 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["oracle", "--n", "340", "--x", "2.2", "--out-dir", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        "error: potential at radius 2.2 is 0.0: it leaves the normal float range\n")
+    assert not (tmp_path / "o" / "report.json").exists()
+
+
 @pytest.mark.parametrize("argv, error", [
     (["verify-bounds", "--alpha", "1.122668275265132e+17", "--gamma", "6.96620778268365e+16",
       "--s", "-0.1708525435331376", "--m", "-1.4878783024876223", "--p", "12.985174262003074",

@@ -629,16 +629,36 @@ def only(pp, keep):
 @pytest.mark.parametrize("prof", GRID_PROFILES, ids=lambda p: f"{p.alpha},{p.gamma},{p.dim_n}")
 @pytest.mark.parametrize("grid", sorted(GRIDS))
 @pytest.mark.parametrize("kind", ["smooth", "zeros", "steep"])
-def test_grid_window_is_the_source_beyond_the_grid(prof, grid, kind):
-    # leaving the grid's window out of the zones gives the floats of
-    # integrating u with its pieces inside the grid zeroed
-    term = split_terms(prof, grid_sources(prof, GRIDS[grid])[kind])[0]
-    u, x = term.u, term.rho
-    beyond = (u.bounds[1:] <= x[0]) | (u.bounds[:-1] >= x[-1])
-    got = quad._integrate(term, (np.full(x.size, x[0]), np.full(x.size, x[-1])))
-    ref = integrate(PowerIntegrand(only(u, beyond), term.f, x))
-    for field in ("value", "abs_error_estimate", "diverged", "tail_exponent"):
-        assert getattr(got, field).tolist() == getattr(ref, field).tolist(), field
+def test_grid_window_is_the_source_beyond_the_grid(monkeypatch, prof, grid, kind):
+    # with no tail fitting the offset cells, every row's tail goes to one
+    # integrate call: it gets the floats of the grid factor with its pieces
+    # inside the grid zeroed, and the grid path still matches integrate
+    sent = []
+
+    def spy(integrand):
+        sent.append(integrand)
+        return integrate(integrand)
+
+    def no_tails(w, kern, x, h, on_u):
+        return np.zeros(x.size), np.zeros(x.size), np.zeros(x.size, bool)
+
+    monkeypatch.setattr(quad, "integrate", spy)
+    monkeypatch.setattr(quad, "_grid_tails", no_tails)
+    x = GRIDS[grid]
+    h = quad._log_step(x)
+    for on_u, term in zip((True, False), split_terms(prof, grid_sources(prof, x)[kind])):
+        sent.clear()
+        got = quad._grid_integrate(term, h, on_u)
+        [tails] = sent
+        w = term.u if on_u else term.f
+        beyond = only(w, (w.bounds[1:] <= x[0]) | (w.bounds[:-1] >= x[-1]))
+        ref = integrate(PowerIntegrand(beyond, term.f, x) if on_u else PowerIntegrand(term.u, beyond, x))
+        tails = integrate(tails)
+        for field in ("value", "abs_error_estimate", "diverged", "tail_exponent"):
+            assert getattr(tails, field).tolist() == getattr(ref, field).tolist(), field
+        whole = integrate(term)
+        np.testing.assert_array_equal(got.diverged, whole.diverged)
+        np.testing.assert_allclose(got.value, whole.value, rtol=1e-13, atol=0)
 
 
 @pytest.mark.parametrize("prof", GRID_PROFILES, ids=lambda p: f"{p.alpha},{p.gamma},{p.dim_n}")
@@ -647,56 +667,43 @@ def test_grid_window_is_the_source_beyond_the_grid(prof, grid, kind):
 def test_grid_tails_are_the_source_beyond_the_grid(prof, grid, kind):
     # the offset cells of each tail against integrate of the source beyond
     # the grid: u's pieces inside it zeroed for the first term, f's for the
-    # second, whose tail starts two cells past each shift
+    # second, whose last two rows' tails start with their branch cells
     term1, term2 = split_terms(prof, grid_sources(prof, GRIDS[grid])[kind])
     x = term1.rho
     h = quad._log_step(x)
     for term, on_u in ((term1, True), (term2, False)):
         w, kern = (term.u, term.f) if on_u else (term.f, term.u)
-        value, err, summed = quad._grid_tails(w, kern, x, h, on_u)
-        assert np.all(summed[0]) and np.all(summed[1])
-        beyond = (w.bounds[1:] <= x[0]) | (w.bounds[:-1] >= x[-1])
-        if on_u:
-            ref = integrate(PowerIntegrand(only(w, beyond), kern, x)).value
-        else:
-            tail = PowerIntegrand(kern, only(w, beyond), x)
-            ref = integrate(tail).value
-            # the last two rows' tails start past the grid's end
-            ref[-2:] = quad._integrate(tail, (np.zeros(x.size), x * np.expm1(2.0 * h))).value[-2:]
-        np.testing.assert_allclose(value, ref, rtol=1e-13, atol=0)
+        value, err, done = quad._grid_tails(w, kern, x, h, on_u)
+        assert np.all(done)
+        beyond = only(w, (w.bounds[1:] <= x[0]) | (w.bounds[:-1] >= x[-1]))
+        ref = integrate(PowerIntegrand(beyond, kern, x) if on_u else PowerIntegrand(kern, beyond, x))
+        np.testing.assert_allclose(value, ref.value, rtol=1e-13, atol=0)
         assert np.all(err <= 1e-10 * value)
 
 
-def test_grid_path_integrates_only_the_two_cells_past_each_shift(monkeypatch):
-    # and on f's grid g v = r**2 on both sides of 1: one kernel piece, one correlation
-    windows, pieces = [], []
-    real, real_correlate = quad._integrate, quad._correlate
-
-    def spy(integrand, skip=None):
-        windows.append(skip)
-        return real(integrand, skip)
+def test_grid_path_never_calls_integrate(monkeypatch):
+    # on both grids, for every profile, grid and source here: no call of
+    # integrate's zones; and on f's grid g v = r**2 on both sides of 1 at
+    # (7, 5, 6): one kernel piece, one correlation
+    calls, pieces = [], []
+    real_correlate = quad._correlate
 
     def correlations(*args):
         pieces.append(args)
         return real_correlate(*args)
 
-    monkeypatch.setattr(quad, "_integrate", spy)
+    monkeypatch.setattr(quad, "integrate", lambda *args: calls.append(args))
     monkeypatch.setattr(quad, "_correlate", correlations)
-    prof = GRID_PROFILES[1]
-    x = GRIDS["default127"]
-    h = quad._log_step(x)
-    for on_u, term in zip((True, False), split_terms(prof, grid_sources(prof, x)["smooth"])):
-        windows.clear()
-        pieces.clear()
-        assert quad._grid_integrate(term, h, on_u) is not None
-        if on_u:
-            assert windows == []
-            continue
-        [(lo, hi)] = windows
-        ahead = np.append(x[2:], x[-1] * np.exp([h, 2.0 * h]))
-        np.testing.assert_array_equal(lo, ahead - x)
-        assert np.all(hi == INF)
-        assert len(pieces) == 1
+    for prof in GRID_PROFILES:
+        for grid in GRIDS.values():
+            h = quad._log_step(grid)
+            for src in grid_sources(prof, grid).values():
+                for on_u, term in zip((True, False), split_terms(prof, src)):
+                    pieces.clear()
+                    assert quad._grid_integrate(term, h, on_u) is not None
+                    assert calls == []
+                    if not on_u and prof == GRID_PROFILES[1]:
+                        assert len(pieces) == 1
 
 
 def test_grid_path_uses_several_panels(monkeypatch):
@@ -796,6 +803,10 @@ def log_uniform_sources(draw):
     log_grid(1e-2, 1e2, 12), (1.0 + log_grid(1e-2, 1e2, 12)) ** -3.0 * (np.arange(12) < 11), -7.0, -3.0)))
 @example((ManifoldProfile(7.0, 5.0, 6), RadialFunction(
     log_grid(1e-2, 1e2, 12), (1.0 + log_grid(1e-2, 1e2, 12)) ** -3.0, 0.5, -1.0)))
+# a zero cell before the grid's end, then the tail: g v's breakpoint cuts the
+# cell past the end, which the tail sums and the row's own cells must not
+@example((ManifoldProfile(1.5, 1.0, 3), RadialFunction(
+    log_grid(1.0, 10.0, 23), np.eye(1, 23, 0)[0] + np.eye(1, 23, 22)[0], 0.0, -1.5)))
 def test_grid_path_matches_integrate_on_random_sources(source):
     prof, src = source
     taken = []

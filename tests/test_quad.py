@@ -180,9 +180,9 @@ def test_series_pieces_per_shift_do_not_grow_with_the_grid(monkeypatch, prof, mo
     # source's two split terms costs each shift one low-zone series per term
     # and one high-zone series per live piece of g or g v beyond 4 rho: 4 in
     # all where g and v are single powers, up to 6 where both switch branch
-    # at 1.  On its own grid the split potential sums the source's tails as
-    # offset cells, so only the second term's series remain, the high-zone
-    # pieces of which its window cuts away: 2, up to 3
+    # at 1.  On its own grid the split potential takes no series at all: the
+    # tails are offset cells, and the two cells past each shift of the
+    # second term a Gauss-Jacobi rule and finer Gauss panels
     grid = default_grid(1024)
     src = RadialFunction(grid, (1.0 + grid) ** -3.0).as_piecewise()
     row = _low_zone(src, grid)[1]
@@ -204,7 +204,7 @@ def test_series_pieces_per_shift_do_not_grow_with_the_grid(monkeypatch, prof, mo
     assert per_shift.min() >= 4 and per_shift.max() <= most
     per_shift[:] = 0
     potential_values(KernelSpec(MODE_SPLIT, prof), src, grid)
-    assert per_shift.min() >= 2 and per_shift.max() <= most // 2
+    assert per_shift.max() == 0
 
 
 def test_fixed_series_length_suffices_at_every_exponent():
@@ -319,6 +319,108 @@ def test_panel_chunks_leave_the_sums_unchanged(monkeypatch):
     chunked = integrate(integrand)
     assert np.array_equal(chunked.value, whole.value)
     assert np.array_equal(chunked.abs_error_estimate, whole.abs_error_estimate)
+
+
+# -- the two cells past a shift on f's grid: the kernel's branch point ------
+
+def _branch_reference(x, h, kernel, cells, cuts):
+    """int_0^2h kern(r) f(s) e**z/(e**z - 1) dz at 30 digits, r = x (e**z - 1)
+    and s = x e**z, with kernel(r) and cells[k] the (log c, e) of the pieces
+    (cell k being z in [k h, (k + 1) h]); cuts are the kernel's breakpoints
+    in z and the (log c, e) of the pieces they start.  Also returns the
+    integrals of those pieces continued to z = 0, the size of what the
+    rule's differences cancel."""
+    with mpmath.workdps(30):
+        x, h = mpmath.mpf(x), mpmath.mpf(h)
+
+        def segment(a, b, piece, cell):
+            (lc_k, e_k), (lc_f, e_f) = piece, cells[cell]
+
+            def log_h(z):   # less (e_k - 1) ln z on a segment from 0
+                smooth = (e_k - 1) * mpmath.log(mpmath.expm1(z) / z) if a == 0 else (
+                    (e_k - 1) * mpmath.log(mpmath.expm1(z)))
+                return lc_k + e_k * mpmath.log(x) + smooth + lc_f + e_f * (mpmath.log(x) + z) + z
+
+            if a == 0:   # z = v**(1/e_k) takes the weight z**(e_k - 1) into dv/e_k
+                a, b, g = 0, b ** e_k, lambda v: log_h(v ** (1 / e_k)) - mpmath.log(e_k)
+            else:
+                g = log_h
+            inner = [a + (b - a) * q for q in (0.25, 0.5, 0.75)]
+            peak = max(g(v) for v in inner)
+            # mpmath.quad stops at an absolute error of 1e-30: scaled to a peak near 1
+            return mpmath.exp(peak) * mpmath.quad(lambda v: mpmath.exp(g(v) - peak), [a, b])
+
+        def piece_at(z):
+            return kernel(x * mpmath.expm1(z))
+
+        edges = sorted({mpmath.mpf(0), h, 2 * h, *(mpmath.mpf(z) for z, _ in cuts)})
+        value = sum(segment(a, b, piece_at((a + b) / 2), int((a + b) / 2 > h))
+                    for a, b in zip(edges, edges[1:]))
+        continued = 0
+        for z, piece in cuts:
+            z = mpmath.mpf(z)
+            continued += segment(0, min(z, h), piece, 0) + (segment(h, z, piece, 1) if z > h else 0)
+        return float(value), float(continued)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(0.01, 5.0), st.floats(-2.5, 0.5), st.floats(-3.0, 3.0), st.floats(-64.0, 64.0),
+       st.floats(-64.0, 64.0), st.floats(-3.0, 3.0),
+       st.none() | st.tuples(st.floats(0.02, 0.98), st.floats(0.01, 5.0)))
+@example(1.0, -0.5, 0.0, -3.0, -3.0, 0.0, None)     # beta = e_k - 1 = 0
+@example(2.0, -0.8, 1.0, -3.0, -3.5, 0.0, None)     # beta = 1
+@example(3.0, -1.4, -1.0, 5.0, 5.0, 0.0, None)      # beta = 2
+@example(0.01, -0.5, 0.0, -3.0, -3.0, 0.0, None)    # beta = -0.99
+@example(0.01, -1.0, 2.0, 0.0, 0.0, -3.0, None)     # ... and a drop past cell 0
+@example(1e-200, -0.5, 0.0, -3.0, -3.0, 0.0, None)  # beta = -1 in floats, e_k > 0
+@example(2.0, 0.0, 1.0, -2.0, -2.0, 0.0, (0.3, 0.5))   # g v = r**2, then r**0.5, in cell 0
+@example(2.0, 0.0, 1.0, -2.0, -2.0, 0.0, (0.7, 3.5))   # ... and r**3.5 in cell 1
+@example(2.0, 0.7, 0.0, -40.0, -40.0, 0.0, None)       # wider than the rule's span
+@example(1.0, -0.015625, 0.25, -5.0, 0.0, 0.0, (0.125, 0.015625))   # the rules for r**0.015625
+                                                                     # cancel to 1/300
+def test_branch_cells_against_mpmath(e_k, log_h, log_x, e0, e1, jump, cut):
+    # cells 0 and 1 past a shift x on f's grid of step h: a kernel c r**e_k,
+    # the Gauss-Jacobi weight z**beta, beta = e_k - 1 in (-1, 4], or one that
+    # switches to r**e_b at r_b; f pieces of exponent e0 and e1 on the cells,
+    # with a jump of e**jump between them.  Each value is within its error
+    # estimate of a 30-digit integral, up to float rounding: a weighted node
+    # value is exp of a sum whose terms reach L = 4 + |ln e| + (e + |e_f|)
+    # (|ln x| + 2h + 1), e a kernel exponent (the weights grow like 1/e), so
+    # it carries a relative error of a few ulps of L, on the value and on
+    # what the kernel piece's two rule sums cancel
+    h, x = 10.0 ** log_h, 10.0 ** log_x
+    lc_k = -e_k * np.log(x)   # the kernel is 1 at r = x, f at the cell boundary
+    lc0 = -e0 * (np.log(x) + h)
+    lc1 = -e1 * (np.log(x) + h) + jump
+    bounds, lcs, exps = [0.0], [lc_k], [e_k]
+    cuts = []
+    if cut is not None:
+        r_b = x * np.expm1(2.0 * h * cut[0])
+        e_b = cut[1]
+        bounds.append(r_b)
+        lcs.append(lc_k + (e_k - e_b) * np.log(r_b))   # continuous at r_b
+        exps.append(e_b)
+        cuts.append((np.log1p(r_b / x), (mpmath.mpf(lcs[-1]), mpmath.mpf(e_b))))
+    kern = PiecewisePower._from_logs(np.array([*bounds, INF]), np.array(lcs), np.array(exps))
+    s = x * np.exp([h, 2.0 * h])
+    f = PiecewisePower._from_logs(np.array([0.0, x, s[0], s[1], INF]),
+                                  np.array([-INF, lc0, lc1, -INF]), np.array([0.0, e0, e1, 0.0]))
+    one = np.ones(1)
+    with np.errstate(all="ignore"):
+        value, err, ok = quad._branch_cells(
+            kern, f, np.array([x]), ((lc0 * one, e0 * one, INF * one), (lc1 * one, e1 * one, INF * one)), h)
+    assert ok[0] and 0.0 <= err[0] < INF
+
+    def kernel(r):
+        i = int(kern.piece_index(float(r)))
+        return mpmath.mpf(float(kern.log_coefs[i])), mpmath.mpf(float(kern.exps[i]))
+
+    cells = [(mpmath.mpf(lc0), mpmath.mpf(e0)), (mpmath.mpf(lc1), mpmath.mpf(e1))]
+    ref, continued = _branch_reference(x, h, kernel, cells, cuts)
+    big = (4.0 + max(abs(np.log(exps))) + (max(exps) + max(abs(e0), abs(e1)))
+           * (abs(np.log(x)) + 2.0 * h + 1.0))
+    rounding = 8 * np.finfo(float).eps * big * (ref + 2.0 * continued)
+    assert abs(value[0] - ref) <= err[0] + rounding
 
 
 # -- batched calls against one shift at a time ------------------------------
