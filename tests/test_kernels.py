@@ -240,8 +240,23 @@ def test_mc_oracle_reproducible():
     a = mc_oracle(6, 2.5, ball, 20000, seed=9)
     b = mc_oracle(6, 2.5, ball, 20000, seed=9)
     assert a == b
-    samples = (1 << 19) + 1001   # two batches
+    samples = (1 << 16) + 1001   # two batches
     assert mc_oracle(12, 0.3, ball, samples, seed=12) == mc_oracle(12, 0.3, ball, samples, seed=12)
+
+
+@pytest.mark.parametrize("n", [5, 6, 12, 107, 340])
+def test_direction_cosines_have_the_sphere_coordinate_law(n):
+    # u_1 of u uniform on S**(n-1): E u_1**(2k) = (2k-1)!! / (n (n+2) ... (n+2k-2)),
+    # so the exact moments up to the eighth fix both means and their errors
+    draws = 10 ** 6
+    omega = kernels._direction_cosines(np.random.default_rng(20240), n, draws)
+    assert omega.shape == (draws,) and np.all(np.abs(omega) <= 1.0)
+    m2, m4 = 1.0 / n, 3.0 / (n * (n + 2))
+    m6, m8 = 15.0 / (n * (n + 2) * (n + 4)), 105.0 / (n * (n + 2) * (n + 4) * (n + 6))
+    sq = omega * omega
+    for mean, exact, var in ((np.mean(sq), m2, m4 - m2 ** 2),
+                             (np.mean(sq * sq), m4, m8 - m4 ** 2)):
+        assert abs(mean - exact) <= 5.0 * math.sqrt(var / draws), (mean, exact)
 
 
 @pytest.mark.parametrize("n, x, radius", [
