@@ -10,11 +10,12 @@ split-comparison
     monotone sources.  Each term is one batched ``quad.integrate``; when the
     source's interior breakpoints are the radii themselves (a grid source on
     its own grid) and that grid is log-uniform, ``quad.integrate_grid`` sums
-    the grid cells as Toeplitz correlations instead, the source's tails past
-    the grid as offset cells, and the second term's two cells past each
-    radius, where the kernel's branch point is, by a Gauss-Jacobi rule and
-    finer Gauss panels: then only a tail that a profile breakpoint cuts
-    reaches the zones.
+    the grid cells as Toeplitz correlations instead, the grid padded past its
+    ends with cells of its own step that take the source's tails, one
+    binomial series per radius beyond them, and the second term's two cells
+    past each radius, where the kernel's branch point is, by a Gauss-Jacobi
+    rule and finer Gauss panels: then only a tail that a profile breakpoint
+    cuts past the padded grid reaches the zones.
 surrogate-exact
     kernel max(rho, r)**(-gamma) against the measure alpha * r**(alpha-1) dr;
     the exact inverse of the surrogate radial operator in `spectral`.

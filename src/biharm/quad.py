@@ -45,17 +45,16 @@ are the nodes of a log-uniform grid that u or f breaks at (a grid source on
 its own grid): the grid cells all get the same Gauss panels, and within one
 piece of the other factor a node's value is a product of a factor of its
 cell and one of the cell's offset from the shift, so each sum over cells is
-a Toeplitz correlation.  The grid factor's power-law tails past the grid's
-ends are cells of the grid continued log-uniformly: scaled by the shift,
-every row's tail is a suffix of one table of Gauss cells plus one binomial
-series beyond them that all rows share.  On f's grid the two cells past
-each shift, at and next to the kernel's branch point at s = rho, take one
-Gauss-Jacobi rule per kernel piece and finer Gauss panels.  So the grid path
-never reaches the zones above, but for one ``integrate`` call over the grid
-factor beyond the grid, for the rows whose tail a breakpoint cuts.  Cells
-that a breakpoint cuts get the near zone's Gauss rule, ``_add_gauss``.  A
-grid whose cells need more than ``_MAX_PANELS`` panels, or whose kernel
-tables would pass ``_GRID_PANELS`` panels, goes through the zones whole.
+a Toeplitz correlation.  Pad nodes continue the grid log-uniformly past
+its ends, and their cells take the grid factor's tails like any other
+cell; past them each row's tail is one binomial series.  On f's grid the two cells past each shift, at and next to the kernel's
+branch point at s = rho, take one Gauss-Jacobi rule per kernel piece and
+finer Gauss panels.  So the grid path never reaches the zones above, but for
+one ``integrate`` call over the grid factor beyond the padded grid, for the
+rows whose tail a breakpoint cuts.  Cells that a breakpoint cuts get the
+near zone's Gauss rule, ``_add_gauss``.  A grid whose cells need more than
+``_MAX_PANELS`` panels, or whose kernel tables would pass ``_GRID_PANELS``
+panels, goes through the zones whole.
 
 Shifts are processed with array operations, in blocks of about
 ``_BLOCK_SEAMS`` seams, ``_BLOCK_PANELS`` Gauss panels and ``_BLOCK_PIECES``
@@ -145,10 +144,18 @@ class QuadratureResult:
     diverged: np.ndarray
 
 
-def _ratio_caps(pp: PiecewisePower) -> np.ndarray:
-    """Largest series ratio of each piece: _X, or _STEEP/|e| for a steep live
-    piece, so that cancellation costs at most about exp(2 _STEEP)."""
-    return np.where(pp.log_coefs > -_INF, _STEEP / np.maximum(np.abs(pp.exps), _STEEP / _X), _X)
+def _ratio_caps(exps, live=True) -> np.ndarray:
+    """Largest binomial-series ratio per exponent: _X, or _STEEP/|e| for a steep
+    live one, so that cancellation costs at most about exp(2 _STEEP)."""
+    return np.where(live, _STEEP / np.maximum(np.abs(exps), _STEEP / _X), _X)
+
+
+def _binomial(beta, sign):
+    """The coefficients binom(beta, k) sign**k, k = 0.._K, one row per entry
+    of beta (sign a scalar or a column)."""
+    k = np.arange(1.0, _K + 1.0)
+    steps = (beta[:, None] - k + 1.0) / k * sign
+    return np.cumprod(np.concatenate([np.ones((beta.size, 1)), steps], axis=1), axis=1)
 
 
 def _ranges(start, count):
@@ -252,9 +259,7 @@ def _series(w: PiecewisePower, specs, log_rho, a, b, log_c, beta, spec, ratio):
             with np.errstate(divide="ignore"):   # a whole-piece sum of 0 adds 0
                 m[mid] += np.exp(log_c[i, None] + ss * k * (log_r - log_rho[i, None])
                                  + np.log(whole))
-        steps = (beta[todo, None] - k[1:] + 1.0) / k[1:] * sign[todo, None]
-        terms = np.cumprod(np.concatenate([np.ones((todo.size, 1)), steps], axis=1),
-                           axis=1) * m
+        terms = _binomial(beta[todo], sign[todo, None]) * m
         value[todo] = np.add.reduce(terms, axis=1)   # each row on its own, whatever the row count
         err[todo] = np.abs(terms[:, -1]) / (1.0 - ratio[todo])
     return value, err, nonzero
@@ -266,7 +271,7 @@ def _low_zone(f: PiecewisePower, rho):
     breakpoints are near-zone seams.  Returns the zone end per shift and,
     per live piece (at most one per shift), (row, a, b, piece of f)."""
     j = f.piece_index(rho)
-    end = np.minimum(f.bounds[j + 1] - rho, rho * _ratio_caps(f)[j])
+    end = np.minimum(f.bounds[j + 1] - rho, rho * _ratio_caps(f.exps, f.log_coefs > -_INF)[j])
     row = np.flatnonzero(f.log_coefs[j] > -_INF)
     return end, row, np.zeros(row.size), end[row], j[row]
 
@@ -278,7 +283,7 @@ def _high_zone(phi: PiecewisePower, rho, offset):
     per live piece, (row, a, b, piece of phi)."""
     lo = phi.bounds[:phi.npieces] - offset[:, None]
     hi = phi.bounds[1:] - offset[:, None]
-    reach = rho[:, None] / _ratio_caps(phi)
+    reach = rho[:, None] / _ratio_caps(phi.exps, phi.log_coefs > -_INF)
     start = np.maximum(rho / _X, np.where(reach > lo, np.minimum(hi, reach), 0.0).max(axis=1))
     a = np.maximum(lo, start[:, None])
     row, j = np.nonzero((a < hi) & (phi.log_coefs > -_INF))
@@ -590,55 +595,6 @@ def _panel_rule(panels: int):
     return _frozen(tau), _frozen(np.tile(_GAUSS_WEIGHTS / (2.0 * panels), panels))   # shared: read-only
 
 
-def _offset_cells(log_s, off, table, a, beta, sign, h):
-    """Per entry i, exp(log_s[i]) int_{off[i] h}^inf e**(a z) (1 + sign e**-z)**beta dz
-    with (a, beta) = (a, beta)[table[i]], a < 0: the suffix from cell off[i]
-    of the table's Gauss cells [k h, (k + 1) h], plus the table's binomial
-    series in e**-z from z = m h on, m >= max(off) and far enough out for
-    every ratio cap.  All tables share one grid of cells and panels.
-
-    sign = +1 is the near zone's integrand in t = ln r, with its slope rule
-    and ``_PANEL_ERROR``; sign = -1 is f's grid kernel from two cells past
-    the shift on (``_branch_cells`` takes the two before), with the grid
-    path's rule and ``_GRID_PANEL_ERROR``.  The series take _K + 1 terms and
-    the last one's remainder bound.  Returns (value, error estimate, ok): no
-    entry is ok where the tables would need more than ``_MAX_PANELS`` panels
-    a cell or ``_GRID_PANELS`` in all, or its table could pass
-    e**``_GRID_RANGE``, and an entry is not ok where its scale or its value
-    could leave e**+-``_GRID_RANGE``.
-    """
-    none = np.zeros(off.size), np.zeros(off.size), np.zeros(off.size, bool)
-    cap = _STEEP / np.maximum(np.abs(beta), _STEEP / _X)
-    k0, m = int(off.min()), max(int(off.max()), int(np.ceil(-np.log(cap.min()) / h)))
-    if sign > 0:
-        slope, least, error = np.maximum(np.abs(a), np.abs(a - beta)), 1.0, _PANEL_ERROR
-    else:
-        slope = np.maximum(np.abs(a), np.abs(a + beta / np.expm1(2.0 * h)))
-        least, error = np.ceil(np.abs(beta)).max(), _GRID_PANEL_ERROR
-    panels = max(np.ceil(h * np.maximum(1.0, slope)).max(), least)
-    if not (panels <= _MAX_PANELS and a.size * (m - k0) * panels <= _GRID_PANELS):
-        return none
-    tau, weight = _panel_rule(int(panels))
-    z = (np.arange(k0, m)[:, None] + tau) * h
-    bend = np.log1p(np.exp(-z)) if sign > 0 else np.log(-np.expm1(-z))
-    log_k = a[:, None, None] * z + beta[:, None, None] * bend
-    fits = log_k.max(axis=(1, 2), initial=-_INF) < _GRID_RANGE
-    cells = np.exp(np.minimum(log_k, _GRID_RANGE)) @ (weight * h)
-    k = np.arange(_K + 1.0)
-    terms = np.cumprod(np.concatenate([np.ones((a.size, 1)), (beta[:, None] - k[1:] + 1.0) / k[1:] * sign],
-                                      axis=1), axis=1)
-    terms *= np.exp((a[:, None] - k) * (m * h)) / (k - a[:, None])
-    far = terms.sum(axis=1)
-    suffix = np.cumsum(np.concatenate([cells, far[:, None]], axis=1)[:, ::-1], axis=1)[:, ::-1]
-    suffix = suffix[table, off - k0]
-    log_v = np.log(suffix)
-    ok = (fits[table] & (np.abs(log_s) < _GRID_RANGE) & (log_v > -_GRID_RANGE)
-          & (np.abs(log_s + log_v) < _GRID_RANGE))
-    scale = np.exp(np.where(ok, log_s, -_INF))
-    far_err = np.abs(terms[:, -1]) / -np.expm1(-m * h)
-    return scale * suffix, scale * (error * (suffix - far[table]) + far_err[table]), ok
-
-
 @lru_cache(maxsize=64)
 def _jacobi_rule(e: float):
     """Nodes and log weights of the ``_JACOBI_NODES``-node Gauss rule of
@@ -731,103 +687,98 @@ def _branch_cells(kern: PiecewisePower, w: PiecewisePower, x, pieces, h):
     return value, err, ok
 
 
-def _grid_tails(w: PiecewisePower, kern: PiecewisePower, x, h, on_u: bool):
-    """The grid factor w's tails past the grid's ends as ``_offset_cells``,
-    row by row, where the tail is one piece of w and lies in one piece of
-    the other factor at that row: one table per pair of pieces.  On u's
-    grid, r**e_w (x_i + r)**e_k is x_i**(e_w + e_k) e**(a z) (1 + e**-z)**e_k
-    in z = ln(x_i/r) below the grid (a = -e_w) and z = ln(r/x_i) above it
-    (a = e_w + e_k); on f's, the kernel (s - x_i)**(e_k - 1) s times s**e_w
-    is x_i**(e_w + e_k) e**(a z) (1 - e**-z)**(e_k - 1) in z = ln(s/x_i),
-    from two cells past each shift on, and the last two rows' cells before
-    that, past the grid's end, are ``_branch_cells``.  A divergent tail
-    reads inf.  Returns (value, error estimate, done): a row is done where
-    all its tails are summed, and reads 0 where not.
+def _tail_series(w: PiecewisePower, kern: PiecewisePower, x, lo, hi, on_u: bool):
+    """The grid factor w's tails past lo and hi, the ends of the padded grid,
+    per row x_i, where each is one piece of w inside one piece of the other
+    factor kern at that row.  On u's grid, r**e_w (x_i + r)**e_k is
+    x_i**(e_w + e_k) e**(a z) (1 + e**-z)**e_k in z = ln(r/x_i) above the
+    grid (a = e_w + e_k) and z = ln(x_i/r) below it (a = -e_w); on f's, the
+    kernel (s - x_i)**(e_k - 1) s times s**e_w is x_i**(e_w + e_k) e**(a z)
+    (1 - e**-z)**(e_k - 1) in z = ln(s/x_i), a = e_w + e_k.  From the row's
+    own z_i on, that is a binomial series in e**-z whose term k integrates
+    to e**((a - k) z_i)/(k - a): _K + 1 terms, the rest bounded by the last
+    over 1 - e**-z_i.  A divergent tail (a >= 0) reads inf.  Returns (value,
+    error estimate, done): a row is done where its tails fit and their
+    leading terms stay within e**+-``_GRID_RANGE``, and reads 0 where not.
     """
-    n = x.size
     t = np.log(x)
-    rows = np.arange(n)
-    value, err = np.zeros(n), np.zeros(n)
-    summed = [np.full(n, not on_u), np.zeros(n, bool)]
-    last = np.full(n, kern.npieces - 1)
-    # (w's piece, offsets in cells, the kernel's piece per row, whether it holds)
+    k = np.arange(_K + 1.0)
+    binom = _binomial(kern.exps if on_u else kern.exps - 1.0, 1.0 if on_u else -1.0)
+    value, err = np.zeros(x.size), np.zeros(x.size)
+    done = np.full(x.size, w.bounds[-2] <= hi)
+    rows = np.arange(x.size)
+    # (w's piece, the other factor's piece per row, z_i, whether it holds)
     if on_u:
         j = kern.piece_index(x)
-        tails = [(0, rows, j, (w.bounds[1] == x[0]) & (x + x[0] <= kern.bounds[j + 1])),
-                 (-1, n - 1 - rows, last, (w.bounds[-2] == x[-1]) & (kern.bounds[-2] <= x + x[-1]))]
+        tails = [(-1, -1, np.log(hi) - t, kern.bounds[-2] <= x + hi),
+                 (0, j, t - np.log(lo), (w.bounds[1] >= lo) & (x + lo <= kern.bounds[j + 1]))]
     else:
-        off = np.maximum(n - 1 - rows, 2)
-        tails = [(-1, off, last, (w.bounds[-2] == x[-1]) & (kern.bounds[-2] <= x * np.expm1(off * h)))]
-    entries, tables = [], []   # (side, row, offset, table, log scale), (a, beta)
-    for p, off, j, holds in tails:
-        for jj in sorted(set(j[holds].tolist())):
-            sel = np.flatnonzero(holds & (j == jj))
-            lc, e_w, e_k = w.log_coefs[p] + kern.log_coefs[jj], w.exps[p], kern.exps[jj]
-            a = e_w + e_k if p else -e_w
-            if lc == -_INF or a >= 0.0:   # a dead tail adds 0, a divergent one inf
-                if lc > -_INF:
-                    value[sel] = err[sel] = _INF
-                summed[p][sel] = True
-                continue
-            entries.append((np.full(sel.size, p), sel, off[sel], np.full(sel.size, len(tables)),
-                            lc + (e_w + e_k) * t[sel]))
-            tables.append((a, e_k if on_u else e_k - 1.0))
-    if tables:
-        side, row, off, table, log_s = (np.concatenate(c) for c in zip(*entries))
-        a, beta = np.array(tables).T
-        v, e, ok = _offset_cells(log_s, off, table, a, beta, 1.0 if on_u else -1.0, h)
-        value += np.bincount(row[ok], weights=v[ok], minlength=n)
-        err += np.bincount(row[ok], weights=e[ok], minlength=n)
-        for p in (0, -1):
-            summed[p][row[ok & (side == p)]] = True
-    if not on_u and w.bounds[-2] == x[-1]:
-        # row n - 2's cell 1 and row n - 1's cells 0 and 1 lie in w's last piece
-        lc, e_w, end = np.full(2, w.log_coefs[-1]), np.full(2, w.exps[-1]), np.full(2, _INF)
-        v, e, ok = _branch_cells(kern, w, x[-2:], ((np.array([-_INF, lc[0]]), e_w, end),
-                                                   (lc, e_w, end)), h)
-        value[-2:] += v
-        err[-2:] += e
-        summed[1][-2:] &= ok
-    done = summed[0] & summed[1]
+        tails = [(-1, -1, np.log(hi) - t, kern.bounds[-2] <= hi - x)]
+    for p, j, z, holds in tails:
+        e_w = w.exps[p]
+        a = e_w + kern.exps if p else np.full(kern.npieces, -e_w)   # per piece of kern
+        coefs = binom / (k - a[:, None])
+        powers = np.exp(-k[:, None] * z)   # e**-kz, one row per k
+        lead = w.log_coefs[p] + kern.log_coefs[j] + (e_w + kern.exps[j]) * t + a[j] * z
+        scale = np.exp(lead)
+        live, divergent = lead > -_INF, a[j] >= 0.0
+        series = (coefs @ powers)[j, rows] * scale
+        rest = np.abs(coefs[j, -1]) * powers[-1] * scale / -np.expm1(-z)
+        value += np.where(live, np.where(divergent, _INF, series), 0.0)
+        err += np.where(live, np.where(divergent, _INF, rest), 0.0)
+        done &= holds & (~live | divergent | (np.abs(lead) < _GRID_RANGE))
     value[~done] = err[~done] = 0.0
     return value, err, done
 
 
-def _merged(pp: PiecewisePower, log_coefs) -> PiecewisePower:
-    """pp with the given log coefficients, each run of equal neighbouring
-    pieces one piece; a vanishing piece's exponent reads 0."""
-    e = np.where(log_coefs == -_INF, 0.0, pp.exps)
+def _merged(bounds, log_coefs, exps) -> PiecewisePower:
+    """The pieces, each run of equal neighbouring ones one piece; a
+    vanishing piece's exponent reads 0."""
+    e = np.where(log_coefs == -_INF, 0.0, exps)
     new = np.concatenate([[True], (log_coefs[1:] != log_coefs[:-1]) | (e[1:] != e[:-1])])
-    return PiecewisePower._from_logs(np.append(pp.bounds[:-1][new], _INF), log_coefs[new], e[new])
+    return PiecewisePower._from_logs(np.append(bounds[:-1][new], _INF), log_coefs[new], e[new])
 
 
 def _grid_integrate(integrand: PowerIntegrand, h: float, on_u: bool):
-    """The grid path of ``integrate_grid``, on u's grid or on f's: the
-    cells as Toeplitz correlations, w's tails as ``_grid_tails`` and, on
-    f's grid, the two cells past each shift as ``_branch_cells``; one
-    ``integrate`` call takes the rows whose tails do not fit, with w
-    vanishing on the grid.  None where a cell needs more than
-    ``_MAX_PANELS`` panels, the kernel tables would pass ``_GRID_PANELS``
-    panels or a product F T S or a branch-cell node value could leave the
-    float range."""
+    """The grid path of ``integrate_grid``, on u's grid or on f's: the cells
+    of the padded grid as Toeplitz correlations and, on f's grid, the two
+    cells past each shift as ``_branch_cells``; w's tails past the padded
+    ends as ``_tail_series``, or one ``integrate`` call, with w vanishing
+    between those ends, for the rows whose tails do not fit.  None where a
+    cell needs more than ``_MAX_PANELS`` panels, the kernel tables would
+    pass ``_GRID_PANELS`` panels or a product F T S or a branch-cell node
+    value could leave the float range."""
     u, f, x = integrand.u, integrand.f, integrand.rho
     n = x.size
     rows = np.arange(n)
-    w, kern, start = (u, f, np.zeros(n, int)) if on_u else (f, u, rows + 2)
+    w, kern = (u, f) if on_u else (f, u)
     # the other factor with equal neighbouring pieces merged: a breakpoint
     # that changes nothing (g v = r**2 on both sides of 1 where
     # alpha - gamma = 2) cuts no cell and no tail
-    kern = _merged(kern, kern.log_coefs)
+    kern = _merged(kern.bounds, kern.log_coefs, kern.exps)
+    pieces = np.flatnonzero(kern.log_coefs > -_INF)
+    lc_k, e_k = kern.log_coefs[pieces], kern.exps[pieces]
+    # pad nodes past the grid's upper end, and below its lower end on u's:
+    # enough that every row's tail series keeps within the ratio caps of the
+    # kernel's binomial exponents, and at least 2, so that the last row's
+    # cells 0 and 1 past it on f's grid are grid cells
+    cap = _ratio_caps(e_k if on_u else e_k - 1.0).min(initial=_X)
+    pad = max(2, int(np.ceil(-np.log(cap) / h)))
+    below = pad if on_u else 0
     t = np.log(x)
-    width = np.log(x[1:] / x[:-1])
+    tX = np.concatenate([t[0] - h * np.arange(below, 0, -1), t, t[-1] + h * np.arange(1, pad + 1)])
+    X = np.exp(tX)
+    X[below:below + n] = x
+    N = X.size
+    i = rows + below   # the rows' nodes in X
+    start = np.zeros(n, int) if on_u else i + 2
+    width = np.log(X[1:] / X[:-1])
 
     # w's piece on each cell, and the panels each needs: P is the most any
     # cell needs; a cell that w breaks inside is summed directly
-    nxt = np.searchsorted(w.bounds, x[:-1], side="right")
+    nxt = np.searchsorted(w.bounds, X[:-1], side="right")
     lc_w, e_w = w.log_coefs[nxt - 1], w.exps[nxt - 1]
     live = lc_w > -_INF
-    pieces = np.flatnonzero(kern.log_coefs > -_INF)
-    lc_k, e_k = kern.log_coefs[pieces], kern.exps[pieces]
     ek = e_k[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
         if on_u:
@@ -836,17 +787,17 @@ def _grid_integrate(integrand: PowerIntegrand, h: float, on_u: bool):
             slope = np.maximum(np.abs(e_w + ek), np.abs(e_w + ek + (ek - 1.0) / np.expm1(2.0 * h)))
             least = np.ceil(np.abs(e_k - 1.0)).max(initial=1.0)
         need = np.maximum(np.ceil(width * np.maximum(1.0, slope.max(axis=0, initial=0.0))), least)
-    direct = w.bounds[nxt] < x[1:]
+    direct = w.bounds[nxt] < X[1:]
     use = live & ~direct
     panels = need[use].max(initial=1.0)
-    if not (panels <= _MAX_PANELS and max(pieces.size, 1) * (2 * n - 2) * panels <= _GRID_PANELS):
+    if not (panels <= _MAX_PANELS and max(pieces.size, 1) * (2 * N - 2) * panels <= _GRID_PANELS):
         return None
 
     tau, weight = _panel_rule(int(panels))
-    k = np.arange(1 - n, n - 1)   # j - i over the cells j and rows i
+    k = np.arange(1 - N, N - 1)   # j - i over the cells j and nodes i
     y = (k[:, None] + tau) * h
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):   # checked below
-        log_F = (lc_w[:, None] + e_w[:, None] * (t[:-1, None] + tau * width[:, None])
+        log_F = (lc_w[:, None] + e_w[:, None] * (tX[:-1, None] + tau * width[:, None])
                  + np.log(weight * width[:, None]))
         log_F[~use] = -_INF
         if on_u:
@@ -863,20 +814,22 @@ def _grid_integrate(integrand: PowerIntegrand, h: float, on_u: bool):
     F, T, S = np.exp(log_F), np.exp(log_T), np.exp(log_S)
     with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
         # past the float range: not ok
-        value, err, done = _grid_tails(w, kern, x, h, on_u)
-        if not on_u:   # cells 0 and 1 past each shift inside the grid
+        value, err, done = _tail_series(w, kern, x, X[0], X[-1], on_u)
+        if not on_u:   # cells 0 and 1 past each shift
             end = np.where(direct, w.bounds[nxt], _INF)
-            cells = [(lc_w, e_w, end), (np.append(lc_w[1:], -_INF), np.append(e_w[1:], 0.0),
-                                         np.append(end[1:], _INF))]
-            v, e, ok = _branch_cells(kern, w, x[:-1], cells, h)
+            v, e, ok = _branch_cells(kern, w, x, ((lc_w[:n], e_w[:n], end[:n]),
+                                                  (lc_w[1:n + 1], e_w[1:n + 1], end[1:n + 1])), h)
             if not ok.all():
                 return None
-            value[:-1] += v
-            err[:-1] += e
+            value += v
+            err += e
     todo = np.flatnonzero(~done)
-    if todo.size:   # the tails that do not fit: w beyond the grid as a source of its own
-        beyond = _merged(w, np.where((w.bounds[1:] <= x[0]) | (w.bounds[:-1] >= x[-1]),
-                                     w.log_coefs, -_INF))
+    if todo.size:   # the tails that do not fit: w beyond the padded grid as a source of its own
+        b = np.sort(np.concatenate([w.bounds, X[[0, -1]]]))
+        b = b[np.concatenate([[True], b[1:] > b[:-1]])]   # w's bounds and both padded ends
+        p = w.piece_index(b[:-1])
+        outside = (b[1:] <= X[0]) | (b[:-1] >= X[-1])
+        beyond = _merged(b, np.where(outside, w.log_coefs[p], -_INF), w.exps[p])
         part = integrate(PowerIntegrand(*((beyond, f) if on_u else (u, beyond)), x[todo]))
         value[todo] += part.value
         err[todo] += part.abs_error_estimate
@@ -885,31 +838,31 @@ def _grid_integrate(integrand: PowerIntegrand, h: float, on_u: bool):
     # at or past the piece's start to the last one at or before its end
     base = np.zeros(n) if on_u else x   # r = s - base
     edges = (kern.bounds[:, None] - x) if on_u else (x + kern.bounds[:, None])
-    at = np.searchsorted(x, edges.ravel(), side="left").reshape(edges.shape)
-    upto = np.searchsorted(x, edges.ravel(), side="right").reshape(edges.shape) - 1
+    at = np.searchsorted(X, edges.ravel(), side="left").reshape(edges.shape)
+    upto = np.searchsorted(X, edges.ravel(), side="right").reshape(edges.shape) - 1
     # direct: the cell each inner breakpoint of it cuts, and the direct
     # columns in the rows where they are not near cells
     d_rows, d_cells = [], []
     for m in range(1, kern.bounds.size - 1):
         c = upto[m]
-        cut = (at[m] > c) & (c >= start) & (c <= n - 2)
+        cut = (at[m] > c) & (c >= start) & (c <= N - 2)
         cut[cut] = ~direct[c[cut]]
         d_rows.append(rows[cut])
         d_cells.append(c[cut])
     cols = np.flatnonzero(direct)
     col, row = _ranges(np.zeros(cols.size, int),
-                       np.full(cols.size, n) if on_u else np.maximum(cols - 1, 0))
+                       np.full(cols.size, n) if on_u else np.clip(cols - 1, 0, n))
     d_rows, d_cells = np.concatenate(d_rows + [row]), np.concatenate(d_cells + [cols[col]])
 
     if d_rows.size:
         with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-            _add_gauss(u, f, d_rows, x[d_rows], x[d_cells] - base[d_rows],
-                       x[d_cells + 1] - base[d_rows], value, err, np.zeros(n, bool))
+            _add_gauss(u, f, d_rows, x[d_rows], X[d_cells] - base[d_rows],
+                       X[d_cells + 1] - base[d_rows], value, err, np.zeros(n, bool))
     for m, p in enumerate(pieces):
-        lo, hi = np.maximum(at[p], start), np.minimum(upto[p + 1], n - 1)
+        lo, hi = np.maximum(at[p], start), np.minimum(upto[p + 1], N - 1)
         sel = np.flatnonzero(hi > lo)
         if sel.size:
-            sums = S[m] * _correlate(F, T[m], sel, lo[sel], hi[sel], lo[sel] == start[sel])
+            sums = S[m] * _correlate(F, T[m], i[sel], lo[sel], hi[sel], lo[sel] == start[sel])[i]
             value += sums
             err += (_PANEL_ERROR if on_u else _GRID_PANEL_ERROR) * sums
     tail_exponent, diverged = _divergence(u, f, x)
@@ -920,25 +873,26 @@ def _grid_integrate(integrand: PowerIntegrand, h: float, on_u: bool):
 def integrate_grid(integrand: PowerIntegrand) -> QuadratureResult:
     """``integrate``, summing the grid cells as Toeplitz correlations when the
     shifts are breakpoints of u or of f on a log-uniform grid of 3 or more
-    nodes (a grid source's own grid); other inputs go to ``integrate``.
+    nodes (a grid source on its own grid); other inputs go to ``integrate``.
 
-    The grid factor's tails past the grid's ends are summed as offset cells
-    of the grid continued log-uniformly, with one shared binomial series
-    beyond them; on f's grid the cell at each shift and the next one, real
-    or past the grid's end, by a Gauss-Jacobi rule and finer Gauss panels.
-    At rows where a breakpoint of either factor cuts a tail (a breakpoint
-    between two equal pieces of the other factor cuts nothing), one
-    ``integrate`` call sums the grid factor beyond the grid.  The divergence
-    flags and tail exponent are ``integrate``'s.  Every cell gets the panels
-    the steepest one needs; cells that a breakpoint of either factor cuts are
-    summed directly.  Inputs whose cells need more than ``_MAX_PANELS``
-    panels, whose kernel tables would pass ``_GRID_PANELS`` panels (so
-    memory stays bounded), where a product of a node value, a kernel entry
-    and a row scale, or a branch cell's term, could leave the float range,
-    or where the ``integrate`` call raises, go to ``integrate`` whole.  The
-    error estimate adds the rules' a-priori bounds (``_PANEL_ERROR``,
-    ``_GRID_PANEL_ERROR`` or ``_JACOBI_ERROR`` of the sums) and the shared
-    series' remainder bound.
+    Pad nodes of the same step continue the grid past its ends, as many as
+    the other factor's ratio caps ask for (at least 2), and their cells take
+    the grid factor's tails as real cells do; past the padded ends each
+    row's tail is one binomial series in its own ratio.  On f's grid the
+    cell at each shift and the next one take a Gauss-Jacobi rule and finer
+    Gauss panels.  At rows where a breakpoint of either factor cuts a tail
+    past the padded ends (a breakpoint between two equal pieces of the other
+    factor cuts nothing), one ``integrate`` call sums the grid factor beyond
+    the padded grid.  The divergence flags and tail exponent are
+    ``integrate``'s.  Every cell gets the panels the steepest one needs;
+    cells that a breakpoint of either factor cuts are summed directly.
+    Inputs whose cells need more than ``_MAX_PANELS`` panels, whose kernel
+    tables (pad cells included) would pass ``_GRID_PANELS`` panels, where a
+    product of a node value, a kernel entry and a row scale, or a branch
+    cell's term, could leave the float range, or where the ``integrate``
+    call raises, go to ``integrate`` whole.  The error estimate adds the
+    rules' a-priori bounds (``_PANEL_ERROR``, ``_GRID_PANEL_ERROR`` or
+    ``_JACOBI_ERROR`` of the sums) and the tail series' remainder bounds.
     """
     rho = integrand.rho
     h = _log_step(rho)

@@ -630,47 +630,66 @@ def test_grid_path_matches_integrate(grid_path, prof, grid, kind):
     np.testing.assert_allclose(values, ref, rtol=1e-13, atol=0)
 
 
-def only(pp, keep):
-    """pp on the pieces where keep holds and vanishing elsewhere, each run of
-    vanishing pieces merged into one: the reference for term 1's part beyond
-    the grid, a source of its own that integrate takes whole."""
-    lc = np.where(keep, pp.log_coefs, -np.inf)
-    dead = lc == -np.inf
-    first = np.concatenate([[True], ~(dead[1:] & dead[:-1])])
-    return PiecewisePower._from_logs(np.append(pp.bounds[:-1][first], np.inf), lc[first],
-                                     np.where(dead, 0.0, pp.exps)[first])
+def beyond(pp, lo, hi):
+    """pp cut at lo and hi and vanishing between them: the source of the
+    rows' tails past a padded grid with those ends."""
+    b = np.unique(np.concatenate([pp.bounds, [lo, hi]]))
+    p = pp.piece_index(b[:-1])
+    keep = (b[1:] <= lo) | (b[:-1] >= hi)
+    return PiecewisePower._from_logs(b, np.where(keep, pp.log_coefs[p], -np.inf),
+                                     np.where(keep, pp.exps[p], 0.0))
+
+
+def tail_calls(monkeypatch, fallback=False):
+    """Records each _tail_series call's arguments and a copy of its result
+    (the grid path adds into the arrays); with fallback, no row is done."""
+    calls = []
+    real = quad._tail_series
+
+    def spy(*args):
+        value, err, done = real(*args)
+        if fallback:
+            value, err, done = np.zeros(done.size), np.zeros(done.size), np.zeros(done.size, bool)
+        calls.append((args, (value.copy(), err.copy(), done.copy())))
+        return value, err, done
+
+    monkeypatch.setattr(quad, "_tail_series", spy)
+    return calls
 
 
 @pytest.mark.parametrize("prof", GRID_PROFILES, ids=lambda p: f"{p.alpha},{p.gamma},{p.dim_n}")
 @pytest.mark.parametrize("grid", sorted(GRIDS))
 @pytest.mark.parametrize("kind", ["smooth", "zeros", "steep"])
 def test_grid_window_is_the_source_beyond_the_grid(monkeypatch, prof, grid, kind):
-    # with no tail fitting the offset cells, every row's tail goes to one
-    # integrate call: it gets the floats of the grid factor with its pieces
-    # inside the grid zeroed, and the grid path still matches integrate
+    # with no row's tails taken as series, every row goes to one integrate
+    # call: it gets the grid factor vanishing between the padded grid's ends
+    # and unchanged past them, and the grid path still matches integrate
     sent = []
 
     def spy(integrand):
         sent.append(integrand)
         return integrate(integrand)
 
-    def no_tails(w, kern, x, h, on_u):
-        return np.zeros(x.size), np.zeros(x.size), np.zeros(x.size, bool)
-
+    calls = tail_calls(monkeypatch, fallback=True)
     monkeypatch.setattr(quad, "integrate", spy)
-    monkeypatch.setattr(quad, "_grid_tails", no_tails)
     x = GRIDS[grid]
     h = quad._log_step(x)
     for on_u, term in zip((True, False), split_terms(prof, grid_sources(prof, x)[kind])):
         sent.clear()
+        calls.clear()
         got = quad._grid_integrate(term, h, on_u)
         [tails] = sent
-        w = term.u if on_u else term.f
-        beyond = only(w, (w.bounds[1:] <= x[0]) | (w.bounds[:-1] >= x[-1]))
-        ref = integrate(PowerIntegrand(beyond, term.f, x) if on_u else PowerIntegrand(term.u, beyond, x))
-        tails = integrate(tails)
-        for field in ("value", "abs_error_estimate", "diverged", "tail_exponent"):
-            assert getattr(tails, field).tolist() == getattr(ref, field).tolist(), field
+        [((w, _, _, lo, hi, _), _)] = calls
+        assert hi > x[-1] and (lo < x[0] if on_u else lo == x[0])
+        assert tails.rho.tolist() == x.tolist()
+        assert (tails.f if on_u else tails.u) is (term.f if on_u else term.u)
+        # the same function: the same pieces on every piece of both
+        sent_w, ref = tails.u if on_u else tails.f, beyond(w, lo, hi)
+        starts = np.unique(np.concatenate([sent_w.bounds[:-1], ref.bounds[:-1]]))
+        i, j = sent_w.piece_index(starts), ref.piece_index(starts)
+        assert sent_w.log_coefs[i].tolist() == ref.log_coefs[j].tolist()
+        live = ref.log_coefs[j] > -np.inf
+        assert sent_w.exps[i][live].tolist() == ref.exps[j][live].tolist()
         whole = integrate(term)
         np.testing.assert_array_equal(got.diverged, whole.diverged)
         np.testing.assert_allclose(got.value, whole.value, rtol=1e-13, atol=0)
@@ -679,21 +698,38 @@ def test_grid_window_is_the_source_beyond_the_grid(monkeypatch, prof, grid, kind
 @pytest.mark.parametrize("prof", GRID_PROFILES, ids=lambda p: f"{p.alpha},{p.gamma},{p.dim_n}")
 @pytest.mark.parametrize("grid", sorted(GRIDS))
 @pytest.mark.parametrize("kind", ["smooth", "zeros", "steep"])
-def test_grid_tails_are_the_source_beyond_the_grid(prof, grid, kind):
-    # the offset cells of each tail against integrate of the source beyond
-    # the grid: u's pieces inside it zeroed for the first term, f's for the
-    # second, whose last two rows' tails start with their branch cells
-    term1, term2 = split_terms(prof, grid_sources(prof, GRIDS[grid])[kind])
-    x = term1.rho
+def test_grid_tails_are_the_source_beyond_the_grid(monkeypatch, prof, grid, kind):
+    # each row's series past the padded grid's ends against integrate of the
+    # grid factor vanishing between them: u's for the first term, f's for
+    # the second, whose grid is padded above only
+    calls = tail_calls(monkeypatch)
+    x = GRIDS[grid]
     h = quad._log_step(x)
-    for term, on_u in ((term1, True), (term2, False)):
-        w, kern = (term.u, term.f) if on_u else (term.f, term.u)
-        value, err, done = quad._grid_tails(w, kern, x, h, on_u)
+    for on_u, term in zip((True, False), split_terms(prof, grid_sources(prof, x)[kind])):
+        calls.clear()
+        assert quad._grid_integrate(term, h, on_u) is not None
+        [((w, kern, _, lo, hi, _), (value, err, done))] = calls
         assert np.all(done)
-        beyond = only(w, (w.bounds[1:] <= x[0]) | (w.bounds[:-1] >= x[-1]))
-        ref = integrate(PowerIntegrand(beyond, kern, x) if on_u else PowerIntegrand(kern, beyond, x))
+        tails = beyond(w, lo, hi)
+        ref = integrate(PowerIntegrand(tails, kern, x) if on_u else PowerIntegrand(kern, tails, x))
         np.testing.assert_allclose(value, ref.value, rtol=1e-13, atol=0)
         assert np.all(err <= 1e-10 * value)
+
+
+def test_grid_path_sums_f_grid_branch_cells_in_one_call(monkeypatch):
+    # on f's grid one _branch_cells call takes every row, the last rows'
+    # cells past the grid's end included; u's grid makes none
+    calls = []
+    real = quad._branch_cells
+    monkeypatch.setattr(quad, "_branch_cells", lambda *args: calls.append(args[2]) or real(*args))
+    for prof in GRID_PROFILES:
+        for grid in GRIDS.values():
+            h = quad._log_step(grid)
+            for src in grid_sources(prof, grid).values():
+                for on_u, term in zip((True, False), split_terms(prof, src)):
+                    calls.clear()
+                    assert quad._grid_integrate(term, h, on_u) is not None
+                    assert [x.tolist() for x in calls] == ([] if on_u else [grid.tolist()])
 
 
 def test_grid_path_never_calls_integrate(monkeypatch):
@@ -760,12 +796,16 @@ def test_grid_path_leaves_steep_cells_and_large_tables_to_integrate(monkeypatch)
         with pytest.raises(ParameterError, match=re.escape(str(ref.value))):
             integrate_grid(term)
     # a jump of 1e3 between nodes asks for 8 panels a cell: a kernel table
-    # of (2 x 126) x 8 panels, one short of passing a lowered _GRID_PANELS
+    # of (2 x 144) x 8 panels, the 127 nodes and 9 pad nodes past each end
+    # (ln 4 / h = 8.4 for h = 0.164), one short of passing a lowered
+    # _GRID_PANELS
     jump = np.where(np.arange(grid.size) == 64, 1e3, 1.0)
     steep = RadialFunction(grid, (1.0 + grid) ** -3.0 * jump)
     term = split_terms(PROF, steep)[0]
     assert quad._grid_integrate(term, quad._log_step(grid), True) is not None
-    monkeypatch.setattr(quad, "_GRID_PANELS", 252 * 8 - 1)
+    monkeypatch.setattr(quad, "_GRID_PANELS", 288 * 8)
+    assert quad._grid_integrate(term, quad._log_step(grid), True) is not None
+    monkeypatch.setattr(quad, "_GRID_PANELS", 288 * 8 - 1)
     assert quad._grid_integrate(term, quad._log_step(grid), True) is None
     assert integrate_grid(term).value.tolist() == integrate(term).value.tolist()
 
@@ -804,9 +844,13 @@ def log_uniform_sources(draw):
 # path gave up on a value of 0
 @example((ManifoldProfile(1.5, 1.0, 3), RadialFunction(
     log_grid(0.1, 1e3, 10), np.array([1.0, 0, 0, 0, 0, 0, 0, 0, 1.0, 0]), 0.0, -1.5)))
-# a grid from 0.6: the first row's tail below the grid crosses g's breakpoint at 1
+# a grid from 0.6: g's breakpoint at 1 cuts a pad cell below the grid; from
+# 0.95 it cuts the first row's tail below the padded grid, whose tail above
+# then goes to integrate too, not as a series on top
 @example((ManifoldProfile(7.0, 5.0, 6), RadialFunction(
     log_grid(0.6, 1e3, 12), (1.0 + log_grid(0.6, 1e3, 12)) ** -3.0, 1.0, -3.0)))
+@example((ManifoldProfile(7.0, 5.0, 6), RadialFunction(
+    log_grid(0.95, 1e3, 12), (1.0 + log_grid(0.95, 1e3, 12)) ** -3.0, 1.0, -3.0)))
 # v's breakpoint at 1 in the tail above a grid that ends below 1 (and g v's in
 # the second term's), or below one that starts above 1
 @example((ManifoldProfile(9.0, 5.5, 8), RadialFunction(
@@ -822,6 +866,9 @@ def log_uniform_sources(draw):
 # cell past the end, which the tail sums and the row's own cells must not
 @example((ManifoldProfile(1.5, 1.0, 3), RadialFunction(
     log_grid(1.0, 10.0, 23), np.eye(1, 23, 0)[0] + np.eye(1, 23, 22)[0], 0.0, -1.5)))
+# three nodes, h = ln 10: the tail series alone would need one pad node, but
+# the last row's cells 0 and 1 past it on f's grid need two
+@example((ManifoldProfile(1.5, 1.0, 3), RadialFunction(log_grid(0.1, 10.0, 3), [1.0, 0, 0])))
 def test_grid_path_matches_integrate_on_random_sources(source):
     prof, src = source
     taken = []

@@ -180,9 +180,10 @@ def test_series_pieces_per_shift_do_not_grow_with_the_grid(monkeypatch, prof, mo
     # source's two split terms costs each shift one low-zone series per term
     # and one high-zone series per live piece of g or g v beyond 4 rho: 4 in
     # all where g and v are single powers, up to 6 where both switch branch
-    # at 1.  On its own grid the split potential takes no series at all: the
-    # tails are offset cells, and the two cells past each shift of the
-    # second term a Gauss-Jacobi rule and finer Gauss panels
+    # at 1.  On its own grid the split potential takes no zone series at all:
+    # the tails are cells of the padded grid and one series per shift past
+    # it, and the two cells past each shift of the second term a
+    # Gauss-Jacobi rule and finer Gauss panels
     grid = default_grid(1024)
     src = RadialFunction(grid, (1.0 + grid) ** -3.0).as_piecewise()
     row = _low_zone(src, grid)[1]
