@@ -185,7 +185,9 @@ def _split_values(spec: KernelSpec, src_pp: PiecewisePower, rho: np.ndarray) -> 
         raise DivergentIntegralError(
             f"split potential diverges: tail exponent {exponent} >= 0",
             location="tail", exponent=exponent)
-    return t1.value + t2.value
+    with np.errstate(over="ignore"):   # two finite terms may sum to inf: checked below
+        values = t1.value + t2.value
+    return require_normal("split potential", rho, values, floor=-_INF)
 
 
 def potential_values(spec: KernelSpec, source, rho) -> np.ndarray:

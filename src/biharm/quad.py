@@ -746,8 +746,8 @@ def _grid_integrate(integrand: PowerIntegrand, h: float, on_u: bool):
     ends as ``_tail_series``, or one ``integrate`` call, with w vanishing
     between those ends, for the rows whose tails do not fit.  None where a
     cell needs more than ``_MAX_PANELS`` panels, the kernel tables would
-    pass ``_GRID_PANELS`` panels or a product F T S or a branch-cell node
-    value could leave the float range."""
+    pass ``_GRID_PANELS`` panels, a pad node would leave the normal float
+    range, or a product F T S or a branch-cell node value could leave it."""
     u, f, x = integrand.u, integrand.f, integrand.rho
     n = x.size
     rows = np.arange(n)
@@ -766,6 +766,8 @@ def _grid_integrate(integrand: PowerIntegrand, h: float, on_u: bool):
     pad = max(2, int(np.ceil(-np.log(cap) / h)))
     below = pad if on_u else 0
     t = np.log(x)
+    if not (np.log(_TINY) <= t[0] - h * below and t[-1] + h * pad < np.log(np.finfo(float).max)):
+        return None   # pad nodes past the normal float range
     tX = np.concatenate([t[0] - h * np.arange(below, 0, -1), t, t[-1] + h * np.arange(1, pad + 1)])
     X = np.exp(tX)
     X[below:below + n] = x
@@ -887,12 +889,12 @@ def integrate_grid(integrand: PowerIntegrand) -> QuadratureResult:
     ``integrate``'s.  Every cell gets the panels the steepest one needs;
     cells that a breakpoint of either factor cuts are summed directly.
     Inputs whose cells need more than ``_MAX_PANELS`` panels, whose kernel
-    tables (pad cells included) would pass ``_GRID_PANELS`` panels, where a
-    product of a node value, a kernel entry and a row scale, or a branch
-    cell's term, could leave the float range, or where the ``integrate``
-    call raises, go to ``integrate`` whole.  The error estimate adds the
-    rules' a-priori bounds (``_PANEL_ERROR``, ``_GRID_PANEL_ERROR`` or
-    ``_JACOBI_ERROR`` of the sums) and the tail series' remainder bounds.
+    tables (pad cells included) would pass ``_GRID_PANELS`` panels, whose pad
+    nodes, or a product of a node value, a kernel entry and a row scale, or
+    a branch cell's term, could leave the float range, or where the
+    ``integrate`` call raises, go to ``integrate`` whole.  The error estimate
+    adds the rules' a-priori bounds (``_PANEL_ERROR``, ``_GRID_PANEL_ERROR``
+    or ``_JACOBI_ERROR`` of the sums) and the tail series' remainder bounds.
     """
     rho = integrand.rho
     h = _log_step(rho)

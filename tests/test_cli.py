@@ -836,6 +836,14 @@ def _no_constant(name):
                "--s=-1.5808205879387227e-191", "--m=0.0", "--p=11.683015790075018",
                "--kernel-mode=euclidean-exact", "--grid-lo=0.5332206331518767",
                "--grid-hi=1.0", "--grid-points=9"])
+# subnormal alpha, gamma: each split term is finite, their sum overflows to inf
+@example(argv=["verify-bounds", "--alpha=1.390671161567001e-308",
+               "--gamma=1.1125369292536007e-308", "--s=0.0", "--m=0.0", "--p=2.0",
+               "--kernel-mode=split-comparison", "--grid-lo=0.5", "--grid-hi=1.0",
+               "--grid-points=8"])
+# huge alpha, gamma: the grid path's pad nodes would pass the float range
+@example(argv=["solve", "--alpha=1.5773933612005086e+302", "--gamma=1.2619146889604068e+302",
+               "--s=0.0", "--p=2.0", "--kernel-mode=split-comparison", "--nodes=16"])
 def test_fuzzed_commands_exit_cleanly(tmp_path, capsys, argv):
     out = tmp_path / "o"
     shutil.rmtree(out, ignore_errors=True)
