@@ -11,11 +11,11 @@ split-comparison
     source's interior breakpoints are the radii themselves (a grid source on
     its own grid) and that grid is log-uniform, ``quad.integrate_grid`` sums
     the grid cells as Toeplitz correlations instead, the grid padded past its
-    ends with cells of its own step that take the source's tails, one
-    binomial series per radius beyond them, and the second term's two cells
-    past each radius, where the kernel's branch point is, by a Gauss-Jacobi
-    rule and finer Gauss panels: then only a tail that a profile breakpoint
-    cuts past the padded grid reaches the zones.
+    ends, and past every profile breakpoint that a radius's tail crosses,
+    with cells of its own step that take the source's tails, one binomial
+    series per radius beyond them, and the second term's two cells past each
+    radius, where the kernel's branch point is, by a Gauss-Jacobi rule and
+    finer Gauss panels: that path makes no zone call.
 surrogate-exact
     kernel max(rho, r)**(-gamma) against the measure alpha * r**(alpha-1) dr;
     the exact inverse of the surrogate radial operator in `spectral`.
@@ -268,7 +268,7 @@ def mc_oracle(n: int, x_radius: float, src: BallSource, samples: int, seed: int)
     drawn from its exact marginal on the sphere S**(n-1) by two uniforms
     (``_direction_cosines``).  A batch holds 2**16 samples, so each float64
     temporary is 512 KiB.  Inputs whose constants or sums leave the float
-    range raise ParameterError.
+    range, or whose source of positive height no sample hits, raise ParameterError.
     """
     if not 5 <= n <= _ORACLE_MAX_DIM:
         raise ParameterError(f"oracle is for 5 <= n <= {_ORACLE_MAX_DIM} "
@@ -291,7 +291,7 @@ def mc_oracle(n: int, x_radius: float, src: BallSource, samples: int, seed: int)
                              f"support radius {support!r}") from None
     rng = np.random.default_rng(seed)
 
-    total, total_sq, shift = 0.0, 0.0, None   # sums in units of 2**shift: no square underflows
+    total, total_sq, shift, hit = 0.0, 0.0, None, False   # sums in units of 2**shift: no square underflows
     for start in range(0, int(samples), _ORACLE_BATCH):
         m = min(_ORACLE_BATCH, samples - start)
         omega1 = _direction_cosines(rng, n, m)
@@ -305,11 +305,15 @@ def mc_oracle(n: int, x_radius: float, src: BallSource, samples: int, seed: int)
                 t = t_max * np.sqrt(rng.random(m))
                 y_radius = np.sqrt(x_sq + 2.0 * x_radius * t * omega1 + t ** 2)
                 f = scale * np.asarray(src(y_radius), dtype=float)
+            hit = hit or y_radius.min() <= support   # every sample in the far field
             if shift is None and np.max(f) > 0.0:
                 shift = int(np.frexp(np.max(f))[1])
             f = np.ldexp(f, -(shift or 0))
             total += float(np.sum(f))
             total_sq += float(np.sum(f * f))
+    if not hit and src.height > 0.0:
+        raise ParameterError(f"oracle scored no hit in {samples} samples at n={n}, "
+                             f"|x|={x_radius!r}, support radius {support!r}")
     mean = total / samples
     var = max(total_sq / samples - mean ** 2, 0.0) * samples / (samples - 1)
     with np.errstate(over="ignore"):   # checked below

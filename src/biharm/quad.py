@@ -46,15 +46,15 @@ its own grid): the grid cells all get the same Gauss panels, and within one
 piece of the other factor a node's value is a product of a factor of its
 cell and one of the cell's offset from the shift, so each sum over cells is
 a Toeplitz correlation.  Pad nodes continue the grid log-uniformly past
-its ends, and their cells take the grid factor's tails like any other
-cell; past them each row's tail is one binomial series.  On f's grid the two cells past each shift, at and next to the kernel's
-branch point at s = rho, take one Gauss-Jacobi rule per kernel piece and
-finer Gauss panels.  So the grid path never reaches the zones above, but for
-one ``integrate`` call over the grid factor beyond the padded grid, for the
-rows whose tail a breakpoint cuts.  Cells that a breakpoint cuts get the
-near zone's Gauss rule, ``_add_gauss``.  A grid whose cells need more than
-``_MAX_PANELS`` panels, or whose kernel tables would pass ``_GRID_PANELS``
-panels, goes through the zones whole.
+its ends and past every breakpoint that a shift's tail would cross; their
+cells take the grid factor's tails like any other cell, and past them each
+row's tail is one binomial series.  On f's grid the two cells past each
+shift, at and next to the kernel's branch point at s = rho, take one
+Gauss-Jacobi rule per kernel piece and finer Gauss panels.  Cells that a
+breakpoint cuts get the near zone's rule, ``_add_gauss``.  So the grid path
+makes no zone call.  A grid whose cells need more than ``_MAX_PANELS``
+panels, whose kernel tables would pass ``_GRID_PANELS`` panels, or whose
+pads or sums could leave the float range goes through the zones whole.
 
 Shifts are processed with array operations, in blocks of about
 ``_BLOCK_SEAMS`` seams, ``_BLOCK_PANELS`` Gauss panels and ``_BLOCK_PIECES``
@@ -689,32 +689,29 @@ def _branch_cells(kern: PiecewisePower, w: PiecewisePower, x, pieces, h):
 
 def _tail_series(w: PiecewisePower, kern: PiecewisePower, x, lo, hi, on_u: bool):
     """The grid factor w's tails past lo and hi, the ends of the padded grid,
-    per row x_i, where each is one piece of w inside one piece of the other
-    factor kern at that row.  On u's grid, r**e_w (x_i + r)**e_k is
-    x_i**(e_w + e_k) e**(a z) (1 + e**-z)**e_k in z = ln(r/x_i) above the
+    per row x_i; the pads make each of them one piece of w inside one piece
+    of the other factor kern at that row.  On u's grid, r**e_w (x_i + r)**e_k
+    is x_i**(e_w + e_k) e**(a z) (1 + e**-z)**e_k in z = ln(r/x_i) above the
     grid (a = e_w + e_k) and z = ln(x_i/r) below it (a = -e_w); on f's, the
     kernel (s - x_i)**(e_k - 1) s times s**e_w is x_i**(e_w + e_k) e**(a z)
     (1 - e**-z)**(e_k - 1) in z = ln(s/x_i), a = e_w + e_k.  From the row's
     own z_i on, that is a binomial series in e**-z whose term k integrates
     to e**((a - k) z_i)/(k - a): _K + 1 terms, the rest bounded by the last
-    over 1 - e**-z_i.  A divergent tail (a >= 0) reads inf.  Returns (value,
-    error estimate, done): a row is done where its tails fit and their
-    leading terms stay within e**+-``_GRID_RANGE``, and reads 0 where not.
+    over 1 - e**-z_i.  A divergent tail (a >= 0) reads inf.  No zone is
+    called.  Returns (value, error estimate, ok), not ok where a live
+    tail's leading term leaves e**+-``_GRID_RANGE``.
     """
     t = np.log(x)
     k = np.arange(_K + 1.0)
     binom = _binomial(kern.exps if on_u else kern.exps - 1.0, 1.0 if on_u else -1.0)
     value, err = np.zeros(x.size), np.zeros(x.size)
-    done = np.full(x.size, w.bounds[-2] <= hi)
+    ok = np.ones(x.size, bool)
     rows = np.arange(x.size)
-    # (w's piece, the other factor's piece per row, z_i, whether it holds)
+    # (w's piece, the other factor's piece per row, z_i)
+    tails = [(-1, -1, np.log(hi) - t)]
     if on_u:
-        j = kern.piece_index(x)
-        tails = [(-1, -1, np.log(hi) - t, kern.bounds[-2] <= x + hi),
-                 (0, j, t - np.log(lo), (w.bounds[1] >= lo) & (x + lo <= kern.bounds[j + 1]))]
-    else:
-        tails = [(-1, -1, np.log(hi) - t, kern.bounds[-2] <= hi - x)]
-    for p, j, z, holds in tails:
+        tails.append((0, kern.piece_index(x), t - np.log(lo)))
+    for p, j, z in tails:
         e_w = w.exps[p]
         a = e_w + kern.exps if p else np.full(kern.npieces, -e_w)   # per piece of kern
         coefs = binom / (k - a[:, None])
@@ -726,28 +723,28 @@ def _tail_series(w: PiecewisePower, kern: PiecewisePower, x, lo, hi, on_u: bool)
         rest = np.abs(coefs[j, -1]) * powers[-1] * scale / -np.expm1(-z)
         value += np.where(live, np.where(divergent, _INF, series), 0.0)
         err += np.where(live, np.where(divergent, _INF, rest), 0.0)
-        done &= holds & (~live | divergent | (np.abs(lead) < _GRID_RANGE))
-    value[~done] = err[~done] = 0.0
-    return value, err, done
+        ok &= ~live | divergent | (np.abs(lead) < _GRID_RANGE)
+    return value, err, ok
 
 
-def _merged(bounds, log_coefs, exps) -> PiecewisePower:
-    """The pieces, each run of equal neighbouring ones one piece; a
-    vanishing piece's exponent reads 0."""
-    e = np.where(log_coefs == -_INF, 0.0, exps)
-    new = np.concatenate([[True], (log_coefs[1:] != log_coefs[:-1]) | (e[1:] != e[:-1])])
-    return PiecewisePower._from_logs(np.append(bounds[:-1][new], _INF), log_coefs[new], e[new])
+def _merged(pp: PiecewisePower) -> PiecewisePower:
+    """pp with each run of equal neighbouring pieces one piece; a vanishing
+    piece's exponent reads 0."""
+    lc = pp.log_coefs
+    e = np.where(lc == -_INF, 0.0, pp.exps)
+    new = np.concatenate([[True], (lc[1:] != lc[:-1]) | (e[1:] != e[:-1])])
+    return PiecewisePower._from_logs(np.append(pp.bounds[:-1][new], _INF), lc[new], e[new])
 
 
 def _grid_integrate(integrand: PowerIntegrand, h: float, on_u: bool):
     """The grid path of ``integrate_grid``, on u's grid or on f's: the cells
     of the padded grid as Toeplitz correlations and, on f's grid, the two
     cells past each shift as ``_branch_cells``; w's tails past the padded
-    ends as ``_tail_series``, or one ``integrate`` call, with w vanishing
-    between those ends, for the rows whose tails do not fit.  None where a
-    cell needs more than ``_MAX_PANELS`` panels, the kernel tables would
-    pass ``_GRID_PANELS`` panels, a pad node would leave the normal float
-    range, or a product F T S or a branch-cell node value could leave it."""
+    ends as ``_tail_series``.  It makes no zone call.  None where a pad node
+    would leave the normal float range, a cell needs more than
+    ``_MAX_PANELS`` panels, the kernel tables would pass ``_GRID_PANELS``
+    panels, or a product F T S, a branch-cell node value or a tail's leading
+    term could leave e**+-``_GRID_RANGE``."""
     u, f, x = integrand.u, integrand.f, integrand.rho
     n = x.size
     rows = np.arange(n)
@@ -755,22 +752,36 @@ def _grid_integrate(integrand: PowerIntegrand, h: float, on_u: bool):
     # the other factor with equal neighbouring pieces merged: a breakpoint
     # that changes nothing (g v = r**2 on both sides of 1 where
     # alpha - gamma = 2) cuts no cell and no tail
-    kern = _merged(kern.bounds, kern.log_coefs, kern.exps)
+    kern = _merged(kern)
     pieces = np.flatnonzero(kern.log_coefs > -_INF)
     lc_k, e_k = kern.log_coefs[pieces], kern.exps[pieces]
-    # pad nodes past the grid's upper end, and below its lower end on u's:
-    # enough that every row's tail series keeps within the ratio caps of the
-    # kernel's binomial exponents, and at least 2, so that the last row's
-    # cells 0 and 1 past it on f's grid are grid cells
+    # pad nodes past the grid's upper end, and below its lower end on u's: at
+    # least 2 (the last row's cells 0 and 1 on f's grid), as many as the
+    # kernel's ratio caps ask for, and past every breakpoint of w and of the
+    # kernel (at r = b - x_i on u's grid, s = x_i + b on f's) that a row's
+    # tail would cross, so that each tail is one piece of both; in logs
     cap = _ratio_caps(e_k if on_u else e_k - 1.0).min(initial=_X)
-    pad = max(2, int(np.ceil(-np.log(cap) / h)))
-    below = pad if on_u else 0
+    pad = max(2.0, np.ceil(-np.log(cap) / h))
     t = np.log(x)
-    if not (np.log(_TINY) <= t[0] - h * below and t[-1] + h * pad < np.log(np.finfo(float).max)):
-        return None   # pad nodes past the normal float range
-    tX = np.concatenate([t[0] - h * np.arange(below, 0, -1), t, t[-1] + h * np.arange(1, pad + 1)])
-    X = np.exp(tX)
+    with np.errstate(over="ignore"):   # a bound past the float range gives an infinite pad
+        top = max(w.bounds[-2], kern.bounds[-2] - x[0] if on_u else x[-1] + kern.bounds[-2])
+    up = max(pad, np.ceil((np.log(top) - t[-1]) / h))
+    bottom = min(w.bounds[1], (kern.bounds[kern.piece_index(x) + 1] - x).min()) if on_u else x[0]
+    down = max(pad, np.ceil((t[0] - np.log(bottom)) / h)) if on_u else 0.0
+    if not max(pieces.size, 1) * (2.0 * (n + up + down) - 2.0) <= _GRID_PANELS:
+        return None   # the kernel tables' budget, checked before a pad node is built
+    # one spare node past each padded end, kept only where the last counted
+    # node, as built, falls short of its bound by a rounding
+    below = int(down) + 1 if on_u else 0
+    tX = np.concatenate([t[0] - h * np.arange(below, 0, -1), t,
+                         t[-1] + h * np.arange(1, int(up) + 2)])
+    with np.errstate(over="ignore", under="ignore"):   # checked below
+        X = np.exp(tX)
     X[below:below + n] = x
+    first, last = int(on_u and X[1] <= bottom), X.size - int(X[-2] >= top)
+    X, tX, below = X[first:last], tX[first:last], below - first
+    if not (X[0] <= bottom and X[-1] >= top and _TINY <= X[0] and X[-1] < _INF):
+        return None
     N = X.size
     i = rows + below   # the rows' nodes in X
     start = np.zeros(n, int) if on_u else i + 2
@@ -816,25 +827,16 @@ def _grid_integrate(integrand: PowerIntegrand, h: float, on_u: bool):
     F, T, S = np.exp(log_F), np.exp(log_T), np.exp(log_S)
     with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
         # past the float range: not ok
-        value, err, done = _tail_series(w, kern, x, X[0], X[-1], on_u)
+        value, err, ok = _tail_series(w, kern, x, X[0], X[-1], on_u)
         if not on_u:   # cells 0 and 1 past each shift
             end = np.where(direct, w.bounds[nxt], _INF)
-            v, e, ok = _branch_cells(kern, w, x, ((lc_w[:n], e_w[:n], end[:n]),
-                                                  (lc_w[1:n + 1], e_w[1:n + 1], end[1:n + 1])), h)
-            if not ok.all():
-                return None
+            v, e, near = _branch_cells(kern, w, x, ((lc_w[:n], e_w[:n], end[:n]),
+                                                    (lc_w[1:n + 1], e_w[1:n + 1], end[1:n + 1])), h)
+            ok &= near
             value += v
             err += e
-    todo = np.flatnonzero(~done)
-    if todo.size:   # the tails that do not fit: w beyond the padded grid as a source of its own
-        b = np.sort(np.concatenate([w.bounds, X[[0, -1]]]))
-        b = b[np.concatenate([[True], b[1:] > b[:-1]])]   # w's bounds and both padded ends
-        p = w.piece_index(b[:-1])
-        outside = (b[1:] <= X[0]) | (b[:-1] >= X[-1])
-        beyond = _merged(b, np.where(outside, w.log_coefs[p], -_INF), w.exps[p])
-        part = integrate(PowerIntegrand(*((beyond, f) if on_u else (u, beyond)), x[todo]))
-        value[todo] += part.value
-        err[todo] += part.abs_error_estimate
+    if not ok.all():
+        return None
 
     # per row, the cells in each piece of the other factor: from the first node
     # at or past the piece's start to the last one at or before its end
@@ -847,7 +849,7 @@ def _grid_integrate(integrand: PowerIntegrand, h: float, on_u: bool):
     d_rows, d_cells = [], []
     for m in range(1, kern.bounds.size - 1):
         c = upto[m]
-        cut = (at[m] > c) & (c >= start) & (c <= N - 2)
+        cut = (at[m] > c) & (c >= start)
         cut[cut] = ~direct[c[cut]]
         d_rows.append(rows[cut])
         d_cells.append(c[cut])
@@ -861,7 +863,7 @@ def _grid_integrate(integrand: PowerIntegrand, h: float, on_u: bool):
             _add_gauss(u, f, d_rows, x[d_rows], X[d_cells] - base[d_rows],
                        X[d_cells + 1] - base[d_rows], value, err, np.zeros(n, bool))
     for m, p in enumerate(pieces):
-        lo, hi = np.maximum(at[p], start), np.minimum(upto[p + 1], N - 1)
+        lo, hi = np.maximum(at[p], start), upto[p + 1]
         sel = np.flatnonzero(hi > lo)
         if sel.size:
             sums = S[m] * _correlate(F, T[m], i[sel], lo[sel], hi[sel], lo[sel] == start[sel])[i]
@@ -877,34 +879,27 @@ def integrate_grid(integrand: PowerIntegrand) -> QuadratureResult:
     shifts are breakpoints of u or of f on a log-uniform grid of 3 or more
     nodes (a grid source on its own grid); other inputs go to ``integrate``.
 
-    Pad nodes of the same step continue the grid past its ends, as many as
-    the other factor's ratio caps ask for (at least 2), and their cells take
-    the grid factor's tails as real cells do; past the padded ends each
-    row's tail is one binomial series in its own ratio.  On f's grid the
-    cell at each shift and the next one take a Gauss-Jacobi rule and finer
-    Gauss panels.  At rows where a breakpoint of either factor cuts a tail
-    past the padded ends (a breakpoint between two equal pieces of the other
-    factor cuts nothing), one ``integrate`` call sums the grid factor beyond
-    the padded grid.  The divergence flags and tail exponent are
-    ``integrate``'s.  Every cell gets the panels the steepest one needs;
-    cells that a breakpoint of either factor cuts are summed directly.
-    Inputs whose cells need more than ``_MAX_PANELS`` panels, whose kernel
-    tables (pad cells included) would pass ``_GRID_PANELS`` panels, whose pad
-    nodes, or a product of a node value, a kernel entry and a row scale, or
-    a branch cell's term, could leave the float range, or where the
-    ``integrate`` call raises, go to ``integrate`` whole.  The error estimate
-    adds the rules' a-priori bounds (``_PANEL_ERROR``, ``_GRID_PANEL_ERROR``
-    or ``_JACOBI_ERROR`` of the sums) and the tail series' remainder bounds.
+    Pad nodes of the same step continue the grid past its ends, as far as
+    the other factor's ratio caps ask (at least 2 nodes) and past every
+    breakpoint that a row's tail crosses; their cells take the grid factor's
+    tails as real cells do, and past them each row's tail is one binomial
+    series.  On f's grid the cell at each shift and the next one take a
+    Gauss-Jacobi rule and finer Gauss panels; cells that a breakpoint of
+    either factor cuts take the near zone's rule.  So the grid path makes no
+    zone call.  Its one fallback: an input that ``_grid_integrate`` refuses
+    (a cell past ``_MAX_PANELS`` panels, kernel tables past ``_GRID_PANELS``,
+    or pads, sums or terms that could leave the float range) goes to
+    ``integrate`` whole.  The divergence flags and tail exponent are
+    ``integrate``'s; the error estimate adds the rules' a-priori bounds
+    (``_PANEL_ERROR``, ``_GRID_PANEL_ERROR`` or ``_JACOBI_ERROR`` of the
+    sums) and the tail series' remainder bounds.
     """
     rho = integrand.rho
     h = _log_step(rho)
     if h is not None:
         on_u = _holds(integrand.u, rho)
         if on_u or _holds(integrand.f, rho):
-            try:
-                res = _grid_integrate(integrand, h, on_u)
-            except ParameterError:
-                res = None
+            res = _grid_integrate(integrand, h, on_u)
             if res is not None:
                 return res
     return integrate(integrand)

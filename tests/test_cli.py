@@ -644,6 +644,22 @@ def test_max_kernel_potential_below_the_float_range_exits_two(tmp_path, capsys):
     assert not (tmp_path / "o" / "report.json").exists()
 
 
+def test_oracle_that_no_sample_hits_exits_two(tmp_path, capsys):
+    # at n = 340 and |x| = 1.5 a hit needs a direction cosine below -0.745,
+    # about 1e-60 likely: no sample of 400k hits, and the run exited 0 with
+    # estimate and stderr 0.0 against an exact 1.367e-282.  A source of
+    # height 0 still reads 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["oracle", "--n", "340", "--x", "1.5", "--out-dir", str(tmp_path / "o")]) == 2
+        assert run(["oracle", "--n", "340", "--x", "1.5", "--height", "0",
+                    "--out-dir", str(tmp_path / "zero")]) == 0
+    assert capsys.readouterr().err == ("error: oracle scored no hit in 400000 samples at "
+                                       "n=340, |x|=1.5, support radius 1.0\n")
+    assert not (tmp_path / "o" / "report.json").exists()
+    assert json.loads((tmp_path / "zero" / "report.json").read_text())["estimate"] == 0.0
+
+
 @pytest.mark.parametrize("argv, error", [
     (["verify-bounds", "--alpha", "1.122668275265132e+17", "--gamma", "6.96620778268365e+16",
       "--s", "-0.1708525435331376", "--m", "-1.4878783024876223", "--p", "12.985174262003074",
@@ -843,6 +859,9 @@ def _no_constant(name):
                "--grid-points=8"])
 # huge alpha, gamma: the grid path's pad nodes would pass the float range
 @example(argv=["solve", "--alpha=1.5773933612005086e+302", "--gamma=1.2619146889604068e+302",
+               "--s=0.0", "--p=2.0", "--kernel-mode=split-comparison", "--nodes=16"])
+# ... and a pad end x[-1]/cap, formed outside the logs, would overflow
+@example(argv=["solve", "--alpha=4.494232837155789e+302", "--gamma=3.595386269724632e+302",
                "--s=0.0", "--p=2.0", "--kernel-mode=split-comparison", "--nodes=16"])
 def test_fuzzed_commands_exit_cleanly(tmp_path, capsys, argv):
     out = tmp_path / "o"

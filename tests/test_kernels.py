@@ -640,18 +640,29 @@ def beyond(pp, lo, hi):
                                      np.where(keep, pp.exps[p], 0.0))
 
 
-def tail_calls(monkeypatch, fallback=False):
+def within(pp, lo, hi):
+    """pp cut at lo and hi and vanishing past them: the source the grid path
+    sums on a padded grid with those ends."""
+    b = np.unique(np.concatenate([pp.bounds, [lo, hi]]))
+    p = pp.piece_index(b[:-1])
+    keep = (b[:-1] >= lo) & (b[1:] <= hi)
+    return PiecewisePower._from_logs(b, np.where(keep, pp.log_coefs[p], -np.inf),
+                                     np.where(keep, pp.exps[p], 0.0))
+
+
+def tail_calls(monkeypatch, silent=False):
     """Records each _tail_series call's arguments and a copy of its result
-    (the grid path adds into the arrays); with fallback, no row is done."""
+    (the grid path adds into the arrays); with silent, every row's tails
+    read 0 and are ok."""
     calls = []
     real = quad._tail_series
 
     def spy(*args):
-        value, err, done = real(*args)
-        if fallback:
-            value, err, done = np.zeros(done.size), np.zeros(done.size), np.zeros(done.size, bool)
-        calls.append((args, (value.copy(), err.copy(), done.copy())))
-        return value, err, done
+        value, err, ok = real(*args)
+        if silent:
+            value, err, ok = np.zeros(ok.size), np.zeros(ok.size), np.ones(ok.size, bool)
+        calls.append((args, (value.copy(), err.copy(), ok.copy())))
+        return value, err, ok
 
     monkeypatch.setattr(quad, "_tail_series", spy)
     return calls
@@ -661,38 +672,24 @@ def tail_calls(monkeypatch, fallback=False):
 @pytest.mark.parametrize("grid", sorted(GRIDS))
 @pytest.mark.parametrize("kind", ["smooth", "zeros", "steep"])
 def test_grid_window_is_the_source_beyond_the_grid(monkeypatch, prof, grid, kind):
-    # with no row's tails taken as series, every row goes to one integrate
-    # call: it gets the grid factor vanishing between the padded grid's ends
-    # and unchanged past them, and the grid path still matches integrate
-    sent = []
-
-    def spy(integrand):
-        sent.append(integrand)
-        return integrate(integrand)
-
-    calls = tail_calls(monkeypatch, fallback=True)
-    monkeypatch.setattr(quad, "integrate", spy)
+    # with every row's tails read as 0, the grid path is integrate of the
+    # grid factor vanishing past the padded grid's ends: the window it sums
+    # and the tails past it split the source with nothing left out or twice
+    calls = tail_calls(monkeypatch, silent=True)
     x = GRIDS[grid]
     h = quad._log_step(x)
     for on_u, term in zip((True, False), split_terms(prof, grid_sources(prof, x)[kind])):
-        sent.clear()
         calls.clear()
         got = quad._grid_integrate(term, h, on_u)
-        [tails] = sent
-        [((w, _, _, lo, hi, _), _)] = calls
+        [((_, _, _, lo, hi, _), _)] = calls
         assert hi > x[-1] and (lo < x[0] if on_u else lo == x[0])
-        assert tails.rho.tolist() == x.tolist()
-        assert (tails.f if on_u else tails.u) is (term.f if on_u else term.u)
-        # the same function: the same pieces on every piece of both
-        sent_w, ref = tails.u if on_u else tails.f, beyond(w, lo, hi)
-        starts = np.unique(np.concatenate([sent_w.bounds[:-1], ref.bounds[:-1]]))
-        i, j = sent_w.piece_index(starts), ref.piece_index(starts)
-        assert sent_w.log_coefs[i].tolist() == ref.log_coefs[j].tolist()
-        live = ref.log_coefs[j] > -np.inf
-        assert sent_w.exps[i][live].tolist() == ref.exps[j][live].tolist()
+        inside = within(term.u if on_u else term.f, lo, hi)
+        ref = integrate(PowerIntegrand(inside, term.f, x) if on_u
+                        else PowerIntegrand(term.u, inside, x))
         whole = integrate(term)
         np.testing.assert_array_equal(got.diverged, whole.diverged)
-        np.testing.assert_allclose(got.value, whole.value, rtol=1e-13, atol=0)
+        live = ~whole.diverged
+        np.testing.assert_allclose(got.value[live], ref.value[live], rtol=1e-13, atol=0)
 
 
 @pytest.mark.parametrize("prof", GRID_PROFILES, ids=lambda p: f"{p.alpha},{p.gamma},{p.dim_n}")
@@ -701,15 +698,23 @@ def test_grid_window_is_the_source_beyond_the_grid(monkeypatch, prof, grid, kind
 def test_grid_tails_are_the_source_beyond_the_grid(monkeypatch, prof, grid, kind):
     # each row's series past the padded grid's ends against integrate of the
     # grid factor vanishing between them: u's for the first term, f's for
-    # the second, whose grid is padded above only
+    # the second, whose grid is padded above only.  The pads reach past
+    # every breakpoint a tail would cross, so each tail is one piece of the
+    # grid factor w and one of the other factor kern at its row
     calls = tail_calls(monkeypatch)
     x = GRIDS[grid]
     h = quad._log_step(x)
     for on_u, term in zip((True, False), split_terms(prof, grid_sources(prof, x)[kind])):
         calls.clear()
         assert quad._grid_integrate(term, h, on_u) is not None
-        [((w, kern, _, lo, hi, _), (value, err, done))] = calls
-        assert np.all(done)
+        [((w, kern, _, lo, hi, _), (value, err, ok))] = calls
+        assert np.all(ok)
+        assert hi >= w.bounds[-2]
+        if on_u:
+            assert lo <= w.bounds[1] and np.all(hi >= kern.bounds[-2] - x)
+            assert np.all(lo <= kern.bounds[kern.piece_index(x) + 1] - x)
+        else:
+            assert lo == x[0] and np.all(hi >= x + kern.bounds[-2])
         tails = beyond(w, lo, hi)
         ref = integrate(PowerIntegrand(tails, kern, x) if on_u else PowerIntegrand(kern, tails, x))
         np.testing.assert_allclose(value, ref.value, rtol=1e-13, atol=0)
@@ -845,8 +850,8 @@ def log_uniform_sources(draw):
 @example((ManifoldProfile(1.5, 1.0, 3), RadialFunction(
     log_grid(0.1, 1e3, 10), np.array([1.0, 0, 0, 0, 0, 0, 0, 0, 1.0, 0]), 0.0, -1.5)))
 # a grid from 0.6: g's breakpoint at 1 cuts a pad cell below the grid; from
-# 0.95 it cuts the first row's tail below the padded grid, whose tail above
-# then goes to integrate too, not as a series on top
+# 0.95 the ratio caps' pad would leave it in the first row's tail below the
+# padded grid, so the pad runs on down to 1 - 0.95
 @example((ManifoldProfile(7.0, 5.0, 6), RadialFunction(
     log_grid(0.6, 1e3, 12), (1.0 + log_grid(0.6, 1e3, 12)) ** -3.0, 1.0, -3.0)))
 @example((ManifoldProfile(7.0, 5.0, 6), RadialFunction(
@@ -869,17 +874,36 @@ def log_uniform_sources(draw):
 # three nodes, h = ln 10: the tail series alone would need one pad node, but
 # the last row's cells 0 and 1 past it on f's grid need two
 @example((ManifoldProfile(1.5, 1.0, 3), RadialFunction(log_grid(0.1, 10.0, 3), [1.0, 0, 0])))
+# ln(1/0.1)/h = 9: the first term's pad ends on v's breakpoint at 1, but its
+# ninth node is built as 1 - 4.4e-16; a spare tenth node takes the pad past 1
+@example((ManifoldProfile(9.0, 5.5, 8), RadialFunction(
+    log_grid(0.01, 0.1, 10), np.exp(-log_grid(0.01, 0.1, 10)), 1.0, -4.5)))
 def test_grid_path_matches_integrate_on_random_sources(source):
+    # the grid path takes every term, and it makes no zone call
     prof, src = source
-    taken = []
-    real = quad._grid_integrate
-    quad._grid_integrate = lambda *a: taken.append(real(*a)) or taken[-1]
+    taken, zone_calls, running = [], [], []
+    real_grid, real_integrate = quad._grid_integrate, quad.integrate
+
+    def grid_path(*args):
+        running.append(True)
+        try:
+            taken.append(real_grid(*args))
+        finally:
+            running.pop()
+        return taken[-1]
+
+    def zones(integrand):
+        zone_calls.extend(running)
+        return real_integrate(integrand)
+
+    quad._grid_integrate, quad.integrate = grid_path, zones
     try:
         for term in split_terms(prof, src):
             assert_grid_matches(term)
     finally:
-        quad._grid_integrate = real
+        quad._grid_integrate, quad.integrate = real_grid, real_integrate
     assert all(res is not None for res in taken) and len(taken) == 2
+    assert zone_calls == []
 
 
 def test_other_inputs_keep_todays_values():
