@@ -7,15 +7,8 @@ Kernel modes
 split-comparison
     (G phi)(rho) = int g(rho+r) phi(r) v(r) dr/r + int g(r) phi(rho+r) v(r) dr/r,
     the two-sided comparable reduction of the manifold potential for radial
-    monotone sources.  Each term is one batched ``quad.integrate``; when the
-    source's interior breakpoints are the radii themselves (a grid source on
-    its own grid) and that grid is log-uniform, ``quad.integrate_grid`` sums
-    the grid cells as Toeplitz correlations instead, the grid padded past its
-    ends, and past every profile breakpoint that a radius's tail crosses,
-    with cells of its own step that take the source's tails, one binomial
-    series per radius beyond them, and the second term's two cells past each
-    radius, where the kernel's branch point is, by a Gauss-Jacobi rule and
-    finer Gauss panels: that path makes no zone call.
+    monotone sources.  Each term is one ``quad.integrate`` call over all
+    radii.
 surrogate-exact
     kernel max(rho, r)**(-gamma) against the measure alpha * r**(alpha-1) dr;
     the exact inverse of the surrogate radial operator in `spectral`.
@@ -33,7 +26,7 @@ import numpy as np
 
 from .errors import DivergentIntegralError, ParameterError
 from .profiles import ManifoldProfile, profile_piecewise
-from .quad import PowerIntegrand, QuadratureResult, integrate, integrate_grid
+from .quad import PowerIntegrand, QuadratureResult, integrate
 from .radial import PiecewisePower, RadialFunction, power_integral, pp_product, require_normal
 
 _INF = float("inf")
@@ -169,18 +162,15 @@ def _split_values(spec: KernelSpec, src_pp: PiecewisePower, rho: np.ndarray) -> 
     v = profile_piecewise("v", spec.prof)
     terms = [PowerIntegrand(pp_product(src_pp, v), g, rho),
              PowerIntegrand(pp_product(g, v), src_pp, rho)]
-    # a grid source on its own grid: the cells as Toeplitz correlations
-    on_grid = np.array_equal(src_pp.bounds[1:-1], rho)
-    t1, t2 = ((integrate_grid if on_grid else integrate)(term) for term in terms)
+    t1, t2 = (integrate(term) for term in terms)
     bad = np.flatnonzero(t1.diverged | t2.diverged)
     if bad.size:
         i = bad[0]
         term, res = (terms[0], t1) if t1.diverged[i] else (terms[1], t2)
-        u, f = term.u, term.f
-        if u.log_coefs[0] > -_INF and u.exps[0] <= 0.0 and f.log_coefs[f.piece_index(rho[i])] > -_INF:
-            raise DivergentIntegralError(
-                f"split potential diverges at the origin: exponent {u.exps[0]} <= 0",
-                location="origin", exponent=float(u.exps[0]))
+        if res.origin[i]:
+            e = float(term.u.exps[0])
+            raise DivergentIntegralError(f"split potential diverges at the origin: exponent {e} <= 0",
+                                         location="origin", exponent=e)
         exponent = float(res.tail_exponent[i])
         raise DivergentIntegralError(
             f"split potential diverges: tail exponent {exponent} >= 0",
@@ -195,13 +185,11 @@ def potential_values(spec: KernelSpec, source, rho) -> np.ndarray:
     mode, rho >= 0 in the max-kernel modes).  The source is a PiecewisePower
     or has an as_piecewise() view (RadialFunction, BallSource)."""
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
-    if spec.mode == MODE_SPLIT and np.any(rho <= 0):
-        raise ParameterError("split-comparison potentials need rho > 0")
+    src_pp = source if isinstance(source, PiecewisePower) else source.as_piecewise()
+    if spec.mode == MODE_SPLIT:   # quad.PowerIntegrand checks rho > 0
+        return _split_values(spec, src_pp, rho)
     if np.any(rho < 0):
         raise ParameterError("max-kernel potentials need rho >= 0")
-    src_pp = source if isinstance(source, PiecewisePower) else source.as_piecewise()
-    if spec.mode == MODE_SPLIT:
-        return _split_values(spec, src_pp, rho)
     kexp, measure = _max_kernel_data(spec)
     return _max_kernel_values(kexp, pp_product(src_pp, measure), rho)
 

@@ -40,21 +40,22 @@ estimate.  Alternating series lose about ((1 + ratio)/(1 - ratio))**|e| to
 cancellation, so a steep piece expands only up to a ratio 2/|e|, and the
 near zone grows to cover the rest.
 
-``integrate_grid`` is a second route to the same integrals for shifts that
-are the nodes of a log-uniform grid that u or f breaks at (a grid source on
-its own grid): the grid cells all get the same Gauss panels, and within one
-piece of the other factor a node's value is a product of a factor of its
-cell and one of the cell's offset from the shift, so each sum over cells is
-a Toeplitz correlation.  Pad nodes continue the grid log-uniformly past
-its ends and past every breakpoint that a shift's tail would cross; their
-cells take the grid factor's tails like any other cell, and past them each
-row's tail is one binomial series.  On f's grid the two cells past each
-shift, at and next to the kernel's branch point at s = rho, take one
-Gauss-Jacobi rule per kernel piece and finer Gauss panels.  Cells that a
-breakpoint cuts get the near zone's rule, ``_add_gauss``.  So the grid path
-makes no zone call.  A grid whose cells need more than ``_MAX_PANELS``
-panels, whose kernel tables would pass ``_GRID_PANELS`` panels, or whose
-pads or sums could leave the float range goes through the zones whole.
+``integrate`` is the one entry, and it has two routes.  Shifts that are the
+nodes of a log-uniform grid that u or f breaks at (a grid source on its own
+grid) take the grid path: the grid cells all get the same Gauss panels, and
+within one piece of the other factor a node's value is a product of a
+factor of its cell and one of the cell's offset from the shift, so each sum
+over cells is a Toeplitz correlation.  Pad nodes continue the grid
+log-uniformly past its ends and past every breakpoint that a shift's tail
+would cross; their cells take the grid factor's tails like any other cell,
+and past them each row's tail is one binomial series.  On f's grid the two
+cells past each shift, at and next to the kernel's branch point at s = rho,
+take one Gauss-Jacobi rule per kernel piece and finer Gauss panels.  Cells
+that a breakpoint cuts get the near zone's rule, ``_add_gauss``.  Every
+other input goes to the zones above, ``_zones``, and so does a grid whose
+cells need more than ``_MAX_PANELS`` panels, whose kernel tables would pass
+``_GRID_PANELS`` panels, or whose pads or sums could leave the float range.
+Only ``integrate`` decides which shifts diverge, for both routes.
 
 Shifts are processed with array operations, in blocks of about
 ``_BLOCK_SEAMS`` seams, ``_BLOCK_PANELS`` Gauss panels and ``_BLOCK_PIECES``
@@ -135,13 +136,16 @@ class QuadratureResult:
 
     ``tail_exponent`` is the exponent of T -> int_T^inf of the integrand
     (integrand exponent + 1); a nonnegative value means the tail diverges,
-    zero being the logarithmic case.  A diverged entry has value inf.
+    zero being the logarithmic case.  ``origin`` flags the shifts whose
+    integral diverges at r = 0, and ``diverged`` those whose origin or tail
+    diverges.  A diverged entry has value inf.
     """
 
     value: np.ndarray
     abs_error_estimate: np.ndarray
     tail_exponent: np.ndarray
     diverged: np.ndarray
+    origin: np.ndarray
 
 
 def _ratio_caps(exps, live=True) -> np.ndarray:
@@ -437,54 +441,33 @@ def _add_gauss(u: PiecewisePower, f: PiecewisePower, rows, shift, lo, hi, value,
 
 
 def _divergence(u: PiecewisePower, f: PiecewisePower, rho):
-    """The tail exponent of u(r) f(rho + r) against dr/r, and per shift
-    whether its origin or its tail diverges."""
+    """The tail exponent of u(r) f(rho + r) against dr/r, whether its tail
+    diverges, and per shift whether its origin diverges."""
     with np.errstate(over="ignore"):   # a sum beyond the float range is +-inf: flagged
         tail_exponent = float(u.exps[-1] + f.exps[-1])
-    tail_live = u.log_coefs[-1] > -_INF and f.log_coefs[-1] > -_INF
+    tail = u.log_coefs[-1] > -_INF and f.log_coefs[-1] > -_INF and tail_exponent >= 0.0
     origin_live = (u.log_coefs[0] > -_INF) & (f.log_coefs[f.piece_index(rho)] > -_INF)
-    return tail_exponent, (tail_live and tail_exponent >= 0.0) | (origin_live & (u.exps[0] <= 0.0))
+    return tail_exponent, tail, origin_live & (u.exps[0] <= 0.0)
 
 
-def integrate(integrand: PowerIntegrand) -> QuadratureResult:
-    """Integrate u(r) f(rho + r) against dr/r over (0, inf) for every shift.
-
-    Each value carries an ``abs_error_estimate``: the series zones' bounded
-    remainders plus the Gauss zone's a-priori bound, ``_PANEL_ERROR`` of its
-    sum on slope-sized panels (inf where a segment is too steep for
-    ``_MAX_PANELS`` of them); both bound truncation, not float rounding.  A
-    divergent origin or tail sets that shift's ``diverged`` flag instead of
-    raising.  A shift whose zone seams or value leave the float range
-    (including a nonzero integral that comes out below the smallest normal
-    float) raises ParameterError naming the first such radius.
-    """
-    u, f = integrand.u, integrand.f
-    shape = integrand.rho.shape
-    rho = integrand.rho.ravel()
-    tail_exponent, diverged = _divergence(u, f, rho)
-
-    value = np.full(rho.size, _INF)
-    abs_err = np.full(rho.size, _INF)
-    live = np.flatnonzero(~diverged)
-    shift = rho[live]
+def _zones(u: PiecewisePower, f: PiecewisePower, rho):
+    """The zones' (value, error estimate) at the 1-D shifts rho, none of which
+    may diverge: the series zones, then the Gauss zone between their seams.
+    A shift whose zone seams or value leave the float range (including a
+    nonzero integral below the smallest normal float) raises ParameterError
+    naming the first such radius."""
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
         # seams and values are checked below
-        val, err, nonzero, low_end, high_start = _series_zones(u, f, shift)
+        val, err, nonzero, low_end, high_start = _series_zones(u, f, rho)
         seams_ok = (low_end > 0.0) & (high_start < _INF)
         rows = np.flatnonzero(seams_ok)
-        _add_gauss(u, f, rows, shift[rows], low_end[rows], high_start[rows], val, err, nonzero)
-    cut = np.append(np.flatnonzero(~seams_ok), shift.size)[0]   # the first bad seam
-    require_normal("integral", shift[:cut], val[:cut], np.where(nonzero, _TINY, -_INF)[:cut])
-    if cut < shift.size:
-        raise ParameterError(f"radius {float(shift[cut])!r} is out of range: the zone seams "
+        _add_gauss(u, f, rows, rho[rows], low_end[rows], high_start[rows], val, err, nonzero)
+    cut = np.append(np.flatnonzero(~seams_ok), rho.size)[0]   # the first bad seam
+    require_normal("integral", rho[:cut], val[:cut], np.where(nonzero, _TINY, -_INF)[:cut])
+    if cut < rho.size:
+        raise ParameterError(f"radius {float(rho[cut])!r} is out of range: the zone seams "
                              "near a quarter and four times the radius leave the float range")
-    value[live], abs_err[live] = val, err
-
-    def shaped(a):
-        return a.reshape(shape)[()]
-
-    return QuadratureResult(shaped(value), shaped(abs_err),
-                            shaped(np.full(rho.size, tail_exponent)), shaped(diverged))
+    return val, err
 
 
 # -- shifts on the grid of one factor: the cells as Toeplitz correlations -----
@@ -697,7 +680,8 @@ def _tail_series(w: PiecewisePower, kern: PiecewisePower, x, lo, hi, on_u: bool)
     (1 - e**-z)**(e_k - 1) in z = ln(s/x_i), a = e_w + e_k.  From the row's
     own z_i on, that is a binomial series in e**-z whose term k integrates
     to e**((a - k) z_i)/(k - a): _K + 1 terms, the rest bounded by the last
-    over 1 - e**-z_i.  A divergent tail (a >= 0) reads inf.  No zone is
+    over 1 - e**-z_i.  A tail that diverges (a >= 0) is its row's
+    divergence, which the caller flags; its sums mean nothing.  No zone is
     called.  Returns (value, error estimate, ok), not ok where a live
     tail's leading term leaves e**+-``_GRID_RANGE``.
     """
@@ -718,12 +702,12 @@ def _tail_series(w: PiecewisePower, kern: PiecewisePower, x, lo, hi, on_u: bool)
         powers = np.exp(-k[:, None] * z)   # e**-kz, one row per k
         lead = w.log_coefs[p] + kern.log_coefs[j] + (e_w + kern.exps[j]) * t + a[j] * z
         scale = np.exp(lead)
-        live, divergent = lead > -_INF, a[j] >= 0.0
+        live = lead > -_INF
         series = (coefs @ powers)[j, rows] * scale
         rest = np.abs(coefs[j, -1]) * powers[-1] * scale / -np.expm1(-z)
-        value += np.where(live, np.where(divergent, _INF, series), 0.0)
-        err += np.where(live, np.where(divergent, _INF, rest), 0.0)
-        ok &= ~live | divergent | (np.abs(lead) < _GRID_RANGE)
+        value += np.where(live, series, 0.0)
+        err += np.where(live, rest, 0.0)
+        ok &= ~live | (np.abs(lead) < _GRID_RANGE)
     return value, err, ok
 
 
@@ -736,15 +720,17 @@ def _merged(pp: PiecewisePower) -> PiecewisePower:
     return PiecewisePower._from_logs(np.append(pp.bounds[:-1][new], _INF), lc[new], e[new])
 
 
-def _grid_integrate(integrand: PowerIntegrand, h: float, on_u: bool):
-    """The grid path of ``integrate_grid``, on u's grid or on f's: the cells
-    of the padded grid as Toeplitz correlations and, on f's grid, the two
-    cells past each shift as ``_branch_cells``; w's tails past the padded
-    ends as ``_tail_series``.  It makes no zone call.  None where a pad node
-    would leave the normal float range, a cell needs more than
-    ``_MAX_PANELS`` panels, the kernel tables would pass ``_GRID_PANELS``
-    panels, or a product F T S, a branch-cell node value or a tail's leading
-    term could leave e**+-``_GRID_RANGE``."""
+def _grid_integrate(integrand: PowerIntegrand, h: float, on_u: bool, diverged):
+    """The grid path of ``integrate``, on u's grid or on f's, the shifts
+    being its nodes (step h): the cells of the padded grid as Toeplitz
+    correlations and, on f's grid, the two cells past each shift as
+    ``_branch_cells``; w's tails past the padded ends as ``_tail_series``.
+    It makes no zone call.  Returns (value, error estimate) per shift, whose
+    entries mean nothing where ``diverged``; None where a pad node would
+    leave the normal float range, a cell needs more than ``_MAX_PANELS``
+    panels, the kernel tables would pass ``_GRID_PANELS`` panels, or a
+    product F T S, or a branch-cell node value or a tail's leading term of a
+    shift that does not diverge, could leave e**+-``_GRID_RANGE``."""
     u, f, x = integrand.u, integrand.f, integrand.rho
     n = x.size
     rows = np.arange(n)
@@ -835,7 +821,7 @@ def _grid_integrate(integrand: PowerIntegrand, h: float, on_u: bool):
             ok &= near
             value += v
             err += e
-    if not ok.all():
+    if not (ok | diverged).all():
         return None
 
     # per row, the cells in each piece of the other factor: from the first node
@@ -869,37 +855,45 @@ def _grid_integrate(integrand: PowerIntegrand, h: float, on_u: bool):
             sums = S[m] * _correlate(F, T[m], i[sel], lo[sel], hi[sel], lo[sel] == start[sel])[i]
             value += sums
             err += (_PANEL_ERROR if on_u else _GRID_PANEL_ERROR) * sums
-    tail_exponent, diverged = _divergence(u, f, x)
-    value[diverged] = err[diverged] = _INF
-    return QuadratureResult(value, err, np.full(n, tail_exponent), diverged)
+    return value, err
 
 
-def integrate_grid(integrand: PowerIntegrand) -> QuadratureResult:
-    """``integrate``, summing the grid cells as Toeplitz correlations when the
-    shifts are breakpoints of u or of f on a log-uniform grid of 3 or more
-    nodes (a grid source on its own grid); other inputs go to ``integrate``.
+# -- the one entry: the grid path where it applies, the zones otherwise -------
 
-    Pad nodes of the same step continue the grid past its ends, as far as
-    the other factor's ratio caps ask (at least 2 nodes) and past every
-    breakpoint that a row's tail crosses; their cells take the grid factor's
-    tails as real cells do, and past them each row's tail is one binomial
-    series.  On f's grid the cell at each shift and the next one take a
-    Gauss-Jacobi rule and finer Gauss panels; cells that a breakpoint of
-    either factor cuts take the near zone's rule.  So the grid path makes no
-    zone call.  Its one fallback: an input that ``_grid_integrate`` refuses
-    (a cell past ``_MAX_PANELS`` panels, kernel tables past ``_GRID_PANELS``,
-    or pads, sums or terms that could leave the float range) goes to
-    ``integrate`` whole.  The divergence flags and tail exponent are
-    ``integrate``'s; the error estimate adds the rules' a-priori bounds
-    (``_PANEL_ERROR``, ``_GRID_PANEL_ERROR`` or ``_JACOBI_ERROR`` of the
-    sums) and the tail series' remainder bounds.
+def integrate(integrand: PowerIntegrand) -> QuadratureResult:
+    """Integrate u(r) f(rho + r) against dr/r over (0, inf) for every shift.
+
+    Shifts that are the nodes of a log-uniform grid of 3 or more nodes that
+    u or f breaks at take the grid path, ``_grid_integrate``; every other
+    input, and every grid the grid path refuses (a cell past
+    ``_MAX_PANELS`` panels, kernel tables past ``_GRID_PANELS``, or pads,
+    sums or terms that could leave the float range), goes to the zones,
+    ``_zones``, whole.  Both routes give the same integrals to rounding.
+
+    Each value carries an ``abs_error_estimate``: the rules' a-priori
+    bounds, ``_PANEL_ERROR`` of a Gauss sum on slope-sized panels (inf
+    where a segment is too steep for ``_MAX_PANELS`` of them),
+    ``_GRID_PANEL_ERROR`` or ``_JACOBI_ERROR`` of a grid-path sum, plus the
+    series' bounded remainders; all bound truncation, not float rounding.
+    A divergent origin or tail sets that shift's ``diverged`` flag (and
+    ``origin`` for the origin) instead of raising, on either route.  A shift
+    whose zone seams or value leave the float range raises ParameterError
+    naming the first such radius.
     """
-    rho = integrand.rho
+    u, f, rho = integrand.u, integrand.f, integrand.rho
+    x = rho.ravel()
+    tail_exponent, tail, origin = _divergence(u, f, x)
+    diverged = origin | tail
     h = _log_step(rho)
-    if h is not None:
-        on_u = _holds(integrand.u, rho)
-        if on_u or _holds(integrand.f, rho):
-            res = _grid_integrate(integrand, h, on_u)
-            if res is not None:
-                return res
-    return integrate(integrand)
+    on_u = h is not None and _holds(u, rho)
+    sums = (_grid_integrate(integrand, h, on_u, diverged)
+            if on_u or (h is not None and _holds(f, rho)) else None)
+    live = np.flatnonzero(~diverged)
+    value, abs_err = np.full(x.size, _INF), np.full(x.size, _INF)
+    value[live], abs_err[live] = (s[live] for s in sums) if sums else _zones(u, f, x[live])
+
+    def shaped(a):
+        return a.reshape(rho.shape)[()]
+
+    return QuadratureResult(shaped(value), shaped(abs_err), shaped(np.full(x.size, tail_exponent)),
+                            shaped(diverged), shaped(origin))

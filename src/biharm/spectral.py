@@ -84,9 +84,10 @@ class EigenResult:
 
     ``lambda1`` is the raw value on the finer mesh, ``richardson`` the
     second-order extrapolation from the mesh pair, ``error_estimate`` the
-    extrapolation increment.  ``vectors`` holds the (coarse, fine)
-    eigenvectors, a start for the next solve, and ``iterations`` the
-    (coarse, fine) inverse-iteration step counts.
+    larger of the extrapolation increment and the distance from the same
+    extrapolation one mesh pair coarser.  ``vectors`` holds the (coarse,
+    fine) eigenvectors, a start for the next solve, and ``iterations`` the
+    (coarse, fine, half-mesh) inverse-iteration step counts.
     """
 
     lambda1: float
@@ -169,7 +170,7 @@ def _interpolated(vec, n: int):
 
 
 def annulus_systems(op: SurrogateOperator, r_in, r_out, mesh: int) -> list:
-    """The banded systems of the mesh pair (mesh, 2*mesh) on (r_in, r_out).
+    """The banded systems of the meshes (mesh, 2*mesh, mesh//2) on (r_in, r_out).
 
     r_in and r_out may be arrays of annuli, range-checked in one broadcast
     pass over (annuli x nodes); each system's arrays then hold one row per
@@ -183,7 +184,7 @@ def annulus_systems(op: SurrogateOperator, r_in, r_out, mesh: int) -> list:
     refused = ~((r_out > r_in) & (r_in > 0.0)) | (mesh < 64)
     with np.errstate(all="ignore"):   # the range is checked below
         systems = [_assemble(op, r_in[..., None], r_out[..., None], m)
-                   for m in (int(mesh), 2 * int(mesh))]
+                   for m in (int(mesh), 2 * int(mesh), int(mesh) // 2)]
         coefs = [op.stiffness(np.stack([r_in, r_out], axis=-1)),
                  *(x for ab, w in systems for x in (ab[1], w))]
     normal = np.logical_and.reduce([((x >= _TINY) & (x < np.inf)).all(axis=-1) for x in coefs])
@@ -205,13 +206,16 @@ def lambda1_annulus(op: SurrogateOperator, r_in: float, r_out: float, mesh: int,
 
     Second-order central differences on the mesh pair (mesh, 2*mesh) with
     Richardson extrapolation; the discrete values converge at O(mesh**-2).
+    The error estimate also takes the extrapolation from (mesh//2, mesh),
+    since the h**2 and h**4 error terms can cancel in one pair's increment.
     ``start``, a previous result's ``vectors`` on the same mesh pair, starts
-    both inverse iterations; without it the coarse one starts from a vector
-    of ones and the fine one from the coarse eigenvector, linearly
-    interpolated onto its nodes.  A start changes the step counts, not the
-    stop rule.
+    the coarse and fine inverse iterations; without it the coarse one starts
+    from a vector of ones and the fine one from the coarse eigenvector,
+    linearly interpolated onto its nodes.  The half-mesh one always starts
+    from the coarse eigenvector, interpolated.  A start changes the step
+    counts, not the stop rule.
     """
-    (ab_coarse, w_coarse), fine = annulus_systems(op, r_in, r_out, mesh)
+    (ab_coarse, w_coarse), fine, half = annulus_systems(op, r_in, r_out, mesh)
     annulus = f"annulus ({float(r_in)!r}, {float(r_out)!r})"
     coarse_start, fine_start = start or (None, None)
     try:
@@ -221,14 +225,18 @@ def lambda1_annulus(op: SurrogateOperator, r_in: float, r_out: float, mesh: int,
             if fine_start is None:
                 fine_start = _interpolated(vec_coarse, 2 * int(mesh))
             lam_fine, vec_fine, it_fine = _smallest_eigenvalue(*fine, fine_start)
+            lam_half, _, it_half = _smallest_eigenvalue(*half,
+                                                        _interpolated(vec_coarse, int(mesh) // 2))
     except ParameterError as exc:
         raise ParameterError(f"{annulus}: {exc}") from None
-    if not math.isfinite(lam_coarse + lam_fine):
+    if not math.isfinite(lam_coarse + lam_fine + lam_half):
         raise ParameterError(f"{annulus} is out of range: the inverse iteration leaves the "
                              "float range")
     rich = lam_fine + (lam_fine - lam_coarse) / 3.0
-    return EigenResult(lam_fine, 2 * int(mesh), rich, abs(lam_fine - lam_coarse) / 3.0,
-                       (vec_coarse, vec_fine), (it_coarse, it_fine))
+    rich_coarse = lam_coarse + (lam_coarse - lam_half) / 3.0
+    estimate = max(abs(lam_fine - lam_coarse) / 3.0, abs(rich - rich_coarse))
+    return EigenResult(lam_fine, 2 * int(mesh), rich, estimate,
+                       (vec_coarse, vec_fine), (it_coarse, it_fine, it_half))
 
 
 # -- fourth-order infimum check ----------------------------------------------

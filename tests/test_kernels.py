@@ -20,7 +20,7 @@ from biharm.kernels import (BallSource, KERNEL_MODES, KernelSpec, MODE_EUCLIDEAN
                             potential, potential_values, sphere_area)
 from biharm.profiles import ManifoldProfile, SourceProfile, profile_piecewise
 from biharm import kernels, quad
-from biharm.quad import PowerIntegrand, integrate, integrate_grid
+from biharm.quad import PowerIntegrand, integrate
 from biharm.radial import (PiecewisePower, RadialFunction, fit_loglog_slope, log_grid,
                            power_integral, pp_product)
 from biharm.solver import default_grid
@@ -439,7 +439,7 @@ def test_split_terms_of_a_grid_source_at_huge_radii(rho):
     g = profile_piecewise("g", PROF)
     v = profile_piecewise("v", PROF)
     for u, f in ((pp_product(src, v), g), (pp_product(g, v), src)):
-        got = integrate(PowerIntegrand(u, f, rho)).value
+        [got] = quad._zones(u, f, np.array([rho]))[0]
         assert got == pytest.approx(_mp_integral(u, f, rho), rel=1e-10, abs=0.0)
 
 
@@ -459,10 +459,10 @@ def test_split_terms_of_a_1024_node_grid_source_at_zone_seams():
     refs = ((0.17921720859889467, 0.6832873038511275, 0.0006465228638863379),
             (0.23082237084448115, 0.8399605581877464, 0.0008330700782776389))
     for (u, f), term_refs in zip(((pp_product(src, v), g), (pp_product(g, v), src)), refs):
-        got = integrate(PowerIntegrand(u, f, rho))
+        value, err = quad._zones(u, f, rho)
         for i, ref in enumerate(term_refs):
-            assert got.value[i] == pytest.approx(ref, rel=1e-10, abs=0.0)
-            assert got.abs_error_estimate[i] <= 1e-10 * ref
+            assert value[i] == pytest.approx(ref, rel=1e-10, abs=0.0)
+            assert err[i] <= 1e-10 * ref
 
 
 # the split potential of a source decaying like r**-3 has tail exponent
@@ -477,13 +477,14 @@ def test_error_estimates_stay_below_1e_10_of_the_value(alpha, gamma, n, decay):
     v = profile_piecewise("v", prof)
     grid = default_grid(1024)
     src = RadialFunction(grid, (1.0 + grid) ** -decay).as_piecewise()
-    for res in (integrate(PowerIntegrand(pp_product(src, v), g, grid)),
-                integrate(PowerIntegrand(pp_product(g, v), src, grid)),
-                compose_green(prof, np.geomspace(1e-3, 1e3, 121))):
-        assert not res.diverged.any()
-        pos = res.value > 0.0
+    green = compose_green(prof, np.geomspace(1e-3, 1e3, 121))
+    assert not green.diverged.any()
+    for value, err in (quad._zones(pp_product(src, v), g, grid),
+                       quad._zones(pp_product(g, v), src, grid),
+                       (green.value, green.abs_error_estimate)):
+        pos = value > 0.0
         assert pos.any()
-        assert np.all(res.abs_error_estimate[pos] <= 1e-10 * res.value[pos])
+        assert np.all(err[pos] <= 1e-10 * value[pos])
 
 
 def _mp_surrogate_potential(prof, grid, values, tails, rho):
@@ -584,18 +585,38 @@ def grid_sources(prof, grid):
             "steep": RadialFunction(grid, steep)}
 
 
-def split_terms(prof, src):
-    """The two split-potential integrands of kernels, on the source's grid."""
+def split_terms(prof, src, rho=None):
+    """The two split-potential integrands of kernels, at rho (by default the
+    source's grid)."""
     g = profile_piecewise("g", prof)
     v = profile_piecewise("v", prof)
     pp = src.as_piecewise()
-    return (PowerIntegrand(pp_product(pp, v), g, src.grid),
-            PowerIntegrand(pp_product(g, v), pp, src.grid))
+    rho = src.grid if rho is None else rho
+    return (PowerIntegrand(pp_product(pp, v), g, rho), PowerIntegrand(pp_product(g, v), pp, rho))
+
+
+def zones(term):
+    """The term by quad's zones alone, integrate's fallback and the grid
+    path's reference: (value, error estimate), inf where integrate flags the
+    shift as diverged."""
+    rho = np.ravel(term.rho)
+    _, tail, origin = quad._divergence(term.u, term.f, rho)
+    live = ~(origin | tail)
+    value, err = np.full(rho.size, INF), np.full(rho.size, INF)
+    value[live], err[live] = quad._zones(term.u, term.f, rho[live])
+    return value, err
+
+
+def grid_sums(term, on_u):
+    """The grid path on the term's own grid (on u's or on f's), with
+    integrate's divergence mask: (value, error estimate), or None."""
+    _, tail, origin = quad._divergence(term.u, term.f, term.rho)
+    return quad._grid_integrate(term, quad._log_step(term.rho), on_u, origin | tail)
 
 
 @pytest.fixture
 def grid_path(monkeypatch):
-    """Records, per integrate_grid call, whether the grid path returned."""
+    """Records, per grid-path call, whether the grid path returned."""
     taken = []
     real = quad._grid_integrate
 
@@ -609,11 +630,9 @@ def grid_path(monkeypatch):
 
 
 def assert_grid_matches(term):
-    ref, got = integrate(term), integrate_grid(term)
-    np.testing.assert_array_equal(got.diverged, ref.diverged)
-    np.testing.assert_array_equal(got.tail_exponent, ref.tail_exponent)
-    np.testing.assert_allclose(got.value, ref.value, rtol=1e-13, atol=0)
-    live = ~ref.diverged & (ref.value > 0)
+    ref, got = zones(term)[0], integrate(term)
+    np.testing.assert_allclose(got.value, ref, rtol=1e-13, atol=0)
+    live = ~got.diverged & (ref > 0)
     assert np.all(got.abs_error_estimate[live] <= 1e-10 * got.value[live])
 
 
@@ -626,7 +645,7 @@ def test_grid_path_matches_integrate(grid_path, prof, grid, kind):
         assert_grid_matches(term)
     assert grid_path == [True, True]
     values = potential_values(KernelSpec(MODE_SPLIT, prof), src, src.grid)
-    ref = sum(integrate(term).value for term in split_terms(prof, src))
+    ref = sum(zones(term)[0] for term in split_terms(prof, src))
     np.testing.assert_allclose(values, ref, rtol=1e-13, atol=0)
 
 
@@ -672,41 +691,37 @@ def tail_calls(monkeypatch, silent=False):
 @pytest.mark.parametrize("grid", sorted(GRIDS))
 @pytest.mark.parametrize("kind", ["smooth", "zeros", "steep"])
 def test_grid_window_is_the_source_beyond_the_grid(monkeypatch, prof, grid, kind):
-    # with every row's tails read as 0, the grid path is integrate of the
-    # grid factor vanishing past the padded grid's ends: the window it sums
+    # with every row's tails read as 0, the grid path is the zones' value of
+    # the grid factor vanishing past the padded grid's ends: the window it sums
     # and the tails past it split the source with nothing left out or twice
     calls = tail_calls(monkeypatch, silent=True)
     x = GRIDS[grid]
-    h = quad._log_step(x)
     for on_u, term in zip((True, False), split_terms(prof, grid_sources(prof, x)[kind])):
         calls.clear()
-        got = quad._grid_integrate(term, h, on_u)
+        got = grid_sums(term, on_u)[0]
         [((_, _, _, lo, hi, _), _)] = calls
         assert hi > x[-1] and (lo < x[0] if on_u else lo == x[0])
         inside = within(term.u if on_u else term.f, lo, hi)
-        ref = integrate(PowerIntegrand(inside, term.f, x) if on_u
-                        else PowerIntegrand(term.u, inside, x))
-        whole = integrate(term)
-        np.testing.assert_array_equal(got.diverged, whole.diverged)
-        live = ~whole.diverged
-        np.testing.assert_allclose(got.value[live], ref.value[live], rtol=1e-13, atol=0)
+        ref = zones(PowerIntegrand(inside, term.f, x) if on_u
+                    else PowerIntegrand(term.u, inside, x))[0]
+        live = ~integrate(term).diverged
+        np.testing.assert_allclose(got[live], ref[live], rtol=1e-13, atol=0)
 
 
 @pytest.mark.parametrize("prof", GRID_PROFILES, ids=lambda p: f"{p.alpha},{p.gamma},{p.dim_n}")
 @pytest.mark.parametrize("grid", sorted(GRIDS))
 @pytest.mark.parametrize("kind", ["smooth", "zeros", "steep"])
 def test_grid_tails_are_the_source_beyond_the_grid(monkeypatch, prof, grid, kind):
-    # each row's series past the padded grid's ends against integrate of the
-    # grid factor vanishing between them: u's for the first term, f's for
+    # each row's series past the padded grid's ends against the zones' value
+    # of the grid factor vanishing between them: u's for the first term, f's for
     # the second, whose grid is padded above only.  The pads reach past
     # every breakpoint a tail would cross, so each tail is one piece of the
     # grid factor w and one of the other factor kern at its row
     calls = tail_calls(monkeypatch)
     x = GRIDS[grid]
-    h = quad._log_step(x)
     for on_u, term in zip((True, False), split_terms(prof, grid_sources(prof, x)[kind])):
         calls.clear()
-        assert quad._grid_integrate(term, h, on_u) is not None
+        assert grid_sums(term, on_u) is not None
         [((w, kern, _, lo, hi, _), (value, err, ok))] = calls
         assert np.all(ok)
         assert hi >= w.bounds[-2]
@@ -716,8 +731,8 @@ def test_grid_tails_are_the_source_beyond_the_grid(monkeypatch, prof, grid, kind
         else:
             assert lo == x[0] and np.all(hi >= x + kern.bounds[-2])
         tails = beyond(w, lo, hi)
-        ref = integrate(PowerIntegrand(tails, kern, x) if on_u else PowerIntegrand(kern, tails, x))
-        np.testing.assert_allclose(value, ref.value, rtol=1e-13, atol=0)
+        ref = zones(PowerIntegrand(tails, kern, x) if on_u else PowerIntegrand(kern, tails, x))[0]
+        np.testing.assert_allclose(value, ref, rtol=1e-13, atol=0)
         assert np.all(err <= 1e-10 * value)
 
 
@@ -729,17 +744,16 @@ def test_grid_path_sums_f_grid_branch_cells_in_one_call(monkeypatch):
     monkeypatch.setattr(quad, "_branch_cells", lambda *args: calls.append(args[2]) or real(*args))
     for prof in GRID_PROFILES:
         for grid in GRIDS.values():
-            h = quad._log_step(grid)
             for src in grid_sources(prof, grid).values():
                 for on_u, term in zip((True, False), split_terms(prof, src)):
                     calls.clear()
-                    assert quad._grid_integrate(term, h, on_u) is not None
+                    assert grid_sums(term, on_u) is not None
                     assert [x.tolist() for x in calls] == ([] if on_u else [grid.tolist()])
 
 
 def test_grid_path_never_calls_integrate(monkeypatch):
     # on both grids, for every profile, grid and source here: no call of
-    # integrate's zones; and on f's grid g v = r**2 on both sides of 1 at
+    # the zones; and on f's grid g v = r**2 on both sides of 1 at
     # (7, 5, 6): one kernel piece, one correlation
     calls, pieces = [], []
     real_correlate = quad._correlate
@@ -748,15 +762,14 @@ def test_grid_path_never_calls_integrate(monkeypatch):
         pieces.append(args)
         return real_correlate(*args)
 
-    monkeypatch.setattr(quad, "integrate", lambda *args: calls.append(args))
+    monkeypatch.setattr(quad, "_zones", lambda *args: calls.append(args))
     monkeypatch.setattr(quad, "_correlate", correlations)
     for prof in GRID_PROFILES:
         for grid in GRIDS.values():
-            h = quad._log_step(grid)
             for src in grid_sources(prof, grid).values():
                 for on_u, term in zip((True, False), split_terms(prof, src)):
                     pieces.clear()
-                    assert quad._grid_integrate(term, h, on_u) is not None
+                    assert grid_sums(term, on_u) is not None
                     assert calls == []
                     if not on_u and prof == GRID_PROFILES[1]:
                         assert len(pieces) == 1
@@ -786,20 +799,20 @@ def test_grid_path_uses_several_panels(monkeypatch):
 def test_grid_path_leaves_steep_cells_and_large_tables_to_integrate(monkeypatch):
     # alpha - gamma = 5e5: each term needs ~5e5 panels a cell, past
     # _MAX_PANELS, so the grid path gives up before it builds a table, and
-    # both routes end in integrate's range check
+    # integrate ends in the zones' range check
     grid = default_grid(128)
     for on_u, term in zip((True, False), split_terms(ManifoldProfile(2e6, 1.5e6, 6),
                                                      RadialFunction(grid, np.exp(-grid)))):
         tracemalloc.start()
         try:
-            assert quad._grid_integrate(term, quad._log_step(grid), on_u) is None
+            assert grid_sums(term, on_u) is None
             assert tracemalloc.get_traced_memory()[1] < 2 ** 20
         finally:
             tracemalloc.stop()
         with pytest.raises(ParameterError) as ref:
-            integrate(term)
+            zones(term)
         with pytest.raises(ParameterError, match=re.escape(str(ref.value))):
-            integrate_grid(term)
+            integrate(term)
     # a jump of 1e3 between nodes asks for 8 panels a cell: a kernel table
     # of (2 x 144) x 8 panels, the 127 nodes and 9 pad nodes past each end
     # (ln 4 / h = 8.4 for h = 0.164), one short of passing a lowered
@@ -807,21 +820,26 @@ def test_grid_path_leaves_steep_cells_and_large_tables_to_integrate(monkeypatch)
     jump = np.where(np.arange(grid.size) == 64, 1e3, 1.0)
     steep = RadialFunction(grid, (1.0 + grid) ** -3.0 * jump)
     term = split_terms(PROF, steep)[0]
-    assert quad._grid_integrate(term, quad._log_step(grid), True) is not None
+    assert grid_sums(term, True) is not None
     monkeypatch.setattr(quad, "_GRID_PANELS", 288 * 8)
-    assert quad._grid_integrate(term, quad._log_step(grid), True) is not None
+    assert grid_sums(term, True) is not None
     monkeypatch.setattr(quad, "_GRID_PANELS", 288 * 8 - 1)
-    assert quad._grid_integrate(term, quad._log_step(grid), True) is None
-    assert integrate_grid(term).value.tolist() == integrate(term).value.tolist()
+    assert grid_sums(term, True) is None
+    assert integrate(term).value.tolist() == zones(term)[0].tolist()
 
 
 @pytest.mark.parametrize("divergent", [(-7.0, -3.0), (0.5, -2.0)])
 def test_grid_path_flags_divergence_as_integrate(grid_path, divergent):
-    # origin (u = r**-1 at 0) and logarithmic tail (exponent 0) on one grid
+    # origin (u = r**-1 at 0) and logarithmic tail (exponent 0) on one grid:
+    # the grid path sums the other shifts, and integrate flags these
     src = RadialFunction(default_grid(128), (1.0 + default_grid(128)) ** -3.0, *divergent)
-    for term in split_terms(PROF, src):
+    first, second = split_terms(PROF, src)
+    for term in (first, second):
         assert_grid_matches(term)
     assert grid_path == [True, True]
+    res = integrate(first)
+    assert res.diverged.all() and np.all(res.value == INF)
+    assert np.all(res.origin == (divergent[0] < 0.0))
 
 
 @st.composite
@@ -882,7 +900,7 @@ def test_grid_path_matches_integrate_on_random_sources(source):
     # the grid path takes every term, and it makes no zone call
     prof, src = source
     taken, zone_calls, running = [], [], []
-    real_grid, real_integrate = quad._grid_integrate, quad.integrate
+    real_grid, real_zones = quad._grid_integrate, quad._zones
 
     def grid_path(*args):
         running.append(True)
@@ -892,31 +910,55 @@ def test_grid_path_matches_integrate_on_random_sources(source):
             running.pop()
         return taken[-1]
 
-    def zones(integrand):
+    def counted_zones(*args):
         zone_calls.extend(running)
-        return real_integrate(integrand)
+        return real_zones(*args)
 
-    quad._grid_integrate, quad.integrate = grid_path, zones
+    quad._grid_integrate, quad._zones = grid_path, counted_zones
     try:
         for term in split_terms(prof, src):
             assert_grid_matches(term)
     finally:
-        quad._grid_integrate, quad.integrate = real_grid, real_integrate
+        quad._grid_integrate, quad._zones = real_grid, real_zones
     assert all(res is not None for res in taken) and len(taken) == 2
     assert zone_calls == []
 
 
 def test_other_inputs_keep_todays_values():
-    spec = KernelSpec(MODE_SPLIT, ManifoldProfile(7.0, 5.0, 6))
+    # radii that are not a log-uniform grid the source breaks at: the zones
+    prof = ManifoldProfile(7.0, 5.0, 6)
     uniform = log_grid(1e-2, 1e4, 96)
     bent = uniform * np.exp(0.01 * np.sin(np.arange(96)))   # not log-uniform
     cases = [(RadialFunction(bent, (1.0 + bent) ** -3.0), bent),
-             (RadialFunction(uniform, (1.0 + uniform) ** -3.0), uniform[::2]),    # off-grid radii
-             (RadialFunction(uniform, (1.0 + uniform) ** -3.0), uniform * 1.5)]
+             (RadialFunction(uniform, (1.0 + uniform) ** -3.0), uniform * 1.5)]   # off-grid radii
     for src, rho in cases:
-        g = profile_piecewise("g", spec.prof)
-        v = profile_piecewise("v", spec.prof)
-        pp = src.as_piecewise()
-        today = (integrate(PowerIntegrand(pp_product(pp, v), g, rho)).value
-                 + integrate(PowerIntegrand(pp_product(g, v), pp, rho)).value)
-        assert potential_values(spec, src, rho).tolist() == today.tolist()
+        today = sum(zones(term)[0] for term in split_terms(prof, src, rho))
+        assert potential_values(KernelSpec(MODE_SPLIT, prof), src, rho).tolist() == today.tolist()
+
+
+@pytest.mark.parametrize("nodes", [slice(None, None, 2), slice(10, 50)])
+def test_log_uniform_subsets_of_the_source_grid_take_the_grid_path(grid_path, nodes):
+    # every other node of a 96-node source, or a run of 40 of them: each is a
+    # log-uniform grid that the source breaks at, so each term takes the grid
+    # path.  Every other node breaks each cell of the radii's grid, and a run
+    # leaves the source's other nodes to cut cells of the padded grid
+    prof = ManifoldProfile(7.0, 5.0, 6)
+    uniform = log_grid(1e-2, 1e4, 96)
+    src, rho = RadialFunction(uniform, (1.0 + uniform) ** -3.0), uniform[nodes]
+    values = potential_values(KernelSpec(MODE_SPLIT, prof), src, rho)
+    assert grid_path == [True, True]
+    ref = sum(zones(term)[0] for term in split_terms(prof, src, rho))
+    np.testing.assert_allclose(values, ref, rtol=1e-13, atol=0)
+
+
+def test_a_split_potential_is_one_integrate_call_per_term(monkeypatch):
+    # on the source's own grid and at other radii: one call per term, over all radii
+    calls = []
+    real = kernels.integrate
+    monkeypatch.setattr(kernels, "integrate", lambda term: calls.append(term) or real(term))
+    grid = default_grid(64)
+    src = RadialFunction(grid, (1.0 + grid) ** -3.0)
+    for rho in (grid, np.array([0.5, 2.0, 7.0])):
+        calls.clear()
+        potential_values(KernelSpec(MODE_SPLIT, PROF), src, rho)
+        assert len(calls) == 2 and all(np.array_equal(term.rho, rho) for term in calls)
