@@ -389,15 +389,17 @@ def _cmd_eigen(args, out: Path):
         raise ParameterError(f"--ratio must exceed 1, got {args.ratio}")
     op = spectral.SurrogateOperator(args.alpha, args.gamma)
     radii = _parse_radii(args.r_values)
-    # each annulus is checked first, so an out-of-range one is named; the mesh
-    # scales with the annulus, so each radius's eigenvectors start the next's
+    # the whole scan is checked before the first solve, so an out-of-range
+    # annulus is named first
+    spectral.check_annuli(op, np.divide(radii, args.ratio), radii, args.mesh)
+    if len(set(radii)) < 2:
+        raise ParameterError("--r-values needs two distinct radii to fit a slope, "
+                             f"got {args.r_values}")
+    # the mesh scales with the annulus, so each radius's eigenvectors start the next's
     results = []
     for R in radii:
         start = results[-1].vectors if results else None
         results.append(spectral.lambda1_annulus(op, R / args.ratio, R, args.mesh, start=start))
-    if len(set(radii)) < 2:
-        raise ParameterError("--r-values needs two distinct radii to fit a slope, "
-                             f"got {args.r_values}")
     values = [res.value for res in results]
     _write_csv(out / "eigen.csv", "R,lambda1", np.column_stack([radii, values]))
     _report(out, "eigen", _resolved_config(args), {

@@ -24,7 +24,7 @@ from .errors import ParameterError
 from .kernels import annulus_lower_bound
 from .profiles import ManifoldProfile, SourceProfile, as_fraction
 from .radial import fit_loglog_slope, line_fit, require_normal
-from .spectral import SurrogateOperator, annulus_systems, lambda1_annulus
+from .spectral import SurrogateOperator, check_annuli, lambda1_annulus
 
 VERDICT_CONTRADICTION = "CONTRADICTION"
 VERDICT_NO_CONTRADICTION = "NO_CONTRADICTION"
@@ -138,17 +138,17 @@ def lhs_upper(prof: ManifoldProfile, p: float, cfg: WitnessConfig, R,
     R is one radius or an array of them.  One eigenproblem is solved, at the
     first radius R0: the operator is exactly homogeneous and the mesh scales
     with the annulus, so every other radius takes lambda1(R0) *
-    (R/R0)**(gamma-alpha), equal up to rounding.  The other annuli are
-    range-checked in one broadcast pass over (radii x nodes), which names
-    the first out-of-range one in scan order.
+    (R/R0)**(gamma-alpha), equal up to rounding.  Every annulus of the scan
+    is range-checked first, by ``check_annuli`` at O(1) work per annulus,
+    which names the first out-of-range one in scan order.
     """
     if not p > 1:
         raise ParameterError(f"p must exceed 1, got {p}")
     op = SurrogateOperator.from_profile(prof)
     rs = np.asarray(R, dtype=float)
-    r0, later = rs.flat[0], rs.ravel()[1:]
+    check_annuli(op, cfg.tau * rs, cfg.big_n ** 2 * rs, mesh)
+    r0 = rs.flat[0]
     lam0 = lambda1_annulus(op, cfg.tau * r0, cfg.big_n ** 2 * r0, mesh).value
-    annulus_systems(op, cfg.tau * later, cfg.big_n ** 2 * later, mesh)
     with np.errstate(over="ignore"):   # 0 or inf: verdict names the radius
         lam = lam0 * (rs / r0) ** (op.gamma - op.alpha)
         # a scalar power per radius rounds as the solve's own value did at R0

@@ -67,6 +67,12 @@ class SurrogateOperator:
     alpha: float
     gamma: float
 
+    def __post_init__(self):
+        if not self.alpha > 0:
+            raise ParameterError(f"alpha must be positive, got {self.alpha}")
+        if not self.gamma > 0:
+            raise ParameterError(f"gamma must be positive, got {self.gamma}")
+
     @staticmethod
     def from_profile(prof: ManifoldProfile) -> "SurrogateOperator":
         return SurrogateOperator(float(prof.alpha), float(prof.gamma))
@@ -107,23 +113,14 @@ def annulus_mesh(r_in: float, r_out: float, n: int) -> np.ndarray:
     return np.linspace(float(r_in), float(r_out), int(n) + 2)
 
 
-def _assemble(op: SurrogateOperator, r_in, r_out, n: int):
-    """Symmetric tridiagonal stiffness in banded form plus the diagonal weight.
-
-    r_in and r_out may be columns of annuli: every array then holds one row
-    per annulus, each with the floats of that annulus's own assembly.
-    """
+def _assemble(op: SurrogateOperator, r_in: float, r_out: float, n: int):
+    """Symmetric tridiagonal stiffness in banded form plus the diagonal weight."""
     h = (r_out - r_in) / (n + 1)
-    half = r_in + h * (np.arange(n + 1) + 0.5)
-    a_half = op.stiffness(half)
-    diag = (a_half[..., :-1] + a_half[..., 1:]) / (h * h)
-    off = -a_half[..., 1:-1] / (h * h)
-    nodes = r_in + h * np.arange(1, n + 1)
-    w = op.weight(nodes)
-    ab = np.zeros((2, *diag.shape))
-    ab[0, ..., 1:] = off
-    ab[1] = diag
-    return ab, w
+    a_half = op.stiffness(r_in + h * (np.arange(n + 1) + 0.5))
+    ab = np.zeros((2, n))
+    ab[0, 1:] = -a_half[1:-1] / (h * h)
+    ab[1] = (a_half[:-1] + a_half[1:]) / (h * h)
+    return ab, op.weight(r_in + h * np.arange(1, n + 1))
 
 
 def _smallest_eigenvalue(ab, w, start=None):
@@ -169,35 +166,34 @@ def _interpolated(vec, n: int):
     return np.interp(np.arange(1, n + 1) / (n + 1), coarse, np.concatenate(([0.0], vec, [0.0])))
 
 
-def annulus_systems(op: SurrogateOperator, r_in, r_out, mesh: int) -> list:
-    """The banded systems of the meshes (mesh, 2*mesh, mesh//2) on (r_in, r_out).
-
-    r_in and r_out may be arrays of annuli, range-checked in one broadcast
-    pass over (annuli x nodes); each system's arrays then hold one row per
-    annulus.  Raises ParameterError for the first annulus, in order, whose
+def check_annuli(op: SurrogateOperator, r_in, r_out, mesh: int) -> None:
+    """Raise ParameterError for the first annulus (r_in, r_out), in order, whose
     arguments are inadmissible or whose coefficients leave the normal float
-    range, naming it as a call on that annulus alone would.
-    """
-    r_in, r_out = np.broadcast_arrays(np.asarray(r_in, dtype=float),
-                                      np.asarray(r_out, dtype=float))
+    range on the meshes (mesh, 2*mesh, mesh//2), naming it as a call on that
+    annulus alone would.  a and w are positive and monotone in r, and so are
+    the nodes in float, so a at both ends, each diagonal and each w are
+    checked at their end entries only, formed by ``_assemble``'s float
+    operations in one broadcast over the meshes."""
+    r_in, r_out = (np.reshape(x, (-1, 1)).astype(float) for x in np.broadcast_arrays(r_in, r_out))
     # a mesh below 64 refuses every annulus, so the first one raises
-    refused = ~((r_out > r_in) & (r_in > 0.0)) | (mesh < 64)
+    refused = ~((r_out > r_in) & (r_in > 0.0)).ravel() | (mesh < 64)
+    m = np.array([int(mesh), 2 * int(mesh), int(mesh) // 2])[:, None, None]
+    k = m * np.array([0, 0, 1, 1]) + [0, 1, -1, 0]   # half nodes 0, 1, m-1, m; nodes 1, m
     with np.errstate(all="ignore"):   # the range is checked below
-        systems = [_assemble(op, r_in[..., None], r_out[..., None], m)
-                   for m in (int(mesh), 2 * int(mesh), int(mesh) // 2)]
-        coefs = [op.stiffness(np.stack([r_in, r_out], axis=-1)),
-                 *(x for ab, w in systems for x in (ab[1], w))]
-    normal = np.logical_and.reduce([((x >= _TINY) & (x < np.inf)).all(axis=-1) for x in coefs])
+        h = (r_out - r_in) / (m + 1)
+        a_half = op.stiffness(r_in + h * (k + 0.5))
+        coefs = (op.stiffness(np.concatenate([r_in, r_out], axis=-1))[None],
+                 (a_half[..., ::2] + a_half[..., 1::2]) / (h * h), op.weight(r_in + h * k[..., 1::2]))
+    normal = np.logical_and.reduce([((x >= _TINY) & (x < np.inf)).all(axis=(0, 2)) for x in coefs])
     bad = np.flatnonzero(refused | ~normal)
     if bad.size:
-        a, b = float(r_in.flat[bad[0]]), float(r_out.flat[bad[0]])
+        a, b = float(r_in[bad[0], 0]), float(r_out[bad[0], 0])
         if not (b > a > 0.0):
             raise ParameterError(f"need 0 < r_in < r_out, got ({a}, {b})")
         if mesh < 64:
             raise ParameterError(f"mesh must be at least 64 interior nodes, got {mesh}")
         raise ParameterError(f"annulus ({a!r}, {b!r}) is out of range: "
                              "the operator's coefficients leave the normal float range")
-    return systems
 
 
 def lambda1_annulus(op: SurrogateOperator, r_in: float, r_out: float, mesh: int,
@@ -213,9 +209,11 @@ def lambda1_annulus(op: SurrogateOperator, r_in: float, r_out: float, mesh: int,
     from a vector of ones and the fine one from the coarse eigenvector,
     linearly interpolated onto its nodes.  The half-mesh one always starts
     from the coarse eigenvector, interpolated.  A start changes the step
-    counts, not the stop rule.
+    counts, not the stop rule.  The annulus is range-checked first.
     """
-    (ab_coarse, w_coarse), fine, half = annulus_systems(op, r_in, r_out, mesh)
+    check_annuli(op, r_in, r_out, mesh)
+    (ab_coarse, w_coarse), fine, half = (_assemble(op, r_in, r_out, m)
+                                         for m in (int(mesh), 2 * int(mesh), int(mesh) // 2))
     annulus = f"annulus ({float(r_in)!r}, {float(r_out)!r})"
     coarse_start, fine_start = start or (None, None)
     try:

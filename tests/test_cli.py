@@ -184,13 +184,31 @@ def _assert_one_error_line(capsys):
 
 
 @pytest.mark.parametrize("radii", ["100", "100,100"])
-def test_eigen_needs_two_distinct_radii(tmp_path, capsys, radii):
-    # a slope was fitted through one point, with numpy's RankWarning
+def test_eigen_needs_two_distinct_radii(tmp_path, capsys, monkeypatch, radii):
+    # a slope was fitted through one point, with numpy's RankWarning; the
+    # scan is refused before its first solve
+    solves = []
+    monkeypatch.setattr(cli.spectral, "lambda1_annulus", lambda *args, **kw: solves.append(args))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run(["eigen", "--alpha", "6", "--gamma", "4", "--r-values", radii,
                     "--out-dir", str(tmp_path / "o")]) == 2
     _assert_one_error_line(capsys)
+    assert not (tmp_path / "o" / "report.json").exists()
+    assert solves == []
+
+
+@pytest.mark.parametrize("exponents, named", [
+    (["--alpha", "6", "--gamma", "-4"], "gamma must be positive, got -4.0"),
+    (["--alpha", "6", "--gamma", "0"], "gamma must be positive, got 0.0"),
+    (["--alpha", "0", "--gamma", "4"], "alpha must be positive, got 0.0"),
+    (["--alpha", "-1", "--gamma", "4"], "alpha must be positive, got -1.0"),
+])
+def test_eigen_names_a_non_positive_exponent(tmp_path, capsys, exponents, named):
+    # these were refused as an annulus out of the float range
+    assert run(["eigen", *exponents, "--out-dir", str(tmp_path / "o")]) == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert errors == [f"error: {named}"]
     assert not (tmp_path / "o" / "report.json").exists()
 
 

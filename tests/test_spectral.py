@@ -6,7 +6,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.linalg import cho_solve_banded, cholesky_banded, eigh_tridiagonal, lapack
 
 import biharm.spectral as spectral
@@ -15,7 +15,7 @@ from biharm.errors import ParameterError
 from biharm.kernels import KernelSpec, MODE_SURROGATE, potential_values
 from biharm.profiles import ManifoldProfile
 from biharm.radial import PiecewisePower, RadialFunction
-from biharm.spectral import (SurrogateOperator, annulus_mesh, annulus_systems, check_inf_bound,
+from biharm.spectral import (SurrogateOperator, annulus_mesh, check_annuli, check_inf_bound,
                              fd_error_constant, lambda1_annulus)
 
 OP = SurrogateOperator(6.0, 4.0)
@@ -180,8 +180,8 @@ def test_every_step_calls_the_module_solve(monkeypatch):
 def _cold(op, r_in, r_out, mesh):
     """lambda1_annulus' (coarse, fine, half-mesh) eigenvalues with every
     iteration started from a vector of ones."""
-    return tuple(spectral._smallest_eigenvalue(*system)[0]
-                 for system in annulus_systems(op, r_in, r_out, mesh))
+    return tuple(spectral._smallest_eigenvalue(*spectral._assemble(op, r_in, r_out, m))[0]
+                 for m in (mesh, 2 * mesh, mesh // 2))
 
 
 WARM_CASES = [*((OP, R / 4.0, 16.0 * R) for R in np.geomspace(1e-3, 1e6, 4)),
@@ -202,7 +202,7 @@ def test_warm_fine_solve_agrees_with_cold_and_converged_ones(op, r_in, r_out, me
     # the half-mesh solve starts from the coarse eigenvector
     estimate = max(abs(fine - coarse) / 3.0, abs(res.richardson - coarse - (coarse - half) / 3.0))
     assert res.error_estimate == pytest.approx(estimate, rel=0.0, abs=1e-11 * fine)
-    converged = _wrapped_smallest_eigenvalue(*annulus_systems(op, r_in, r_out, mesh)[1],
+    converged = _wrapped_smallest_eigenvalue(*spectral._assemble(op, r_in, r_out, 2 * mesh),
                                              rel_tol=1e-16, maxit=2000)
     assert res.lambda1 == pytest.approx(converged, rel=1e-13, abs=0.0)
     assert res.iterations[1] < res.iterations[0]
@@ -272,29 +272,89 @@ def _raised(call):
     return None
 
 
-@settings(max_examples=150, deadline=None)
-@given(alpha=st.floats(0.05, 12.0), gamma=st.floats(0.05, 12.0),
-       exps=st.lists(st.floats(-330.0, 320.0), min_size=1, max_size=5),
-       inner=st.floats(0.01, 0.9), outer=st.floats(1.1, 64.0), mesh=st.sampled_from([64, 97]))
-@example(alpha=6.0, gamma=4.0, exps=[40.0, 60.0, 61.0], inner=0.5, outer=16.0, mesh=64)
-@example(alpha=0.5, gamma=4.0, exps=[0.0, 300.0, -400.0], inner=0.5, outer=16.0, mesh=64)
-# outer * 1e308 overflows to an inf outer radius
-@example(alpha=1.0, gamma=1.0, exps=[308.0], inner=0.5, outer=2.0, mesh=64)
-def test_one_pass_check_raises_as_the_first_failing_annulus(alpha, gamma, exps, inner, outer,
-                                                            mesh):
-    # the annuli (inner R, outer R) of a scan, huge, tiny, 0 and inf radii included
-    op = SurrogateOperator(alpha, gamma)
+def _full_check(op, r_in, r_out, mesh):
+    """check_annuli's message on one annulus, or None, by full assembly:
+    a at both ends and every entry of each mesh's diagonal and weight must
+    be normal floats."""
+    if not r_out > r_in > 0.0:
+        return f"need 0 < r_in < r_out, got ({r_in}, {r_out})"
+    if mesh < 64:
+        return f"mesh must be at least 64 interior nodes, got {mesh}"
+    with np.errstate(all="ignore"):
+        coefs = [op.stiffness(np.array([r_in, r_out]))]
+        for m in (mesh, 2 * mesh, mesh // 2):
+            ab, w = spectral._assemble(op, r_in, r_out, m)
+            coefs += [ab[1], w]
+    if all(((x >= np.finfo(float).tiny) & (x < np.inf)).all() for x in coefs):
+        return None
+    return (f"annulus ({r_in!r}, {r_out!r}) is out of range: "
+            "the operator's coefficients leave the normal float range")
+
+
+def _scan(op, radii, inner, outer, mesh):
+    """The annuli (inner R, outer R) at the given radii R."""
+    with np.errstate(over="ignore", under="ignore"):
+        return op, inner * radii, outer * radii, mesh
+
+
+def _decades(alpha, gamma, exps, inner, outer, mesh):
     with np.errstate(over="ignore", under="ignore"):
         radii = np.power(10.0, exps)
-        r_in, r_out = inner * radii, outer * radii
-    per_annulus = next((msg for a, b in zip(r_in, r_out)
-                        if (msg := _raised(lambda: annulus_systems(op, a, b, mesh)))), None)
-    assert _raised(lambda: annulus_systems(op, r_in, r_out, mesh)) == per_annulus
-    if per_annulus is None:   # every row holds the floats of its annulus's own assembly
-        rows = annulus_systems(op, r_in, r_out, mesh)
-        for i, (a, b) in enumerate(zip(r_in, r_out)):
-            for (ab, w), (ab1, w1) in zip(rows, annulus_systems(op, a, b, mesh)):
-                assert np.array_equal(ab[:, i], ab1) and np.array_equal(w[i], w1)
+    return _scan(SurrogateOperator(alpha, gamma), radii, inner, outer, mesh)
+
+
+@st.composite
+def _scans(draw):
+    """A scan of annuli: at radii 10**e, huge, tiny, 0 and inf ones
+    included, or at radii a few ulps from the R where full assembly starts
+    or stops refusing, near where one end entry of a, a diagonal or w meets
+    the smallest normal float or the largest float.  Such an entry scales
+    like R**power, which places that R to within a few dozen ulps; a
+    bisection over the floats between finds it."""
+    op = SurrogateOperator(draw(st.floats(0.05, 12.0)), draw(st.floats(0.05, 12.0)))
+    inner, outer = draw(st.floats(0.01, 0.9)), draw(st.floats(1.1, 64.0))
+    mesh = draw(st.sampled_from([64, 97]))
+    if draw(st.booleans()):
+        exps = draw(st.lists(st.floats(-330.0, 320.0), min_size=1, max_size=5))
+        return _decades(op.alpha, op.gamma, exps, inner, outer, mesh)
+    ab, w = spectral._assemble(op, inner, outer, draw(st.sampled_from([mesh, 2 * mesh, mesh // 2])))
+    value, power = draw(st.sampled_from([
+        (op.stiffness(inner), op.gamma + 1.0), (op.stiffness(outer), op.gamma + 1.0),
+        (ab[1, 0], op.gamma - 1.0), (ab[1, -1], op.gamma - 1.0),
+        (w[0], op.alpha - 1.0), (w[-1], op.alpha - 1.0)]))
+    limit = draw(st.sampled_from([np.finfo(float).tiny, np.finfo(float).max]))
+    log_r = (mpmath.log(limit) - mpmath.log(value)) / power if power else mpmath.inf
+    assume(abs(log_r) < 700)
+    # positive floats order as their bit patterns
+    bits = int(np.array(float(mpmath.exp(log_r))).view(np.int64))
+    lo, hi = bits - 64, bits + 64
+
+    def accepts(i):   # full assembly takes the annulus at R with bit pattern i
+        with np.errstate(over="ignore"):
+            r = np.int64(i).view(float)
+            return _full_check(op, float(inner * r), float(outer * r), mesh) is None
+
+    if accepts(lo) != accepts(hi):
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if accepts(mid) == accepts(lo) else (lo, mid)
+        bits = hi
+    steps = draw(st.lists(st.integers(-4, 4), min_size=1, max_size=8))
+    return _scan(op, (bits + np.array(steps)).view(float), inner, outer, mesh)
+
+
+@settings(max_examples=300, deadline=None)
+@given(scan=_scans())
+@example(scan=_decades(6.0, 4.0, [40.0, 60.0, 61.0], 0.5, 16.0, 64))
+@example(scan=_decades(0.5, 4.0, [0.0, 300.0, -400.0], 0.5, 16.0, 64))
+# outer * 1e308 overflows to an inf outer radius
+@example(scan=_decades(1.0, 1.0, [308.0], 0.5, 2.0, 64))
+def test_one_pass_check_raises_as_the_first_failing_annulus(scan):
+    # the ends rule refuses the annuli that full assembly refuses, first one first
+    op, r_in, r_out, mesh = scan
+    expected = [_full_check(op, float(a), float(b), mesh) for a, b in zip(r_in, r_out)]
+    assert [_raised(lambda: check_annuli(op, a, b, mesh)) for a, b in zip(r_in, r_out)] == expected
+    assert _raised(lambda: check_annuli(op, r_in, r_out, mesh)) == next(filter(None, expected), None)
 
 
 def _discrete_eigenpair(op, r_in, r_out, n):
