@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -45,7 +46,12 @@ def sphere_area(n: int) -> float:
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Kernel mode plus the profile it draws exponents from."""
+    """Kernel mode plus the profile it draws exponents from.
+
+    The split-comparison factors g, v and g v are built once per spec, so
+    every potential of a spec passes quad the same kernel objects, and the
+    grid path's plans for them (kept while those objects live) end with it.
+    """
 
     mode: str
     prof: ManifoldProfile
@@ -53,6 +59,18 @@ class KernelSpec:
     def __post_init__(self):
         if self.mode not in KERNEL_MODES:
             raise ParameterError(f"kernel mode must be one of {KERNEL_MODES}, got {self.mode!r}")
+
+    @cached_property
+    def g(self) -> PiecewisePower:
+        return profile_piecewise("g", self.prof)
+
+    @cached_property
+    def v(self) -> PiecewisePower:
+        return profile_piecewise("v", self.prof)
+
+    @cached_property
+    def gv(self) -> PiecewisePower:
+        return pp_product(self.g, self.v)
 
 
 @dataclass(frozen=True)
@@ -158,10 +176,8 @@ def _max_kernel_values(kexp: float, weighted: PiecewisePower, rho: np.ndarray) -
 
 
 def _split_values(spec: KernelSpec, src_pp: PiecewisePower, rho: np.ndarray) -> np.ndarray:
-    g = profile_piecewise("g", spec.prof)
-    v = profile_piecewise("v", spec.prof)
-    terms = [PowerIntegrand(pp_product(src_pp, v), g, rho),
-             PowerIntegrand(pp_product(g, v), src_pp, rho)]
+    terms = [PowerIntegrand(pp_product(src_pp, spec.v), spec.g, rho),
+             PowerIntegrand(spec.gv, src_pp, rho)]
     t1, t2 = (integrate(term) for term in terms)
     bad = np.flatnonzero(t1.diverged | t2.diverged)
     if bad.size:

@@ -57,6 +57,16 @@ cells need more than ``_MAX_PANELS`` panels, whose kernel tables would pass
 ``_GRID_PANELS`` panels, or whose pads or sums could leave the float range.
 Only ``integrate`` decides which shifts diverge, for both routes.
 
+The grid path's kernel side is a plan, ``_GridPlan``, one per kernel object
+(the factor that is not the grid source), grid and breakpoints of the grid
+source: the merged kernel, the pads and padded nodes, the cells that
+breakpoints cut, the kernel tables per panel count and their transposes,
+the powers of the tails' series and the correlation runs.  It never holds
+anything that reads the grid source's coefficients or exponents, nor a
+refusal: every call forms the source's side anew and checks every budget and
+float range.  Plans are kept while their kernel object lives, so the
+potentials of one ``kernels.KernelSpec`` share them and they end with it.
+
 Shifts are processed with array operations, in blocks of about
 ``_BLOCK_SEAMS`` seams, ``_BLOCK_PANELS`` Gauss panels and ``_BLOCK_PIECES``
 series pieces.  A Gauss node value is formed in the exponent,
@@ -67,8 +77,9 @@ shift through a flag (not an exception) so finiteness checks can consume it.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -548,17 +559,17 @@ def _row_blocks(rows, lo, hi, rel):
             yield c, min(c + _GRID_ROWS, b)
 
 
-def _correlate(F, T, rows, lo, hi, rel):
+def _correlate(F, T, Tq, rows, lo, hi, blocks):
     """Per row i of rows, sum_q sum_j F[j, q] T[j - i + c, q] over the cells
-    j in [lo, hi), c the cell count (the index of j - i = 0).  A block of at
-    least as many rows as nodes per cell is one np.correlate per node offset
-    over the first row's range (T vanishes on the cells a later rel row
-    skips), a smaller one a dot product per row."""
+    j in [lo, hi), c the cell count (the index of j - i = 0); Tq is T's
+    transpose, contiguous, and blocks the rows' ``_row_blocks`` runs.  A
+    block of at least as many rows as nodes per cell is one np.correlate per
+    node offset over the first row's range (T vanishes on the cells a later
+    rel row skips), a smaller one a dot product per row."""
     ncell, nq = F.shape
     out = np.zeros(ncell + 1)
-    Fq, Tq = F.T.copy(), T.T.copy()
-    Ff, Tf = F.ravel(), T.ravel()
-    for a, b in _row_blocks(rows, lo, hi, rel):
+    Fq, Ff, Tf = F.T.copy(), F.ravel(), T.ravel()
+    for a, b in blocks:
         i0, i1, c0, c1 = rows[a], rows[b - 1] + 1, lo[a], hi[a]
         if b - a >= nq:
             ta, tb = c0 - i1 + 1 + ncell, c1 - i0 + ncell
@@ -670,7 +681,7 @@ def _branch_cells(kern: PiecewisePower, w: PiecewisePower, x, pieces, h):
     return value, err, ok
 
 
-def _tail_series(w: PiecewisePower, kern: PiecewisePower, x, lo, hi, on_u: bool):
+def _tail_series(w: PiecewisePower, kern: PiecewisePower, x, lo, hi, terms):
     """The grid factor w's tails past lo and hi, the ends of the padded grid,
     per row x_i; the pads make each of them one piece of w inside one piece
     of the other factor kern at that row.  On u's grid, r**e_w (x_i + r)**e_k
@@ -680,31 +691,27 @@ def _tail_series(w: PiecewisePower, kern: PiecewisePower, x, lo, hi, on_u: bool)
     (1 - e**-z)**(e_k - 1) in z = ln(s/x_i), a = e_w + e_k.  From the row's
     own z_i on, that is a binomial series in e**-z whose term k integrates
     to e**((a - k) z_i)/(k - a): _K + 1 terms, the rest bounded by the last
-    over 1 - e**-z_i.  A tail that diverges (a >= 0) is its row's
-    divergence, which the caller flags; its sums mean nothing.  No zone is
-    called.  Returns (value, error estimate, ok), not ok where a live
-    tail's leading term leaves e**+-``_GRID_RANGE``.
+    over 1 - e**-z_i.  terms is the grid plan's ``tails`` at lo and hi.  A
+    tail that diverges (a >= 0) is its row's divergence, which the caller
+    flags; its sums mean nothing.  No zone is called.  Returns (value, error
+    estimate, ok), not ok where a live tail's leading term leaves
+    e**+-``_GRID_RANGE``.
     """
     t = np.log(x)
     k = np.arange(_K + 1.0)
-    binom = _binomial(kern.exps if on_u else kern.exps - 1.0, 1.0 if on_u else -1.0)
+    binom, tails = terms
     value, err = np.zeros(x.size), np.zeros(x.size)
     ok = np.ones(x.size, bool)
     rows = np.arange(x.size)
-    # (w's piece, the other factor's piece per row, z_i)
-    tails = [(-1, -1, np.log(hi) - t)]
-    if on_u:
-        tails.append((0, kern.piece_index(x), t - np.log(lo)))
-    for p, j, z in tails:
+    for p, j, z, powers, decay in tails:
         e_w = w.exps[p]
         a = e_w + kern.exps if p else np.full(kern.npieces, -e_w)   # per piece of kern
         coefs = binom / (k - a[:, None])
-        powers = np.exp(-k[:, None] * z)   # e**-kz, one row per k
         lead = w.log_coefs[p] + kern.log_coefs[j] + (e_w + kern.exps[j]) * t + a[j] * z
         scale = np.exp(lead)
         live = lead > -_INF
         series = (coefs @ powers)[j, rows] * scale
-        rest = np.abs(coefs[j, -1]) * powers[-1] * scale / -np.expm1(-z)
+        rest = np.abs(coefs[j, -1]) * powers[-1] * scale / decay
         value += np.where(live, series, 0.0)
         err += np.where(live, rest, 0.0)
         ok &= ~live | (np.abs(lead) < _GRID_RANGE)
@@ -720,11 +727,167 @@ def _merged(pp: PiecewisePower) -> PiecewisePower:
     return PiecewisePower._from_logs(np.append(pp.bounds[:-1][new], _INF), lc[new], e[new])
 
 
+class _GridPlan:
+    """The kernel side of the grid path on one grid: what ``_grid_integrate``
+    forms from the other factor kern, the shifts x (the grid's nodes, step
+    h) and the bounds of the grid factor w.  It reads no coefficient or
+    exponent of w, and it holds no refusal: each call checks the budgets and
+    float ranges against its numbers.  The merged kernel and the pad counts
+    are built here, the rest on first use: ``nodes`` once the pads fit the
+    budget; ``cells``, ``scales``, ``tails`` and ``cuts`` once the padded
+    ends are in range; a ``table`` per panel count."""
+
+    def __init__(self, kern: PiecewisePower, w_bounds, x, h: float, on_u: bool):
+        self.w_bounds, self.x, self.h, self.on_u = w_bounds, x.copy(), h, on_u
+        # the other factor with equal neighbouring pieces merged: a breakpoint
+        # that changes nothing (g v = r**2 on both sides of 1 where
+        # alpha - gamma = 2) cuts no cell and no tail
+        self.kern = kern = _merged(kern)
+        self.pieces = np.flatnonzero(kern.log_coefs > -_INF)
+        self.lc_k, self.e_k = kern.log_coefs[self.pieces], kern.exps[self.pieces]
+        # pad nodes past the grid's upper end, and below its lower end on u's: at
+        # least 2 (the last row's cells 0 and 1 on f's grid), as many as the
+        # kernel's ratio caps ask for, and past every breakpoint of w and of the
+        # kernel (at r = b - x_i on u's grid, s = x_i + b on f's) that a row's
+        # tail would cross, so that each tail is one piece of both; in logs
+        cap = _ratio_caps(self.e_k if on_u else self.e_k - 1.0).min(initial=_X)
+        pad = max(2.0, np.ceil(-np.log(cap) / h))
+        self.t = t = np.log(x)
+        with np.errstate(over="ignore"):   # a bound past the float range gives an infinite pad
+            self.top = max(w_bounds[-2], kern.bounds[-2] - x[0] if on_u else x[-1] + kern.bounds[-2])
+        self.up = max(pad, np.ceil((np.log(self.top) - t[-1]) / h))
+        self.bottom = (min(w_bounds[1], (kern.bounds[kern.piece_index(x) + 1] - x).min()) if on_u
+                       else x[0])
+        self.down = max(pad, np.ceil((t[0] - np.log(self.bottom)) / h)) if on_u else 0.0
+        self._tables = {}
+
+    @cached_property
+    def nodes(self):
+        """The padded grid X, its logs and the index of x_0 in it: one spare
+        node past each padded end, kept only where the last counted node, as
+        built, falls short of its bound by a rounding."""
+        x, t, h = self.x, self.t, self.h
+        below = int(self.down) + 1 if self.on_u else 0
+        tX = np.concatenate([t[0] - h * np.arange(below, 0, -1), t,
+                             t[-1] + h * np.arange(1, int(self.up) + 2)])
+        with np.errstate(over="ignore", under="ignore"):   # the caller checks the ends
+            X = np.exp(tX)
+        X[below:below + x.size] = x
+        first, last = int(self.on_u and X[1] <= self.bottom), X.size - int(X[-2] >= self.top)
+        return X[first:last], tX[first:last], below - first
+
+    @cached_property
+    def cells(self):
+        """Per row its node in X and its first cell (two past it on f's
+        grid); per cell its log width, w's piece at its start (one past, as
+        searchsorted gives it) and whether w breaks inside it."""
+        X, _, below = self.nodes
+        i = np.arange(self.x.size) + below   # the rows' nodes in X
+        start = np.zeros(self.x.size, int) if self.on_u else i + 2
+        nxt = np.searchsorted(self.w_bounds, X[:-1], side="right")
+        return i, start, np.log(X[1:] / X[:-1]), nxt, self.w_bounds[nxt] < X[1:]
+
+    @cached_property
+    def scales(self):
+        """S = c x_i**e per live kernel piece and row, and the extremes of ln S."""
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):   # the caller checks ln S
+            log_S = self.lc_k[:, None] + self.e_k[:, None] * self.t
+            S = np.exp(log_S)
+        return S, log_S.max(initial=-_INF), log_S.min(initial=_INF)
+
+    @cached_property
+    def tails(self):
+        """What ``_tail_series`` reads of kern and the padded ends: the
+        binomial rows binom(e_k, k) (binom(e_k - 1, k) (-1)**k on f's grid),
+        one per piece of kern, and per tail (w's piece, kern's piece per
+        row, z_i, e**-kz_i one row per k, 1 - e**-z_i)."""
+        kern, x, t, X = self.kern, self.x, self.t, self.nodes[0]
+        k = np.arange(_K + 1.0)
+        binom = _binomial(kern.exps if self.on_u else kern.exps - 1.0, 1.0 if self.on_u else -1.0)
+        tails = [(-1, -1, np.log(X[-1]) - t)]
+        if self.on_u:
+            tails.append((0, kern.piece_index(x), t - np.log(X[0])))
+        with np.errstate(under="ignore"):   # e**-kz_i far past an end is 0
+            return binom, [(p, j, z, np.exp(-k[:, None] * z), -np.expm1(-z)) for p, j, z in tails]
+
+    @cached_property
+    def cuts(self):
+        """The cells that a breakpoint of kern cuts, or that w breaks inside,
+        as ``_add_gauss`` entries (rows, shifts, lo, hi); and per live kernel
+        piece with cells, (its index, the rows, their cells [lo, hi), the
+        rows' ``_row_blocks`` runs)."""
+        kern, x, n = self.kern, self.x, self.x.size
+        X = self.nodes[0]
+        i, start, _, _, direct = self.cells
+        rows = np.arange(n)
+        # per row, the cells in each piece of the other factor: from the first node
+        # at or past the piece's start to the last one at or before its end
+        base = np.zeros(n) if self.on_u else x   # r = s - base
+        edges = (kern.bounds[:, None] - x) if self.on_u else (x + kern.bounds[:, None])
+        at = np.searchsorted(X, edges.ravel(), side="left").reshape(edges.shape)
+        upto = np.searchsorted(X, edges.ravel(), side="right").reshape(edges.shape) - 1
+        # direct: the cell each inner breakpoint of it cuts, and the direct
+        # columns in the rows where they are not near cells
+        d_rows, d_cells = [], []
+        for m in range(1, kern.bounds.size - 1):
+            c = upto[m]
+            cut = (at[m] > c) & (c >= start)
+            cut[cut] = ~direct[c[cut]]
+            d_rows.append(rows[cut])
+            d_cells.append(c[cut])
+        cols = np.flatnonzero(direct)
+        col, row = _ranges(np.zeros(cols.size, int),
+                           np.full(cols.size, n) if self.on_u else np.clip(cols - 1, 0, n))
+        d_rows, d_cells = np.concatenate(d_rows + [row]), np.concatenate(d_cells + [cols[col]])
+        runs = []
+        for m, p in enumerate(self.pieces):
+            lo, hi = np.maximum(at[p], start), upto[p + 1]
+            sel = np.flatnonzero(hi > lo)
+            if sel.size:
+                r, lo, hi = i[sel], lo[sel], hi[sel]
+                runs.append((m, r, lo, hi, list(_row_blocks(r, lo, hi, lo == start[sel]))))
+        return (d_rows, x[d_rows], X[d_cells] - base[d_rows], X[d_cells + 1] - base[d_rows]), runs
+
+    def table(self, panels: int):
+        """For P = panels: the kernel tables T (per live kernel piece, j - i
+        and node offset), each piece's transpose for ``_correlate``, the
+        extremes of the finite ln T (None where none is), and per cell its
+        nodes' logs and log weights."""
+        if panels not in self._tables:
+            X, tX, _ = self.nodes
+            width, e_k = self.cells[2], self.e_k
+            tau, weight = _panel_rule(panels)
+            k = np.arange(1 - X.size, X.size - 1)   # j - i over the cells j and nodes i
+            y = (k[:, None] + tau) * self.h
+            with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
+                # the caller checks ln T
+                if self.on_u:
+                    log_T = e_k[:, None, None] * np.logaddexp(0.0, y)
+                else:
+                    log_T = (e_k[:, None, None] - 1.0) * (y + np.log(-np.expm1(-y))) + y
+                    log_T[:, k < 2] = -_INF
+                T = np.exp(log_T)
+                node_t = tX[:-1, None] + tau * width[:, None]
+                log_weight = np.log(weight * width[:, None])
+            fin = log_T[log_T > -_INF]
+            self._tables[panels] = (T, [Tm.T.copy() for Tm in T],
+                                    (fin.max(), fin.min()) if fin.size else None, node_t, log_weight)
+        return self._tables[panels]
+
+
+# the grid path's plans, per kernel factor (the one that is not w) and per
+# (side, nodes, w's bounds): an entry lives as long as its kernel object,
+# so a KernelSpec's plans end with it
+_plans = weakref.WeakKeyDictionary()
+
+
 def _grid_integrate(integrand: PowerIntegrand, h: float, on_u: bool, diverged):
     """The grid path of ``integrate``, on u's grid or on f's, the shifts
     being its nodes (step h): the cells of the padded grid as Toeplitz
     correlations and, on f's grid, the two cells past each shift as
     ``_branch_cells``; w's tails past the padded ends as ``_tail_series``.
+    The kernel side is a ``_GridPlan``, built on the first call for its
+    kernel object, grid and w's bounds, and kept while that object lives.
     It makes no zone call.  Returns (value, error estimate) per shift, whose
     entries mean nothing where ``diverged``; None where a pad node would
     leave the normal float range, a cell needs more than ``_MAX_PANELS``
@@ -733,49 +896,23 @@ def _grid_integrate(integrand: PowerIntegrand, h: float, on_u: bool, diverged):
     shift that does not diverge, could leave e**+-``_GRID_RANGE``."""
     u, f, x = integrand.u, integrand.f, integrand.rho
     n = x.size
-    rows = np.arange(n)
     w, kern = (u, f) if on_u else (f, u)
-    # the other factor with equal neighbouring pieces merged: a breakpoint
-    # that changes nothing (g v = r**2 on both sides of 1 where
-    # alpha - gamma = 2) cuts no cell and no tail
-    kern = _merged(kern)
-    pieces = np.flatnonzero(kern.log_coefs > -_INF)
-    lc_k, e_k = kern.log_coefs[pieces], kern.exps[pieces]
-    # pad nodes past the grid's upper end, and below its lower end on u's: at
-    # least 2 (the last row's cells 0 and 1 on f's grid), as many as the
-    # kernel's ratio caps ask for, and past every breakpoint of w and of the
-    # kernel (at r = b - x_i on u's grid, s = x_i + b on f's) that a row's
-    # tail would cross, so that each tail is one piece of both; in logs
-    cap = _ratio_caps(e_k if on_u else e_k - 1.0).min(initial=_X)
-    pad = max(2.0, np.ceil(-np.log(cap) / h))
-    t = np.log(x)
-    with np.errstate(over="ignore"):   # a bound past the float range gives an infinite pad
-        top = max(w.bounds[-2], kern.bounds[-2] - x[0] if on_u else x[-1] + kern.bounds[-2])
-    up = max(pad, np.ceil((np.log(top) - t[-1]) / h))
-    bottom = min(w.bounds[1], (kern.bounds[kern.piece_index(x) + 1] - x).min()) if on_u else x[0]
-    down = max(pad, np.ceil((t[0] - np.log(bottom)) / h)) if on_u else 0.0
-    if not max(pieces.size, 1) * (2.0 * (n + up + down) - 2.0) <= _GRID_PANELS:
+    plans = _plans.setdefault(kern, {})
+    key = (on_u, x.tobytes(), w.bounds.tobytes())
+    if key not in plans:
+        plans[key] = _GridPlan(kern, w.bounds, x, h, on_u)
+    plan = plans[key]
+    kern, pieces, e_k = plan.kern, plan.pieces, plan.e_k
+    if not max(pieces.size, 1) * (2.0 * (n + plan.up + plan.down) - 2.0) <= _GRID_PANELS:
         return None   # the kernel tables' budget, checked before a pad node is built
-    # one spare node past each padded end, kept only where the last counted
-    # node, as built, falls short of its bound by a rounding
-    below = int(down) + 1 if on_u else 0
-    tX = np.concatenate([t[0] - h * np.arange(below, 0, -1), t,
-                         t[-1] + h * np.arange(1, int(up) + 2)])
-    with np.errstate(over="ignore", under="ignore"):   # checked below
-        X = np.exp(tX)
-    X[below:below + n] = x
-    first, last = int(on_u and X[1] <= bottom), X.size - int(X[-2] >= top)
-    X, tX, below = X[first:last], tX[first:last], below - first
-    if not (X[0] <= bottom and X[-1] >= top and _TINY <= X[0] and X[-1] < _INF):
+    X = plan.nodes[0]
+    if not (X[0] <= plan.bottom and X[-1] >= plan.top and _TINY <= X[0] and X[-1] < _INF):
         return None
     N = X.size
-    i = rows + below   # the rows' nodes in X
-    start = np.zeros(n, int) if on_u else i + 2
-    width = np.log(X[1:] / X[:-1])
+    i, start, width, nxt, direct = plan.cells
 
     # w's piece on each cell, and the panels each needs: P is the most any
     # cell needs; a cell that w breaks inside is summed directly
-    nxt = np.searchsorted(w.bounds, X[:-1], side="right")
     lc_w, e_w = w.log_coefs[nxt - 1], w.exps[nxt - 1]
     live = lc_w > -_INF
     ek = e_k[:, None]
@@ -786,34 +923,24 @@ def _grid_integrate(integrand: PowerIntegrand, h: float, on_u: bool, diverged):
             slope = np.maximum(np.abs(e_w + ek), np.abs(e_w + ek + (ek - 1.0) / np.expm1(2.0 * h)))
             least = np.ceil(np.abs(e_k - 1.0)).max(initial=1.0)
         need = np.maximum(np.ceil(width * np.maximum(1.0, slope.max(axis=0, initial=0.0))), least)
-    direct = w.bounds[nxt] < X[1:]
     use = live & ~direct
     panels = need[use].max(initial=1.0)
     if not (panels <= _MAX_PANELS and max(pieces.size, 1) * (2 * N - 2) * panels <= _GRID_PANELS):
         return None
 
-    tau, weight = _panel_rule(int(panels))
-    k = np.arange(1 - N, N - 1)   # j - i over the cells j and nodes i
-    y = (k[:, None] + tau) * h
+    T, Tq, T_range, node_t, log_weight = plan.table(int(panels))
+    S, S_max, S_min = plan.scales
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):   # checked below
-        log_F = (lc_w[:, None] + e_w[:, None] * (tX[:-1, None] + tau * width[:, None])
-                 + np.log(weight * width[:, None]))
+        log_F = lc_w[:, None] + e_w[:, None] * node_t + log_weight
         log_F[~use] = -_INF
-        if on_u:
-            log_T = e_k[:, None, None] * np.logaddexp(0.0, y)
-        else:
-            log_T = (e_k[:, None, None] - 1.0) * (y + np.log(-np.expm1(-y))) + y
-            log_T[:, k < 2] = -_INF
-        log_S = lc_k[:, None] + e_k[:, None] * t
-    fin_F, fin_T = log_F[use], log_T[log_T > -_INF]
-    if fin_F.size and fin_T.size and not (
-            fin_F.max() + fin_T.max() + log_S.max() < _GRID_RANGE
-            and fin_F.min() + fin_T.min() + log_S.min() > -_GRID_RANGE):
+    fin_F = log_F[use]
+    if fin_F.size and T_range and not (fin_F.max() + T_range[0] + S_max < _GRID_RANGE
+                                       and fin_F.min() + T_range[1] + S_min > -_GRID_RANGE):
         return None
-    F, T, S = np.exp(log_F), np.exp(log_T), np.exp(log_S)
+    F = np.exp(log_F)
     with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
         # past the float range: not ok
-        value, err, ok = _tail_series(w, kern, x, X[0], X[-1], on_u)
+        value, err, ok = _tail_series(w, kern, x, X[0], X[-1], plan.tails)
         if not on_u:   # cells 0 and 1 past each shift
             end = np.where(direct, w.bounds[nxt], _INF)
             v, e, near = _branch_cells(kern, w, x, ((lc_w[:n], e_w[:n], end[:n]),
@@ -824,37 +951,14 @@ def _grid_integrate(integrand: PowerIntegrand, h: float, on_u: bool, diverged):
     if not (ok | diverged).all():
         return None
 
-    # per row, the cells in each piece of the other factor: from the first node
-    # at or past the piece's start to the last one at or before its end
-    base = np.zeros(n) if on_u else x   # r = s - base
-    edges = (kern.bounds[:, None] - x) if on_u else (x + kern.bounds[:, None])
-    at = np.searchsorted(X, edges.ravel(), side="left").reshape(edges.shape)
-    upto = np.searchsorted(X, edges.ravel(), side="right").reshape(edges.shape) - 1
-    # direct: the cell each inner breakpoint of it cuts, and the direct
-    # columns in the rows where they are not near cells
-    d_rows, d_cells = [], []
-    for m in range(1, kern.bounds.size - 1):
-        c = upto[m]
-        cut = (at[m] > c) & (c >= start)
-        cut[cut] = ~direct[c[cut]]
-        d_rows.append(rows[cut])
-        d_cells.append(c[cut])
-    cols = np.flatnonzero(direct)
-    col, row = _ranges(np.zeros(cols.size, int),
-                       np.full(cols.size, n) if on_u else np.clip(cols - 1, 0, n))
-    d_rows, d_cells = np.concatenate(d_rows + [row]), np.concatenate(d_cells + [cols[col]])
-
+    (d_rows, d_x, d_lo, d_hi), runs = plan.cuts
     if d_rows.size:
         with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-            _add_gauss(u, f, d_rows, x[d_rows], X[d_cells] - base[d_rows],
-                       X[d_cells + 1] - base[d_rows], value, err, np.zeros(n, bool))
-    for m, p in enumerate(pieces):
-        lo, hi = np.maximum(at[p], start), upto[p + 1]
-        sel = np.flatnonzero(hi > lo)
-        if sel.size:
-            sums = S[m] * _correlate(F, T[m], i[sel], lo[sel], hi[sel], lo[sel] == start[sel])[i]
-            value += sums
-            err += (_PANEL_ERROR if on_u else _GRID_PANEL_ERROR) * sums
+            _add_gauss(u, f, d_rows, d_x, d_lo, d_hi, value, err, np.zeros(n, bool))
+    for m, rows, lo, hi, blocks in runs:
+        sums = S[m] * _correlate(F, T[m], Tq[m], rows, lo, hi, blocks)[i]
+        value += sums
+        err += (_PANEL_ERROR if on_u else _GRID_PANEL_ERROR) * sums
     return value, err
 
 

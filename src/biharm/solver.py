@@ -40,9 +40,13 @@ def default_grid(nodes: int = 1024) -> np.ndarray:
     The node count is snapped down (by at most 2) so that the profile
     crossover radius 1 falls on a grid node, and that node is set to exactly
     1.0 (geomspace can miss it by an ulp); differencing across it is then
-    clean second order.
+    clean second order.  A count below 10 would snap below the 8 nodes a
+    solve needs, so it is refused as given.
     """
     n = int(nodes)
+    if n < 10:
+        raise ParameterError(f"solver grid needs at least 10 nodes (the count snaps down to "
+                             f"3k + 1 so that r = 1 is a node, and a solve needs 8), got {nodes}")
     n -= (n - 1) % 3
     grid = log_grid(1e-3, 1e6, n)
     grid[(n - 1) // 3] = 1.0

@@ -560,6 +560,27 @@ def test_solve_without_steps_or_tolerance_exits_two(tmp_path, capsys, monkeypatc
     _assert_one_error_line(capsys)
 
 
+_TOO_FEW_NODES = ("solver grid needs at least 10 nodes (the count snaps down to 3k + 1 so "
+                  "that r = 1 is a node, and a solve needs 8), got ")
+
+
+@pytest.mark.parametrize("nodes, error", [
+    ("2", _TOO_FEW_NODES + "2"),
+    ("8", _TOO_FEW_NODES + "8"),
+    ("9", _TOO_FEW_NODES + "9"),
+    # 10 nodes stay 10: refused further on, as before
+    ("10", "potential tail diverges: integrand exponent 1.0 >= -1"),
+], ids=["2", "8", "9", "10"])
+def test_solve_names_the_node_count_it_was_given(tmp_path, capsys, nodes, error):
+    # the grid snaps the count down so that r = 1 is a node: 8 and 9 were
+    # refused as "got 7", the snapped count, and 2 as log_grid's n = 1
+    assert run(["solve", "--alpha", "6", "--gamma", "4", "--s", "0", "--p", "4", "--nodes", nodes,
+                "--out-dir", str(tmp_path / "o")]) == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert errors == [f"error: {error}"]
+    assert not (tmp_path / "o" / "report.json").exists()
+
+
 def test_every_float_flag_reads_a_negative_exponent_as_its_value():
     # argparse alone takes "-1e-3" for a flag ("expected one argument")
     parser = build_parser()

@@ -3,10 +3,12 @@ batched quadrature against the scalar values it replaced and 30-digit
 mpmath references; positivity and monotonicity of split potentials."""
 
 import bisect
+import gc
 import json
 import math
 import re
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import mpmath
@@ -19,7 +21,7 @@ from biharm.kernels import (BallSource, KERNEL_MODES, KernelSpec, MODE_EUCLIDEAN
                             MODE_SURROGATE, annulus_lower_bound, compose_green, mc_oracle,
                             potential, potential_values, sphere_area)
 from biharm.profiles import ManifoldProfile, SourceProfile, profile_piecewise
-from biharm import kernels, quad
+from biharm import cli, kernels, quad
 from biharm.quad import PowerIntegrand, integrate
 from biharm.radial import (PiecewisePower, RadialFunction, fit_loglog_slope, log_grid,
                            power_integral, pp_product)
@@ -922,6 +924,117 @@ def test_grid_path_matches_integrate_on_random_sources(source):
         quad._grid_integrate, quad._zones = real_grid, real_zones
     assert all(res is not None for res in taken) and len(taken) == 2
     assert zone_calls == []
+
+
+@st.composite
+def warm_plan_sources(draw):
+    """A profile and three grid sources on one grid: the first from
+    log_uniform_sources, the others with node values and tails drawn as it
+    draws them.  Each may be made steep, one node set to 1e100 to 1e300 or
+    1e-300 to 1e-100, which the grid path may refuse: on more than ~25
+    nodes the table budget, on fewer the float range of its products."""
+    prof, first = draw(log_uniform_sources())
+    grid, n = first.grid, first.grid.size
+    sources = []
+    for src in (first, None, None):
+        if src is None:
+            logs = np.cumsum(draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n)))
+            on = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+            on[draw(st.integers(0, n - 1))] = True
+            tails = (draw(st.floats(0.0, 4.0)), prof.gamma - prof.alpha - draw(st.floats(0.2, 3.0)))
+            src = RadialFunction(grid, np.where(on, np.exp(logs), 0.0), *tails)
+        if draw(st.booleans()):
+            values = src.values.copy()
+            values[draw(st.integers(0, n - 1))] = 10.0 ** (draw(st.sampled_from([-1.0, 1.0]))
+                                                           * draw(st.floats(100.0, 300.0)))
+            src = RadialFunction(grid, values, src.tail_left, src.tail_right)
+        sources.append(src)
+    return prof, sources
+
+
+def _smooth_and_steep(n, node):
+    """Three sources on n nodes, the second with one node's value set: the
+    grid path refuses its first term and takes the others."""
+    x = log_grid(1e-2, 1e2, n)
+    steep = (1.0 + x) ** -3.0
+    steep[5] = node
+    return ManifoldProfile(7.0, 5.0, 6), [RadialFunction(x, (1.0 + x) ** -3.0, 1.0, -3.0),
+                                          RadialFunction(x, steep, 1.0, -3.0),
+                                          RadialFunction(x, np.exp(-x), 2.0, -4.0)]
+
+
+def _split_or_error(spec, src):
+    """The split potential on the source's grid, or its error's type and message."""
+    try:
+        return potential_values(spec, src, src.grid)
+    except (ParameterError, DivergentIntegralError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(warm_plan_sources())
+@example(_smooth_and_steep(40, 1e200))    # past the table budget
+@example(_smooth_and_steep(12, 1e-250))   # products past the float range
+def test_a_warm_plan_changes_no_bit(sources):
+    # three split potentials in a row under one KernelSpec, the later two on
+    # the plans the first built, each against a fresh KernelSpec, which
+    # starts with none: the same bits, or the same error, and the grid path
+    # refuses the same terms
+    prof, srcs = sources
+    warm = KernelSpec(MODE_SPLIT, prof)
+    taken = []
+    real = quad._grid_integrate
+
+    def grid_path(*args):
+        res = real(*args)
+        taken.append(res is not None)
+        return res
+
+    quad._grid_integrate = grid_path
+    try:
+        for src in srcs:
+            taken.clear()
+            got, got_taken = _split_or_error(warm, src), taken.copy()
+            taken.clear()
+            ref, ref_taken = _split_or_error(KernelSpec(MODE_SPLIT, prof), src), taken.copy()
+            assert got_taken == ref_taken
+            if isinstance(ref, tuple):
+                assert got == ref
+            else:
+                np.testing.assert_array_equal(got, ref)
+    finally:
+        quad._grid_integrate = real
+    # one plan per term served all three
+    assert [len(quad._plans[kern]) for kern in (warm.g, warm.gv)] == [1, 1]
+
+
+def test_a_command_builds_one_plan_per_term_and_drops_them(monkeypatch, tmp_path):
+    # a 128-node split solve makes 16 grid-path calls, and verify-bounds at
+    # 384 points 8 (its closed-form sources' 8 calls take the zones): one plan
+    # per term serves each command, the next command's new KernelSpec builds
+    # its own, and no plan outlives its command
+    builds, calls = [], []
+    real_plan, real_grid = quad._GridPlan, quad._grid_integrate
+
+    def plan(kern, *args):
+        builds.append(weakref.ref(kern))
+        return real_plan(kern, *args)
+
+    monkeypatch.setattr(quad, "_GridPlan", plan)
+    monkeypatch.setattr(quad, "_grid_integrate", lambda *args: calls.append(1) or real_grid(*args))
+    split = ["solve", "--alpha", "7", "--gamma", "5", "--s", "0", "--p", "3", "--nodes", "128",
+             "--kernel-mode", "split-comparison"]
+    bounds = ["verify-bounds", "--alpha", "6", "--gamma", "4", "--s", "0", "--p", "4"]
+    gc.collect()
+    stored = len(quad._plans)
+    for argv, grid_calls in ((split, 16), (bounds, 8), (split, 16)):
+        builds.clear()
+        calls.clear()
+        assert cli.run(argv + ["--out-dir", str(tmp_path / "o")]) == 0
+        assert (len(builds), len(calls)) == (2, grid_calls)
+        gc.collect()
+        assert all(kern() is None for kern in builds)
+        assert len(quad._plans) == stored
 
 
 def test_other_inputs_keep_todays_values():
