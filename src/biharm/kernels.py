@@ -102,11 +102,11 @@ def compose_green(prof: ManifoldProfile, rho) -> QuadratureResult:
 
     rho may be a scalar or an array; the result's fields follow its shape.
     Finite exactly when gamma > alpha/2; otherwise the result carries the
-    diverged flag (the tail exponent being alpha - 2*gamma).
+    diverged flag (the tail exponent being alpha - 2*gamma).  g and g v are
+    a split-comparison ``KernelSpec``'s.
     """
-    g = profile_piecewise("g", prof)
-    v = profile_piecewise("v", prof)
-    return integrate(PowerIntegrand(pp_product(g, v), g, rho))
+    spec = KernelSpec(MODE_SPLIT, prof)
+    return integrate(PowerIntegrand(spec.gv, spec.g, rho))
 
 
 def annulus_lower_bound(prof: ManifoldProfile, radius: float) -> float:

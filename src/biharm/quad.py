@@ -61,15 +61,18 @@ The grid path's kernel side is a plan, ``_GridPlan``, one per kernel object
 (the factor that is not the grid source), grid and breakpoints of the grid
 source: the merged kernel, the pads and padded nodes, the cells that
 breakpoints cut, the kernel tables per panel count and their transposes,
-the powers of the tails' series and the correlation runs.  It never holds
-anything that reads the grid source's coefficients or exponents, nor a
-refusal: every call forms the source's side anew and checks every budget and
-float range.  Plans are kept while their kernel object lives, so the
-potentials of one ``kernels.KernelSpec`` share them and they end with it.
+the powers of the tails' series and the correlation runs.  It is built
+whole, and it makes once the two refusals that read only its own key: the
+kernel tables' budget at one panel a cell and the float range of the padded
+ends.  It never holds anything that reads the grid source's coefficients or
+exponents: each call forms the source's side anew and checks the panel
+count, the table budget at that count and the float range of the sums.
+Plans are kept while their kernel object lives, so the potentials of one
+``kernels.KernelSpec`` share them and they end with it.
 
 Shifts are processed with array operations, in blocks of about
-``_BLOCK_SEAMS`` seams, ``_BLOCK_PANELS`` Gauss panels and ``_BLOCK_PIECES``
-series pieces.  A Gauss node value is formed in the exponent,
+``_BLOCK_FLOATS`` floats per temporary: Gauss nodes, seams or series terms.
+A Gauss node value is formed in the exponent,
 exp(log c + e_u t + e_f log(rho + e^t)) at r = e^t, so no partial product
 under- or overflows on its way to the value.  Divergence is reported per
 shift through a flag (not an exception) so finiteness checks can consume it.
@@ -79,7 +82,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -96,9 +99,9 @@ _GAUSS_NODES = np.array([-0.9602898564975362, -0.7966664774136267, -0.5255324099
 _GAUSS_WEIGHTS = np.array([0.10122853629037706, 0.22238103445337443, 0.3137066458778869,
                            0.36268378337836166, 0.36268378337836166, 0.3137066458778869,
                            0.22238103445337443, 0.10122853629037706])
-_BLOCK_SEAMS = 4096    # seams per block of shifts; bounds every per-segment array
-_BLOCK_PANELS = 16384  # Gauss panels per chunk of segments; bounds every per-node array
-_BLOCK_PIECES = 1024   # series pieces per block; bounds every per-term array
+_BLOCK_FLOATS = 1 << 15  # floats per temporary of a block: its Gauss nodes, seams or series
+                         # terms; no sum depends on the blocking.  256 KiB stays in cache:
+                         # at 2**17, zone calls on 1500-node grid sources ran ~15% slower
 _MAX_PANELS = 8192     # panels of a segment at most; a steeper one's estimate reads inf
 # On a panel [m - h, m + h] the integrand exp(log c + e_u t + e_f ln(rho + e^t))
 # is analytic in the strip |Im t| < pi, and |d/dt of its log| <= s on the real
@@ -255,8 +258,9 @@ def _series(w: PiecewisePower, specs, log_rho, a, b, log_c, beta, spec, ratio):
                                            lo[rows, None], hi[rows, None])
         return out
 
-    for first in range(0, a.size, _BLOCK_PIECES):
-        todo = np.arange(first, min(first + _BLOCK_PIECES, a.size))
+    step = max(_BLOCK_FLOATS // k.size, 1)   # pieces per block
+    for first in range(0, a.size, step):
+        todo = np.arange(first, min(first + step, a.size))
         lo, hi = ia[todo], ib[todo]
         # the partial piece at a, and the one at b where it is another piece
         two = np.flatnonzero(hi > lo)
@@ -347,19 +351,20 @@ def _near_breakpoints(u: PiecewisePower, f: PiecewisePower, rho, lo, hi):
             jf, np.maximum(np.searchsorted(fb, rho + hi, side="left") - jf, 0))
 
 
-def _near_segments(u: PiecewisePower, f: PiecewisePower, rho, lo, hi):
+def _near_segments(u: PiecewisePower, f: PiecewisePower, rho, lo, hi, near):
     """Gauss-zone segments of a block of shifts, in t = ln r.
 
     Row i covers [lo[i], hi[i]], cut at every breakpoint of u and of
-    f(rho[i] + .) inside; each segment lies inside one piece of u and one of
-    f, found once at its midpoint.  Segments where the integrand vanishes
-    are dropped.  Returns (row, panel count, start, width, log c, e_u, e_f,
-    rho, steep), one entry per segment, in row order; a steep segment has
-    one panel per unit of log width, not the ceil(width max(1, s)) of the
-    others, since that would pass ``_MAX_PANELS``.
+    f(rho[i] + .) inside, which near gives as ``_near_breakpoints`` does;
+    each segment lies inside one piece of u and one of f, found once at its
+    midpoint.  Segments where the integrand vanishes are dropped.  Returns
+    (row, panel count, start, width, log c, e_u, e_f, rho, steep), one entry
+    per segment, in row order; a steep segment has one panel per unit of log
+    width, not the ceil(width max(1, s)) of the others, since that would
+    pass ``_MAX_PANELS``.
     """
     ub, fb = u.bounds[1:-1], f.bounds[1:-1]
-    iu, nu, jf, nf = _near_breakpoints(u, f, rho, lo, hi)
+    iu, nu, jf, nf = near
     # one row of seams per shift, padded with its upper end
     seams = np.repeat(hi[:, None], 2 + (nu + nf).max(initial=0), axis=1)
     seams[:, 0] = lo
@@ -396,13 +401,13 @@ def _gauss_zone(segs, nrows: int):
     ``_PANEL_ERROR`` of the sum, or inf for a row with a steep segment.
 
     Node values are formed in the exponent.  Segments go in chunks of about
-    ``_BLOCK_PANELS`` panels; each segment is summed within its chunk and the
+    ``_BLOCK_FLOATS`` nodes; each segment is summed within its chunk and the
     rows from the segment sums, so no sum depends on the chunking.
     """
     row, n_panels, start, width, log_c, e_u, e_f, shift, steep = segs
     seg_h = width / n_panels
     seg_sums = np.zeros(row.size)
-    for first, end in _blocks(n_panels, _BLOCK_PANELS):
+    for first, end in _blocks(n_panels * _GAUSS_NODES.size, _BLOCK_FLOATS):
         count = n_panels[first:end]
         local, within = _ranges(np.zeros_like(count), count)
         seg = local + first
@@ -442,9 +447,9 @@ def _add_gauss(u: PiecewisePower, f: PiecewisePower, rows, shift, lo, hi, value,
     panels at most one unit of log width and 1/s wide, s the segment's log
     slope, whose error is below ``_PANEL_ERROR`` of the value; a row with a
     segment too steep for ``_MAX_PANELS`` panels reads inf."""
-    _, nu, _, nf = _near_breakpoints(u, f, shift, lo, hi)
-    for a, b in _blocks(2 + nu + nf, _BLOCK_SEAMS):
-        segs = _near_segments(u, f, shift[a:b], lo[a:b], hi[a:b])
+    near = _near_breakpoints(u, f, shift, lo, hi)
+    for a, b in _blocks(2 + near[1] + near[3], _BLOCK_FLOATS):
+        segs = _near_segments(u, f, shift[a:b], lo[a:b], hi[a:b], [n[a:b] for n in near])
         zv, ze = _gauss_zone(segs, b - a)
         np.add.at(value, rows[a:b], zv)
         np.add.at(err, rows[a:b], ze)
@@ -681,19 +686,19 @@ def _branch_cells(kern: PiecewisePower, w: PiecewisePower, x, pieces, h):
     return value, err, ok
 
 
-def _tail_series(w: PiecewisePower, kern: PiecewisePower, x, lo, hi, terms):
-    """The grid factor w's tails past lo and hi, the ends of the padded grid,
-    per row x_i; the pads make each of them one piece of w inside one piece
-    of the other factor kern at that row.  On u's grid, r**e_w (x_i + r)**e_k
+def _tail_series(w: PiecewisePower, kern: PiecewisePower, x, terms):
+    """The grid factor w's tails past the ends of the padded grid, per row
+    x_i; the pads make each of them one piece of w inside one piece of the
+    other factor kern at that row.  On u's grid, r**e_w (x_i + r)**e_k
     is x_i**(e_w + e_k) e**(a z) (1 + e**-z)**e_k in z = ln(r/x_i) above the
     grid (a = e_w + e_k) and z = ln(x_i/r) below it (a = -e_w); on f's, the
     kernel (s - x_i)**(e_k - 1) s times s**e_w is x_i**(e_w + e_k) e**(a z)
     (1 - e**-z)**(e_k - 1) in z = ln(s/x_i), a = e_w + e_k.  From the row's
     own z_i on, that is a binomial series in e**-z whose term k integrates
     to e**((a - k) z_i)/(k - a): _K + 1 terms, the rest bounded by the last
-    over 1 - e**-z_i.  terms is the grid plan's ``tails`` at lo and hi.  A
-    tail that diverges (a >= 0) is its row's divergence, which the caller
-    flags; its sums mean nothing.  No zone is called.  Returns (value, error
+    over 1 - e**-z_i.  terms is the grid plan's ``tails``.  A tail that
+    diverges (a >= 0) is its row's divergence, which the caller flags; its
+    sums mean nothing.  No zone is called.  Returns (value, error
     estimate, ok), not ok where a live tail's leading term leaves
     e**+-``_GRID_RANGE``.
     """
@@ -728,102 +733,97 @@ def _merged(pp: PiecewisePower) -> PiecewisePower:
 
 
 class _GridPlan:
-    """The kernel side of the grid path on one grid: what ``_grid_integrate``
-    forms from the other factor kern, the shifts x (the grid's nodes, step
-    h) and the bounds of the grid factor w.  It reads no coefficient or
-    exponent of w, and it holds no refusal: each call checks the budgets and
-    float ranges against its numbers.  The merged kernel and the pad counts
-    are built here, the rest on first use: ``nodes`` once the pads fit the
-    budget; ``cells``, ``scales``, ``tails`` and ``cuts`` once the padded
-    ends are in range; a ``table`` per panel count."""
+    """The kernel side of the grid path on one grid, built whole: what
+    ``_grid_integrate`` forms from the other factor kern, the shifts x (the
+    grid's nodes, step h) and the bounds of the grid factor w, none of it
+    reading a coefficient or exponent of w.  ``ok`` is false where the
+    kernel tables would pass ``_GRID_PANELS`` panels at one panel a cell,
+    checked before a pad node is built, or where a padded end leaves the
+    normal float range; then nothing more is built.  Both read only the
+    plan's inputs, so a refused plan stays refused; the checks that read w
+    are the caller's, on every call.  Only ``table`` is built on first use,
+    once per panel count, since the panel count reads w."""
 
     def __init__(self, kern: PiecewisePower, w_bounds, x, h: float, on_u: bool):
-        self.w_bounds, self.x, self.h, self.on_u = w_bounds, x.copy(), h, on_u
+        self.h, self.on_u, self._tables = h, on_u, {}
+        n = x.size
         # the other factor with equal neighbouring pieces merged: a breakpoint
         # that changes nothing (g v = r**2 on both sides of 1 where
         # alpha - gamma = 2) cuts no cell and no tail
         self.kern = kern = _merged(kern)
-        self.pieces = np.flatnonzero(kern.log_coefs > -_INF)
-        self.lc_k, self.e_k = kern.log_coefs[self.pieces], kern.exps[self.pieces]
+        pieces = np.flatnonzero(kern.log_coefs > -_INF)
+        self.e_k = e_k = kern.exps[pieces]
         # pad nodes past the grid's upper end, and below its lower end on u's: at
         # least 2 (the last row's cells 0 and 1 on f's grid), as many as the
         # kernel's ratio caps ask for, and past every breakpoint of w and of the
         # kernel (at r = b - x_i on u's grid, s = x_i + b on f's) that a row's
         # tail would cross, so that each tail is one piece of both; in logs
-        cap = _ratio_caps(self.e_k if on_u else self.e_k - 1.0).min(initial=_X)
+        cap = _ratio_caps(e_k if on_u else e_k - 1.0).min(initial=_X)
         pad = max(2.0, np.ceil(-np.log(cap) / h))
-        self.t = t = np.log(x)
+        t = np.log(x)
         with np.errstate(over="ignore"):   # a bound past the float range gives an infinite pad
-            self.top = max(w_bounds[-2], kern.bounds[-2] - x[0] if on_u else x[-1] + kern.bounds[-2])
-        self.up = max(pad, np.ceil((np.log(self.top) - t[-1]) / h))
-        self.bottom = (min(w_bounds[1], (kern.bounds[kern.piece_index(x) + 1] - x).min()) if on_u
-                       else x[0])
-        self.down = max(pad, np.ceil((t[0] - np.log(self.bottom)) / h)) if on_u else 0.0
-        self._tables = {}
+            top = max(w_bounds[-2], kern.bounds[-2] - x[0] if on_u else x[-1] + kern.bounds[-2])
+        up = max(pad, np.ceil((np.log(top) - t[-1]) / h))
+        bottom = min(w_bounds[1], (kern.bounds[kern.piece_index(x) + 1] - x).min()) if on_u else x[0]
+        down = max(pad, np.ceil((t[0] - np.log(bottom)) / h)) if on_u else 0.0
+        self.ok = max(pieces.size, 1) * (2.0 * (n + up + down) - 2.0) <= _GRID_PANELS
+        if not self.ok:   # the kernel tables' budget, before a pad node is built
+            return
 
-    @cached_property
-    def nodes(self):
-        """The padded grid X, its logs and the index of x_0 in it: one spare
-        node past each padded end, kept only where the last counted node, as
-        built, falls short of its bound by a rounding."""
-        x, t, h = self.x, self.t, self.h
-        below = int(self.down) + 1 if self.on_u else 0
+        # the padded grid X and its logs: one spare node past each padded end,
+        # kept only where the last counted node, as built, falls short of its
+        # bound by a rounding
+        below = int(down) + 1 if on_u else 0
         tX = np.concatenate([t[0] - h * np.arange(below, 0, -1), t,
-                             t[-1] + h * np.arange(1, int(self.up) + 2)])
-        with np.errstate(over="ignore", under="ignore"):   # the caller checks the ends
+                             t[-1] + h * np.arange(1, int(up) + 2)])
+        with np.errstate(over="ignore", under="ignore"):   # the ends are checked below
             X = np.exp(tX)
-        X[below:below + x.size] = x
-        first, last = int(self.on_u and X[1] <= self.bottom), X.size - int(X[-2] >= self.top)
-        return X[first:last], tX[first:last], below - first
+        X[below:below + n] = x
+        first, last = int(on_u and X[1] <= bottom), X.size - int(X[-2] >= top)
+        self.X, self.tX = X, tX = X[first:last], tX[first:last]
+        below -= first
+        self.ok = X[0] <= bottom and X[-1] >= top and _TINY <= X[0] and X[-1] < _INF
+        if not self.ok:
+            return
 
-    @cached_property
-    def cells(self):
-        """Per row its node in X and its first cell (two past it on f's
-        grid); per cell its log width, w's piece at its start (one past, as
-        searchsorted gives it) and whether w breaks inside it."""
-        X, _, below = self.nodes
-        i = np.arange(self.x.size) + below   # the rows' nodes in X
-        start = np.zeros(self.x.size, int) if self.on_u else i + 2
-        nxt = np.searchsorted(self.w_bounds, X[:-1], side="right")
-        return i, start, np.log(X[1:] / X[:-1]), nxt, self.w_bounds[nxt] < X[1:]
+        # per row its node in X and its first cell (two past it on f's grid);
+        # per cell its log width, w's piece at its start (one past, as
+        # searchsorted gives it) and whether w breaks inside it
+        self.i = i = np.arange(n) + below
+        start = np.zeros(n, int) if on_u else i + 2
+        self.width = np.log(X[1:] / X[:-1])
+        self.nxt = np.searchsorted(w_bounds, X[:-1], side="right")
+        self.direct = direct = w_bounds[self.nxt] < X[1:]
 
-    @cached_property
-    def scales(self):
-        """S = c x_i**e per live kernel piece and row, and the extremes of ln S."""
+        # S = c x_i**e per live kernel piece and row, and the extremes of ln S
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):   # the caller checks ln S
-            log_S = self.lc_k[:, None] + self.e_k[:, None] * self.t
-            S = np.exp(log_S)
-        return S, log_S.max(initial=-_INF), log_S.min(initial=_INF)
+            log_S = kern.log_coefs[pieces][:, None] + e_k[:, None] * t
+            self.S = np.exp(log_S)
+        self.S_max, self.S_min = log_S.max(initial=-_INF), log_S.min(initial=_INF)
 
-    @cached_property
-    def tails(self):
-        """What ``_tail_series`` reads of kern and the padded ends: the
-        binomial rows binom(e_k, k) (binom(e_k - 1, k) (-1)**k on f's grid),
-        one per piece of kern, and per tail (w's piece, kern's piece per
-        row, z_i, e**-kz_i one row per k, 1 - e**-z_i)."""
-        kern, x, t, X = self.kern, self.x, self.t, self.nodes[0]
+        # what ``_tail_series`` reads of kern and the padded ends: the binomial
+        # rows binom(e_k, k) (binom(e_k - 1, k) (-1)**k on f's grid), one per
+        # piece of kern, and per tail (w's piece, kern's piece per row, z_i,
+        # e**-kz_i one row per k, 1 - e**-z_i)
         k = np.arange(_K + 1.0)
-        binom = _binomial(kern.exps if self.on_u else kern.exps - 1.0, 1.0 if self.on_u else -1.0)
         tails = [(-1, -1, np.log(X[-1]) - t)]
-        if self.on_u:
+        if on_u:
             tails.append((0, kern.piece_index(x), t - np.log(X[0])))
-        with np.errstate(under="ignore"):   # e**-kz_i far past an end is 0
-            return binom, [(p, j, z, np.exp(-k[:, None] * z), -np.expm1(-z)) for p, j, z in tails]
+        with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
+            # a steep kernel's binomials may overflow, and e**-kz_i far past an end is 0
+            binom = _binomial(kern.exps if on_u else kern.exps - 1.0, 1.0 if on_u else -1.0)
+            self.tails = binom, [(p, j, z, np.exp(-k[:, None] * z), -np.expm1(-z))
+                                 for p, j, z in tails]
 
-    @cached_property
-    def cuts(self):
-        """The cells that a breakpoint of kern cuts, or that w breaks inside,
-        as ``_add_gauss`` entries (rows, shifts, lo, hi); and per live kernel
-        piece with cells, (its index, the rows, their cells [lo, hi), the
-        rows' ``_row_blocks`` runs)."""
-        kern, x, n = self.kern, self.x, self.x.size
-        X = self.nodes[0]
-        i, start, _, _, direct = self.cells
+        # the cells that a breakpoint of kern cuts, or that w breaks inside, as
+        # ``_add_gauss`` entries (rows, shifts, lo, hi); and per live kernel
+        # piece with cells, (its index, the rows, their cells [lo, hi), the
+        # rows' ``_row_blocks`` runs).  Per row, the cells in each piece of the
+        # other factor: from the first node at or past the piece's start to the
+        # last one at or before its end
         rows = np.arange(n)
-        # per row, the cells in each piece of the other factor: from the first node
-        # at or past the piece's start to the last one at or before its end
-        base = np.zeros(n) if self.on_u else x   # r = s - base
-        edges = (kern.bounds[:, None] - x) if self.on_u else (x + kern.bounds[:, None])
+        base = np.zeros(n) if on_u else x   # r = s - base
+        edges = (kern.bounds[:, None] - x) if on_u else (x + kern.bounds[:, None])
         at = np.searchsorted(X, edges.ravel(), side="left").reshape(edges.shape)
         upto = np.searchsorted(X, edges.ravel(), side="right").reshape(edges.shape) - 1
         # direct: the cell each inner breakpoint of it cuts, and the direct
@@ -837,16 +837,16 @@ class _GridPlan:
             d_cells.append(c[cut])
         cols = np.flatnonzero(direct)
         col, row = _ranges(np.zeros(cols.size, int),
-                           np.full(cols.size, n) if self.on_u else np.clip(cols - 1, 0, n))
+                           np.full(cols.size, n) if on_u else np.clip(cols - 1, 0, n))
         d_rows, d_cells = np.concatenate(d_rows + [row]), np.concatenate(d_cells + [cols[col]])
-        runs = []
-        for m, p in enumerate(self.pieces):
+        self.cuts = d_rows, x[d_rows], X[d_cells] - base[d_rows], X[d_cells + 1] - base[d_rows]
+        self.runs = []
+        for m, p in enumerate(pieces):
             lo, hi = np.maximum(at[p], start), upto[p + 1]
             sel = np.flatnonzero(hi > lo)
             if sel.size:
                 r, lo, hi = i[sel], lo[sel], hi[sel]
-                runs.append((m, r, lo, hi, list(_row_blocks(r, lo, hi, lo == start[sel]))))
-        return (d_rows, x[d_rows], X[d_cells] - base[d_rows], X[d_cells + 1] - base[d_rows]), runs
+                self.runs.append((m, r, lo, hi, list(_row_blocks(r, lo, hi, lo == start[sel]))))
 
     def table(self, panels: int):
         """For P = panels: the kernel tables T (per live kernel piece, j - i
@@ -854,8 +854,7 @@ class _GridPlan:
         extremes of the finite ln T (None where none is), and per cell its
         nodes' logs and log weights."""
         if panels not in self._tables:
-            X, tX, _ = self.nodes
-            width, e_k = self.cells[2], self.e_k
+            X, tX, width, e_k = self.X, self.tX, self.width, self.e_k
             tau, weight = _panel_rule(panels)
             k = np.arange(1 - X.size, X.size - 1)   # j - i over the cells j and nodes i
             y = (k[:, None] + tau) * self.h
@@ -889,11 +888,12 @@ def _grid_integrate(integrand: PowerIntegrand, h: float, on_u: bool, diverged):
     The kernel side is a ``_GridPlan``, built on the first call for its
     kernel object, grid and w's bounds, and kept while that object lives.
     It makes no zone call.  Returns (value, error estimate) per shift, whose
-    entries mean nothing where ``diverged``; None where a pad node would
-    leave the normal float range, a cell needs more than ``_MAX_PANELS``
-    panels, the kernel tables would pass ``_GRID_PANELS`` panels, or a
-    product F T S, or a branch-cell node value or a tail's leading term of a
-    shift that does not diverge, could leave e**+-``_GRID_RANGE``."""
+    entries mean nothing where ``diverged``; None where the plan is refused
+    (not ``ok``), or where the checks that read w fail: a cell needs more
+    than ``_MAX_PANELS`` panels, the kernel tables would pass
+    ``_GRID_PANELS`` panels, or a product F T S, or a branch-cell node value
+    or a tail's leading term of a shift that does not diverge, could leave
+    e**+-``_GRID_RANGE``."""
     u, f, x = integrand.u, integrand.f, integrand.rho
     n = x.size
     w, kern = (u, f) if on_u else (f, u)
@@ -902,14 +902,9 @@ def _grid_integrate(integrand: PowerIntegrand, h: float, on_u: bool, diverged):
     if key not in plans:
         plans[key] = _GridPlan(kern, w.bounds, x, h, on_u)
     plan = plans[key]
-    kern, pieces, e_k = plan.kern, plan.pieces, plan.e_k
-    if not max(pieces.size, 1) * (2.0 * (n + plan.up + plan.down) - 2.0) <= _GRID_PANELS:
-        return None   # the kernel tables' budget, checked before a pad node is built
-    X = plan.nodes[0]
-    if not (X[0] <= plan.bottom and X[-1] >= plan.top and _TINY <= X[0] and X[-1] < _INF):
+    if not plan.ok:
         return None
-    N = X.size
-    i, start, width, nxt, direct = plan.cells
+    kern, e_k, width, nxt, direct = plan.kern, plan.e_k, plan.width, plan.nxt, plan.direct
 
     # w's piece on each cell, and the panels each needs: P is the most any
     # cell needs; a cell that w breaks inside is summed directly
@@ -925,11 +920,12 @@ def _grid_integrate(integrand: PowerIntegrand, h: float, on_u: bool, diverged):
         need = np.maximum(np.ceil(width * np.maximum(1.0, slope.max(axis=0, initial=0.0))), least)
     use = live & ~direct
     panels = need[use].max(initial=1.0)
-    if not (panels <= _MAX_PANELS and max(pieces.size, 1) * (2 * N - 2) * panels <= _GRID_PANELS):
+    if not (panels <= _MAX_PANELS
+            and max(e_k.size, 1) * (2 * plan.X.size - 2) * panels <= _GRID_PANELS):
         return None
 
     T, Tq, T_range, node_t, log_weight = plan.table(int(panels))
-    S, S_max, S_min = plan.scales
+    S, S_max, S_min = plan.S, plan.S_max, plan.S_min
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):   # checked below
         log_F = lc_w[:, None] + e_w[:, None] * node_t + log_weight
         log_F[~use] = -_INF
@@ -940,7 +936,7 @@ def _grid_integrate(integrand: PowerIntegrand, h: float, on_u: bool, diverged):
     F = np.exp(log_F)
     with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
         # past the float range: not ok
-        value, err, ok = _tail_series(w, kern, x, X[0], X[-1], plan.tails)
+        value, err, ok = _tail_series(w, kern, x, plan.tails)
         if not on_u:   # cells 0 and 1 past each shift
             end = np.where(direct, w.bounds[nxt], _INF)
             v, e, near = _branch_cells(kern, w, x, ((lc_w[:n], e_w[:n], end[:n]),
@@ -951,12 +947,12 @@ def _grid_integrate(integrand: PowerIntegrand, h: float, on_u: bool, diverged):
     if not (ok | diverged).all():
         return None
 
-    (d_rows, d_x, d_lo, d_hi), runs = plan.cuts
+    d_rows, d_x, d_lo, d_hi = plan.cuts
     if d_rows.size:
         with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
             _add_gauss(u, f, d_rows, d_x, d_lo, d_hi, value, err, np.zeros(n, bool))
-    for m, rows, lo, hi, blocks in runs:
-        sums = S[m] * _correlate(F, T[m], Tq[m], rows, lo, hi, blocks)[i]
+    for m, rows, lo, hi, blocks in plan.runs:
+        sums = S[m] * _correlate(F, T[m], Tq[m], rows, lo, hi, blocks)[plan.i]
         value += sums
         err += (_PANEL_ERROR if on_u else _GRID_PANEL_ERROR) * sums
     return value, err

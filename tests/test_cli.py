@@ -902,6 +902,10 @@ def _no_constant(name):
 # ... and a pad end x[-1]/cap, formed outside the logs, would overflow
 @example(argv=["solve", "--alpha=4.494232837155789e+302", "--gamma=3.595386269724632e+302",
                "--s=0.0", "--p=2.0", "--kernel-mode=split-comparison", "--nodes=16"])
+# alpha, gamma ~1e9: the grid plan's tail binomials overflow, and the grid path
+# refuses the panel count the source needs
+@example(argv=["solve", "--alpha=1002464537.5", "--gamma=801971630.0", "--s=0.0", "--p=2.0",
+               "--kernel-mode=split-comparison", "--nodes=16"])
 def test_fuzzed_commands_exit_cleanly(tmp_path, capsys, argv):
     out = tmp_path / "o"
     shutil.rmtree(out, ignore_errors=True)

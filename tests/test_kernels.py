@@ -671,6 +671,14 @@ def within(pp, lo, hi):
                                      np.where(keep, pp.exps[p], 0.0))
 
 
+def padded_ends(term, on_u):
+    """The ends of the padded grid in the term's grid plan (the one
+    ``grid_sums`` builds or reuses)."""
+    w, kern = (term.u, term.f) if on_u else (term.f, term.u)
+    plan = quad._plans[kern][(on_u, term.rho.tobytes(), w.bounds.tobytes())]
+    return plan.X[0], plan.X[-1]
+
+
 def tail_calls(monkeypatch, silent=False):
     """Records each _tail_series call's arguments and a copy of its result
     (the grid path adds into the arrays); with silent, every row's tails
@@ -701,7 +709,8 @@ def test_grid_window_is_the_source_beyond_the_grid(monkeypatch, prof, grid, kind
     for on_u, term in zip((True, False), split_terms(prof, grid_sources(prof, x)[kind])):
         calls.clear()
         got = grid_sums(term, on_u)[0]
-        [((_, _, _, lo, hi, _), _)] = calls
+        assert len(calls) == 1
+        lo, hi = padded_ends(term, on_u)
         assert hi > x[-1] and (lo < x[0] if on_u else lo == x[0])
         inside = within(term.u if on_u else term.f, lo, hi)
         ref = zones(PowerIntegrand(inside, term.f, x) if on_u
@@ -724,7 +733,8 @@ def test_grid_tails_are_the_source_beyond_the_grid(monkeypatch, prof, grid, kind
     for on_u, term in zip((True, False), split_terms(prof, grid_sources(prof, x)[kind])):
         calls.clear()
         assert grid_sums(term, on_u) is not None
-        [((w, kern, _, lo, hi, _), (value, err, ok))] = calls
+        [((w, kern, _, _), (value, err, ok))] = calls
+        lo, hi = padded_ends(term, on_u)
         assert np.all(ok)
         assert hi >= w.bounds[-2]
         if on_u:
@@ -1035,6 +1045,26 @@ def test_a_command_builds_one_plan_per_term_and_drops_them(monkeypatch, tmp_path
         gc.collect()
         assert all(kern() is None for kern in builds)
         assert len(quad._plans) == stored
+
+
+def test_a_plan_past_the_table_budget_builds_no_pad_node():
+    # a grid source on [1e-300, 1e-299] at (7, 5, 6): term 1 would pad its 640
+    # nodes up to g's breakpoint at 1, 191,061 pad nodes (1.5 MB a float
+    # array), far past the kernel tables' budget.  The plan refuses before it
+    # builds one, and a second call under the same KernelSpec reads that
+    # refusal from the stored plan
+    spec = KernelSpec(MODE_SPLIT, ManifoldProfile(7.0, 5.0, 6))
+    x = log_grid(1e-300, 1e-299, 640)
+    src = RadialFunction(x, (1.0 + x) ** -3.0).as_piecewise()
+    term = PowerIntegrand(pp_product(src, spec.v), spec.g, x)
+    for _ in range(2):
+        tracemalloc.start()
+        try:
+            assert grid_sums(term, True) is None
+            assert tracemalloc.get_traced_memory()[1] < 2 ** 20
+        finally:
+            tracemalloc.stop()
+        assert len(quad._plans[spec.g]) == 1
 
 
 def test_other_inputs_keep_todays_values():

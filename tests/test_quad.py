@@ -14,8 +14,8 @@ from biharm import quad
 from biharm.errors import ParameterError
 from biharm.kernels import MODE_SPLIT, KernelSpec, potential_values
 from biharm.profiles import ManifoldProfile, profile_piecewise
-from biharm.quad import (_K, _STEEP, _X, PowerIntegrand, _gauss_zone, _low_zone, _near_segments,
-                         _series_zones, _zones, integrate)
+from biharm.quad import (_K, _STEEP, _X, PowerIntegrand, _gauss_zone, _low_zone, _near_breakpoints,
+                         _near_segments, _series_zones, _zones, integrate)
 from biharm.radial import PiecewisePower, RadialFunction, log_grid, pp_product
 from biharm.solver import default_grid
 
@@ -42,6 +42,11 @@ def green_integrand(prof, rho, *extra):
     g = profile_piecewise("g", prof)
     v = profile_piecewise("v", prof)
     return PowerIntegrand(pp_product(g, v, *extra), g, rho)
+
+
+def near_segments(u, f, rho, lo, hi):
+    """quad's Gauss-zone segments over (lo, hi) at each shift."""
+    return _near_segments(u, f, rho, lo, hi, _near_breakpoints(u, f, rho, lo, hi))
 
 
 def test_gauss_rule_is_numpys_8_node_legendre_rule():
@@ -139,7 +144,7 @@ def test_breakpoints_from_shifts():
     u = pp_product(g, profile_piecewise("v", prof))
     rho = np.array([0.25])
     low_end, high_start = _series_zones(u, g, rho)[3:]
-    start, width = _near_segments(u, g, rho, low_end, high_start)[2:4]
+    start, width = near_segments(u, g, rho, low_end, high_start)[2:4]
     cuts = np.exp(np.append(start, start[-1] + width[-1]))
     assert cuts == pytest.approx([0.0625, 0.75, 1.0])
 
@@ -164,7 +169,7 @@ def test_gauss_zone_holds_only_the_near_breakpoints(rho):
         seam = min(f.bounds[f.bounds > rho][0] - rho, _X * rho)
         assert low_end == pytest.approx(seam, rel=1e-12)
         assert high_start == pytest.approx(rho / _X)
-        start, width = _near_segments(u, f, shift, low_end, high_start)[2:4]
+        start, width = near_segments(u, f, shift, low_end, high_start)[2:4]
         cuts = np.exp(np.append(start, start[-1] + width[-1]))
         inside = breaks[(breaks > seam) & (breaks < rho / _X)]
         expected = np.unique(np.concatenate([[seam, rho / _X], inside]))
@@ -268,8 +273,8 @@ def test_gauss_bound_holds_against_mpmath(e_u, e_f, log_c, log_rho, offset, log_
     u = PiecewisePower.single(np.exp(log_c), e_u)
     f = PiecewisePower.single(1.0, e_f)
     lo = rho * np.exp(offset)
-    segs = _near_segments(u, f, np.array([rho]), np.array([lo]),
-                          np.array([lo * np.exp(10.0 ** log_width)]))
+    segs = near_segments(u, f, np.array([rho]), np.array([lo]),
+                         np.array([lo * np.exp(10.0 ** log_width)]))
     value, bound = (x[0] for x in _gauss_zone(segs, 1))
     start, width, lc = (float(x[0]) for x in segs[2:5])
     with mpmath.workdps(30):
@@ -309,15 +314,33 @@ def test_error_estimate_covers_a_piece_too_steep_for_its_panels():
 
 def test_panel_chunks_leave_the_sums_unchanged(monkeypatch):
     # each segment is summed within one chunk of panels and the rows from the
-    # segment sums, so chunks of a few panels give the same bits as one chunk
+    # segment sums, each series row is reduced on its own, and a block of
+    # shifts adds its Gauss zones in entry order, so blocks of a few floats
+    # (three panels' nodes; one shift's seams or one series piece's terms
+    # each) give the same bits as one block
     prof = ManifoldProfile(7.0, 4.5, 5)
     grid = default_grid(256)
     src = RadialFunction(grid, (1.0 + grid) ** -3.0).as_piecewise()
     g = profile_piecewise("g", prof)
     u = pp_product(g, profile_piecewise("v", prof))
     whole = _zones(u, src, grid)
-    monkeypatch.setattr(quad, "_BLOCK_PANELS", 3)
+    counts, series = [], []
+    real_blocks, real_binomial = quad._blocks, quad._binomial
+
+    def blocks(sizes, budget):
+        out = list(real_blocks(sizes, budget))
+        counts.append(len(out))
+        return out
+
+    monkeypatch.setattr(quad, "_blocks", blocks)
+    monkeypatch.setattr(quad, "_binomial", lambda *args: series.append(1) or real_binomial(*args))
+    monkeypatch.setattr(quad, "_BLOCK_FLOATS", 24)
     chunked = _zones(u, src, grid)
+    # one seam blocking and a panel chunking per seam block, each into more
+    # than one block, and one binomial table per series block, more than the
+    # two series calls
+    assert len(counts) == 1 + counts[0] and min(counts) > 1
+    assert len(series) > 2
     assert np.array_equal(chunked[0], whole[0])
     assert np.array_equal(chunked[1], whole[1])
 
